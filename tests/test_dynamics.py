@@ -1,5 +1,6 @@
 """Hamiltonian models, Hamilton's equations, RK4 integration, drift."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,28 @@ from gupmech.dynamics import (
 
 def params_of(beta, mass=1.0):
     return DeformationParameters(beta=beta, mass=mass)
+
+
+# One configuration per kinetic model, both signs of the square-root model.
+CONFIGURATIONS = [
+    Hamiltonian.exact_1d(params_of(0.01), Potential.harmonic(0.7)),
+    Hamiltonian.first_order_1d(params_of(0.02), Potential.uniform_field(0.4)),
+    Hamiltonian.exact_3d(params_of(0.01), Potential.harmonic(1.2)),
+    Hamiltonian.first_order_3d(params_of(0.02)),
+    Hamiltonian.relativistic_first_order_1d(params_of(1e-4), 10.0),
+    Hamiltonian.effective_sqrt(params_of(0.01), scale_velocity=4.0),
+    Hamiltonian.effective_sqrt(params_of(0.01), scale_velocity=4.0, sign=+1),
+]
+
+
+def config_id(kind):
+    return f"{kind.model}{'+' if kind.sqrt_sign > 0 else ''}"
+
+
+def probe_state(kind, p=None):
+    if kind.dim == 1:
+        return PhaseState.of(0.8, 0.9 if p is None else p)
+    return PhaseState.of([0.3, -0.2, 0.5], [0.9, -0.4, 0.6] if p is None else p)
 
 
 class TestPotential:
@@ -165,28 +188,89 @@ class TestHamiltonRhs:
         np.testing.assert_allclose(xdot, [1.02, 0.0, 0.0], rtol=1e-15)
         np.testing.assert_array_equal(pdot, np.zeros(3))
 
-    @pytest.mark.parametrize("kind", [
-        Hamiltonian.exact_1d(params_of(0.01), Potential.harmonic(0.7)),
-        Hamiltonian.first_order_1d(params_of(0.02), Potential.uniform_field(0.4)),
-        Hamiltonian.exact_3d(params_of(0.01), Potential.harmonic(1.2)),
-        Hamiltonian.first_order_3d(params_of(0.02)),
-        Hamiltonian.relativistic_first_order_1d(params_of(1e-4), 10.0),
-        Hamiltonian.effective_sqrt(params_of(0.01), scale_velocity=4.0),
-        Hamiltonian.effective_sqrt(params_of(0.01), scale_velocity=4.0, sign=+1),
-    ], ids=lambda k: f"{k.model}{'+' if k.sqrt_sign > 0 else ''}")
+    @pytest.mark.parametrize("kind", CONFIGURATIONS, ids=config_id)
     def test_finite_difference_agreement(self, kind):
-        if kind.dim == 1:
-            state = PhaseState.of(0.8, 0.9)
-        else:
-            state = PhaseState.of([0.3, -0.2, 0.5], [0.9, -0.4, 0.6])
+        state = probe_state(kind)
         xdot, pdot = hamilton_rhs(kind, state)
         xdot_fd, pdot_fd = hamilton_rhs_fd(kind, state)
         scale = max(1.0, float(np.max(np.abs(xdot))), float(np.max(np.abs(pdot))))
         assert float(np.max(np.abs(xdot - xdot_fd))) / scale < 1e-6
         assert float(np.max(np.abs(pdot - pdot_fd))) / scale < 1e-6
 
+    @pytest.mark.parametrize("kind", CONFIGURATIONS, ids=config_id)
+    def test_rest_has_zero_velocity(self, kind):
+        xdot, pdot = hamilton_rhs(kind, probe_state(kind, p=[0.0] * kind.dim))
+        assert np.all(xdot == 0.0)
+        assert np.all(np.isfinite(xdot)) and np.all(np.isfinite(pdot))
+
+
+# Endpoints of integrate(kind, probe_state(kind), t_end=2.0, dt=0.01), 200
+# RK4 steps, recorded from the per-model implementation this one replaced:
+# (x, p, energy) per (configuration, potential).
+REFERENCE_ENDPOINTS = {
+    ("exact-1d", "free"):
+        ([2.6195746013226686], [0.9], 0.40719708086407486),
+    ("exact-1d", "harmonic"):
+        ([0.9870804139213873], [-0.7603480761695183], 0.6311970808634424),
+    ("exact-1d", "uniform-field"):
+        ([3.465265372533818], [1.7000000000000006], 0.08719708086407363),
+    ("first-order-1d", "free"):
+        ([2.638880000000005], [0.9], 0.409374),
+    ("first-order-1d", "harmonic"):
+        ([0.9859498566815206], [-0.7627367217806631], 0.6333739999993406),
+    ("first-order-1d", "uniform-field"):
+        ([3.5282666666666658], [1.7000000000000006], 0.08937400000000117),
+    ("exact-3d", "free"):
+        ([2.148852431162363, -1.0217121916277214, 1.7325682874415822], [0.9, -0.4, 0.6], 0.6739637174419784),
+    ("exact-3d", "harmonic"):
+        ([1.0410358145539078, -0.4556442857062847, 0.6623515329397378], [-0.3512971429967624, 0.21139189710361672, -0.48286734630392797], 0.8069637174408268),
+    ("exact-3d", "uniform-field"):
+        ([3.0280734168205754, -1.0375765580882759, 1.7563648371324152], [1.7000000000000006, -0.4, 0.6], 0.5539637174419747),
+    ("first-order-3d", "free"):
+        ([2.1957599999999924, -1.0425600000000017, 1.7638400000000072], [0.9, -0.4, 0.6], 0.682689),
+    ("first-order-3d", "harmonic"):
+        ([1.0425543365146062, -0.45610247609378646, 0.6623886937358984], [-0.3604233339313225, 0.21523096417032683, -0.48797489352470863], 0.8156889999985067),
+    ("first-order-3d", "uniform-field"):
+        ([3.1464800000000017, -1.0724266666666664, 1.8086400000000005], [1.7000000000000006, -0.4, 0.6], 0.5626890000000002),
+    ("relativistic-first-order-1d", "free"):
+        ([2.5929044], [0.9], 100.404201745),
+    ("relativistic-first-order-1d", "harmonic"):
+        ([0.9885731479928633], [-0.7570395758529297], 100.6282017449994),
+    ("relativistic-first-order-1d", "uniform-field"):
+        ([3.3765913333333337], [1.7000000000000006], 100.08420174500002),
+    ("effective-sqrt", "free"):
+        ([2.647368820846818], [0.9], 0.4102597840759383),
+    ("effective-sqrt", "harmonic"):
+        ([0.9854926389325723], [-0.7637196802864556], 0.6342597840752248),
+    ("effective-sqrt", "uniform-field"):
+        ([3.5666165593468926], [1.7000000000000006], 0.0902597840759054),
+    ("effective-sqrt+", "free"):
+        ([2.556097560975611], [0.9], 0.3999999999999986),
+    ("effective-sqrt+", "harmonic"):
+        ([0.9905640056428873], [-0.7523750243376817], 0.6239999999994321),
+    ("effective-sqrt+", "uniform-field"):
+        ([3.2626276242014827], [1.7000000000000006], 0.07999999999999075),
+}
+
+POTENTIALS = {
+    "free": Potential.free(),
+    "harmonic": Potential.harmonic(0.7),
+    "uniform-field": Potential.uniform_field(0.4),
+}
+
 
 class TestIntegrate:
+    @pytest.mark.parametrize("potential", POTENTIALS)
+    @pytest.mark.parametrize("kind", CONFIGURATIONS, ids=config_id)
+    def test_endpoint_matches_reference(self, kind, potential):
+        kind = dataclasses.replace(kind, potential=POTENTIALS[potential])
+        traj = integrate(kind, probe_state(kind), t_end=2.0, dt=0.01)
+        x, p, energy = REFERENCE_ENDPOINTS[config_id(kind), potential]
+        assert len(traj) == 201
+        np.testing.assert_allclose(traj.endpoint.x, x, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(traj.endpoint.p, p, rtol=1e-12, atol=0.0)
+        assert traj.energies[-1] == pytest.approx(energy, rel=1e-12, abs=0.0)
+
     def test_free_momentum_is_constant(self):
         kind = Hamiltonian.first_order_1d(params_of(0.01))
         traj = integrate(kind, PhaseState.of(0.0, 0.75), t_end=2.0, dt=0.01)
