@@ -347,9 +347,7 @@ def _check_inversion_roundtrip(rng) -> CheckBody:
     for kind in _suite_hamiltonians():
         for state in _sample_states(rng, kind, 100):
             xdot, _ = dynamics.hamilton_rhs(kind, state)
-            back = legendre.momentum_from_velocity_exact(
-                xdot if kind.dim == 3 else float(xdot[0]), kind)
-            back = np.atleast_1d(np.asarray(back, dtype=float))
+            back = np.atleast_1d(legendre.momentum_from_velocity_exact(xdot, kind))
             err = float(np.max(np.abs(back - state.p)))
             worst = max(worst, err / max(1.0, float(np.max(np.abs(state.p)))))
     return worst, 1e-10, "velocity map then exact inversion, 100 states per model"

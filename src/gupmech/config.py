@@ -76,30 +76,15 @@ class ScenarioConfig:
         return DeformationParameters(beta=self.beta, mass=self.mass)
 
     def build_potential(self) -> dynamics.Potential:
-        if self.potential == "free":
-            return dynamics.Potential.free()
-        if self.potential == "harmonic":
-            return dynamics.Potential.harmonic(self.stiffness)
-        return dynamics.Potential.uniform_field(self.force)
+        return dynamics.Potential(self.potential, self.stiffness, self.force)
 
     def build_hamiltonian(self) -> dynamics.Hamiltonian:
-        params = self.deformation()
-        pot = self.build_potential()
-        kind = self.kind
-        if kind == dynamics.EXACT_1D:
-            return dynamics.Hamiltonian.exact_1d(params, pot)
-        if kind == dynamics.FIRST_ORDER_1D:
-            return dynamics.Hamiltonian.first_order_1d(params, pot)
-        if kind == dynamics.EXACT_3D:
-            return dynamics.Hamiltonian.exact_3d(params, pot)
-        if kind == dynamics.FIRST_ORDER_3D:
-            return dynamics.Hamiltonian.first_order_3d(params, pot)
-        if kind == dynamics.REL_FIRST_ORDER_1D:
-            return dynamics.Hamiltonian.relativistic_first_order_1d(
-                params, self.light_speed, pot)
-        w = self.scale_velocity or self.derived_scale_velocity()
-        return dynamics.Hamiltonian.effective_sqrt(
-            params, w, sign=self.sqrt_sign, potential=pot)
+        scale = self.scale_velocity
+        if self.kind == dynamics.EFFECTIVE_SQRT and not scale:
+            scale = self.derived_scale_velocity()
+        return dynamics.Hamiltonian(self.kind, self.deformation(), self.build_potential(),
+                                    light_speed=self.light_speed, scale_velocity=scale,
+                                    sqrt_sign=self.sqrt_sign)
 
     def build_initial_state(self) -> PhaseState:
         if self.x0 is None or self.p0 is None:

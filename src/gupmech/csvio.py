@@ -6,6 +6,7 @@ columns are t, x1..xd, p1..pd, energy; event columns are t, x1[..x3].
 """
 
 import csv
+import math
 from typing import List, NamedTuple
 
 import numpy as np
@@ -59,9 +60,12 @@ def _parse_row(row, width, row_no):
     out = []
     for cell in row:
         try:
-            out.append(float(cell))
+            value = float(cell)
         except ValueError:
             raise CsvFormatError(f"not a number: {cell!r}", row_no) from None
+        if not math.isfinite(value):
+            raise CsvFormatError(f"not a finite number: {cell!r}", row_no)
+        out.append(value)
     return out
 
 

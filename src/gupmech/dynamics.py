@@ -10,13 +10,16 @@ one fixed-step integrator:
     relativistic-first-order-1d   rest energy plus corrected quartic
     effective-sqrt                square-root form with a velocity scale
 
-Hamilton's equations come with analytic derivatives; a central
-finite-difference fallback is kept for cross-checking them.  The
-integrator is classic fixed-step RK4 and records energy along the way.
+The deformation is rotation-invariant, so each model is one `Kinetic`
+record of functions of |p|.  Hamilton's equations come with analytic
+derivatives; a central finite-difference fallback is kept for
+cross-checking them.  The integrator is classic fixed-step RK4 and
+records energy along the way.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +40,14 @@ POTENTIAL_FREE = "free"
 POTENTIAL_HARMONIC = "harmonic"
 POTENTIAL_UNIFORM_FIELD = "uniform-field"
 POTENTIAL_KINDS = (POTENTIAL_FREE, POTENTIAL_HARMONIC, POTENTIAL_UNIFORM_FIELD)
+
+
+def _square_1d(v: float) -> float:
+    return v * v
+
+
+def _square_3d(v: np.ndarray) -> float:
+    return float(v @ v)
 
 
 @dataclass(frozen=True)
@@ -67,34 +78,173 @@ class Potential:
     def uniform_field(cls, force: float) -> "Potential":
         return cls(kind=POTENTIAL_UNIFORM_FIELD, force=float(force))
 
-    def energy(self, x) -> float:
-        if self.kind == POTENTIAL_FREE:
-            return 0.0
-        if np.ndim(x) == 0:
-            x1 = float(x)
-            if self.kind == POTENTIAL_HARMONIC:
-                return 0.5 * self.stiffness * x1 * x1
-            return -self.force * x1
-        x = np.asarray(x, dtype=float)
+    def terms(self, dim: int):
+        """(U, -dU/dx) as functions of x, a float for dim 1 and a 3-array for dim 3."""
+        k = self.stiffness
+        f = self.force
         if self.kind == POTENTIAL_HARMONIC:
-            return 0.5 * self.stiffness * float(x @ x)
-        return -self.force * float(x[0])
+            square = _square_1d if dim == 1 else _square_3d
+            return (lambda x: 0.5 * k * square(x)), (lambda x: -k * x)
+        if self.kind == POTENTIAL_UNIFORM_FIELD:
+            if dim == 1:
+                return (lambda x: -f * x), (lambda x: f)
+            return (lambda x: -f * float(x[0])), (lambda x: np.array([f, 0.0, 0.0]))
+        return (lambda x: 0.0), (lambda x: 0.0 * x)
+
+    def energy(self, x) -> float:
+        if np.ndim(x) == 0:
+            return self.terms(1)[0](float(x))
+        return self.terms(3)[0](np.asarray(x, dtype=float))
 
     def gradient(self, x):
         """dU/dx with the same scalar/vector shape as x."""
-        scalar = np.ndim(x) == 0
-        if self.kind == POTENTIAL_FREE:
-            return 0.0 if scalar else np.zeros_like(np.asarray(x, dtype=float))
-        if scalar:
-            if self.kind == POTENTIAL_HARMONIC:
-                return self.stiffness * float(x)
-            return -self.force
-        x = np.asarray(x, dtype=float)
-        if self.kind == POTENTIAL_HARMONIC:
-            return self.stiffness * x
-        g = np.zeros_like(x)
-        g[0] = -self.force
-        return g
+        if np.ndim(x) == 0:
+            return -self.terms(1)[1](float(x))
+        return -self.terms(3)[1](np.asarray(x, dtype=float))
+
+
+@dataclass(frozen=True)
+class Kinetic:
+    """One kinetic model as functions of |p|, built once per Hamiltonian.
+
+    `energy` and `ratio` take s = |p|^2 and raise DomainError outside the
+    model's domain; `ratio` is |dx/dt| / |p|, so dx/dt = p * ratio(s) in
+    either dimension.  `slope` is d|dx/dt| / d|p| at q = |p|, unchecked.
+    `square` gives s from p: p * p for a float, p @ p for a 3-array.
+    """
+
+    square: Callable
+    energy: Callable[[float], float]
+    ratio: Callable[[float], float]
+    slope: Callable[[float], float]
+    momentum_limit: float = math.inf
+    monotone_momentum_limit: float = math.inf
+    speed_limit: float = math.inf
+
+
+def _radius(model: str, s: float, limit: float) -> float:
+    """|p| = sqrt(s), refused unless strictly inside the domain |p| < limit."""
+    q = math.sqrt(s)
+    if q >= limit:
+        raise DomainError(f"momentum |p| = {q:.6g} outside the {model} domain (|p| < {limit:.6g})")
+    return q
+
+
+def _quartic(square, m: float, a: float, rest: float = 0.0) -> Kinetic:
+    """T = rest + |p|^2 / 2m + a |p|^4; with a < 0 the speed peaks at 12 a m |p|^2 = -1."""
+
+    def ratio(s):
+        return 1.0 / m + 4.0 * a * s
+
+    monotone = speed = math.inf
+    if a < 0.0:
+        monotone = 1.0 / math.sqrt(-12.0 * a * m)
+        speed = monotone * ratio(monotone * monotone)
+    return Kinetic(square, lambda s: rest + s / (2.0 * m) + a * s * s, ratio,
+                   lambda q: 1.0 / m + 12.0 * a * q * q,
+                   monotone_momentum_limit=monotone, speed_limit=speed)
+
+
+def _exact_1d(kind) -> Kinetic:
+    m = kind.params.mass
+    b = kind.params.beta
+    if b == 0.0:
+        return _quartic(_square_1d, m, 0.0)
+    sb = math.sqrt(b)
+    limit = (math.pi / 2.0) / sb
+
+    def energy(s):
+        t = math.tan(sb * _radius(EXACT_1D, s, limit))
+        return t * t / (2.0 * m * b)
+
+    def ratio(s):
+        z = sb * _radius(EXACT_1D, s, limit)
+        if z == 0.0:
+            return 1.0 / m  # tan z / z -> 1
+        c = math.cos(z)
+        return math.tan(z) / (z * c * c) / m
+
+    def slope(q):
+        z = sb * q
+        c = math.cos(z)
+        sec2 = 1.0 / (c * c)
+        t = math.tan(z)
+        return sec2 * (sec2 + 2.0 * t * t) / m
+
+    return Kinetic(_square_1d, energy, ratio, slope, limit, limit)
+
+
+def _first_order_1d(kind) -> Kinetic:
+    m = kind.params.mass
+    return _quartic(_square_1d, m, kind.params.beta / (3.0 * m))
+
+
+def _exact_3d(kind) -> Kinetic:
+    m = kind.params.mass
+    b = kind.params.beta
+    limit = 1.0 / math.sqrt(b) if b > 0.0 else math.inf
+
+    def one_minus_bs(s):
+        by = b * s
+        if by >= 1.0:
+            raise DomainError(
+                f"momentum outside the {EXACT_3D} domain (beta*|p|^2 = {by:.6g} >= 1)")
+        return 1.0 - by
+
+    def slope(q):
+        bq = b * q * q
+        return (1.0 + 3.0 * bq) / (m * (1.0 - bq) ** 3)
+
+    return Kinetic(_square_3d, lambda s: s / (2.0 * m * one_minus_bs(s)),
+                   lambda s: 1.0 / (m * one_minus_bs(s) ** 2), slope, limit, limit)
+
+
+def _first_order_3d(kind) -> Kinetic:
+    m = kind.params.mass
+    return _quartic(_square_3d, m, kind.params.beta / (2.0 * m))
+
+
+def _effective_sqrt(kind) -> Kinetic:
+    """T = sign m w^2 (sqrt(1 + sign y) - 1) with y = (|p| / m w)^2.
+
+    The minus branch bounds |p| by m w; the plus branch bounds |dx/dt| by w.
+    """
+    if not kind.scale_velocity > 0.0:
+        raise ValueError("the effective square-root model needs scale_velocity > 0")
+    if kind.sqrt_sign not in (-1, 1):
+        raise ValueError(f"sqrt_sign must be -1 or +1, got {kind.sqrt_sign}")
+    m = kind.params.mass
+    w = kind.scale_velocity
+    sign = kind.sqrt_sign
+    limit = m * w if sign < 0 else math.inf
+
+    def root(s):
+        return math.sqrt(1.0 + sign * (_radius(EFFECTIVE_SQRT, s, limit) / (m * w)) ** 2)
+
+    return Kinetic(_square_1d,
+                   lambda s: sign * m * w * w * (root(s) - 1.0),
+                   lambda s: 1.0 / (m * root(s)),
+                   lambda q: (1.0 + sign * (q / (m * w)) ** 2) ** -1.5 / m,
+                   limit, limit, w if sign > 0 else math.inf)
+
+
+def _relativistic_first_order_1d(kind) -> Kinetic:
+    if not kind.light_speed > 0.0:
+        raise ValueError("the relativistic model needs light_speed > 0")
+    m = kind.params.mass
+    return _quartic(_square_1d, m, relativistic_quartic_coefficient(kind),
+                    rest=m * kind.light_speed ** 2)
+
+
+# model tag -> the function that makes its Kinetic record
+_MODELS = {
+    EXACT_1D: _exact_1d,
+    FIRST_ORDER_1D: _first_order_1d,
+    EXACT_3D: _exact_3d,
+    FIRST_ORDER_3D: _first_order_3d,
+    REL_FIRST_ORDER_1D: _relativistic_first_order_1d,
+    EFFECTIVE_SQRT: _effective_sqrt,
+}
 
 
 @dataclass(frozen=True)
@@ -113,15 +263,16 @@ class Hamiltonian:
     sqrt_sign: int = -1
 
     def __post_init__(self):
-        if self.model not in ALL_MODELS:
+        make_kinetic = _MODELS.get(self.model)
+        if make_kinetic is None:
             raise ValueError(f"unknown model {self.model!r}")
-        if self.model == REL_FIRST_ORDER_1D and not self.light_speed > 0.0:
-            raise ValueError("the relativistic model needs light_speed > 0")
-        if self.model == EFFECTIVE_SQRT:
-            if not self.scale_velocity > 0.0:
-                raise ValueError("the effective square-root model needs scale_velocity > 0")
-            if self.sqrt_sign not in (-1, 1):
-                raise ValueError(f"sqrt_sign must be -1 or +1, got {self.sqrt_sign}")
+        # derived functions, kept off the dataclass fields (and so out of eq and repr)
+        object.__setattr__(self, "_kinetic", make_kinetic(self))
+        object.__setattr__(self, "_potential_terms", self.potential.terms(self.dim))
+
+    def __reduce__(self):
+        # the derived functions are closures; pickle the fields and rebuild them
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def dim(self) -> int:
@@ -167,199 +318,64 @@ def relativistic_quartic_coefficient(kind: Hamiltonian) -> float:
     return -(1.0 / (8.0 * m * m * c * c) - kind.params.beta / 3.0) / m
 
 
-def _kappa(kind: Hamiltonian) -> float:
-    m = kind.params.mass
-    c = kind.light_speed
-    return 1.0 / (8.0 * m * m * c * c) - kind.params.beta / 3.0
-
-
 def rest_energy(kind: Hamiltonian) -> float:
     """Constant offset of the model energy at p = 0 with no potential."""
-    if kind.model == REL_FIRST_ORDER_1D:
-        return kind.params.mass * kind.light_speed ** 2
-    return 0.0
+    return kind._kinetic.energy(0.0)
 
 
 def momentum_limit(kind: Hamiltonian) -> float:
     """Half-width of the momentum domain (|p|, radial for 3d); inf if unbounded."""
-    b = kind.params.beta
-    if kind.model == EXACT_1D and b > 0.0:
-        return (math.pi / 2.0) / math.sqrt(b)
-    if kind.model == EXACT_3D and b > 0.0:
-        return 1.0 / math.sqrt(b)
-    if kind.model == EFFECTIVE_SQRT and kind.sqrt_sign < 0:
-        return kind.params.mass * kind.scale_velocity
-    return math.inf
+    return kind._kinetic.momentum_limit
 
 
 def monotone_momentum_limit(kind: Hamiltonian) -> float:
     """Upper end of the branch on which velocity grows with momentum."""
-    if kind.model == REL_FIRST_ORDER_1D:
-        kappa = _kappa(kind)
-        if kappa > 0.0:
-            return 1.0 / math.sqrt(12.0 * kappa)
-    return momentum_limit(kind)
+    return kind._kinetic.monotone_momentum_limit
 
 
 def speed_limit(kind: Hamiltonian) -> float:
     """Supremum of |dx/dt| attainable on the monotone branch; inf if none."""
-    if kind.model == EFFECTIVE_SQRT and kind.sqrt_sign > 0:
-        return kind.scale_velocity
-    if kind.model == REL_FIRST_ORDER_1D and _kappa(kind) > 0.0:
-        return _kinetic_velocity_scalar(kind, monotone_momentum_limit(kind))
-    return math.inf
-
-
-def _check_domain_1d(kind: Hamiltonian, p: float) -> None:
-    lim = momentum_limit(kind)
-    if abs(p) >= lim:
-        raise DomainError(
-            f"momentum {p:.6g} outside the {kind.model} domain (|p| < {lim:.6g})"
-        )
-
-
-def _kinetic_energy_scalar(kind: Hamiltonian, p: float) -> float:
-    m = kind.params.mass
-    b = kind.params.beta
-    model = kind.model
-    if model == EXACT_1D:
-        if b == 0.0:
-            return p * p / (2.0 * m)
-        _check_domain_1d(kind, p)
-        t = math.tan(math.sqrt(b) * p)
-        return t * t / (2.0 * m * b)
-    if model == FIRST_ORDER_1D:
-        return p * p / (2.0 * m) + b / (3.0 * m) * p ** 4
-    if model == REL_FIRST_ORDER_1D:
-        return m * kind.light_speed ** 2 + p * p / (2.0 * m) - _kappa(kind) * p ** 4 / m
-    # effective square-root
-    w = kind.scale_velocity
-    y = (p / (m * w)) ** 2
-    if kind.sqrt_sign < 0:
-        _check_domain_1d(kind, p)
-        return m * w * w * (1.0 - math.sqrt(1.0 - y))
-    return m * w * w * (math.sqrt(1.0 + y) - 1.0)
-
-
-def _kinetic_energy_vector(kind: Hamiltonian, p: np.ndarray) -> float:
-    m = kind.params.mass
-    b = kind.params.beta
-    psq = float(p @ p)
-    if kind.model == EXACT_3D:
-        by = b * psq
-        if by >= 1.0:
-            raise DomainError(
-                f"momentum outside the {kind.model} domain (beta*|p|^2 = {by:.6g} >= 1)"
-            )
-        return psq / (2.0 * m * (1.0 - by))
-    return psq / (2.0 * m) + b / (2.0 * m) * psq * psq
-
-
-def _kinetic_velocity_scalar(kind: Hamiltonian, p: float) -> float:
-    m = kind.params.mass
-    b = kind.params.beta
-    model = kind.model
-    if model == EXACT_1D:
-        if b == 0.0:
-            return p / m
-        _check_domain_1d(kind, p)
-        sb = math.sqrt(b)
-        z = sb * p
-        c = math.cos(z)
-        return math.tan(z) / (c * c) / (m * sb)
-    if model == FIRST_ORDER_1D:
-        return p / m + 4.0 * b / (3.0 * m) * p ** 3
-    if model == REL_FIRST_ORDER_1D:
-        return p / m - 4.0 * _kappa(kind) * p ** 3 / m
-    w = kind.scale_velocity
-    y = (p / (m * w)) ** 2
-    if kind.sqrt_sign < 0:
-        _check_domain_1d(kind, p)
-        return (p / m) / math.sqrt(1.0 - y)
-    return (p / m) / math.sqrt(1.0 + y)
-
-
-def _kinetic_velocity_vector(kind: Hamiltonian, p: np.ndarray) -> np.ndarray:
-    m = kind.params.mass
-    b = kind.params.beta
-    psq = float(p @ p)
-    if kind.model == EXACT_3D:
-        by = b * psq
-        if by >= 1.0:
-            raise DomainError(
-                f"momentum outside the {kind.model} domain (beta*|p|^2 = {by:.6g} >= 1)"
-            )
-        return p / (m * (1.0 - by) ** 2)
-    return p / m * (1.0 + 2.0 * b * psq)
+    return kind._kinetic.speed_limit
 
 
 def kinetic_velocity_slope(kind: Hamiltonian, q: float) -> float:
     """Radial derivative d|dx/dt| / d|p| at |p| = q >= 0 (Newton helper)."""
-    m = kind.params.mass
-    b = kind.params.beta
-    model = kind.model
-    if model == EXACT_1D:
-        if b == 0.0:
-            return 1.0 / m
-        z = math.sqrt(b) * q
-        c = math.cos(z)
-        sec2 = 1.0 / (c * c)
-        t = math.tan(z)
-        return sec2 * (sec2 + 2.0 * t * t) / m
-    if model == FIRST_ORDER_1D:
-        return (1.0 + 4.0 * b * q * q) / m
-    if model == REL_FIRST_ORDER_1D:
-        return (1.0 - 12.0 * _kappa(kind) * q * q) / m
-    if model == EXACT_3D:
-        bq = b * q * q
-        return (1.0 + 3.0 * bq) / (m * (1.0 - bq) ** 3)
-    if model == FIRST_ORDER_3D:
-        return (1.0 + 6.0 * b * q * q) / m
-    w = kind.scale_velocity
-    y = (q / (m * w)) ** 2
-    if kind.sqrt_sign < 0:
-        return (1.0 - y) ** -1.5 / m
-    return (1.0 + y) ** -1.5 / m
+    return kind._kinetic.slope(q)
 
 
 def radial_velocity(kind: Hamiltonian, q: float) -> float:
     """|dx/dt| as a function of |p| = q >= 0 on the monotone branch."""
-    if kind.model in THREE_D_MODELS:
-        v = _kinetic_velocity_vector(kind, np.array([q, 0.0, 0.0]))
-        return float(v[0])
-    return _kinetic_velocity_scalar(kind, q)
+    return q * kind._kinetic.ratio(q * q)
 
 
-def _require_dim(kind: Hamiltonian, state: PhaseState) -> None:
-    if state.dim != kind.dim:
+def components(kind: Hamiltonian, values):
+    """A vector as the model computes with it: a float in 1D, a 3-array in 3D."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim > 1 or v.size != kind.dim:
         raise ValueError(
-            f"model {kind.model} expects {kind.dim}-component states, got {state.dim}"
+            f"model {kind.model} expects {kind.dim}-component vectors, got shape {v.shape}"
         )
+    return v if kind.dim == 3 else v.item()
 
 
 def hamiltonian_value(kind: Hamiltonian, state: PhaseState) -> float:
     """Total energy of the state under the given model."""
-    _require_dim(kind, state)
-    if kind.dim == 1:
-        return _kinetic_energy_scalar(kind, state.p[0]) + kind.potential.energy(state.x[0])
-    return _kinetic_energy_vector(kind, state.p) + kind.potential.energy(state.x)
+    x, p = components(kind, state.x), components(kind, state.p)
+    kin = kind._kinetic
+    return kin.energy(kin.square(p)) + kind._potential_terms[0](x)
 
 
 def hamilton_rhs(kind: Hamiltonian, state: PhaseState):
     """Analytic (dx/dt, dp/dt) = (dH/dp, -dH/dx) as a pair of arrays."""
-    _require_dim(kind, state)
-    if kind.dim == 1:
-        xdot = _kinetic_velocity_scalar(kind, state.p[0])
-        pdot = -kind.potential.gradient(state.x[0])
-        return np.array([xdot]), np.array([pdot])
-    xdot = _kinetic_velocity_vector(kind, state.p)
-    pdot = -kind.potential.gradient(state.x)
-    return xdot, pdot
+    x, p = components(kind, state.x), components(kind, state.p)
+    kin = kind._kinetic
+    xdot = p * kin.ratio(kin.square(p))
+    pdot = kind._potential_terms[1](x)
+    return np.array(xdot, dtype=float, ndmin=1), np.array(pdot, dtype=float, ndmin=1)
 
 
 def hamilton_rhs_fd(kind: Hamiltonian, state: PhaseState):
     """(dx/dt, dp/dt) by central differences of the energy; test fallback."""
-    _require_dim(kind, state)
     d = state.dim
     xdot = np.empty(d)
     pdot = np.empty(d)
@@ -430,80 +446,61 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
     lands exactly on t_end.  A DomainError raised mid-run is re-raised
     with the offending step index attached (attribute `step_index`).
     """
-    _require_dim(kind, initial)
+    x, p = components(kind, initial.x), components(kind, initial.p)
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     n = max(1, int(round(t_end / dt)))
     h = t_end / n
-    d = kind.dim
     times = np.linspace(0.0, t_end, n + 1)
-    positions = np.empty((n + 1, d))
-    momenta = np.empty((n + 1, d))
+    # rows shaped like x and p themselves: floats in 1D, 3-arrays in 3D
+    positions = np.empty((n + 1,) + np.shape(x))
+    momenta = np.empty((n + 1,) + np.shape(p))
     energies = np.empty(n + 1)
 
     try:
         energies[0] = hamiltonian_value(kind, initial)
     except DomainError as exc:
         raise DomainError(f"initial state outside the model domain: {exc}") from exc
-    positions[0] = initial.x
-    momenta[0] = initial.p
+    positions[0] = x
+    momenta[0] = p
 
-    pot = kind.potential
-    if d == 1:
-        x = float(initial.x[0])
-        p = float(initial.p[0])
-        for k in range(n):
-            try:
-                vx1 = _kinetic_velocity_scalar(kind, p)
-                vp1 = -pot.gradient(x)
-                vx2 = _kinetic_velocity_scalar(kind, p + 0.5 * h * vp1)
-                vp2 = -pot.gradient(x + 0.5 * h * vx1)
-                vx3 = _kinetic_velocity_scalar(kind, p + 0.5 * h * vp2)
-                vp3 = -pot.gradient(x + 0.5 * h * vx2)
-                vx4 = _kinetic_velocity_scalar(kind, p + h * vp3)
-                vp4 = -pot.gradient(x + h * vx3)
-                x += h / 6.0 * (vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4)
-                p += h / 6.0 * (vp1 + 2.0 * vp2 + 2.0 * vp3 + vp4)
-                energies[k + 1] = _kinetic_energy_scalar(kind, p) + pot.energy(x)
-            except DomainError as exc:
-                err = DomainError(
-                    f"trajectory left the model domain at step {k + 1} of {n} "
-                    f"(t = {(k + 1) * h:.6g}): {exc}"
-                )
-                err.step_index = k + 1
-                raise err from exc
-            positions[k + 1, 0] = x
-            momenta[k + 1, 0] = p
-    else:
-        x = initial.x.copy()
-        p = initial.p.copy()
-        for k in range(n):
-            try:
-                vx1 = _kinetic_velocity_vector(kind, p)
-                vp1 = -pot.gradient(x)
-                vx2 = _kinetic_velocity_vector(kind, p + 0.5 * h * vp1)
-                vp2 = -pot.gradient(x + 0.5 * h * vx1)
-                vx3 = _kinetic_velocity_vector(kind, p + 0.5 * h * vp2)
-                vp3 = -pot.gradient(x + 0.5 * h * vx2)
-                vx4 = _kinetic_velocity_vector(kind, p + h * vp3)
-                vp4 = -pot.gradient(x + h * vx3)
-                x = x + h / 6.0 * (vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4)
-                p = p + h / 6.0 * (vp1 + 2.0 * vp2 + 2.0 * vp3 + vp4)
-                energies[k + 1] = _kinetic_energy_vector(kind, p) + pot.energy(x)
-            except DomainError as exc:
-                err = DomainError(
-                    f"trajectory left the model domain at step {k + 1} of {n} "
-                    f"(t = {(k + 1) * h:.6g}): {exc}"
-                )
-                err.step_index = k + 1
-                raise err from exc
-            positions[k + 1] = x
-            momenta[k + 1] = p
+    # One loop for both dimensions: x and p are floats in 1D and 3-arrays
+    # in 3D, and only `square` tells the two apart.
+    kin = kind._kinetic
+    square, ratio, kinetic_energy = kin.square, kin.ratio, kin.energy
+    potential_energy, force = kind._potential_terms
+    half = 0.5 * h
+    sixth = h / 6.0
+    for k in range(n):
+        try:
+            vx1 = p * ratio(square(p))
+            vp1 = force(x)
+            p2 = p + half * vp1
+            vx2 = p2 * ratio(square(p2))
+            vp2 = force(x + half * vx1)
+            p3 = p + half * vp2
+            vx3 = p3 * ratio(square(p3))
+            vp3 = force(x + half * vx2)
+            p4 = p + h * vp3
+            vx4 = p4 * ratio(square(p4))
+            vp4 = force(x + h * vx3)
+            x = x + sixth * (vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4)
+            p = p + sixth * (vp1 + 2.0 * vp2 + 2.0 * vp3 + vp4)
+            energies[k + 1] = kinetic_energy(square(p)) + potential_energy(x)
+        except DomainError as exc:
+            err = DomainError(
+                f"trajectory left the model domain at step {k + 1} of {n} "
+                f"(t = {(k + 1) * h:.6g}): {exc}"
+            )
+            err.step_index = k + 1
+            raise err from exc
+        positions[k + 1] = x
+        momenta[k + 1] = p
 
-    return Trajectory(times=times, positions=positions, momenta=momenta,
-                      energies=energies, step=h)
+    return Trajectory(times=times, positions=positions.reshape(n + 1, kind.dim),
+                      momenta=momenta.reshape(n + 1, kind.dim), energies=energies, step=h)
 
 
 def energy_drift(traj: Trajectory) -> float:

@@ -18,7 +18,7 @@ from .algebra import DeformationParameters, DomainError, PhaseState
 from .dynamics import (
     Hamiltonian,
     Potential,
-    THREE_D_MODELS,
+    components,
     hamiltonian_value,
     kinetic_velocity_slope,
     monotone_momentum_limit,
@@ -187,17 +187,11 @@ def momentum_from_velocity_exact(xdot, kind: Hamiltonian):
     DomainError when no momentum on the monotone branch reaches the
     requested speed.
     """
-    if kind.model in THREE_D_MODELS:
-        v = np.asarray(xdot, dtype=float)
-        if v.shape != (3,):
-            raise ValueError(f"model {kind.model} expects a 3-component velocity")
-        s = float(np.linalg.norm(v))
-        if s == 0.0:
-            return np.zeros(3)
-        return _solve_radial(kind, s) * (v / s)
-    v = float(np.asarray(xdot, dtype=float).reshape(-1)[0]) if np.ndim(xdot) else float(xdot)
-    q = _solve_radial(kind, abs(v))
-    return math.copysign(q, v) if v != 0.0 else 0.0
+    v = components(kind, xdot)
+    s = float(np.linalg.norm(v))
+    if s == 0.0:
+        return 0.0 * v
+    return _solve_radial(kind, s) * (v / s)
 
 
 def lagrangian_value(kind: Lagrangian, x, xdot) -> float:
@@ -240,6 +234,14 @@ def dynamical_lagrangian(kind: Lagrangian, x, xdot) -> float:
     return lagrangian_value(kind, x, xdot) - rest_term(kind)
 
 
+def _pairing(hkind: Hamiltonian, x, xdot):
+    """(v . p*(v), H(x, p*(v))) with the exact numeric p*(v)."""
+    v = components(hkind, xdot)
+    p = momentum_from_velocity_exact(v, hkind)
+    state = PhaseState(components(hkind, x), p)
+    return float(np.dot(v, p)), hamiltonian_value(hkind, state)
+
+
 def lagrangian_from_hamiltonian(hkind: Hamiltonian):
     """The Legendre transform L(x, v) = v . p*(v) - H(x, p*(v)) as a callable.
 
@@ -249,12 +251,8 @@ def lagrangian_from_hamiltonian(hkind: Hamiltonian):
     """
 
     def value(x, xdot) -> float:
-        p = momentum_from_velocity_exact(xdot, hkind)
-        if hkind.dim == 3:
-            state = PhaseState(np.asarray(x, dtype=float), p)
-            return float(np.dot(xdot, p)) - hamiltonian_value(hkind, state)
-        state = PhaseState(np.array([float(x)]), np.array([p]))
-        return float(xdot) * p - hamiltonian_value(hkind, state)
+        vp, h = _pairing(hkind, x, xdot)
+        return vp - h
 
     return value
 
@@ -268,19 +266,13 @@ def legendre_roundtrip_residual(lagrangian, hamiltonian: Hamiltonian, xdot, x=No
     origin unless x is given.
     """
     if x is None:
-        x = np.zeros(hamiltonian.dim) if hamiltonian.dim == 3 else 0.0
-    p = momentum_from_velocity_exact(xdot, hamiltonian)
+        x = components(hamiltonian, np.zeros(hamiltonian.dim))
+    vp, h = _pairing(hamiltonian, x, xdot)
     if isinstance(lagrangian, Lagrangian):
         lag = lagrangian_value(lagrangian, x, xdot)
     else:
         lag = float(lagrangian(x, xdot))
-    if hamiltonian.dim == 3:
-        state = PhaseState(np.asarray(x, dtype=float), p)
-        vp = float(np.dot(xdot, p))
-    else:
-        state = PhaseState(np.array([float(x)]), np.array([p]))
-        vp = float(xdot) * p
-    return abs(lag + hamiltonian_value(hamiltonian, state) - vp)
+    return abs(lag + h - vp)
 
 
 @dataclass(frozen=True)

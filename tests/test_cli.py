@@ -174,9 +174,10 @@ class TestTransform:
                                "--events", self._events(tmp_path))
         assert code == 3
 
-    def test_malformed_events_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("cell", ["one", "nan", "inf"])
+    def test_malformed_events_file(self, tmp_path, capsys, cell):
         cfg = write(tmp_path, "boost.cfg", BOOST_EXACT)
-        events = write(tmp_path, "events.csv", "t,x1\n0.0,one\n")
+        events = write(tmp_path, "events.csv", f"t,x1\n0.0,{cell}\n")
         code, _, err = run_cli(capsys, "transform", "--config", cfg,
                                "--events", events)
         assert code == 2

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -98,6 +99,13 @@ class TestHamiltonianConstruction:
     def test_dimensions(self):
         assert Hamiltonian.exact_1d(params_of(0.1)).dim == 1
         assert Hamiltonian.first_order_3d(params_of(0.1)).dim == 3
+
+    def test_pickle_round_trip(self):
+        kind = Hamiltonian.exact_3d(params_of(0.01), Potential.harmonic(1.2))
+        back = pickle.loads(pickle.dumps(kind))
+        state = probe_state(kind)
+        assert back == kind
+        assert hamiltonian_value(back, state) == hamiltonian_value(kind, state)
 
 
 class TestHamiltonianValue:
