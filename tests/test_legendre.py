@@ -94,6 +94,14 @@ class TestExactInversion:
         np.testing.assert_allclose(np.cross(v, p), np.zeros(3), atol=1e-15)
         assert np.linalg.norm(p) < 1.0 * np.linalg.norm(v)
 
+    def test_velocity_must_match_the_model_dimension(self):
+        with pytest.raises(ValueError):
+            momentum_from_velocity_exact([0.3, 0.4],
+                                         Hamiltonian.exact_3d(params_of(0.01)))
+        with pytest.raises(ValueError):
+            momentum_from_velocity_exact([0.3, 0.4, 0.0],
+                                         Hamiltonian.exact_1d(params_of(0.01)))
+
     def test_relativistic_speed_ceiling(self):
         kind = Hamiltonian.relativistic_first_order_1d(params_of(1e-4), 10.0)
         from gupmech.dynamics import speed_limit
