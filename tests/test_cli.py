@@ -1,5 +1,6 @@
 """The command line surface, driven in-process through cli.main."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -258,3 +259,64 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["calibrate"])
         assert err.value.code == 2
+
+
+def _seeded_events(dim, seed, count=40):
+    rng = np.random.default_rng(seed)
+    header = "t," + ",".join(f"x{i}" for i in range(1, dim + 1))
+    rows = [",".join(repr(float(v)) for v in rng.uniform(-10.0, 10.0, size=1 + dim))
+            for _ in range(count)]
+    return "\n".join([header] + rows) + "\n"
+
+
+_PIN_BOOSTS = {
+    "exact": "boost.velocity = 0.4\nboost.scale = 1.0\nboost.law = exact\n",
+    "first-order": "boost.velocity = 0.4\nboost.scale = 1.0\nboost.law = first-order\n",
+    "ordinary": "boost.velocity = 0.4\nboost.scale = 1.0\nboost.law = ordinary\n",
+    "lorentz": "boost.velocity = 0.6\nboost.light_speed = 1.0\nboost.law = lorentz\n",
+}
+
+# sha256 of the written CSV and the reported interval_residual for each
+# (dimension, law); recorded from the per-event implementation.
+_PINNED = {
+    (1, "exact"): (
+        "2bcd68eb2d12950bed4255ec8e33d12f5dd6d06216ad8034dcacff9dde001515",
+        3.942887952352456e-15),
+    (1, "first-order"): (
+        "f6d0a322be40f5854b79b6caf9c483cf0635fac84822c4dbc077aa60ef3498a3",
+        None),
+    (1, "ordinary"): (
+        "3bcda176efb9015f7bee257ac820f9a5884fb621931caaf410cac40b35ee1a3b",
+        None),
+    (1, "lorentz"): (
+        "ea21ceee7f5772548e41fa117754d3782f4a54e6ebbb4186bdd0ca5aafc6d527",
+        9.11412633583108e-14),
+    (3, "exact"): (
+        "33c0ed75edc8249688f7ce2f248433d4cbeb340b8d7305b9478984ae281972d1",
+        9.637580298948416e-16),
+    (3, "first-order"): (
+        "c39022872aa012d9fff20787d2c5deedeff4dd640361e84459d1c3ea3d1181e9",
+        None),
+    (3, "ordinary"): (
+        "b57998888a0c611f8033ffc4f86b490fde82b94a5ed9d015c357d50cedd3ac2d",
+        None),
+    (3, "lorentz"): (
+        "3633467f0390a59095e4d0ca07f2c265d0737a26167dce7693548fa329e313bf",
+        6.016640136532387e-14),
+}
+
+
+class TestTransformPinned:
+    @pytest.mark.parametrize("dim,law", sorted(_PINNED))
+    def test_output_bytes_and_residual(self, tmp_path, capsys, dim, law):
+        model = "exact-1d" if dim == 1 else "exact-3d"
+        cfg = write(tmp_path, "pin.cfg",
+                    f"model.kind = {model}\nmodel.mass = 1.0\nmodel.beta = 0.01\n"
+                    + _PIN_BOOSTS[law])
+        events = write(tmp_path, "events.csv", _seeded_events(dim, seed=7 + dim))
+        code, out, _ = run_cli(capsys, "transform", "--config", cfg, "--events", events)
+        assert code == 0
+        digest = hashlib.sha256(
+            (tmp_path / "events_transformed.csv").read_bytes()).hexdigest()
+        residual = json.loads(out)["events"]["interval_residual"]
+        assert (digest, residual) == _PINNED[dim, law]
