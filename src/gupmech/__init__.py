@@ -70,16 +70,17 @@ from .dynamics import (
     speed_limit,
 )
 from .frames import (
-    Event,
     GALILEAN_EXACT,
     GALILEAN_FIRST_ORDER,
     GALILEAN_ORDINARY,
     GalileanBoost,
     LorentzBoost,
     covariance_residual,
+    euclidean_interval,
     galilean_apply,
     galilean_compose,
     galilean_inverse,
+    interval_residual,
     lorentz_apply,
     minkowski_interval,
     velocity_compose,
@@ -89,7 +90,6 @@ from .legendre import (
     PathSample,
     action_along_path,
     dynamical_lagrangian,
-    euclidean_interval,
     lagrangian_from_hamiltonian,
     lagrangian_value,
     legendre_roundtrip_residual,

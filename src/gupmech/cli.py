@@ -11,7 +11,7 @@ import sys
 import time
 from os import environ
 
-from . import checks, constants, csvio, dynamics, frames, legendre
+from . import checks, constants, csvio, dynamics, frames
 from .algebra import DomainError
 from .config import ConfigError, UNITS_MODES, parse_config, render_config
 
@@ -60,6 +60,13 @@ def _units_mode(config_units: str) -> str:
     return override
 
 
+def _write_report(path, report) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            json.dump(report, handle, sort_keys=True, indent=2)
+            handle.write("\n")
+
+
 def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -98,31 +105,9 @@ def _cmd_simulate(args) -> int:
         "output": {"trajectory_csv": out_path},
         "wall_time_s": time.perf_counter() - started,
     }
-    if config.report_path:
-        with open(config.report_path, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(report, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+    _write_report(config.report_path, report)
     _emit(report)
     return 0
-
-
-def _interval_residual(boost, before, after):
-    """Worst relative interval change over all event pairs, or None."""
-    if isinstance(boost, frames.LorentzBoost):
-        def interval(e1, e2):
-            return frames.minkowski_interval(e1, e2, boost.light_speed)
-    elif boost.law == frames.GALILEAN_EXACT:
-        def interval(e1, e2):
-            return legendre.euclidean_interval(e1, e2, boost.scale)
-    else:
-        return None
-    worst = 0.0
-    for i in range(len(before)):
-        for j in range(i + 1, len(before)):
-            original = interval(before[i], before[j])
-            mapped = interval(after[i], after[j])
-            worst = max(worst, abs(mapped - original) / max(abs(original), 1e-30))
-    return worst
 
 
 def _cmd_transform(args) -> int:
@@ -134,11 +119,11 @@ def _cmd_transform(args) -> int:
         raise ConfigError("transform needs a boost.velocity entry")
     events = csvio.read_events(args.events)
     if isinstance(boost, frames.LorentzBoost):
-        mapped = [frames.lorentz_apply(boost, event) for event in events]
+        mapped = frames.lorentz_apply(boost, events)
         boost_echo = {"law": "lorentz", "velocity": boost.velocity,
                       "light_speed": boost.light_speed}
     else:
-        mapped = [frames.galilean_apply(boost, event) for event in events]
+        mapped = frames.galilean_apply(boost, events)
         boost_echo = {"law": boost.law, "velocity": boost.velocity,
                       "scale": boost.scale}
     out_path = config.events_path or "events_transformed.csv"
@@ -150,15 +135,12 @@ def _cmd_transform(args) -> int:
         "boost": boost_echo,
         "events": {
             "count": len(events),
-            "interval_residual": _interval_residual(boost, events, mapped),
+            "interval_residual": frames.interval_residual(boost, events, mapped),
         },
         "output": {"events_csv": out_path},
         "wall_time_s": time.perf_counter() - started,
     }
-    if config.report_path:
-        with open(config.report_path, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(report, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+    _write_report(config.report_path, report)
     _emit(report)
     return 0
 
@@ -230,16 +212,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, csvio.CsvFormatError) as err:
-        print(f"gupmech: error: {err}", file=sys.stderr)
-        return _USAGE_EXIT
-    except FileNotFoundError as err:
-        print(f"gupmech: error: {err}", file=sys.stderr)
-        return _USAGE_EXIT
     except DomainError as err:
         print(f"gupmech: domain error: {err}", file=sys.stderr)
         return _DOMAIN_EXIT
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         print(f"gupmech: error: {err}", file=sys.stderr)
         return _USAGE_EXIT
 

@@ -324,6 +324,13 @@ def parse_config(text: str) -> ScenarioConfig:
     for key in ("boost.scale", "boost.light_speed", "boost.law"):
         if _KEYS[key][0] in values and "boost_velocity" not in values:
             raise ConfigError(f"{key} given without boost.velocity", line_of(key))
+    if law == "lorentz":
+        if "boost_scale" in values:
+            raise ConfigError("boost.scale only applies to the Galilean boost laws",
+                              line_of("boost.scale"))
+    elif "boost_light_speed" in values:
+        raise ConfigError("boost.light_speed only applies to boost.law = lorentz",
+                          line_of("boost.light_speed"))
     if "boost_scale" in values and not values["boost_scale"] > 0.0:
         raise ConfigError(f"boost.scale: must be positive, got {values['boost_scale']}",
                           line_of("boost.scale"))

@@ -2,7 +2,8 @@
 
 Headers are mandatory, encoding is UTF-8, line endings are LF, and
 floats are written with repr() so a read-back is bit-exact.  Trajectory
-columns are t, x1..xd, p1..pd, energy; event columns are t, x1[..x3].
+columns are t, x1..xd, p1..pd, energy; event columns are t, x1[..x3],
+read and written as one (n, 1+d) float array.
 """
 
 import csv
@@ -10,8 +11,6 @@ import math
 from typing import List, NamedTuple
 
 import numpy as np
-
-from .frames import Event
 
 
 class CsvFormatError(ValueError):
@@ -79,10 +78,16 @@ def _header_dim(header, builder, row_count):
         row_count)
 
 
+def _read_rows(path):
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            return list(csv.reader(handle))
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text (byte {err.start}: {err.reason})") from None
+
+
 def read_trajectory(path) -> TrajectoryTable:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        rows = list(reader)
+    rows = _read_rows(path)
     if not rows:
         raise CsvFormatError("empty file", 1)
     dim = _header_dim(rows[0], trajectory_header, 1)
@@ -99,28 +104,27 @@ def read_trajectory(path) -> TrajectoryTable:
 
 
 def write_events(path, events) -> None:
-    if not events:
+    """Write an (n, 1+d) event array, d in {1, 3}, under its header."""
+    events = np.asarray(events, dtype=float)
+    if events.size == 0:
         raise ValueError("no events to write")
-    dim = events[0].dim
+    if events.ndim != 2 or events.shape[1] not in (2, 4):
+        raise ValueError(f"events must be an (n, 2) or (n, 4) array, got {events.shape}")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(event_header(dim))
-        for event in events:
-            writer.writerow([repr(float(event.t))]
-                            + [repr(float(v)) for v in event.x])
+        writer.writerow(event_header(events.shape[1] - 1))
+        for row in events.tolist():
+            writer.writerow([repr(v) for v in row])
 
 
-def read_events(path) -> List[Event]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        rows = list(reader)
+def read_events(path) -> np.ndarray:
+    """The event rows as an (n, 1+d) float array with columns t, x1[..x3]."""
+    rows = _read_rows(path)
     if not rows:
         raise CsvFormatError("empty file", 1)
     dim = _header_dim(rows[0], event_header, 1)
-    events = []
-    for row_no, row in enumerate(rows[1:], start=2):
-        values = _parse_row(row, 1 + dim, row_no)
-        events.append(Event.of(values[0], values[1:]))
-    if not events:
+    data = [_parse_row(row, 1 + dim, row_no)
+            for row_no, row in enumerate(rows[1:], start=2)]
+    if not data:
         raise CsvFormatError("no event rows after the header", 2)
-    return events
+    return np.asarray(data, dtype=float)

@@ -8,7 +8,9 @@ a limiting speed.  A first-order and an ordinary (undeformed) law are
 kept alongside for convergence and control experiments, together with
 a standard Lorentz boost parameterized by an effective light speed.
 
-Boosts act along axis 1; remaining components pass through unchanged.
+An event is a row (t, x1[, x2, x3]) and a batch of events is an (n, 1+d)
+array with the same columns as the events CSV.  Boosts act along axis 1;
+remaining components pass through unchanged.
 """
 
 import math
@@ -25,30 +27,15 @@ GALILEAN_ORDINARY = "ordinary"
 GALILEAN_LAWS = (GALILEAN_EXACT, GALILEAN_FIRST_ORDER, GALILEAN_ORDINARY)
 
 
-@dataclass(frozen=True)
-class Event:
-    """A time stamp plus a spatial point with one or three components."""
-
-    t: float
-    x: np.ndarray
-
-    def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float)).copy()
-        if x.ndim != 1 or x.size not in (1, 3):
-            raise ValueError(f"event position must have 1 or 3 components, got {x.shape}")
-        if not (math.isfinite(self.t) and np.all(np.isfinite(x))):
-            raise ValueError("event coordinates must be finite")
-        x.setflags(write=False)
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "x", x)
-
-    @classmethod
-    def of(cls, t, x) -> "Event":
-        return cls(t=float(t), x=np.asarray(x, dtype=float))
-
-    @property
-    def dim(self) -> int:
-        return self.x.size
+def _events(events) -> np.ndarray:
+    """One event row (1+d,) or a batch (n, 1+d), d in {1, 3}: columns t, x1[, x2, x3]."""
+    events = np.asarray(events, dtype=float)
+    if events.ndim not in (1, 2) or events.shape[-1] not in (2, 4):
+        raise ValueError(
+            f"events must be rows of t, x1 or t, x1, x2, x3; got shape {events.shape}")
+    if not np.all(np.isfinite(events)):
+        raise ValueError("event coordinates must be finite")
+    return events
 
 
 @dataclass(frozen=True)
@@ -87,33 +74,34 @@ class LorentzBoost:
             )
 
 
-def galilean_apply(boost: GalileanBoost, event: Event) -> Event:
-    """Map moving-frame coordinates (t', x') to the rest frame.
+def galilean_apply(boost: GalileanBoost, events) -> np.ndarray:
+    """Map moving-frame events (t', x') to the rest frame, row by row.
 
     Exact law:        x = (x' + V t') / sqrt(1 + V^2/u^2)
                       t = (t' - x' V/u^2) / sqrt(1 + V^2/u^2)
     First-order law:  x = (x' + V t') (1 - V^2/(2u^2))
                       t = t' (1 - V^2/(2u^2)) - x' V/u^2
     Ordinary law:     x = x' + V t',  t = t'
+
+    Takes a row or a batch and returns a new array of the same shape.
     """
+    events = _events(events)
     V = boost.velocity
     u = boost.scale
-    t = event.t
-    x1 = event.x[0]
+    t = events[..., 0]
+    x1 = events[..., 1]
+    out = events.copy()
     if boost.law == GALILEAN_EXACT:
         denom = math.sqrt(1.0 + (V / u) ** 2)
-        t_new = (t - x1 * V / (u * u)) / denom
-        x_new = (x1 + V * t) / denom
+        out[..., 0] = (t - x1 * V / (u * u)) / denom
+        out[..., 1] = (x1 + V * t) / denom
     elif boost.law == GALILEAN_FIRST_ORDER:
         factor = 1.0 - V * V / (2.0 * u * u)
-        t_new = t * factor - x1 * V / (u * u)
-        x_new = (x1 + V * t) * factor
+        out[..., 0] = t * factor - x1 * V / (u * u)
+        out[..., 1] = (x1 + V * t) * factor
     else:
-        t_new = t
-        x_new = x1 + V * t
-    out = event.x.copy()
-    out[0] = x_new
-    return Event(t=t_new, x=out)
+        out[..., 1] = x1 + V * t
+    return out
 
 
 def galilean_inverse(boost: GalileanBoost) -> GalileanBoost:
@@ -161,27 +149,70 @@ def velocity_compose(v: float, boost: GalileanBoost) -> float:
     return (v + V) / denom
 
 
-def lorentz_apply(boost: LorentzBoost, event: Event) -> Event:
-    """Standard boost x = (x' + V t') gamma, t = (t' + x' V/c^2) gamma."""
+def lorentz_apply(boost: LorentzBoost, events) -> np.ndarray:
+    """Standard boost x = (x' + V t') gamma, t = (t' + x' V/c^2) gamma, row by row."""
+    events = _events(events)
     V = boost.velocity
     c = boost.light_speed
     gamma = 1.0 / math.sqrt(1.0 - (V / c) ** 2)
-    t = event.t
-    x1 = event.x[0]
-    out = event.x.copy()
-    out[0] = (x1 + V * t) * gamma
-    return Event(t=(t + x1 * V / (c * c)) * gamma, x=out)
+    t = events[..., 0]
+    x1 = events[..., 1]
+    out = events.copy()
+    out[..., 0] = (t + x1 * V / (c * c)) * gamma
+    out[..., 1] = (x1 + V * t) * gamma
+    return out
 
 
-def minkowski_interval(e1: Event, e2: Event, light_speed: float) -> float:
-    """Minkowski interval c^2 dt^2 - |dx|^2 between two events."""
+def _separation(e1, e2):
+    """dt and |dx|^2 from e1 to e2, broadcast over rows.
+
+    |dx|^2 is a dot product per row, so it is summed exactly as dx @ dx.
+    """
+    e1, e2 = _events(e1), _events(e2)
+    if e1.shape[-1] != e2.shape[-1]:
+        raise ValueError("events must have the same dimension")
+    d = e2 - e1
+    dx = d[..., 1:]
+    return d[..., 0], (dx[..., None, :] @ dx[..., :, None])[..., 0, 0]
+
+
+def minkowski_interval(e1, e2, light_speed: float):
+    """Minkowski interval c^2 dt^2 - |dx|^2 between events, broadcast over rows."""
     if not light_speed > 0.0:
         raise ValueError(f"light_speed must be positive, got {light_speed}")
-    if e1.dim != e2.dim:
-        raise ValueError("events must have the same dimension")
-    dt = e2.t - e1.t
-    dx = e2.x - e1.x
-    return light_speed ** 2 * dt * dt - float(dx @ dx)
+    dt, dx2 = _separation(e1, e2)
+    return light_speed ** 2 * dt * dt - dx2
+
+
+def euclidean_interval(e1, e2, u: float):
+    """Euclidean-signature interval u^2 dt^2 + |dx|^2 between events, broadcast over rows."""
+    if not u > 0.0:
+        raise ValueError(f"the velocity scale u must be positive, got {u}")
+    dt, dx2 = _separation(e1, e2)
+    return u * u * dt * dt + dx2
+
+
+def interval_residual(boost, before, after):
+    """Worst relative change of the boost's invariant interval over all event pairs.
+
+    The exact Galilean law keeps u^2 dt^2 + |dx|^2 and the Lorentz boost keeps
+    c^2 dt^2 - |dx|^2; the first-order and ordinary laws keep no interval and
+    give None.  Each row is compared with all later rows at once, so memory
+    stays linear in the number of events.
+    """
+    if isinstance(boost, LorentzBoost):
+        interval, scale = minkowski_interval, boost.light_speed
+    elif boost.law == GALILEAN_EXACT:
+        interval, scale = euclidean_interval, boost.scale
+    else:
+        return None
+    worst = 0.0
+    for i in range(len(before) - 1):
+        original = interval(before[i], before[i + 1:], scale)
+        mapped = interval(after[i], after[i + 1:], scale)
+        change = np.abs(mapped - original) / np.maximum(np.abs(original), 1e-30)
+        worst = max(worst, float(change.max()))
+    return worst
 
 
 def covariance_residual(kind: Hamiltonian, boost: GalileanBoost,
@@ -198,12 +229,8 @@ def covariance_residual(kind: Hamiltonian, boost: GalileanBoost,
     if kind.potential.kind != POTENTIAL_FREE:
         raise ValueError("the covariance probe is defined for free motion")
     traj = integrate(kind, initial, t_end, dt)
-    t_new = np.empty(len(traj))
-    x_new = np.empty(len(traj))
-    for k in range(len(traj)):
-        ev = galilean_apply(boost, Event(traj.times[k], traj.positions[k]))
-        t_new[k] = ev.t
-        x_new[k] = ev.x[0]
+    mapped = galilean_apply(boost, np.column_stack((traj.times, traj.positions)))
+    t_new, x_new = mapped[:, 0], mapped[:, 1]
     slope, intercept = np.polyfit(t_new, x_new, 1)
     deviation = float(np.max(np.abs(x_new - (slope * t_new + intercept))))
     v0 = float(hamilton_rhs(kind, initial)[0][0])

@@ -5,7 +5,7 @@ first-order inversions good for small deformation, and an exact numeric
 inversion (safeguarded Newton on the monotone branch of dH/dp).  The
 matching Lagrangians carry a quartic velocity correction at first order
 and a square-root form whose free action is a Euclidean arc length in
-(ut, x) space, measured by `euclidean_interval`.
+(ut, x) space, measured by `frames.euclidean_interval`.
 """
 
 import math
@@ -350,14 +350,3 @@ def action_along_path(kind: Lagrangian, path: PathSample) -> float:
         else:
             values[k] = lagrangian_value(kind, path.positions[k], path.velocities[k])
     return float(np.trapezoid(values, path.times))
-
-
-def euclidean_interval(e1, e2, u: float) -> float:
-    """Euclidean-signature interval u^2 dt^2 + |dx|^2 between two events."""
-    if not u > 0.0:
-        raise ValueError(f"the velocity scale u must be positive, got {u}")
-    if e1.dim != e2.dim:
-        raise ValueError("events must have the same dimension")
-    dt = e2.t - e1.t
-    dx = e2.x - e1.x
-    return u * u * dt * dt + float(dx @ dx)

@@ -34,17 +34,16 @@ from gupmech.dynamics import (
 from gupmech.frames import (
     GALILEAN_FIRST_ORDER,
     GALILEAN_ORDINARY,
-    Event,
     GalileanBoost,
     LorentzBoost,
     covariance_residual,
+    euclidean_interval,
     galilean_apply,
     lorentz_apply,
     minkowski_interval,
     velocity_compose,
 )
 from gupmech.legendre import (
-    euclidean_interval,
     lagrangian_from_hamiltonian,
     legendre_roundtrip_residual,
     momentum_from_velocity_exact,
@@ -98,11 +97,11 @@ def test_criterion_2_interval_invariance():
     for _ in range(1000):
         V = rng.uniform(-10.0, 10.0) * u
         boost = GalileanBoost(velocity=V, scale=u)
-        e1 = Event.of(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        e1 = np.array([rng.uniform(-3, 3), rng.uniform(-3, 3)])
         # keep the pair separated so the relative measure stays meaningful
         dt = rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])
         dx = rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])
-        e2 = Event.of(e1.t + dt, e1.x[0] + dx)
+        e2 = e1 + [dt, dx]
         before = euclidean_interval(e1, e2, u)
         after = euclidean_interval(galilean_apply(boost, e1),
                                    galilean_apply(boost, e2), u)
@@ -119,14 +118,14 @@ def test_criterion_3_first_order_law_convergence():
     started = time.perf_counter()
     rng = np.random.default_rng(SEED)
     u = 1.0
-    events = [Event.of(rng.uniform(-2, 2), rng.uniform(-2, 2))
-              for _ in range(20)]
+    events = np.array([[rng.uniform(-2, 2), rng.uniform(-2, 2)]
+                       for _ in range(20)])
 
     def deviation(V):
         exact = GalileanBoost(velocity=V, scale=u)
         first = GalileanBoost(velocity=V, scale=u, law=GALILEAN_FIRST_ORDER)
-        return max(abs(galilean_apply(exact, e).x[0]
-                       - galilean_apply(first, e).x[0]) for e in events)
+        return np.max(np.abs(galilean_apply(exact, events)[:, 1]
+                             - galilean_apply(first, events)[:, 1]))
 
     d_full, d_half, d_quarter = deviation(0.4), deviation(0.2), deviation(0.1)
     ratios = (d_full / d_half, d_half / d_quarter)
@@ -246,13 +245,9 @@ def test_criterion_7_covariance():
 
     exact_boost = GalileanBoost(velocity=0.3 * u, scale=u)
     traj = integrate(kind, initial, 1.0, 0.01)
-    t_new = np.empty(len(traj))
-    x_new = np.empty(len(traj))
-    for k in range(len(traj)):
-        ev = galilean_apply(exact_boost, Event(traj.times[k],
-                                               traj.positions[k]))
-        t_new[k] = ev.t
-        x_new[k] = ev.x[0]
+    mapped = galilean_apply(exact_boost,
+                            np.column_stack((traj.times, traj.positions)))
+    t_new, x_new = mapped[:, 0], mapped[:, 1]
     slope, intercept = np.polyfit(t_new, x_new, 1)
     linearity = float(np.max(np.abs(x_new - (slope * t_new + intercept))))
     v0 = float(hamilton_rhs(kind, initial)[0][0])
@@ -305,15 +300,15 @@ def test_criterion_9_lorentz_invariance():
     for _ in range(1000):
         boost = LorentzBoost(velocity=rng.uniform(-0.95, 0.95) * c_eff,
                              light_speed=c_eff)
-        e1 = Event.of(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        e2 = Event.of(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        e1 = np.array([rng.uniform(-3, 3), rng.uniform(-3, 3)])
+        e2 = np.array([rng.uniform(-3, 3), rng.uniform(-3, 3)])
         before = minkowski_interval(e1, e2, c_eff)
         after = minkowski_interval(lorentz_apply(boost, e1),
                                    lorentz_apply(boost, e2), c_eff)
         # near-null pairs make |before| itself vanish; measure against the
         # positive-definite coordinate scale instead
-        dt = e2.t - e1.t
-        dx = float((e2.x - e1.x) @ (e2.x - e1.x))
+        dt = e2[0] - e1[0]
+        dx = float((e2[1:] - e1[1:]) @ (e2[1:] - e1[1:]))
         scale = max(c_eff * c_eff * dt * dt + dx, 1e-30)
         worst = max(worst, abs(after - before) / scale)
 

@@ -131,8 +131,8 @@ class TestTransform:
         assert report["events"]["interval_residual"] < 1e-12
         mapped = read_events(tmp_path / "events_transformed.csv")
         root_half = 0.7071067811865475
-        assert mapped[0].t == pytest.approx(-root_half, rel=1e-15)
-        assert mapped[0].x[0] == pytest.approx(root_half, rel=1e-15)
+        assert mapped[0, 0] == pytest.approx(-root_half, rel=1e-15)
+        assert mapped[0, 1] == pytest.approx(root_half, rel=1e-15)
 
     def test_lorentz_boost_rows(self, tmp_path, capsys):
         cfg = write(tmp_path, "lorentz.cfg",
@@ -145,8 +145,8 @@ class TestTransform:
                                "--events", events)
         assert code == 0
         mapped = read_events(tmp_path / "lor.csv")
-        assert mapped[0].t == pytest.approx(0.75, rel=1e-15)
-        assert mapped[0].x[0] == pytest.approx(1.25, rel=1e-15)
+        assert mapped[0, 0] == pytest.approx(0.75, rel=1e-15)
+        assert mapped[0, 1] == pytest.approx(1.25, rel=1e-15)
         assert json.loads(out)["events"]["interval_residual"] < 1e-12
 
     def test_ordinary_law_has_no_interval_claim(self, tmp_path, capsys):
@@ -183,6 +183,42 @@ class TestTransform:
                                "--events", events)
         assert code == 2
         assert "row 2" in err
+
+
+class TestUnusablePaths:
+    """A path that cannot be read or written is a usage error naming the path."""
+
+    def test_events_path_is_a_directory(self, tmp_path, capsys):
+        cfg = write(tmp_path, "boost.cfg", BOOST_EXACT)
+        (tmp_path / "in_dir").mkdir()
+        code, out, err = run_cli(capsys, "transform", "--config", cfg,
+                                 "--events", str(tmp_path / "in_dir"))
+        assert code == 2 and out == ""
+        assert "in_dir" in err
+
+    def test_events_file_is_not_utf8(self, tmp_path, capsys):
+        cfg = write(tmp_path, "boost.cfg", BOOST_EXACT)
+        events = tmp_path / "latin.csv"
+        events.write_bytes(b"\xff\xfe,x1\n0.0,1.0\n")
+        code, _, err = run_cli(capsys, "transform", "--config", cfg,
+                               "--events", str(events))
+        assert code == 2
+        assert "latin.csv" in err and "UTF-8" in err
+
+    def test_events_output_is_a_directory(self, tmp_path, capsys):
+        cfg = write(tmp_path, "boost.cfg", BOOST_EXACT + "output.events = out_dir\n")
+        (tmp_path / "out_dir").mkdir()
+        code, _, err = run_cli(capsys, "transform", "--config", cfg,
+                               "--events", write(tmp_path, "events.csv", "t,x1\n0.0,1.0\n"))
+        assert code == 2
+        assert "out_dir" in err
+
+    def test_trajectory_output_is_a_directory(self, tmp_path, capsys):
+        cfg = write(tmp_path, "free.cfg", FREE_EXACT + "output.trajectory = out_dir\n")
+        (tmp_path / "out_dir").mkdir()
+        code, _, err = run_cli(capsys, "simulate", "--config", cfg)
+        assert code == 2
+        assert "out_dir" in err
 
 
 class TestConstants:

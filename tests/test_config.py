@@ -13,7 +13,7 @@ from gupmech.csvio import (
     write_trajectory,
 )
 from gupmech.dynamics import Hamiltonian, PhaseState, integrate
-from gupmech.frames import Event, GalileanBoost, LorentzBoost
+from gupmech.frames import GalileanBoost, LorentzBoost
 from gupmech.algebra import DeformationParameters
 
 MINIMAL = """\
@@ -148,6 +148,21 @@ class TestValidation:
         with pytest.raises(ConfigError, match="boost.law"):
             parse_config(MINIMAL + "boost.velocity = 1.0\nboost.law = euler\n")
 
+    def test_boost_scale_refused_under_lorentz(self):
+        doc = (MINIMAL + "boost.velocity = 0.5\nboost.law = lorentz\n"
+               "boost.scale = 2.0\nboost.light_speed = 1.0\n")
+        with pytest.raises(ConfigError, match="boost.scale only applies") as err:
+            parse_config(doc)
+        assert err.value.line == 6
+
+    @pytest.mark.parametrize("law", ["default", "exact", "first-order", "ordinary"])
+    def test_boost_light_speed_refused_under_galilean_laws(self, law):
+        law_line = "" if law == "default" else f"boost.law = {law}\n"
+        doc = MINIMAL + "boost.velocity = 0.5\n" + law_line + "boost.light_speed = 1.0\n"
+        with pytest.raises(ConfigError, match="boost.light_speed only applies") as err:
+            parse_config(doc)
+        assert err.value.line == doc.count("\n")
+
 
 class TestBuilders:
     def test_hamiltonian_from_config(self):
@@ -275,15 +290,13 @@ class TestTrajectoryCsv:
 
 class TestEventCsv:
     def test_round_trip_1d_and_3d(self, tmp_path):
-        for events in ([Event.of(0.0, 1.0), Event.of(0.5, -2.0)],
-                       [Event.of(0.0, [1.0, 2.0, 3.0])]):
+        for events in (np.array([[0.0, 1.0], [0.5, -2.0]]),
+                       np.array([[0.0, 1.0, 2.0, 3.0]])):
             path = tmp_path / "events.csv"
             write_events(path, events)
             back = read_events(path)
-            assert len(back) == len(events)
-            for a, b in zip(events, back):
-                assert a.t == b.t
-                np.testing.assert_array_equal(a.x, b.x)
+            assert back.shape == events.shape
+            np.testing.assert_array_equal(back, events)
 
     def test_empty_write_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -7,46 +7,67 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gupmech.algebra import DeformationParameters, DomainError, PhaseState
+from gupmech.checks import run_suite
 from gupmech.dynamics import Hamiltonian, Potential
 from gupmech.frames import (
+    GALILEAN_EXACT,
     GALILEAN_FIRST_ORDER,
     GALILEAN_ORDINARY,
-    Event,
     GalileanBoost,
     LorentzBoost,
     covariance_residual,
+    euclidean_interval,
     galilean_apply,
     galilean_compose,
     galilean_inverse,
+    interval_residual,
     lorentz_apply,
     minkowski_interval,
     velocity_compose,
 )
-from gupmech.legendre import euclidean_interval
 
 ROOT_HALF = math.sqrt(0.5)
 
 
+BOOST = GalileanBoost(velocity=0.5, scale=1.0)
+
+
 class TestEvent:
     def test_scalar_position_becomes_1d(self):
-        e = Event.of(0.5, 2.0)
-        assert e.dim == 1
-        assert e.x.shape == (1,)
+        # One event is the row (t, x1); a batch stacks rows.
+        assert galilean_apply(BOOST, [0.5, 2.0]).shape == (2,)
+        assert galilean_apply(BOOST, [[0.5, 2.0], [1.0, 3.0]]).shape == (2, 2)
 
     def test_two_component_position_rejected(self):
-        with pytest.raises(ValueError):
-            Event.of(0.0, [1.0, 2.0])
+        with pytest.raises(ValueError, match="shape"):
+            galilean_apply(BOOST, [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="shape"):
+            lorentz_apply(LorentzBoost(velocity=0.5, light_speed=1.0), [[0.0, 1.0, 2.0]])
+        with pytest.raises(ValueError, match="shape"):
+            galilean_apply(BOOST, 1.0)
 
     def test_nonfinite_coordinates_rejected(self):
-        with pytest.raises(ValueError):
-            Event.of(math.nan, 0.0)
-        with pytest.raises(ValueError):
-            Event.of(0.0, [math.inf, 0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            galilean_apply(BOOST, [math.nan, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            galilean_apply(BOOST, [[0.0, 0.0, 0.0, 0.0], [0.0, math.inf, 0.0, 0.0]])
 
-    def test_position_is_read_only(self):
-        e = Event.of(0.0, [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            e.x[0] = 9.0
+    def test_apply_leaves_its_input_unchanged(self):
+        events = np.array([[0.0, 1.0, 2.0, 3.0], [0.5, -1.0, 0.0, 1.0]])
+        kept = events.copy()
+        galilean_apply(BOOST, events)
+        lorentz_apply(LorentzBoost(velocity=0.5, light_speed=1.0), events)
+        np.testing.assert_array_equal(events, kept)
+
+    @pytest.mark.parametrize("law", ["exact", "first-order", "ordinary", "lorentz"])
+    def test_batch_matches_row_by_row(self, law):
+        rng = np.random.default_rng(5)
+        events = rng.uniform(-10.0, 10.0, size=(30, 4))
+        boost = (LorentzBoost(velocity=0.6, light_speed=1.0) if law == "lorentz"
+                 else GalileanBoost(velocity=0.4, scale=1.0, law=law))
+        apply = lorentz_apply if law == "lorentz" else galilean_apply
+        rows = np.array([apply(boost, row) for row in events])
+        np.testing.assert_array_equal(apply(boost, events), rows)
 
 
 class TestBoostConstruction:
@@ -69,15 +90,15 @@ class TestGalileanApply:
     @pytest.mark.parametrize("law", ["exact", "first-order", "ordinary"])
     def test_zero_velocity_is_identity(self, law):
         boost = GalileanBoost(velocity=0.0, scale=2.0, law=law)
-        e = Event.of(0.7, -1.3)
+        e = np.array([0.7, -1.3])
         out = galilean_apply(boost, e)
-        assert out.t == e.t and out.x[0] == e.x[0]
+        assert out[0] == e[0] and out[1] == e[1]
 
     def test_quarter_turn_example(self):
         boost = GalileanBoost(velocity=1.0, scale=1.0)
-        out = galilean_apply(boost, Event.of(0.0, 1.0))
-        assert out.x[0] == pytest.approx(ROOT_HALF, rel=1e-15)
-        assert out.t == pytest.approx(-ROOT_HALF, rel=1e-15)
+        out = galilean_apply(boost, [0.0, 1.0])
+        assert out[1] == pytest.approx(ROOT_HALF, rel=1e-15)
+        assert out[0] == pytest.approx(-ROOT_HALF, rel=1e-15)
 
     def test_matches_a_rotation_in_the_scaled_plane(self):
         # tan(phi) = V/u; (ut, x) rotates rigidly.
@@ -85,35 +106,34 @@ class TestGalileanApply:
         phi = math.atan2(V, u)
         rot = np.array([[math.cos(phi), -math.sin(phi)],
                         [math.sin(phi), math.cos(phi)]])
-        e = Event.of(1.1, -0.4)
+        e = np.array([1.1, -0.4])
         out = galilean_apply(GalileanBoost(velocity=V, scale=u), e)
-        ut_x = rot @ np.array([u * e.t, e.x[0]])
-        assert out.t == pytest.approx(ut_x[0] / u, rel=1e-14)
-        assert out.x[0] == pytest.approx(ut_x[1], rel=1e-14)
+        ut_x = rot @ np.array([u * e[0], e[1]])
+        assert out[0] == pytest.approx(ut_x[0] / u, rel=1e-14)
+        assert out[1] == pytest.approx(ut_x[1], rel=1e-14)
 
     def test_large_scale_recovers_the_ordinary_law(self):
-        e = Event.of(1.0, 1.0)
+        e = [1.0, 1.0]
         exact = galilean_apply(GalileanBoost(velocity=1.0, scale=1e6), e)
         plain = galilean_apply(
             GalileanBoost(velocity=1.0, scale=1e6, law=GALILEAN_ORDINARY), e)
-        assert abs(exact.t - plain.t) < 2e-12
-        assert abs(exact.x[0] - plain.x[0]) < 2e-12
+        assert np.max(np.abs(exact - plain)) < 2e-12
 
     def test_3d_boost_leaves_transverse_components_alone(self):
         boost = GalileanBoost(velocity=0.5, scale=1.0)
-        out = galilean_apply(boost, Event.of(0.0, [1.0, 2.0, 3.0]))
-        assert out.x[1] == 2.0 and out.x[2] == 3.0
-        assert out.x[0] != 1.0
+        out = galilean_apply(boost, [0.0, 1.0, 2.0, 3.0])
+        assert out[2] == 2.0 and out[3] == 3.0
+        assert out[1] != 1.0
 
     def test_first_order_tracks_exact_to_fourth_order(self):
         u = 1.0
-        e = Event.of(0.7, 1.3)
+        e = [0.7, 1.3]
 
         def gap(V):
             a = galilean_apply(GalileanBoost(velocity=V, scale=u), e)
             b = galilean_apply(
                 GalileanBoost(velocity=V, scale=u, law=GALILEAN_FIRST_ORDER), e)
-            return abs(a.x[0] - b.x[0])
+            return abs(a[1] - b[1])
 
         assert gap(0.1) < 1e-4
         assert 12.0 < gap(0.4) / gap(0.2) < 20.0
@@ -125,7 +145,7 @@ class TestGalileanApply:
     def test_interval_is_invariant_under_the_exact_law(self, V, t, x):
         u = 1.5
         boost = GalileanBoost(velocity=V, scale=u)
-        e1, e2 = Event.of(0.25, -0.5), Event.of(t + 0.5, x)
+        e1, e2 = [0.25, -0.5], [t + 0.5, x]
         before = euclidean_interval(e1, e2, u)
         after = euclidean_interval(galilean_apply(boost, e1),
                                    galilean_apply(boost, e2), u)
@@ -138,20 +158,20 @@ class TestGalileanInverse:
         boost = GalileanBoost(velocity=2.5, scale=1.0)
         inverse = galilean_inverse(boost)
         for _ in range(100):
-            e = Event.of(rng.uniform(-5, 5), rng.uniform(-5, 5))
+            e = np.array([rng.uniform(-5, 5), rng.uniform(-5, 5)])
             back = galilean_apply(inverse, galilean_apply(boost, e))
-            assert abs(back.t - e.t) < 1e-13
-            assert abs(back.x[0] - e.x[0]) < 1e-13
+            assert abs(back[0] - e[0]) < 1e-13
+            assert abs(back[1] - e[1]) < 1e-13
 
     def test_first_order_round_trip_defect_is_fourth_order(self):
-        e = Event.of(0.7, 1.3)
+        e = np.array([0.7, 1.3])
 
         def defect(V):
             boost = GalileanBoost(velocity=V, scale=1.0,
                                   law=GALILEAN_FIRST_ORDER)
             back = galilean_apply(galilean_inverse(boost),
                                   galilean_apply(boost, e))
-            return max(abs(back.t - e.t), abs(back.x[0] - e.x[0]))
+            return np.max(np.abs(back - e))
 
         assert 12.0 < defect(0.4) / defect(0.2) < 20.0
 
@@ -236,14 +256,14 @@ class TestVelocityCompose:
 class TestLorentz:
     def test_zero_velocity_is_identity(self):
         boost = LorentzBoost(velocity=0.0, light_speed=1.0)
-        out = lorentz_apply(boost, Event.of(0.3, -0.9))
-        assert out.t == 0.3 and out.x[0] == -0.9
+        out = lorentz_apply(boost, [0.3, -0.9])
+        assert out[0] == 0.3 and out[1] == -0.9
 
     def test_textbook_values(self):
         boost = LorentzBoost(velocity=0.6, light_speed=1.0)
-        out = lorentz_apply(boost, Event.of(0.0, 1.0))
-        assert out.x[0] == pytest.approx(1.25, rel=1e-15)
-        assert out.t == pytest.approx(0.75, rel=1e-15)
+        out = lorentz_apply(boost, [0.0, 1.0])
+        assert out[1] == pytest.approx(1.25, rel=1e-15)
+        assert out[0] == pytest.approx(0.75, rel=1e-15)
 
     def test_minkowski_interval_preserved(self):
         rng = np.random.default_rng(11)
@@ -251,19 +271,19 @@ class TestLorentz:
         for _ in range(50):
             boost = LorentzBoost(velocity=rng.uniform(-0.9, 0.9) * c,
                                  light_speed=c)
-            e1 = Event.of(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            e2 = Event.of(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            e1 = [rng.uniform(-2, 2), rng.uniform(-2, 2)]
+            e2 = [rng.uniform(-2, 2), rng.uniform(-2, 2)]
             before = minkowski_interval(e1, e2, c)
             after = minkowski_interval(lorentz_apply(boost, e1),
                                        lorentz_apply(boost, e2), c)
             assert after == pytest.approx(before, abs=1e-12 * max(1.0, abs(before)))
 
     def test_interval_inputs_validated(self):
-        e = Event.of(0.0, 0.0)
+        e = [0.0, 0.0]
         with pytest.raises(ValueError):
             minkowski_interval(e, e, 0.0)
         with pytest.raises(ValueError):
-            minkowski_interval(e, Event.of(0.0, [0.0, 0.0, 0.0]), 1.0)
+            minkowski_interval(e, [0.0, 0.0, 0.0, 0.0], 1.0)
 
 
 class TestCovariance:
@@ -302,3 +322,74 @@ class TestCovariance:
         with pytest.raises(ValueError):
             covariance_residual(kind, GalileanBoost(velocity=0.1, scale=6.0),
                                 PhaseState.of(0.0, 1.0), 1.0, 0.01)
+
+
+def _pairwise_residual(scale, sign, before, after):
+    """Reference: scale^2 dt^2 + sign |dx|^2 for every pair, one pair at a time."""
+    def interval(e1, e2):
+        dt = e2[0] - e1[0]
+        dx = e2[1:] - e1[1:]
+        return scale ** 2 * dt * dt + sign * float(dx @ dx)
+
+    worst = 0.0
+    for i in range(len(before)):
+        for j in range(i + 1, len(before)):
+            original = interval(before[i], before[j])
+            mapped = interval(after[i], after[j])
+            worst = max(worst, abs(mapped - original) / max(abs(original), 1e-30))
+    return worst
+
+
+class TestIntervalResidual:
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("law", ["exact", "lorentz"])
+    def test_matches_the_pairwise_loop(self, dim, law):
+        rng = np.random.default_rng(17 + dim)
+        before = rng.uniform(-10.0, 10.0, size=(60, 1 + dim))
+        if law == "lorentz":
+            boost = LorentzBoost(velocity=0.7, light_speed=1.3)
+            after = lorentz_apply(boost, before)
+            reference = _pairwise_residual(1.3, -1.0, before, after)
+        else:
+            boost = GalileanBoost(velocity=2.5, scale=1.3, law=GALILEAN_EXACT)
+            after = galilean_apply(boost, before)
+            reference = _pairwise_residual(1.3, 1.0, before, after)
+        got = interval_residual(boost, before, after)
+        assert got == reference
+        assert 0.0 < got < 1e-9
+
+    @pytest.mark.parametrize("count", [2, 3, 40])
+    @pytest.mark.parametrize("boost,sign", [
+        (GalileanBoost(velocity=0.4, scale=1.3), 1.0),
+        (LorentzBoost(velocity=0.4, light_speed=1.3), -1.0)])
+    def test_matches_the_pairwise_loop_on_any_pair_of_arrays(self, count, boost, sign):
+        # The residual compares two arrays whatever produced them; a repeated
+        # row makes one original interval zero, so the 1e-30 floor is in play.
+        rng = np.random.default_rng(count)
+        before = rng.uniform(-1.0, 1.0, size=(count, 4))
+        before[-1] = before[0]
+        after = before + rng.uniform(-1e-3, 1e-3, size=before.shape)
+        assert (interval_residual(boost, before, after)
+                == _pairwise_residual(1.3, sign, before, after))
+
+    @pytest.mark.parametrize("law", [GALILEAN_FIRST_ORDER, GALILEAN_ORDINARY])
+    def test_laws_without_an_invariant_give_none(self, law):
+        boost = GalileanBoost(velocity=0.4, scale=1.0, law=law)
+        events = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert interval_residual(boost, events, galilean_apply(boost, events)) is None
+
+    def test_single_event_has_no_pairs(self):
+        event = np.array([[0.5, 1.0, 2.0, 3.0]])
+        assert interval_residual(BOOST, event, galilean_apply(BOOST, event)) == 0.0
+
+    def test_intervals_broadcast_over_rows(self):
+        rows = np.array([[1.0, 1.0, 0.0, 0.0], [2.0, 0.0, 2.0, 0.0]])
+        origin = np.zeros(4)
+        np.testing.assert_array_equal(euclidean_interval(origin, rows, 2.0), [5.0, 20.0])
+        np.testing.assert_array_equal(minkowski_interval(origin, rows, 2.0), [3.0, 12.0])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_frames_suite_passes_across_seeds(seed):
+    failed = [r.name for r in run_suite("frames", seed=seed) if not r.passed]
+    assert failed == []

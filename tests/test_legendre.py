@@ -8,13 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from gupmech.algebra import DeformationParameters, DomainError
 from gupmech.dynamics import Hamiltonian, Potential, integrate, PhaseState
-from gupmech.frames import Event
+from gupmech.frames import euclidean_interval
 from gupmech.legendre import (
     Lagrangian,
     PathSample,
     action_along_path,
     dynamical_lagrangian,
-    euclidean_interval,
     lagrangian_from_hamiltonian,
     lagrangian_value,
     legendre_roundtrip_residual,
@@ -284,26 +283,24 @@ class TestActionAlongPath:
 
 class TestEuclideanInterval:
     def test_coincident_events(self):
-        e = Event.of(1.0, 2.0)
+        e = [1.0, 2.0]
         assert euclidean_interval(e, e, 3.0) == 0.0
 
     def test_pure_time_separation(self):
-        got = euclidean_interval(Event.of(0.0, 0.0), Event.of(1.0, 0.0), 2.0)
+        got = euclidean_interval([0.0, 0.0], [1.0, 0.0], 2.0)
         assert got == 4.0
 
     def test_unit_cube_diagonal(self):
-        got = euclidean_interval(Event.of(0.0, [0.0, 0.0, 0.0]),
-                                 Event.of(1.0, [1.0, 1.0, 1.0]), 1.0)
+        got = euclidean_interval([0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0], 1.0)
         assert got == 4.0
 
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
-            euclidean_interval(Event.of(0.0, 0.0), Event.of(1.0, 1.0), 0.0)
+            euclidean_interval([0.0, 0.0], [1.0, 1.0], 0.0)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            euclidean_interval(Event.of(0.0, 0.0),
-                               Event.of(1.0, [1.0, 0.0, 0.0]), 1.0)
+            euclidean_interval([0.0, 0.0], [1.0, 1.0, 0.0, 0.0], 1.0)
 
     def test_free_sqrt_action_is_an_arc_length(self):
         # Straight free path: dynamical action = m u (arc in (ut, x)) - m u^2 T.
@@ -312,6 +309,5 @@ class TestEuclideanInterval:
         kind = Lagrangian.sqrt_1d(params_of(0.01), u)
         t = np.linspace(0.0, T, 201)
         action = action_along_path(kind, PathSample(t, V * t))
-        arc = math.sqrt(euclidean_interval(Event.of(0.0, 0.0),
-                                           Event.of(T, V * T), u))
+        arc = math.sqrt(euclidean_interval([0.0, 0.0], [T, V * T], u))
         assert action == pytest.approx(u * arc - u * u * T, rel=1e-12)
