@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gupmech.algebra import (
     BRACKET_STEP,
+    NESTED_BRACKET_STEP,
     DeformationParameters,
     DomainError,
     PhaseState,
@@ -230,3 +231,118 @@ class TestJacobiResidual:
         got = jacobi_residual(coordinate_function(),
                               momentum_function_1d(params), h, state)
         assert got < 1e-5
+
+
+# ------------------------------------------------------- pinned bracket layer
+
+_PIN_PARAMS = params_of(0.01)
+
+
+def _product(f, g):
+    return lambda state: f(state) * g(state)
+
+
+def _pin_states(dim):
+    """Three seeded states: 1D as in the Jacobi check, 3D at beta*|p|^2 = 0.49."""
+    rng = np.random.default_rng(11 + dim)
+    states = []
+    for _ in range(3):
+        if dim == 1:
+            states.append(PhaseState.of(rng.uniform(-2.0, 2.0), rng.uniform(-8.0, 8.0)))
+        else:
+            p = rng.uniform(-1.0, 1.0, size=3)
+            p *= 0.7 / _PIN_PARAMS.sqrt_beta / np.linalg.norm(p)
+            states.append(PhaseState.of(rng.uniform(-2.0, 2.0, size=3), p))
+    return states
+
+
+def _pin_families():
+    """Coordinates, the 1D and 3D momentum maps and their products."""
+    x = coordinate_function()
+    big_p = momentum_function_1d(_PIN_PARAMS)
+    xs = [coordinate_function(axis) for axis in (1, 2, 3)]
+    ps = [momentum_function_3d(_PIN_PARAMS, axis) for axis in (1, 2, 3)]
+    pairs = {
+        "1d X,P": (1, x, big_p),
+        "1d P,X": (1, big_p, x),
+        "1d XP,P": (1, _product(x, big_p), big_p),
+        "1d X,XP": (1, x, _product(x, big_p)),
+        "3d X1,P1": (3, xs[0], ps[0]),
+        "3d X2,P3": (3, xs[1], ps[2]),
+        "3d X1,X3": (3, xs[0], xs[2]),
+        "3d P1,P2": (3, ps[0], ps[1]),
+        "3d X1P2,X3": (3, _product(xs[0], ps[1]), xs[2]),
+        "3d X3P3,P1": (3, _product(xs[2], ps[2]), ps[0]),
+    }
+    triples = {
+        "1d X,P,XP": (1, x, big_p, _product(x, big_p)),
+        "1d P,XP,X": (1, big_p, _product(x, big_p), x),
+        "3d X1,P2,X3P1": (3, xs[0], ps[1], _product(xs[2], ps[0])),
+        "3d X2,P2,X2P3": (3, xs[1], ps[1], _product(xs[1], ps[2])),
+        "3d P1,P3,X1P1": (3, ps[0], ps[2], _product(xs[0], ps[0])),
+    }
+    return pairs, triples
+
+
+def _nested_jacobi(f, g, h, state):
+    """The Jacobi residual as three nested numerical brackets."""
+
+    def gh(s):
+        return numerical_bracket(g, h, s)
+
+    def hf(s):
+        return numerical_bracket(h, f, s)
+
+    def fg(s):
+        return numerical_bracket(f, g, s)
+
+    outer = NESTED_BRACKET_STEP
+    return abs(
+        numerical_bracket(f, gh, state, outer)
+        + numerical_bracket(g, hf, state, outer)
+        + numerical_bracket(h, fg, state, outer)
+    )
+
+
+# float.hex of each value per state of _pin_states, recorded from the
+# bracket engine that built every probe state per function.
+_PINNED_BRACKETS = {
+    "1d X,P": ["0x1.c0d709cdbf0e5p+0", "0x1.51485492e35d7p+0", "0x1.362b125a0e1bbp+0"],
+    "1d P,X": ["-0x1.c0d709cdbf0e5p+0", "-0x1.51485492e35d7p+0", "-0x1.362b125a0e1bbp+0"],
+    "1d XP,P": ["0x1.e6f1fbbc8da75p+3", "-0x1.db214c8f7141fp+2", "-0x1.64b064c0041d6p+2"],
+    "1d X,XP": ["-0x1.bf5c1b79ee521p+0", "-0x1.a325b18411a57p+0", "-0x1.747a0b09e2c15p-1"],
+    "3d X1,P1": ["0x1.223716e3b0f67p+1", "0x1.18ca84ebaa382p+1", "0x1.bb5741238507ap+0"],
+    "3d X2,P3": ["-0x1.c8f35c125421dp-3", "-0x1.4f6a8cde0aaf7p-4", "-0x1.7814e3a9c7ddfp-2"],
+    "3d X1,X3": ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"],
+    "3d P1,P2": ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"],
+    "3d X1P2,X3": ["0x1.491cee1cb7773p-2", "0x1.84dcc8ed37b3fp-6", "0x1.59c17e9fcb9dbp-7"],
+    "3d X3P3,P1": ["0x1.47a73b275af76p+1", "0x1.7f3307a6f8a3ep-4", "0x1.8868d35c30eafp-1"],
+}
+
+_PINNED_JACOBI = {
+    "1d X,P,XP": ["0x1.f585fce000000p-23", "0x1.c456ccc000000p-27", "0x1.9f65645000000p-25"],
+    "1d P,XP,X": ["0x1.f585fce000000p-23", "0x1.c456cd0000000p-27", "0x1.9f65646000000p-25"],
+    "3d X1,P2,X3P1": ["0x1.7e69f38000000p-27", "0x1.b6252f4d80000p-22", "0x1.707f621d00000p-22"],
+    "3d X2,P2,X2P3": ["0x1.12601c0000000p-29", "0x1.737be9c000000p-27", "0x1.fdf0488000000p-24"],
+    "3d P1,P3,X1P1": ["0x1.676f4cba00000p-41", "0x1.158467c100000p-42", "0x0.0p+0"],
+}
+
+
+class TestBracketPinned:
+    @pytest.mark.parametrize("name", sorted(_PINNED_BRACKETS))
+    def test_numerical_bracket(self, name):
+        dim, f, g = _pin_families()[0][name]
+        got = [float(numerical_bracket(f, g, s)).hex() for s in _pin_states(dim)]
+        assert got == _PINNED_BRACKETS[name]
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_JACOBI))
+    def test_jacobi_residual(self, name):
+        dim, f, g, h = _pin_families()[1][name]
+        got = [float(jacobi_residual(f, g, h, s)).hex() for s in _pin_states(dim)]
+        assert got == _PINNED_JACOBI[name]
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_JACOBI))
+    def test_jacobi_equals_nested_brackets(self, name):
+        dim, f, g, h = _pin_families()[1][name]
+        for state in _pin_states(dim):
+            assert jacobi_residual(f, g, h, state) == _nested_jacobi(f, g, h, state)
