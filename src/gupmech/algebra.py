@@ -77,13 +77,13 @@ class PhaseState:
     p: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float)).copy()
-        p = np.atleast_1d(np.asarray(self.p, dtype=float)).copy()
+        x = np.array(self.x, dtype=float, ndmin=1)
+        p = np.array(self.p, dtype=float, ndmin=1)
         if x.shape != p.shape or x.ndim != 1 or x.size not in (1, 3):
             raise ValueError(
                 f"x and p must both have 1 or 3 components, got shapes {x.shape} and {p.shape}"
             )
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
+        if not (np.isfinite(x).all() and np.isfinite(p).all()):
             raise ValueError("phase-space components must be finite")
         x.setflags(write=False)
         p.setflags(write=False)
@@ -148,14 +148,55 @@ def bracket_xp_3d(P, i: int, j: int, params: DeformationParameters) -> float:
     return math.sqrt(1.0 + b * float(P @ P)) * (delta + b * P[i - 1] * P[j - 1])
 
 
-def _shifted(state: PhaseState, slot: str, index: int, amount: float) -> PhaseState:
-    x = state.x.copy()
-    p = state.p.copy()
-    if slot == "x":
-        x[index] += amount
-    else:
-        p[index] += amount
-    return PhaseState(x=x, p=p)
+def _probes(state: PhaseState, step_scale: float):
+    """Per axis, the steps (hx, hp) and the shifted states (x+, x-, p+, p-).
+
+    Per coordinate the step is step_scale * max(1, |coordinate|).
+    """
+    probes = []
+    for i in range(state.dim):
+        hx = step_scale * max(1.0, abs(float(state.x[i])))
+        hp = step_scale * max(1.0, abs(float(state.p[i])))
+        shifted = []
+        for amount in (hx, -hx):
+            x = state.x.copy()
+            x[i] += amount
+            shifted.append(PhaseState(x=x, p=state.p))
+        for amount in (hp, -hp):
+            p = state.p.copy()
+            p[i] += amount
+            shifted.append(PhaseState(x=state.x, p=p))
+        probes.append((hx, hp, shifted))
+    return probes
+
+
+def _values(f, probes):
+    """f at each axis's shifted states, in the order (x+, x-, p+, p-)."""
+    return [[f(s) for s in shifted] for _, _, shifted in probes]
+
+
+def _gradient(values, probes):
+    """Per axis (df/dx_i, df/dp_i) by central differences of f's probe values."""
+    grad = []
+    for (hx, hp, _), (f_xp, f_xm, f_pp, f_pm) in zip(probes, values):
+        if not all(math.isfinite(v) for v in (f_xp, f_xm, f_pp, f_pm)):
+            raise DomainError(
+                "non-finite function value while probing the bracket; "
+                "the state is too close to a domain boundary"
+            )
+        grad.append(((f_xp - f_xm) / (2.0 * hx), (f_pp - f_pm) / (2.0 * hp)))
+    return grad
+
+
+def _contract(df, dg) -> float:
+    """sum_i (df/dx_i dg/dp_i - df/dp_i dg/dx_i) of two per-axis gradients."""
+    # Each difference is divided by its own step before multiplying; the
+    # grouped form rounds differently under argument swap and breaks
+    # exact antisymmetry.
+    total = 0.0
+    for (df_dx, df_dp), (dg_dx, dg_dp) in zip(df, dg):
+        total += df_dx * dg_dp - df_dp * dg_dx
+    return total
 
 
 def numerical_bracket(f, g, state: PhaseState, step_scale: float = BRACKET_STEP) -> float:
@@ -168,37 +209,14 @@ def numerical_bracket(f, g, state: PhaseState, step_scale: float = BRACKET_STEP)
     step_scale : relative step; per coordinate the step is
         step_scale * max(1, |coordinate|).
 
-    Returns sum_i (df/dx_i dg/dp_i - df/dp_i dg/dx_i).  Raises DomainError
-    if any probed value fails to be finite, which usually means the state
-    sits too close to a representation boundary.
+    Returns sum_i (df/dx_i dg/dp_i - df/dp_i dg/dx_i), the contraction of
+    two central-difference gradients taken over the same probe states.
+    Raises DomainError if any probed value fails to be finite, which
+    usually means the state sits too close to a representation boundary.
     """
-    total = 0.0
-    for i in range(state.dim):
-        hx = step_scale * max(1.0, abs(state.x[i]))
-        hp = step_scale * max(1.0, abs(state.p[i]))
-        f_xp = f(_shifted(state, "x", i, +hx))
-        f_xm = f(_shifted(state, "x", i, -hx))
-        f_pp = f(_shifted(state, "p", i, +hp))
-        f_pm = f(_shifted(state, "p", i, -hp))
-        g_xp = g(_shifted(state, "x", i, +hx))
-        g_xm = g(_shifted(state, "x", i, -hx))
-        g_pp = g(_shifted(state, "p", i, +hp))
-        g_pm = g(_shifted(state, "p", i, -hp))
-        values = (f_xp, f_xm, f_pp, f_pm, g_xp, g_xm, g_pp, g_pm)
-        if not all(math.isfinite(v) for v in values):
-            raise DomainError(
-                "non-finite function value while probing the bracket; "
-                "the state is too close to a domain boundary"
-            )
-        # Divide each difference by its own step before multiplying; the
-        # grouped form rounds differently under argument swap and breaks
-        # exact antisymmetry.
-        df_dx = (f_xp - f_xm) / (2.0 * hx)
-        df_dp = (f_pp - f_pm) / (2.0 * hp)
-        dg_dx = (g_xp - g_xm) / (2.0 * hx)
-        dg_dp = (g_pp - g_pm) / (2.0 * hp)
-        total += df_dx * dg_dp - df_dp * dg_dx
-    return total
+    probes = _probes(state, step_scale)
+    return _contract(_gradient(_values(f, probes), probes),
+                     _gradient(_values(g, probes), probes))
 
 
 def jacobi_residual(f, g, h, state: PhaseState) -> float:
@@ -206,25 +224,27 @@ def jacobi_residual(f, g, h, state: PhaseState) -> float:
 
     Inner brackets use the standard step; the outer pass uses the wider
     NESTED_BRACKET_STEP so that finite-difference noise from the inner
-    evaluations is not amplified.  For smooth scalars the result is pure
+    evaluations is not amplified.  At each outer probe state the
+    gradients of f, g and h are taken once and contracted pairwise into
+    the three inner brackets.  For smooth scalars the result is pure
     numerical noise; anything well above ~1e-6 signals a broken bracket.
     """
-
-    def gh(s):
-        return numerical_bracket(g, h, s)
-
-    def hf(s):
-        return numerical_bracket(h, f, s)
-
-    def fg(s):
-        return numerical_bracket(f, g, s)
-
-    outer = NESTED_BRACKET_STEP
-    return abs(
-        numerical_bracket(f, gh, state, outer)
-        + numerical_bracket(g, hf, state, outer)
-        + numerical_bracket(h, fg, state, outer)
+    outer = _probes(state, NESTED_BRACKET_STEP)
+    # Per axis and outer probe state: ({g,h}, {h,f}, {f,g}).
+    nested = []
+    for _, _, shifted in outer:
+        row = []
+        for s in shifted:
+            probes = _probes(s, BRACKET_STEP)
+            df, dg, dh = (_gradient(_values(fn, probes), probes) for fn in (f, g, h))
+            row.append((_contract(dg, dh), _contract(dh, df), _contract(df, dg)))
+        nested.append(row)
+    b1, b2, b3 = (
+        _contract(_gradient(_values(fn, outer), outer),
+                  _gradient([[v[k] for v in row] for row in nested], outer))
+        for k, fn in enumerate((f, g, h))
     )
+    return abs(b1 + b2 + b3)
 
 
 def coordinate_function(axis: int = 1):

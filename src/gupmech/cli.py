@@ -73,6 +73,9 @@ def _load_config(path):
             text = handle.read()
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(
+            f"config {path} is not UTF-8 text (byte {err.start}: {err.reason})") from None
     return parse_config(text)
 
 

@@ -163,33 +163,38 @@ def lorentz_apply(boost: LorentzBoost, events) -> np.ndarray:
     return out
 
 
-def _separation(e1, e2):
-    """dt and |dx|^2 from e1 to e2, broadcast over rows.
-
-    |dx|^2 is a dot product per row, so it is summed exactly as dx @ dx.
-    """
+def _event_pair(e1, e2):
     e1, e2 = _events(e1), _events(e2)
     if e1.shape[-1] != e2.shape[-1]:
         raise ValueError("events must have the same dimension")
+    return e1, e2
+
+
+def _interval(e1, e2, scale_sq: float, minkowski: bool):
+    """scale_sq dt^2 - |dx|^2 (Minkowski) or + |dx|^2 between checked events.
+
+    Broadcasts over rows and checks nothing.  |dx|^2 is a dot product per
+    row, so it is summed exactly as dx @ dx.
+    """
     d = e2 - e1
     dx = d[..., 1:]
-    return d[..., 0], (dx[..., None, :] @ dx[..., :, None])[..., 0, 0]
+    dx2 = (dx[..., None, :] @ dx[..., :, None])[..., 0, 0]
+    time_part = scale_sq * d[..., 0] * d[..., 0]
+    return time_part - dx2 if minkowski else time_part + dx2
 
 
 def minkowski_interval(e1, e2, light_speed: float):
     """Minkowski interval c^2 dt^2 - |dx|^2 between events, broadcast over rows."""
     if not light_speed > 0.0:
         raise ValueError(f"light_speed must be positive, got {light_speed}")
-    dt, dx2 = _separation(e1, e2)
-    return light_speed ** 2 * dt * dt - dx2
+    return _interval(*_event_pair(e1, e2), light_speed ** 2, minkowski=True)
 
 
 def euclidean_interval(e1, e2, u: float):
     """Euclidean-signature interval u^2 dt^2 + |dx|^2 between events, broadcast over rows."""
     if not u > 0.0:
         raise ValueError(f"the velocity scale u must be positive, got {u}")
-    dt, dx2 = _separation(e1, e2)
-    return u * u * dt * dt + dx2
+    return _interval(*_event_pair(e1, e2), u * u, minkowski=False)
 
 
 def interval_residual(boost, before, after):
@@ -197,19 +202,26 @@ def interval_residual(boost, before, after):
 
     The exact Galilean law keeps u^2 dt^2 + |dx|^2 and the Lorentz boost keeps
     c^2 dt^2 - |dx|^2; the first-order and ordinary laws keep no interval and
-    give None.  Each row is compared with all later rows at once, so memory
+    give None.  before and after are checked once and must have the same
+    shape.  Each row is compared with all later rows at once, so memory
     stays linear in the number of events.
     """
     if isinstance(boost, LorentzBoost):
-        interval, scale = minkowski_interval, boost.light_speed
+        scale_sq, minkowski = boost.light_speed ** 2, True
     elif boost.law == GALILEAN_EXACT:
-        interval, scale = euclidean_interval, boost.scale
+        scale_sq, minkowski = boost.scale * boost.scale, False
     else:
         return None
+    before, after = _event_pair(before, after)
+    if before.shape != after.shape:
+        raise ValueError(
+            f"before and after must have the same shape, got {before.shape} and {after.shape}")
+    before = before.reshape(-1, before.shape[-1])
+    after = after.reshape(before.shape)
     worst = 0.0
     for i in range(len(before) - 1):
-        original = interval(before[i], before[i + 1:], scale)
-        mapped = interval(after[i], after[i + 1:], scale)
+        original = _interval(before[i], before[i + 1:], scale_sq, minkowski)
+        mapped = _interval(after[i], after[i + 1:], scale_sq, minkowski)
         change = np.abs(mapped - original) / np.maximum(np.abs(original), 1e-30)
         worst = max(worst, float(change.max()))
     return worst

@@ -232,6 +232,46 @@ class TestJacobiResidual:
                               momentum_function_1d(params), h, state)
         assert got < 1e-5
 
+    def test_probe_off_the_tangent_branch_raises(self):
+        params = params_of(0.04)
+        edge = (math.pi / 2.0) / params.sqrt_beta
+        state = PhaseState.of(0.0, edge * (1.0 - 1e-12))
+
+        def h(state):
+            return float(state.x[0]) * float(state.p[0])
+
+        with pytest.raises(DomainError, match="tangent branch"):
+            jacobi_residual(coordinate_function(), momentum_function_1d(params), h, state)
+
+    def test_nonfinite_probe_raises(self):
+        params = params_of(0.04)
+        edge = (math.pi / 2.0) / params.sqrt_beta
+
+        def mapped_or_nan(state):
+            p = float(state.p[0])
+            return momentum_map_1d(p, params) if abs(p) < edge else math.nan
+
+        with pytest.raises(DomainError, match="non-finite"):
+            jacobi_residual(coordinate_function(), mapped_or_nan, coordinate_function(),
+                            PhaseState.of(0.0, edge * (1.0 - 1e-12)))
+
+    def test_each_function_is_evaluated_once_per_probe_state(self):
+        # 12 outer probe states in 3D, each with its own 12 inner probes.
+        params = params_of(0.01)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(state):
+                calls.append(name)
+                return fn(state)
+            return wrapper
+
+        jacobi_residual(counted("f", coordinate_function(1)),
+                        counted("g", momentum_function_3d(params, 1)),
+                        counted("h", momentum_function_3d(params, 2)),
+                        PhaseState.of([0.2, -0.1, 0.5], [1.0, 2.0, -1.5]))
+        assert {name: calls.count(name) for name in "fgh"} == {"f": 156, "g": 156, "h": 156}
+
 
 # ------------------------------------------------------- pinned bracket layer
 

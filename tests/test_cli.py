@@ -204,6 +204,12 @@ class TestUnusablePaths:
                                "--events", str(events))
         assert code == 2
         assert "latin.csv" in err and "UTF-8" in err
+        # The config file names itself the same way, under any command.
+        latin_cfg = tmp_path / "latin.cfg"
+        latin_cfg.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(latin_cfg))
+        assert code == 2 and out == ""
+        assert "latin.cfg" in err and "not UTF-8" in err
 
     def test_events_output_is_a_directory(self, tmp_path, capsys):
         cfg = write(tmp_path, "boost.cfg", BOOST_EXACT + "output.events = out_dir\n")

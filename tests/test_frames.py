@@ -382,6 +382,17 @@ class TestIntervalResidual:
         event = np.array([[0.5, 1.0, 2.0, 3.0]])
         assert interval_residual(BOOST, event, galilean_apply(BOOST, event)) == 0.0
 
+    @pytest.mark.parametrize("after", [
+        np.zeros((3, 4)),
+        np.zeros((2, 2)),
+        np.array([[0.0, 1.0, 2.0, 3.0], [1.0, math.inf, 0.0, 0.0]]),
+        np.zeros((2, 3)),
+    ])
+    def test_mismatched_or_malformed_batches_rejected(self, after):
+        before = np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError):
+            interval_residual(BOOST, before, after)
+
     def test_intervals_broadcast_over_rows(self):
         rows = np.array([[1.0, 1.0, 0.0, 0.0], [2.0, 0.0, 2.0, 0.0]])
         origin = np.zeros(4)
