@@ -202,9 +202,9 @@ def interval_residual(boost, before, after):
 
     The exact Galilean law keeps u^2 dt^2 + |dx|^2 and the Lorentz boost keeps
     c^2 dt^2 - |dx|^2; the first-order and ordinary laws keep no interval and
-    give None.  before and after are checked once and must have the same
-    shape.  Each row is compared with all later rows at once, so memory
-    stays linear in the number of events.
+    give None.  before and after are checked once and must be (n, 1+d)
+    batches of the same shape.  Each row is compared with all later rows at
+    once, so memory stays linear in the number of events.
     """
     if isinstance(boost, LorentzBoost):
         scale_sq, minkowski = boost.light_speed ** 2, True
@@ -213,11 +213,9 @@ def interval_residual(boost, before, after):
     else:
         return None
     before, after = _event_pair(before, after)
-    if before.shape != after.shape:
-        raise ValueError(
-            f"before and after must have the same shape, got {before.shape} and {after.shape}")
-    before = before.reshape(-1, before.shape[-1])
-    after = after.reshape(before.shape)
+    if before.ndim != 2 or before.shape != after.shape:
+        raise ValueError("before and after must be event batches of the same shape, "
+                         f"got {before.shape} and {after.shape}")
     worst = 0.0
     for i in range(len(before) - 1):
         original = _interval(before[i], before[i + 1:], scale_sq, minkowski)

@@ -387,6 +387,7 @@ class TestIntervalResidual:
         np.zeros((2, 2)),
         np.array([[0.0, 1.0, 2.0, 3.0], [1.0, math.inf, 0.0, 0.0]]),
         np.zeros((2, 3)),
+        np.zeros(4),
     ])
     def test_mismatched_or_malformed_batches_rejected(self, after):
         before = np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 0.0, 0.0]])
