@@ -22,6 +22,172 @@ model.mass = 1.0
 model.beta = 0.01
 """
 
+EXACT_3D = """\
+model.kind = exact-3d
+model.mass = 1.0
+model.beta = 0.01
+"""
+
+EFFECTIVE_SQRT = """\
+model.kind = effective-sqrt
+model.mass = 1.0
+model.beta = 0.01
+"""
+
+RELATIVISTIC = """\
+model.kind = relativistic-first-order-1d
+model.mass = 1.0
+model.beta = 0.0001
+"""
+
+BOOST = MINIMAL + "boost.velocity = 0.5\n"
+
+# One fault per document: id -> (document, str(err), err.line).  Every
+# ConfigError that parse_config can raise appears at least once, so a
+# change to the validation code must keep each message and line number.
+SINGLE_FAULTS = {
+    "scan-no-equals": (
+        "model.kind exact-1d\n",
+        "line 1: expected 'key = value', got 'model.kind exact-1d'", 1),
+    "scan-unknown-key": (
+        MINIMAL + "model.hbar = 1.0\n", "line 4: unknown key 'model.hbar'", 4),
+    "scan-empty-value": ("model.kind =\n", "line 1: model.kind: empty value", 1),
+    "scan-duplicate": (
+        MINIMAL + "model.mass = 2.0\n",
+        "line 4: model.mass: duplicate (first given on line 2)", 4),
+    "float-not-a-number": (
+        "model.kind = exact-1d\nmodel.mass = heavy\n",
+        "line 2: model.mass: not a number: 'heavy'", 2),
+    "float-infinite": (
+        "model.kind = exact-1d\nmodel.mass = inf\n",
+        "line 2: model.mass: must be finite, got inf", 2),
+    "float-nan": (
+        "model.kind = exact-1d\nmodel.mass = nan\n",
+        "line 2: model.mass: must be finite, got nan", 2),
+    "vector-arity": (
+        MINIMAL + "initial.x = 1.0, 2.0\n",
+        "line 4: initial.x: expected 1 or 3 components, got 2", 4),
+    "vector-bad-component": (
+        EXACT_3D + "initial.x = 0.0, a, 1.0\n", "line 4: initial.x: not a number: 'a'", 4),
+    "int-not-an-integer": (
+        EFFECTIVE_SQRT + "model.sqrt_sign = 1.5\n",
+        "line 4: model.sqrt_sign: not an integer: '1.5'", 4),
+    "missing-kind": (
+        "model.mass = 1.0\nmodel.beta = 0.01\n", "missing required key model.kind", None),
+    "missing-mass": (
+        "model.kind = exact-1d\nmodel.beta = 0.01\n", "missing required key model.mass", None),
+    "unknown-kind": (
+        "model.kind = exact-2d\nmodel.mass = 1.0\nmodel.beta = 0.01\n",
+        "line 1: model.kind: unknown model 'exact-2d'; expected one of effective-sqrt, "
+        "exact-1d, exact-3d, first-order-1d, first-order-3d, relativistic-first-order-1d", 1),
+    "unknown-potential": (
+        MINIMAL + "model.potential = quartic\n",
+        "line 4: model.potential: unknown kind 'quartic'", 4),
+    "unknown-units": (
+        MINIMAL + "units = imperial\n",
+        "line 4: units: expected one of natural, SI, got 'imperial'", 4),
+    "unknown-boost-law": (
+        BOOST + "boost.law = euler\n",
+        "line 5: boost.law: expected one of exact, first-order, ordinary, lorentz, "
+        "got 'euler'", 5),
+    "beta-or-gamma-missing": (
+        "model.kind = exact-1d\nmodel.mass = 1.0\n",
+        "one of model.beta or model.gamma is required", None),
+    "negative-beta": (
+        "model.kind = exact-1d\nmodel.mass = 1.0\nmodel.beta = -0.01\n",
+        "line 3: model.beta: must be nonnegative, got -0.01", 3),
+    "negative-gamma": (
+        "model.kind = exact-1d\nmodel.mass = 1.0\nmodel.gamma = -0.1\n",
+        "line 3: model.gamma: must be nonnegative, got -0.1", 3),
+    "beta-gamma-conflict": (
+        MINIMAL + "model.gamma = 0.2\n",
+        "line 4: model.beta and model.gamma conflict: gamma^2 = 0.04000000000000001 "
+        "but beta*mass^2 = 0.01", 4),
+    "scope-stiffness": (
+        MINIMAL + "model.stiffness = 1.0\n",
+        "line 4: model.stiffness only applies to the harmonic potential", 4),
+    "scope-force": (
+        MINIMAL + "model.force = 1.0\n",
+        "line 4: model.force only applies to the uniform-field potential", 4),
+    "scope-light-speed": (
+        MINIMAL + "model.light_speed = 10.0\n",
+        "line 4: model.light_speed only applies to the relativistic model", 4),
+    "scope-scale-velocity": (
+        MINIMAL + "model.scale_velocity = 2.0\n",
+        "line 4: model.scale_velocity only applies to the effective-sqrt model", 4),
+    "scope-sqrt-sign": (
+        MINIMAL + "model.sqrt_sign = 1\n",
+        "line 4: model.sqrt_sign only applies to the effective-sqrt model", 4),
+    "scope-boost-scale": (
+        BOOST + "boost.law = lorentz\nboost.scale = 2.0\nboost.light_speed = 1.0\n",
+        "line 6: boost.scale only applies to the Galilean boost laws", 6),
+    "scope-boost-light-speed": (
+        BOOST + "boost.law = first-order\nboost.light_speed = 1.0\n",
+        "line 6: boost.light_speed only applies to boost.law = lorentz", 6),
+    "requires-stiffness": (
+        MINIMAL + "model.potential = harmonic\n",
+        "model.potential = harmonic requires model.stiffness", None),
+    "requires-force": (
+        MINIMAL + "model.potential = uniform-field\n",
+        "model.potential = uniform-field requires model.force", None),
+    "requires-light-speed": (
+        RELATIVISTIC,
+        "model.kind = relativistic-first-order-1d requires model.light_speed", None),
+    "positive-mass": (
+        "model.kind = exact-1d\nmodel.mass = 0.0\nmodel.beta = 0.01\n",
+        "line 2: model.mass: must be positive, got 0.0", 2),
+    "positive-stiffness": (
+        MINIMAL + "model.potential = harmonic\nmodel.stiffness = -1.5\n",
+        "line 5: model.stiffness: must be positive, got -1.5", 5),
+    "positive-light-speed": (
+        RELATIVISTIC + "model.light_speed = 0.0\n",
+        "line 4: model.light_speed: must be positive, got 0.0", 4),
+    "positive-scale-velocity": (
+        EFFECTIVE_SQRT + "model.scale_velocity = -2.0\n",
+        "line 4: model.scale_velocity: must be positive, got -2.0", 4),
+    "positive-t-end": (
+        MINIMAL + "t_end = 0.0\n", "line 4: t_end: must be positive, got 0.0", 4),
+    "positive-dt": (
+        MINIMAL + "t_end = 1.0\ndt = -0.1\n", "line 5: dt: must be positive, got -0.1", 5),
+    "positive-boost-scale": (
+        BOOST + "boost.scale = 0.0\n", "line 5: boost.scale: must be positive, got 0.0", 5),
+    "positive-boost-light-speed": (
+        BOOST + "boost.law = lorentz\nboost.light_speed = -1.0\n",
+        "line 6: boost.light_speed: must be positive, got -1.0", 6),
+    "zero-force": (
+        MINIMAL + "model.potential = uniform-field\nmodel.force = 0.0\n",
+        "line 5: model.force: a zero field is the free potential", 5),
+    "sqrt-sign": (
+        EFFECTIVE_SQRT + "model.sqrt_sign = 0\n",
+        "line 4: model.sqrt_sign: must be -1 or 1, got 0", 4),
+    "arity-x": (
+        EXACT_3D + "initial.x = 0.0\ninitial.p = 1.0, 0.0, 0.0\n",
+        "line 4: initial.x: model exact-3d needs 3 component(s), got 1", 4),
+    "arity-p": (
+        MINIMAL + "initial.x = 0.0\ninitial.p = 1.0, 0.0, 0.0\n",
+        "line 5: initial.p: model exact-1d needs 1 component(s), got 3", 5),
+    "pair-x-only": (
+        MINIMAL + "initial.x = 0.0\n", "initial.x and initial.p must be given together", None),
+    "pair-p-only": (
+        MINIMAL + "initial.p = 1.0\n", "initial.x and initial.p must be given together", None),
+    "no-velocity-scale": (
+        MINIMAL + "boost.scale = 2.0\n", "line 4: boost.scale given without boost.velocity", 4),
+    "no-velocity-light-speed": (
+        MINIMAL + "boost.light_speed = 1.0\n",
+        "line 4: boost.light_speed given without boost.velocity", 4),
+    "no-velocity-law": (
+        MINIMAL + "boost.law = exact\n", "line 4: boost.law given without boost.velocity", 4),
+}
+
+
+@pytest.mark.parametrize("doc, message, line", list(SINGLE_FAULTS.values()),
+                         ids=list(SINGLE_FAULTS))
+def test_single_fault_message_and_line(doc, message, line):
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert str(err.value) == message
+    assert err.value.line == line
+
 
 class TestScan:
     def test_minimal_document(self):
