@@ -16,8 +16,7 @@ from .constants import GEOMETRY_ONE_D, GEOMETRY_THREE_D, effective_velocity_u
 
 UNITS_MODES = ("natural", "SI")
 
-BOOST_LAWS = (frames.GALILEAN_EXACT, frames.GALILEAN_FIRST_ORDER,
-              frames.GALILEAN_ORDINARY, "lorentz")
+BOOST_LAWS = frames.GALILEAN_LAWS + ("lorentz",)
 
 
 class ConfigError(ValueError):
@@ -134,6 +133,32 @@ _KEYS = {
     "output.report": ("report_path", "str"),
 }
 
+# key -> (selecting key, the selector values it applies under, what it applies to);
+# an absent selector reads as None.
+_SCOPES = {
+    "model.stiffness": ("model.potential", (dynamics.POTENTIAL_HARMONIC,),
+                        "the harmonic potential"),
+    "model.force": ("model.potential", (dynamics.POTENTIAL_UNIFORM_FIELD,),
+                    "the uniform-field potential"),
+    "model.light_speed": ("model.kind", (dynamics.REL_FIRST_ORDER_1D,),
+                          "the relativistic model"),
+    "model.scale_velocity": ("model.kind", (dynamics.EFFECTIVE_SQRT,),
+                             "the effective-sqrt model"),
+    "model.sqrt_sign": ("model.kind", (dynamics.EFFECTIVE_SQRT,), "the effective-sqrt model"),
+    "boost.scale": ("boost.law", (None,) + frames.GALILEAN_LAWS, "the Galilean boost laws"),
+    "boost.light_speed": ("boost.law", ("lorentz",), "boost.law = lorentz"),
+}
+
+# (selecting key, value) -> the key that value requires
+_REQUIRES = {
+    ("model.potential", dynamics.POTENTIAL_HARMONIC): "model.stiffness",
+    ("model.potential", dynamics.POTENTIAL_UNIFORM_FIELD): "model.force",
+    ("model.kind", dynamics.REL_FIRST_ORDER_1D): "model.light_speed",
+}
+
+_POSITIVE = ("model.mass", "model.stiffness", "model.light_speed", "model.scale_velocity",
+             "t_end", "dt", "boost.scale", "boost.light_speed")
+
 
 def _parse_float(raw, key, line):
     try:
@@ -157,6 +182,10 @@ def _parse_int(raw, key, line):
         return int(raw)
     except ValueError:
         raise ConfigError(f"{key}: not an integer: {raw!r}", line) from None
+
+
+_PARSERS = {"str": lambda raw, key, line: raw, "float": _parse_float,
+            "vector": _parse_vector, "int": _parse_int}
 
 
 def _scan(text):
@@ -189,175 +218,90 @@ def parse_config(text: str) -> ScenarioConfig:
     offending key name for semantic problems.
     """
     entries = _scan(text)
-
-    values = {}
-    for key, (raw, line) in entries.items():
-        field, tag = _KEYS[key]
-        if tag == "float":
-            values[field] = _parse_float(raw, key, line)
-        elif tag == "vector":
-            values[field] = _parse_vector(raw, key, line)
-        elif tag == "int":
-            values[field] = _parse_int(raw, key, line)
-        else:
-            values[field] = raw
+    # Keyed by document key until the end, where the fields are named.
+    values = {key: _PARSERS[_KEYS[key][1]](raw, key, line)
+              for key, (raw, line) in entries.items()}
 
     def line_of(key):
         return entries[key][1] if key in entries else None
 
     for key in ("model.kind", "model.mass"):
-        if _KEYS[key][0] not in values:
+        if key not in values:
             raise ConfigError(f"missing required key {key}")
-
-    kind = values["kind"]
+    kind = values["model.kind"]
     if kind not in dynamics.ALL_MODELS:
         raise ConfigError(
             f"model.kind: unknown model {kind!r}; expected one of {', '.join(_MODEL_KINDS)}",
             line_of("model.kind"))
 
-    mass = values["mass"]
-    if not mass > 0.0:
-        raise ConfigError(f"model.mass: must be positive, got {mass}",
-                          line_of("model.mass"))
-
-    has_beta = "beta" in values
-    has_gamma = "gamma" in values
+    mass = values["model.mass"]
+    has_beta = "model.beta" in values
+    has_gamma = "model.gamma" in values
     if not has_beta and not has_gamma:
         raise ConfigError("one of model.beta or model.gamma is required")
-    if has_beta and values["beta"] < 0.0:
-        raise ConfigError(f"model.beta: must be nonnegative, got {values['beta']}",
-                          line_of("model.beta"))
-    if has_gamma and values["gamma"] < 0.0:
-        raise ConfigError(f"model.gamma: must be nonnegative, got {values['gamma']}",
-                          line_of("model.gamma"))
+    for key in ("model.beta", "model.gamma"):
+        if key in values and values[key] < 0.0:
+            raise ConfigError(f"{key}: must be nonnegative, got {values[key]}", line_of(key))
     if has_beta and has_gamma:
-        g2 = values["gamma"] ** 2
-        b2 = values["beta"] * mass * mass
+        g2 = values["model.gamma"] ** 2
+        b2 = values["model.beta"] * mass * mass
         if abs(g2 - b2) > 1e-12 * max(g2, b2, 1e-300):
             raise ConfigError(
                 "model.beta and model.gamma conflict: "
                 f"gamma^2 = {g2!r} but beta*mass^2 = {b2!r}",
                 line_of("model.gamma"))
-    elif has_beta:
-        values["gamma"] = math.sqrt(values["beta"]) * mass
-    else:
-        values["beta"] = (values["gamma"] / mass) ** 2
 
-    potential = values.get("potential", "free")
-    if potential not in ("free", "harmonic", "uniform-field"):
+    potential = values.get("model.potential", dynamics.POTENTIAL_FREE)
+    if potential not in dynamics.POTENTIAL_KINDS:
         raise ConfigError(f"model.potential: unknown kind {potential!r}",
                           line_of("model.potential"))
-    if potential == "harmonic":
-        if "stiffness" not in values:
-            raise ConfigError("model.potential = harmonic requires model.stiffness")
-        if not values["stiffness"] > 0.0:
-            raise ConfigError(
-                f"model.stiffness: must be positive, got {values['stiffness']}",
-                line_of("model.stiffness"))
-    elif "stiffness" in values:
-        raise ConfigError("model.stiffness only applies to the harmonic potential",
-                          line_of("model.stiffness"))
-    if potential == "uniform-field":
-        if "force" not in values:
-            raise ConfigError("model.potential = uniform-field requires model.force")
-        if values["force"] == 0.0:
-            raise ConfigError("model.force: a zero field is the free potential",
-                              line_of("model.force"))
-    elif "force" in values:
-        raise ConfigError("model.force only applies to the uniform-field potential",
-                          line_of("model.force"))
-
-    if kind == dynamics.REL_FIRST_ORDER_1D:
-        if "light_speed" not in values:
-            raise ConfigError(f"model.kind = {kind} requires model.light_speed")
-        if not values["light_speed"] > 0.0:
-            raise ConfigError(
-                f"model.light_speed: must be positive, got {values['light_speed']}",
-                line_of("model.light_speed"))
-    elif "light_speed" in values:
-        raise ConfigError("model.light_speed only applies to the relativistic model",
-                          line_of("model.light_speed"))
-
-    if kind == dynamics.EFFECTIVE_SQRT:
-        if "scale_velocity" in values and not values["scale_velocity"] > 0.0:
-            raise ConfigError(
-                f"model.scale_velocity: must be positive, got {values['scale_velocity']}",
-                line_of("model.scale_velocity"))
-        if "sqrt_sign" in values and values["sqrt_sign"] not in (-1, 1):
-            raise ConfigError(
-                f"model.sqrt_sign: must be -1 or 1, got {values['sqrt_sign']}",
-                line_of("model.sqrt_sign"))
-    else:
-        for key in ("model.scale_velocity", "model.sqrt_sign"):
-            if _KEYS[key][0] in values:
-                raise ConfigError(f"{key} only applies to the effective-sqrt model",
-                                  line_of(key))
-
-    dim = 1 if kind in dynamics.ONE_D_MODELS else 3
-    for key in ("initial.x", "initial.p"):
-        field = _KEYS[key][0]
-        if field in values and len(values[field]) != dim:
-            raise ConfigError(
-                f"{key}: model {kind} needs {dim} component(s), "
-                f"got {len(values[field])}",
-                line_of(key))
-    if ("x0" in values) != ("p0" in values):
-        raise ConfigError("initial.x and initial.p must be given together")
-
-    if "t_end" in values and not values["t_end"] > 0.0:
-        raise ConfigError(f"t_end: must be positive, got {values['t_end']}",
-                          line_of("t_end"))
-    if "dt" in values and not values["dt"] > 0.0:
-        raise ConfigError(f"dt: must be positive, got {values['dt']}",
-                          line_of("dt"))
-
     units = values.get("units", "natural")
     if units not in UNITS_MODES:
         raise ConfigError(f"units: expected one of {', '.join(UNITS_MODES)}, got {units!r}",
                           line_of("units"))
-
-    law = values.get("boost_law")
+    law = values.get("boost.law")
     if law is not None and law not in BOOST_LAWS:
-        raise ConfigError(
-            f"boost.law: expected one of {', '.join(BOOST_LAWS)}, got {law!r}",
-            line_of("boost.law"))
+        raise ConfigError(f"boost.law: expected one of {', '.join(BOOST_LAWS)}, got {law!r}",
+                          line_of("boost.law"))
+
+    for (selector, value), key in _REQUIRES.items():
+        if values.get(selector) == value and key not in values:
+            raise ConfigError(f"{selector} = {value} requires {key}")
     for key in ("boost.scale", "boost.light_speed", "boost.law"):
-        if _KEYS[key][0] in values and "boost_velocity" not in values:
+        if key in values and "boost.velocity" not in values:
             raise ConfigError(f"{key} given without boost.velocity", line_of(key))
-    if law == "lorentz":
-        if "boost_scale" in values:
-            raise ConfigError("boost.scale only applies to the Galilean boost laws",
-                              line_of("boost.scale"))
-    elif "boost_light_speed" in values:
-        raise ConfigError("boost.light_speed only applies to boost.law = lorentz",
-                          line_of("boost.light_speed"))
-    if "boost_scale" in values and not values["boost_scale"] > 0.0:
-        raise ConfigError(f"boost.scale: must be positive, got {values['boost_scale']}",
-                          line_of("boost.scale"))
-    if "boost_light_speed" in values and not values["boost_light_speed"] > 0.0:
-        raise ConfigError(
-            f"boost.light_speed: must be positive, got {values['boost_light_speed']}",
-            line_of("boost.light_speed"))
+    for key, (selector, allowed, wording) in _SCOPES.items():
+        if key in values and values.get(selector) not in allowed:
+            raise ConfigError(f"{key} only applies to {wording}", line_of(key))
+    for key in _POSITIVE:
+        if key in values and not values[key] > 0.0:
+            raise ConfigError(f"{key}: must be positive, got {values[key]}", line_of(key))
+    if values.get("model.force") == 0.0:
+        raise ConfigError("model.force: a zero field is the free potential",
+                          line_of("model.force"))
+    if values.get("model.sqrt_sign", -1) not in (-1, 1):
+        raise ConfigError(f"model.sqrt_sign: must be -1 or 1, got {values['model.sqrt_sign']}",
+                          line_of("model.sqrt_sign"))
 
-    return ScenarioConfig(**values)
-
-
-_RENDER_ORDER = (
-    "model.kind", "model.mass", "model.beta", "model.gamma",
-    "model.potential", "model.stiffness", "model.force",
-    "model.light_speed", "model.scale_velocity", "model.sqrt_sign",
-    "initial.x", "initial.p", "t_end", "dt", "units",
-    "boost.velocity", "boost.scale", "boost.light_speed", "boost.law",
-    "output.trajectory", "output.events", "output.report",
-)
+    if not has_gamma:
+        values["model.gamma"] = math.sqrt(values["model.beta"]) * mass
+    elif not has_beta:
+        values["model.beta"] = (values["model.gamma"] / mass) ** 2
+    config = ScenarioConfig(**{_KEYS[key][0]: value for key, value in values.items()})
+    for key in ("initial.x", "initial.p"):
+        if key in values and len(values[key]) != config.dim:
+            raise ConfigError(f"{key}: model {kind} needs {config.dim} component(s), "
+                              f"got {len(values[key])}", line_of(key))
+    if ("initial.x" in values) != ("initial.p" in values):
+        raise ConfigError("initial.x and initial.p must be given together")
+    return config
 
 
 def render_config(config: ScenarioConfig) -> str:
     """Emit the canonical document; parse_config(render_config(c)) == c."""
     defaults = {f.name: f.default for f in fields(ScenarioConfig)}
     lines = []
-    for key in _RENDER_ORDER:
-        field, tag = _KEYS[key]
+    for key, (field, tag) in _KEYS.items():
         value = getattr(config, field)
         if value == defaults[field] and key not in (
                 "model.kind", "model.mass", "model.beta", "model.gamma"):
