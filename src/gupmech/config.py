@@ -171,7 +171,9 @@ def _parse_float(raw, key, line):
 
 
 def _parse_vector(raw, key, line):
-    parts = [s for s in (piece.strip() for piece in raw.split(",")) if s]
+    parts = [piece.strip() for piece in raw.split(",")]
+    if "" in parts:
+        raise ConfigError(f"{key}: empty component in {raw!r}", line)
     if len(parts) not in (1, 3):
         raise ConfigError(f"{key}: expected 1 or 3 components, got {len(parts)}", line)
     return tuple(_parse_float(part, key, line) for part in parts)

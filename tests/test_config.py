@@ -69,6 +69,12 @@ SINGLE_FAULTS = {
         "line 4: initial.x: expected 1 or 3 components, got 2", 4),
     "vector-bad-component": (
         EXACT_3D + "initial.x = 0.0, a, 1.0\n", "line 4: initial.x: not a number: 'a'", 4),
+    "vector-empty-inner-component": (
+        EXACT_3D + "initial.x = 1,,2,3\ninitial.p = 0, 0, 0\n",
+        "line 4: initial.x: empty component in '1,,2,3'", 4),
+    "vector-empty-trailing-component": (
+        EXACT_3D + "initial.x = 0, 0, 0\ninitial.p = 0,0,0,\n",
+        "line 5: initial.p: empty component in '0,0,0,'", 5),
     "int-not-an-integer": (
         EFFECTIVE_SQRT + "model.sqrt_sign = 1.5\n",
         "line 4: model.sqrt_sign: not an integer: '1.5'", 4),
