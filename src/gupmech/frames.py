@@ -170,31 +170,31 @@ def _event_pair(e1, e2):
     return e1, e2
 
 
-def _interval(e1, e2, scale_sq: float, minkowski: bool):
-    """scale_sq dt^2 - |dx|^2 (Minkowski) or + |dx|^2 between checked events.
+def _interval_parts(e1, e2, scale_sq: float):
+    """(scale_sq dt^2, |dx|^2) between checked events, broadcast over rows.
 
-    Broadcasts over rows and checks nothing.  |dx|^2 is a dot product per
-    row, so it is summed exactly as dx @ dx.
+    Checks nothing.  |dx|^2 is a dot product per row, so it is summed
+    exactly as dx @ dx.
     """
     d = e2 - e1
     dx = d[..., 1:]
-    dx2 = (dx[..., None, :] @ dx[..., :, None])[..., 0, 0]
-    time_part = scale_sq * d[..., 0] * d[..., 0]
-    return time_part - dx2 if minkowski else time_part + dx2
+    return scale_sq * d[..., 0] * d[..., 0], (dx[..., None, :] @ dx[..., :, None])[..., 0, 0]
 
 
 def minkowski_interval(e1, e2, light_speed: float):
     """Minkowski interval c^2 dt^2 - |dx|^2 between events, broadcast over rows."""
     if not light_speed > 0.0:
         raise ValueError(f"light_speed must be positive, got {light_speed}")
-    return _interval(*_event_pair(e1, e2), light_speed ** 2, minkowski=True)
+    time_part, dx2 = _interval_parts(*_event_pair(e1, e2), light_speed ** 2)
+    return time_part - dx2
 
 
 def euclidean_interval(e1, e2, u: float):
     """Euclidean-signature interval u^2 dt^2 + |dx|^2 between events, broadcast over rows."""
     if not u > 0.0:
         raise ValueError(f"the velocity scale u must be positive, got {u}")
-    return _interval(*_event_pair(e1, e2), u * u, minkowski=False)
+    time_part, dx2 = _interval_parts(*_event_pair(e1, e2), u * u)
+    return time_part + dx2
 
 
 def interval_residual(boost, before, after):
@@ -202,7 +202,10 @@ def interval_residual(boost, before, after):
 
     The exact Galilean law keeps u^2 dt^2 + |dx|^2 and the Lorentz boost keeps
     c^2 dt^2 - |dx|^2; the first-order and ordinary laws keep no interval and
-    give None.  before and after are checked once and must be (n, 1+d)
+    give None.  Each pair's change is divided by the positive scale
+    s^2 dt^2 + |dx|^2 of the original pair, which is the exact law's interval
+    itself and, unlike |c^2 dt^2 - |dx|^2|, does not vanish for near-null
+    Lorentz pairs.  before and after are checked once and must be (n, 1+d)
     batches of the same shape.  Each row is compared with all later rows at
     once, so memory stays linear in the number of events.
     """
@@ -218,10 +221,14 @@ def interval_residual(boost, before, after):
                          f"got {before.shape} and {after.shape}")
     worst = 0.0
     for i in range(len(before) - 1):
-        original = _interval(before[i], before[i + 1:], scale_sq, minkowski)
-        mapped = _interval(after[i], after[i + 1:], scale_sq, minkowski)
-        change = np.abs(mapped - original) / np.maximum(np.abs(original), 1e-30)
-        worst = max(worst, float(change.max()))
+        time_part, dx2 = _interval_parts(before[i], before[i + 1:], scale_sq)
+        mapped_time, mapped_dx2 = _interval_parts(after[i], after[i + 1:], scale_sq)
+        scale = time_part + dx2
+        if minkowski:
+            change = np.abs((mapped_time - mapped_dx2) - (time_part - dx2))
+        else:
+            change = np.abs((mapped_time + mapped_dx2) - scale)
+        worst = max(worst, float((change / np.maximum(scale, 1e-30)).max()))
     return worst
 
 

@@ -332,7 +332,7 @@ _PINNED = {
         None),
     (1, "lorentz"): (
         "ea21ceee7f5772548e41fa117754d3782f4a54e6ebbb4186bdd0ca5aafc6d527",
-        9.11412633583108e-14),
+        3.333489690371213e-15),
     (3, "exact"): (
         "33c0ed75edc8249688f7ce2f248433d4cbeb340b8d7305b9478984ae281972d1",
         9.637580298948416e-16),
@@ -344,7 +344,7 @@ _PINNED = {
         None),
     (3, "lorentz"): (
         "3633467f0390a59095e4d0ca07f2c265d0737a26167dce7693548fa329e313bf",
-        6.016640136532387e-14),
+        2.1524592230829106e-15),
 }
 
 
