@@ -7,6 +7,7 @@ wall_time_s is the only field expected to differ between identical runs.
 
 import argparse
 import json
+import math
 import sys
 import time
 from os import environ
@@ -151,8 +152,8 @@ def _cmd_transform(args) -> int:
 def _cmd_constants(args) -> int:
     started = time.perf_counter()
     mass = constants.CODATA.electron_mass if args.mass is None else args.mass
-    if not mass > 0.0:
-        raise ConfigError(f"--mass must be positive, got {mass}")
+    if not (math.isfinite(mass) and mass > 0.0):
+        raise ConfigError(f"--mass must be finite and positive, got {mass}")
     units = _units_mode("SI")
     one = constants.EffectiveScales.for_mass(mass, constants.GEOMETRY_ONE_D)
     three = constants.EffectiveScales.for_mass(mass, constants.GEOMETRY_THREE_D)
@@ -182,6 +183,11 @@ def _cmd_constants(args) -> int:
 
 def _cmd_check(args) -> int:
     started = time.perf_counter()
+    if not (math.isfinite(args.tolerance_scale) and args.tolerance_scale >= 0.0):
+        raise ConfigError(
+            f"--tolerance-scale must be finite and non-negative, got {args.tolerance_scale}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     results = checks.run_suite(args.suite, seed=args.seed,
                                tolerance_scale=args.tolerance_scale)
     failures = sum(1 for r in results if not r.passed)

@@ -275,6 +275,21 @@ class TestCheck:
         assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "--suite", "algebra", "--tolerance-scale", "inf"),
+    ("check", "--suite", "algebra", "--tolerance-scale", "nan"),
+    ("check", "--suite", "algebra", "--tolerance-scale", "-1.0"),
+    ("check", "--suite", "algebra", "--seed", "-1"),
+    ("constants", "--mass", "inf"),
+    ("constants", "--mass", "nan"),
+])
+def test_out_of_range_numeric_flag_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{argv[-2]} must be" in err
+
+
 class TestUnitsFlag:
     def test_environment_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("GUP_UNITS", "SI")
