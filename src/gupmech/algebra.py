@@ -117,17 +117,21 @@ def momentum_map_1d(p: float, params: DeformationParameters) -> float:
         )
     return math.tan(z) / sb
 
-def momentum_map_3d(p, params: DeformationParameters) -> np.ndarray:
-    """Deformed momentum in three dimensions, P_i = p_i / sqrt(1 - beta p^2)."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
+def _map_3d_divisor(p: np.ndarray, params: DeformationParameters) -> float:
+    """sqrt(1 - beta p^2) for the three-dimensional map, after its domain check."""
     if params.beta == 0.0:
-        return p.copy()
+        return 1.0
     bp2 = params.beta * float(p @ p)
     if bp2 >= 1.0:
         raise DomainError(
             f"canonical momentum is outside the map domain (need beta*|p|^2 < 1, got {bp2:.6g})"
         )
-    return p / math.sqrt(1.0 - bp2)
+    return math.sqrt(1.0 - bp2)
+
+def momentum_map_3d(p, params: DeformationParameters) -> np.ndarray:
+    """Deformed momentum in three dimensions, P_i = p_i / sqrt(1 - beta p^2)."""
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    return p / _map_3d_divisor(p, params)
 
 def bracket_xp_1d(P: float, params: DeformationParameters) -> float:
     """Closed-form deformed bracket {X, P} = 1 + beta P^2 in one dimension."""
@@ -263,4 +267,5 @@ def momentum_function_3d(params: DeformationParameters, axis: int):
     """Scalar map returning deformed momentum component `axis` (numbered from 1)."""
     if axis not in (1, 2, 3):
         raise IndexError(f"axis numbers must lie in 1..3, got {axis}")
-    return lambda state: float(momentum_map_3d(state.p, params)[axis - 1])
+    k = axis - 1
+    return lambda state: float(state.p[k]) / _map_3d_divisor(state.p, params)
