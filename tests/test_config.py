@@ -1,9 +1,12 @@
 """Scenario documents: scanning, validation, rendering, CSV tables."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gupmech import config as config_module
 from gupmech.config import ConfigError, ScenarioConfig, parse_config, render_config
 from gupmech.csvio import (
     CsvFormatError,
@@ -334,6 +337,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="boost.light_speed only applies") as err:
             parse_config(doc)
         assert err.value.line == doc.count("\n")
+
+
+def test_readme_documents_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = [key for key in config_module._KEYS if f"`{key}`" not in readme]
+    assert missing == []
 
 
 class TestBuilders:
