@@ -185,7 +185,7 @@ def _gradient(values, probes):
     for (hx, hp, _), (f_xp, f_xm, f_pp, f_pm) in zip(probes, values):
         if not all(math.isfinite(v) for v in (f_xp, f_xm, f_pp, f_pm)):
             raise DomainError(
-                "non-finite function value while probing the bracket; "
+                "non-finite function value while probing a central difference; "
                 "the state is too close to a domain boundary"
             )
         grad.append(((f_xp - f_xm) / (2.0 * hx), (f_pp - f_pm) / (2.0 * hp)))

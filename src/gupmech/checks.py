@@ -20,7 +20,7 @@ import numpy as np
 from . import constants as consts
 from . import dynamics, frames, legendre
 from .algebra import (BRACKET_STEP, DeformationParameters, PhaseState,
-                      coordinate_function, jacobi_residual,
+                      bracket_xp_1d, bracket_xp_3d, coordinate_function, jacobi_residual,
                       momentum_function_1d, momentum_function_3d,
                       momentum_map_1d, numerical_bracket)
 
@@ -56,7 +56,7 @@ def _check_bracket_1d(rng) -> CheckBody:
     for _ in range(100):
         p = float(rng.uniform(-13.0, 13.0))
         state = PhaseState.of(rng.uniform(-2.0, 2.0), p)
-        target = 1.0 + params.beta * momentum_map_1d(p, params) ** 2
+        target = bracket_xp_1d(momentum_map_1d(p, params), params)
         got = numerical_bracket(big_x, big_p, state)
         # The step is coordinate-scaled, so the truncation bound carries
         # the squared scale factor.
@@ -83,8 +83,7 @@ def _check_bracket_3d(rng) -> CheckBody:
         root = math.sqrt(1.0 + params.beta * float(big_p @ big_p))
         for i in range(3):
             for j in range(3):
-                target = root * ((1.0 if i == j else 0.0)
-                                 + params.beta * big_p[i] * big_p[j])
+                target = bracket_xp_3d(big_p, i + 1, j + 1, params)
                 got = numerical_bracket(coords[i], momenta[j], state)
                 worst = max(worst, _rel(got - target, root) / scale_sq)
     return worst, _FD_TOL, "mapped {X_i,P_j} componentwise, 40 states, step-scaled"

@@ -1,8 +1,8 @@
 """Command-line entry: simulate, transform, constants, check.
 
-Exit codes: 0 success, 1 check-suite failure, 2 usage or parse error,
-3 numeric-domain error.  Reports are JSON on stdout with sorted keys;
-wall_time_s is the only field expected to differ between identical runs.
+Exit codes: 0 success, 1 check-suite failure, 2 usage, parse or float
+overflow error, 3 numeric-domain error.  Reports are sorted-key JSON on
+stdout; wall_time_s is the only field expected to differ between identical runs.
 """
 
 import argparse
@@ -226,6 +226,11 @@ def main(argv=None) -> int:
         return _DOMAIN_EXIT
     except (OSError, ValueError) as err:
         print(f"gupmech: error: {err}", file=sys.stderr)
+        return _USAGE_EXIT
+    except ArithmeticError as err:
+        source = getattr(args, "config", None) or "the command line"
+        print(f"gupmech: error: a value in {source} left the float range: {err!r}",
+              file=sys.stderr)
         return _USAGE_EXIT
 
 

@@ -227,6 +227,16 @@ def parse_config(text: str) -> ScenarioConfig:
     def line_of(key):
         return entries[key][1] if key in entries else None
 
+    def finite(key, what, compute):
+        """compute(), refused on key's line when it leaves the float range."""
+        try:
+            value = compute()
+            if math.isfinite(value):
+                return value
+        except OverflowError:
+            pass
+        raise ConfigError(f"{key}: {what} overflows", line_of(key))
+
     for key in ("model.kind", "model.mass"):
         if key not in values:
             raise ConfigError(f"missing required key {key}")
@@ -245,7 +255,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if key in values and values[key] < 0.0:
             raise ConfigError(f"{key}: must be nonnegative, got {values[key]}", line_of(key))
     if has_beta and has_gamma:
-        g2 = values["model.gamma"] ** 2
+        g2 = finite("model.gamma", "gamma^2", lambda: values["model.gamma"] ** 2)
         b2 = values["model.beta"] * mass * mass
         if abs(g2 - b2) > 1e-12 * max(g2, b2, 1e-300):
             raise ConfigError(
@@ -286,9 +296,11 @@ def parse_config(text: str) -> ScenarioConfig:
                           line_of("model.sqrt_sign"))
 
     if not has_gamma:
-        values["model.gamma"] = math.sqrt(values["model.beta"]) * mass
+        values["model.gamma"] = finite("model.beta", "model.gamma = sqrt(beta) * mass",
+                                       lambda: math.sqrt(values["model.beta"]) * mass)
     elif not has_beta:
-        values["model.beta"] = (values["model.gamma"] / mass) ** 2
+        values["model.beta"] = finite("model.gamma", "model.beta = (gamma / mass)^2",
+                                      lambda: (values["model.gamma"] / mass) ** 2)
     config = ScenarioConfig(**{_KEYS[key][0]: value for key, value in values.items()})
     for key in ("initial.x", "initial.p"):
         if key in values and len(values[key]) != config.dim:

@@ -95,16 +95,21 @@ def effective_velocity_u(gamma: float, geometry) -> float:
     return geometry_alpha(geometry) / gamma
 
 
+def _light_speed_inputs(gamma: float, geometry, light_speed) -> tuple:
+    """(c, alpha) after checking gamma >= 0; c defaults to the CODATA value."""
+    if gamma < 0.0:
+        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    c = CODATA.light_speed if light_speed is None else float(light_speed)
+    return c, geometry_alpha(geometry)
+
+
 def light_speed_deviation(gamma: float, geometry, light_speed: float = None) -> float:
     """Closed first-order relative shift (c_eff - c)/c = (c gamma)^2 / (2 alpha^2).
 
     Computed directly from the first-order form; never by subtracting
     nearly equal light speeds, which would lose everything below 1e-16.
     """
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    c = CODATA.light_speed if light_speed is None else float(light_speed)
-    alpha = geometry_alpha(geometry)
+    c, alpha = _light_speed_inputs(gamma, geometry, light_speed)
     return (c * gamma) ** 2 / (2.0 * alpha * alpha)
 
 
@@ -115,10 +120,7 @@ def effective_light_speed(gamma: float, geometry, light_speed: float = None) -> 
     is ~1e-45 relative and rounds away; use light_speed_deviation for the
     shift itself, or the extended-precision variant for validation.
     """
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    c = CODATA.light_speed if light_speed is None else float(light_speed)
-    alpha = geometry_alpha(geometry)
+    c, alpha = _light_speed_inputs(gamma, geometry, light_speed)
     shift = (c * gamma / alpha) ** 2
     if shift >= 1.0:
         raise DomainError(
@@ -131,19 +133,12 @@ def effective_light_speed(gamma: float, geometry, light_speed: float = None) -> 
 def effective_light_speed_extended(gamma: float, geometry, light_speed: float = None,
                                     dps: int = EXTENDED_PRECISION_DPS):
     """Exact-form c_eff as an mpmath value, for validating the closed form."""
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    c = CODATA.light_speed if light_speed is None else float(light_speed)
-    alpha = geometry_alpha(geometry)
+    c, alpha = _light_speed_inputs(gamma, geometry, light_speed)
     with mpmath.workdps(dps):
-        cm = mpmath.mpf(c)
-        gm = mpmath.mpf(gamma)
-        am = mpmath.mpf(alpha)
+        cm, gm, am = mpmath.mpf(c), mpmath.mpf(gamma), mpmath.mpf(alpha)
         shift = (cm * gm / am) ** 2
         if shift >= 1:
-            raise DomainError(
-                "deformation too strong: no real effective light speed"
-            )
+            raise DomainError("deformation too strong: no real effective light speed")
         return cm / mpmath.sqrt(1 - shift)
 
 

@@ -68,33 +68,27 @@ def _parse_row(row, width, row_no):
     return out
 
 
-def _header_dim(header, builder, row_count):
-    for dim in (1, 3):
-        if header == builder(dim):
-            return dim
-    raise CsvFormatError(
-        f"unrecognized header {','.join(header)!r}; "
-        f"expected {','.join(builder(1))} or {','.join(builder(3))}",
-        row_count)
-
-
-def _read_rows(path):
+def _read_table(path, header):
+    """(dim, parsed data rows) of a CSV headed by header(1) or header(3)."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            return list(csv.reader(handle))
+            rows = list(csv.reader(handle))
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: not UTF-8 text (byte {err.start}: {err.reason})") from None
+    if not rows:
+        raise CsvFormatError("empty file", 1)
+    for dim in (1, 3):
+        if rows[0] == header(dim):
+            return dim, [_parse_row(row, len(rows[0]), row_no)
+                         for row_no, row in enumerate(rows[1:], start=2)]
+    raise CsvFormatError(
+        f"unrecognized header {','.join(rows[0])!r}; "
+        f"expected {','.join(header(1))} or {','.join(header(3))}", 1)
 
 
 def read_trajectory(path) -> TrajectoryTable:
-    rows = _read_rows(path)
-    if not rows:
-        raise CsvFormatError("empty file", 1)
-    dim = _header_dim(rows[0], trajectory_header, 1)
-    width = 2 + 2 * dim
-    data = [_parse_row(row, width, row_no)
-            for row_no, row in enumerate(rows[1:], start=2)]
-    table = np.asarray(data, dtype=float).reshape(len(data), width)
+    dim, data = _read_table(path, trajectory_header)
+    table = np.asarray(data, dtype=float).reshape(len(data), 2 + 2 * dim)
     return TrajectoryTable(
         times=table[:, 0],
         positions=table[:, 1:1 + dim],
@@ -119,12 +113,7 @@ def write_events(path, events) -> None:
 
 def read_events(path) -> np.ndarray:
     """The event rows as an (n, 1+d) float array with columns t, x1[..x3]."""
-    rows = _read_rows(path)
-    if not rows:
-        raise CsvFormatError("empty file", 1)
-    dim = _header_dim(rows[0], event_header, 1)
-    data = [_parse_row(row, 1 + dim, row_no)
-            for row_no, row in enumerate(rows[1:], start=2)]
+    _, data = _read_table(path, event_header)
     if not data:
         raise CsvFormatError("no event rows after the header", 2)
     return np.asarray(data, dtype=float)

@@ -23,7 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import BRACKET_STEP, DeformationParameters, DomainError, PhaseState
+from .algebra import (BRACKET_STEP, DeformationParameters, DomainError, PhaseState,
+                      _gradient, _probes, _values)
 
 EXACT_1D = "exact-1d"
 FIRST_ORDER_1D = "first-order-1d"
@@ -376,29 +377,9 @@ def hamilton_rhs(kind: Hamiltonian, state: PhaseState):
 
 def hamilton_rhs_fd(kind: Hamiltonian, state: PhaseState):
     """(dx/dt, dp/dt) by central differences of the energy; test fallback."""
-    d = state.dim
-    xdot = np.empty(d)
-    pdot = np.empty(d)
-    for i in range(d):
-        hp = BRACKET_STEP * max(1.0, abs(state.p[i]))
-        hx = BRACKET_STEP * max(1.0, abs(state.x[i]))
-        pp = state.p.copy()
-        pm = state.p.copy()
-        pp[i] += hp
-        pm[i] -= hp
-        xdot[i] = (
-            hamiltonian_value(kind, PhaseState(state.x, pp))
-            - hamiltonian_value(kind, PhaseState(state.x, pm))
-        ) / (2.0 * hp)
-        xp = state.x.copy()
-        xm = state.x.copy()
-        xp[i] += hx
-        xm[i] -= hx
-        pdot[i] = -(
-            hamiltonian_value(kind, PhaseState(xp, state.p))
-            - hamiltonian_value(kind, PhaseState(xm, state.p))
-        ) / (2.0 * hx)
-    return xdot, pdot
+    probes = _probes(state, BRACKET_STEP)
+    grad = _gradient(_values(lambda s: hamiltonian_value(kind, s), probes), probes)
+    return np.array([dh_dp for _, dh_dp in grad]), np.array([-dh_dx for dh_dx, _ in grad])
 
 
 @dataclass(frozen=True)

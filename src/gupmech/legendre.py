@@ -88,25 +88,20 @@ def momentum_from_velocity_first_order(xdot, params: DeformationParameters):
     b = params.beta
     if np.ndim(xdot) == 0:
         v = float(xdot)
-        measure = b * m * m * v * v
-        if measure > SMALL_DEFORMATION_BOUND:
-            warnings.warn(
-                f"beta*m^2*v^2 = {measure:.3g} is outside the small-deformation regime; "
-                "the first-order inversion is an extrapolation here",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return m * v * (1.0 - (4.0 / 3.0) * b * m * m * v * v)
-    v = np.asarray(xdot, dtype=float)
-    vsq = float(v @ v)
-    measure = b * m * m * vsq
+        measure, label = b * m * m * v * v, "v^2"
+    else:
+        v = np.asarray(xdot, dtype=float)
+        vsq = float(v @ v)
+        measure, label = b * m * m * vsq, "|v|^2"
     if measure > SMALL_DEFORMATION_BOUND:
         warnings.warn(
-            f"beta*m^2*|v|^2 = {measure:.3g} is outside the small-deformation regime; "
+            f"beta*m^2*{label} = {measure:.3g} is outside the small-deformation regime; "
             "the first-order inversion is an extrapolation here",
             RuntimeWarning,
             stacklevel=2,
         )
+    if np.ndim(v) == 0:
+        return m * v * (1.0 - (4.0 / 3.0) * b * m * m * v * v)
     return m * v * (1.0 - 2.0 * b * m * m * vsq)
 
 

@@ -290,6 +290,73 @@ def test_out_of_range_numeric_flag_is_a_usage_error(capsys, argv):
     assert f"{argv[-2]} must be" in err
 
 
+RELATIVISTIC_RUN = """\
+model.kind = relativistic-first-order-1d
+model.mass = 1.0
+model.beta = 0.0001
+model.light_speed = 10.0
+initial.x = 0.0
+initial.p = 1.0
+t_end = 1.0
+dt = 0.01
+"""
+
+
+def with_keys(doc, changes):
+    """doc with each key in changes set to its value, or dropped for None."""
+    entries = dict(line.split(" = ", 1) for line in doc.splitlines())
+    entries.update(changes)
+    return "".join(f"{k} = {v}\n" for k, v in entries.items() if v is not None)
+
+
+_SQRT_PLUS = with_keys(FREE_EXACT, {"model.kind": "effective-sqrt", "model.sqrt_sign": "1",
+                                    "model.scale_velocity": "2.0"})
+_LORENTZ = with_keys(BOOST_EXACT, {"boost.scale": None, "boost.law": "lorentz",
+                                   "boost.light_speed": "1.0"})
+
+# Input values whose arithmetic leaves the float range: id -> (command, base, changes).
+_FLOAT_RANGE_FAULTS = {
+    "gamma-overflow": ("simulate", FREE_EXACT, {"model.beta": None, "model.gamma": "1e200"}),
+    "derived-gamma-overflow": ("simulate", FREE_EXACT,
+                               {"model.mass": "1e300", "model.beta": "1e300"}),
+    "tiny-mass": ("simulate", FREE_EXACT, {"model.mass": "5e-324"}),
+    "light-speed-overflow": ("simulate", RELATIVISTIC_RUN, {"model.light_speed": "1e200"}),
+    "light-speed-underflow": ("simulate", RELATIVISTIC_RUN, {"model.light_speed": "1e-300"}),
+    "relativistic-tiny-mass": ("simulate", RELATIVISTIC_RUN, {"model.mass": "1e-300"}),
+    "sqrt-tiny-mass": ("simulate", _SQRT_PLUS, {"model.mass": "1e-200"}),
+    # t_end / dt is inf, so no step array is ever sized
+    "step-count-overflow": ("simulate", FREE_EXACT, {"t_end": "1e200", "dt": "1e-200"}),
+    "boost-velocity-overflow": ("transform", BOOST_EXACT, {"boost.velocity": "1e200"}),
+    "boost-scale-underflow": ("transform", BOOST_EXACT, {"boost.scale": "1e-300"}),
+    "first-order-scale-underflow": ("transform", BOOST_EXACT,
+                                    {"boost.scale": "1e-300", "boost.law": "first-order"}),
+    "lorentz-light-speed-overflow": ("transform", _LORENTZ, {"boost.light_speed": "1e200"}),
+}
+
+
+@pytest.mark.parametrize("command, base, changes", list(_FLOAT_RANGE_FAULTS.values()),
+                         ids=list(_FLOAT_RANGE_FAULTS))
+def test_float_range_fault_is_a_usage_error(tmp_path, capsys, command, base, changes):
+    argv = [command, "--config", write(tmp_path, "range.cfg", with_keys(base, changes))]
+    if command == "transform":
+        argv += ["--events", write(tmp_path, "events.csv", "t,x1\n0.0,1.0\n1.0,-2.0\n")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("gupmech: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert "range.cfg" in err or "model." in err
+
+
+def test_constants_mass_overflow_is_a_usage_error(capsys):
+    # c * gamma / alpha is about 7e207 here, so its square overflows
+    code, out, err = run_cli(capsys, "constants", "--mass", "1e200")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("gupmech: error: a value in the command line left the float range: "
+                          "OverflowError") and err.count("\n") == 1
+
+
 class TestUnitsFlag:
     def test_environment_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("GUP_UNITS", "SI")

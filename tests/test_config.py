@@ -186,6 +186,17 @@ SINGLE_FAULTS = {
         "line 4: boost.light_speed given without boost.velocity", 4),
     "no-velocity-law": (
         MINIMAL + "boost.law = exact\n", "line 4: boost.law given without boost.velocity", 4),
+    "overflow-gamma-squared": (
+        MINIMAL + "model.gamma = 1e200\n", "line 4: model.gamma: gamma^2 overflows", 4),
+    "overflow-derived-beta": (
+        "model.kind = exact-1d\nmodel.mass = 1.0\nmodel.gamma = 1e200\n",
+        "line 3: model.gamma: model.beta = (gamma / mass)^2 overflows", 3),
+    "overflow-derived-beta-small-mass": (
+        "model.kind = exact-1d\nmodel.mass = 1e-300\nmodel.gamma = 1.0\n",
+        "line 3: model.gamma: model.beta = (gamma / mass)^2 overflows", 3),
+    "overflow-derived-gamma": (
+        "model.kind = exact-1d\nmodel.mass = 1e300\nmodel.beta = 1e300\n",
+        "line 3: model.beta: model.gamma = sqrt(beta) * mass overflows", 3),
 }
 
 

@@ -206,6 +206,27 @@ class TestHamiltonRhs:
         assert float(np.max(np.abs(pdot - pdot_fd))) / scale < 1e-6
 
     @pytest.mark.parametrize("kind", CONFIGURATIONS, ids=config_id)
+    def test_finite_difference_is_the_per_axis_central_difference(self, kind):
+        # An independent per-axis loop with the step h * max(1, |coordinate|).
+        def energy(x, p):
+            return hamiltonian_value(kind, PhaseState(x, p))
+
+        state = probe_state(kind)
+        h = np.finfo(float).eps ** (1.0 / 3.0)
+        want_xdot, want_pdot = [], []
+        for i in range(kind.dim):
+            unit = np.eye(kind.dim)[i]
+            hx = h * max(1.0, abs(float(state.x[i])))
+            hp = h * max(1.0, abs(float(state.p[i])))
+            want_xdot.append((energy(state.x, state.p + hp * unit)
+                              - energy(state.x, state.p - hp * unit)) / (2.0 * hp))
+            want_pdot.append(-(energy(state.x + hx * unit, state.p)
+                               - energy(state.x - hx * unit, state.p)) / (2.0 * hx))
+        xdot, pdot = hamilton_rhs_fd(kind, state)
+        assert [v.hex() for v in xdot.tolist()] == [v.hex() for v in want_xdot]
+        assert [v.hex() for v in pdot.tolist()] == [v.hex() for v in want_pdot]
+
+    @pytest.mark.parametrize("kind", CONFIGURATIONS, ids=config_id)
     def test_rest_has_zero_velocity(self, kind):
         xdot, pdot = hamilton_rhs(kind, probe_state(kind, p=[0.0] * kind.dim))
         assert np.all(xdot == 0.0)

@@ -44,15 +44,18 @@ class TestFirstOrderInversion:
         expect = 0.5 * (1.0 - 2.0 * 0.01 * 0.25)
         np.testing.assert_allclose(got, [expect, 0.0, 0.0], rtol=1e-15)
 
-    def test_warns_outside_small_deformation_regime(self):
+    # beta m^2 |v|^2 = 0.16 and 0.09 against the bound 0.1, in 1D and 3D
+    @pytest.mark.parametrize("velocity", [4.0, [2.4, 0.0, 3.2]], ids=["1d", "3d"])
+    def test_warns_outside_small_deformation_regime(self, velocity):
         with pytest.warns(RuntimeWarning, match="small-deformation"):
-            momentum_from_velocity_first_order(4.0, params_of(0.01))
+            momentum_from_velocity_first_order(velocity, params_of(0.01))
 
-    def test_silent_inside_the_regime(self):
+    @pytest.mark.parametrize("velocity", [3.0, [0.0, 1.8, 2.4]], ids=["1d", "3d"])
+    def test_silent_inside_the_regime(self, velocity):
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            momentum_from_velocity_first_order(3.0, params_of(0.01))
+            momentum_from_velocity_first_order(velocity, params_of(0.01))
 
 
 class TestExactInversion:
