@@ -1,5 +1,6 @@
 """Scenario documents: scanning, validation, rendering, CSV tables."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from gupmech.csvio import (
     write_events,
     write_trajectory,
 )
-from gupmech.dynamics import Hamiltonian, PhaseState, integrate
+from gupmech.dynamics import Hamiltonian, PhaseState, Trajectory, integrate
 from gupmech.frames import GalileanBoost, LorentzBoost
 from gupmech.algebra import DeformationParameters
 
@@ -431,6 +432,33 @@ class TestRender:
         assert parse_config(render_config(config)) == config
 
 
+# Cells whose repr() is easy to get wrong: signed zero, subnormals, 17
+# significant digits, exponent forms and whole numbers.
+_AWKWARD_CELLS = (-0.0, 0.0, 5e-324, -2.225073858507203e-309, 0.30000000000000004,
+                  -1.2345678901234567e-07, 1.7976931348623157e308, 1e16, 1e-5, 3.0)
+
+
+def seeded_trajectory(dim, rows=2500):
+    """A Trajectory of seeded values over many magnitudes, longer than one write block."""
+    rng = np.random.default_rng(20 + dim)
+    width = 2 * dim + 1
+    cells = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+    for k, value in enumerate(_AWKWARD_CELLS):
+        cells[(37 * k) % rows::len(_AWKWARD_CELLS) * 11, k % width] = value
+    times = np.cumsum(rng.uniform(0.001, 0.1, rows)) - 0.05
+    times[0] = -0.0
+    return Trajectory(times=times, positions=cells[:, :dim], momenta=cells[:, dim:2 * dim],
+                      energies=cells[:, 2 * dim], step=0.05)
+
+
+# sha256 of write_trajectory(seeded_trajectory(dim)), recorded from the
+# writer that formatted one numpy scalar per cell.
+PINNED_TRAJECTORY_SHA256 = {
+    1: "cf2c18c78fe6abed1819d05ec16038ff69f5d04448403b3e9ae76522fbdf61f2",
+    3: "371649da987193c9912cc32e959266cb3b359d49db46384fee19f5d635b15865",
+}
+
+
 class TestTrajectoryCsv:
     def _trajectory(self):
         kind = Hamiltonian.first_order_1d(
@@ -478,6 +506,15 @@ class TestTrajectoryCsv:
         path.write_text("")
         with pytest.raises(CsvFormatError, match="empty"):
             read_trajectory(path)
+
+    @pytest.mark.parametrize("dim", sorted(PINNED_TRAJECTORY_SHA256))
+    def test_written_bytes_are_pinned(self, tmp_path, dim):
+        path = tmp_path / "traj.csv"
+        write_trajectory(path, seeded_trajectory(dim))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TRAJECTORY_SHA256[dim]
+        np.testing.assert_array_equal(read_trajectory(path).positions,
+                                      seeded_trajectory(dim).positions)
+
 
 
 class TestEventCsv:
