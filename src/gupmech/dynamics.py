@@ -92,6 +92,17 @@ class Potential:
             return (lambda x: -f * float(x[0])), (lambda x: np.array([f, 0.0, 0.0]))
         return (lambda x: 0.0), (lambda x: 0.0 * x)
 
+    def triples(self):
+        """(U, -dU/dx) as functions of three floats x1, x2, x3; the force is a 3-tuple."""
+        k = self.stiffness
+        f = self.force
+        if self.kind == POTENTIAL_HARMONIC:
+            return ((lambda a, b, c: 0.5 * k * (a * a + b * b + c * c)),
+                    (lambda a, b, c: (-k * a, -k * b, -k * c)))
+        if self.kind == POTENTIAL_UNIFORM_FIELD:
+            return (lambda a, b, c: -f * a), (lambda a, b, c: (f, 0.0, 0.0))
+        return (lambda a, b, c: 0.0), (lambda a, b, c: (0.0 * a, 0.0 * b, 0.0 * c))
+
     def energy(self, x) -> float:
         if np.ndim(x) == 0:
             return self.terms(1)[0](float(x))
@@ -447,38 +458,65 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
     positions[0] = x
     momenta[0] = p
 
-    # One loop for both dimensions: x and p are floats in 1D and 3-arrays
-    # in 3D, and only `square` tells the two apart.
+    # x and p are floats in 1D.  In 3D each is three floats, because numpy
+    # costs more than the arithmetic on 3-element arrays.
     kin = kind._kinetic
     square, ratio, kinetic_energy = kin.square, kin.ratio, kin.energy
     potential_energy, force = kind._potential_terms
     half = 0.5 * h
     sixth = h / 6.0
-    for k in range(n):
-        try:
-            vx1 = p * ratio(square(p))
-            vp1 = force(x)
-            p2 = p + half * vp1
-            vx2 = p2 * ratio(square(p2))
-            vp2 = force(x + half * vx1)
-            p3 = p + half * vp2
-            vx3 = p3 * ratio(square(p3))
-            vp3 = force(x + half * vx2)
-            p4 = p + h * vp3
-            vx4 = p4 * ratio(square(p4))
-            vp4 = force(x + h * vx3)
-            x = x + sixth * (vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4)
-            p = p + sixth * (vp1 + 2.0 * vp2 + 2.0 * vp3 + vp4)
-            energies[k + 1] = kinetic_energy(square(p)) + potential_energy(x)
-        except DomainError as exc:
-            err = DomainError(
-                f"trajectory left the model domain at step {k + 1} of {n} "
-                f"(t = {(k + 1) * h:.6g}): {exc}"
-            )
-            err.step_index = k + 1
-            raise err from exc
-        positions[k + 1] = x
-        momenta[k + 1] = p
+    try:
+        if kind.dim == 1:
+            for k in range(n):
+                vx1 = p * ratio(square(p))
+                vp1 = force(x)
+                p2 = p + half * vp1
+                vx2 = p2 * ratio(square(p2))
+                vp2 = force(x + half * vx1)
+                p3 = p + half * vp2
+                vx3 = p3 * ratio(square(p3))
+                vp3 = force(x + half * vx2)
+                p4 = p + h * vp3
+                vx4 = p4 * ratio(square(p4))
+                vp4 = force(x + h * vx3)
+                x = x + sixth * (vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4)
+                p = p + sixth * (vp1 + 2.0 * vp2 + 2.0 * vp3 + vp4)
+                energies[k + 1] = kinetic_energy(square(p)) + potential_energy(x)
+                positions[k + 1] = x
+                momenta[k + 1] = p
+        else:
+            potential_energy, force = kind.potential.triples()
+
+            def velocity(s1, s2, s3):
+                r = ratio(s1 * s1 + s2 * s2 + s3 * s3)
+                return s1 * r, s2 * r, s3 * r
+            (x1, x2, x3), (p1, p2, p3) = x.tolist(), p.tolist()
+            for k in range(n):
+                a1, a2, a3 = velocity(p1, p2, p3)
+                f1, f2, f3 = force(x1, x2, x3)
+                b1, b2, b3 = velocity(p1 + half * f1, p2 + half * f2, p3 + half * f3)
+                g1, g2, g3 = force(x1 + half * a1, x2 + half * a2, x3 + half * a3)
+                c1, c2, c3 = velocity(p1 + half * g1, p2 + half * g2, p3 + half * g3)
+                e1, e2, e3 = force(x1 + half * b1, x2 + half * b2, x3 + half * b3)
+                d1, d2, d3 = velocity(p1 + h * e1, p2 + h * e2, p3 + h * e3)
+                j1, j2, j3 = force(x1 + h * c1, x2 + h * c2, x3 + h * c3)
+                x1 = x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+                x2 = x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+                x3 = x3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+                p1 = p1 + sixth * (f1 + 2.0 * g1 + 2.0 * e1 + j1)
+                p2 = p2 + sixth * (f2 + 2.0 * g2 + 2.0 * e2 + j2)
+                p3 = p3 + sixth * (f3 + 2.0 * g3 + 2.0 * e3 + j3)
+                energies[k + 1] = (kinetic_energy(p1 * p1 + p2 * p2 + p3 * p3)
+                                   + potential_energy(x1, x2, x3))
+                positions[k + 1] = x1, x2, x3
+                momenta[k + 1] = p1, p2, p3
+    except DomainError as exc:
+        err = DomainError(
+            f"trajectory left the model domain at step {k + 1} of {n} "
+            f"(t = {(k + 1) * h:.6g}): {exc}"
+        )
+        err.step_index = k + 1
+        raise err from exc
 
     return Trajectory(times=times, positions=positions.reshape(n + 1, kind.dim),
                       momenta=momenta.reshape(n + 1, kind.dim), energies=energies, step=h)

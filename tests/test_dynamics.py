@@ -288,6 +288,22 @@ POTENTIALS = {
 }
 
 
+def reference_rk4_3d(kind, state, t_end, n):
+    """Every row of classic RK4 on 3-arrays through hamilton_rhs and hamiltonian_value."""
+    h = t_end / n
+    x, p = state.x, state.p
+    rows = [(x, p, hamiltonian_value(kind, state))]
+    for _ in range(n):
+        vx1, vp1 = hamilton_rhs(kind, PhaseState(x, p))
+        vx2, vp2 = hamilton_rhs(kind, PhaseState(x + 0.5 * h * vx1, p + 0.5 * h * vp1))
+        vx3, vp3 = hamilton_rhs(kind, PhaseState(x + 0.5 * h * vx2, p + 0.5 * h * vp2))
+        vx4, vp4 = hamilton_rhs(kind, PhaseState(x + h * vx3, p + h * vp3))
+        x = x + h / 6.0 * (vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4)
+        p = p + h / 6.0 * (vp1 + 2.0 * vp2 + 2.0 * vp3 + vp4)
+        rows.append((x, p, hamiltonian_value(kind, PhaseState(x, p))))
+    return tuple(np.array(column) for column in zip(*rows))
+
+
 class TestIntegrate:
     @pytest.mark.parametrize("potential", POTENTIALS)
     @pytest.mark.parametrize("kind", CONFIGURATIONS, ids=config_id)
@@ -341,6 +357,28 @@ class TestIntegrate:
         assert isinstance(err.value.step_index, int)
         assert err.value.step_index >= 1
         assert "step" in str(err.value)
+
+    def test_domain_exit_reports_step_index_3d(self):
+        # A uniform field along axis 1 drives beta |p|^2 past 1.
+        kind = Hamiltonian.exact_3d(params_of(1.0), Potential.uniform_field(5.0))
+        with pytest.raises(DomainError) as err:
+            integrate(kind, PhaseState.of([0.0, 0.1, -0.2], [0.4, -0.3, 0.2]),
+                      t_end=1.0, dt=0.01)
+        assert type(err.value.step_index) is int
+        assert err.value.step_index == 11
+        assert str(err.value) == (
+            "trajectory left the model domain at step 11 of 100 (t = 0.11): momentum "
+            "outside the exact-3d domain (beta*|p|^2 = 1.0325 >= 1)")
+
+    @pytest.mark.parametrize("potential", POTENTIALS)
+    @pytest.mark.parametrize("kind", [k for k in CONFIGURATIONS if k.dim == 3], ids=config_id)
+    def test_every_3d_row_matches_array_reference(self, kind, potential):
+        kind = dataclasses.replace(kind, potential=POTENTIALS[potential])
+        traj = integrate(kind, probe_state(kind), t_end=2.0, dt=0.01)
+        positions, momenta, energies = reference_rk4_3d(kind, probe_state(kind), 2.0, 200)
+        np.testing.assert_allclose(traj.positions, positions, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(traj.momenta, momenta, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(traj.energies, energies, rtol=1e-12, atol=0.0)
 
     def test_bad_initial_state_named_as_such(self):
         kind = Hamiltonian.exact_1d(params_of(1.0))
