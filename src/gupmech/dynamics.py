@@ -436,7 +436,9 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
 
     The requested dt is rounded so that a whole number of uniform steps
     lands exactly on t_end.  A DomainError raised mid-run is re-raised
-    with the offending step index attached (attribute `step_index`).
+    with the offending step index attached (attribute `step_index`).  A
+    non-finite energy or state raises FloatingPointError naming the
+    initial state or the first step that holds one.
     """
     x, p = components(kind, initial.x), components(kind, initial.p)
     if not (math.isfinite(t_end) and t_end > 0.0):
@@ -455,6 +457,8 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
         energies[0] = hamiltonian_value(kind, initial)
     except DomainError as exc:
         raise DomainError(f"initial state outside the model domain: {exc}") from exc
+    if not math.isfinite(energies[0]):
+        raise FloatingPointError(f"initial state has a non-finite energy ({energies[0]})")
     positions[0] = x
     momenta[0] = p
 
@@ -518,8 +522,14 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
         err.step_index = k + 1
         raise err from exc
 
-    return Trajectory(times=times, positions=positions.reshape(n + 1, kind.dim),
-                      momenta=momenta.reshape(n + 1, kind.dim), energies=energies, step=h)
+    positions, momenta = positions.reshape(n + 1, kind.dim), momenta.reshape(n + 1, kind.dim)
+    finite = np.isfinite(energies) & np.isfinite(positions).all(1) & np.isfinite(momenta).all(1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise FloatingPointError(f"trajectory left the float range at step {k} of {n} "
+                                 f"(t = {k * h:.6g})")
+    return Trajectory(times=times, positions=positions, momenta=momenta,
+                      energies=energies, step=h)
 
 
 def energy_drift(traj: Trajectory) -> float:

@@ -103,6 +103,20 @@ class TestSimulate:
         assert "domain error" in err
         assert "step" in err
 
+    @pytest.mark.parametrize("x0, named", [("1e200", "initial state"), ("1e50", "step 1 of 2")])
+    def test_non_finite_run_writes_no_trajectory(self, tmp_path, capsys, x0, named):
+        # 0.5 k x0^2 overflows at once for x0 = 1e200; for x0 = 1e50 the
+        # first step's momentum makes the quartic energy overflow.
+        cfg = write(tmp_path, "overflow.cfg",
+                    "model.kind = first-order-1d\nmodel.mass = 1.0\nmodel.beta = 0.01\n"
+                    "model.potential = harmonic\nmodel.stiffness = 1e200\n"
+                    f"initial.x = {x0}\ninitial.p = 0\nt_end = 1\ndt = 0.5\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("gupmech: error: ") and named in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "simulate", "--config",
                                str(tmp_path / "nope.cfg"))

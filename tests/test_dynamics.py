@@ -380,6 +380,19 @@ class TestIntegrate:
         np.testing.assert_allclose(traj.momenta, momenta, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(traj.energies, energies, rtol=1e-12, atol=0.0)
 
+    def test_non_finite_energy_refused_naming_initial_state_or_step(self):
+        kind = Hamiltonian.first_order_1d(params_of(0.01), Potential.harmonic(1e200))
+        with pytest.raises(FloatingPointError, match="initial state"):
+            integrate(kind, PhaseState.of(1e200, 0.0), t_end=1.0, dt=0.5)
+        with pytest.raises(FloatingPointError, match=r"at step 1 of 2 \(t = 0.5\)"):
+            integrate(kind, PhaseState.of(1e50, 0.0), t_end=1.0, dt=0.5)
+
+    def test_position_overflow_refused_with_finite_energy(self):
+        kind = Hamiltonian.exact_3d(params_of(0.01))
+        with pytest.raises(FloatingPointError, match="at step 1 of 1"):
+            integrate(kind, PhaseState.of([1.7e308, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                      t_end=1e308, dt=1e308)
+
     def test_bad_initial_state_named_as_such(self):
         kind = Hamiltonian.exact_1d(params_of(1.0))
         with pytest.raises(DomainError, match="initial state"):
