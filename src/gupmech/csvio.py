@@ -13,6 +13,10 @@ from typing import List, NamedTuple
 import numpy as np
 
 
+# rows per stacked block of a trajectory write; stacking the whole table copies every array
+_BLOCK_ROWS = 256
+
+
 class CsvFormatError(ValueError):
     """Malformed CSV content; carries the 1-based row number."""
 
@@ -41,16 +45,12 @@ def event_header(dim: int) -> List[str]:
 
 
 def write_trajectory(path, trajectory) -> None:
-    dim = trajectory.positions.shape[1]
+    columns = (trajectory.times, trajectory.positions, trajectory.momenta, trajectory.energies)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(trajectory_header(dim))
-        for k in range(len(trajectory.times)):
-            row = ([repr(float(trajectory.times[k]))]
-                   + [repr(float(v)) for v in trajectory.positions[k]]
-                   + [repr(float(v)) for v in trajectory.momenta[k]]
-                   + [repr(float(trajectory.energies[k]))])
-            writer.writerow(row)
+        handle.write(",".join(trajectory_header(trajectory.positions.shape[1])) + "\n")
+        for start in range(0, len(trajectory), _BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns]).tolist()
+            handle.writelines(",".join(map(repr, row)) + "\n" for row in block)
 
 
 def _parse_row(row, width, row_no):
