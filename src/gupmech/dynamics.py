@@ -490,26 +490,28 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
                 momenta[k + 1] = p
         else:
             potential_energy, force = kind.potential.triples()
+            (x1, x2, x3), (p1, p2, p3) = x.tolist(), p.tolist()
 
             def velocity(s1, s2, s3):
                 r = ratio(s1 * s1 + s2 * s2 + s3 * s3)
                 return s1 * r, s2 * r, s3 * r
-            (x1, x2, x3), (p1, p2, p3) = x.tolist(), p.tolist()
+
+            # stage rates: velocities a, b, c, d and forces fa, fb, fc, fd
             for k in range(n):
                 a1, a2, a3 = velocity(p1, p2, p3)
-                f1, f2, f3 = force(x1, x2, x3)
-                b1, b2, b3 = velocity(p1 + half * f1, p2 + half * f2, p3 + half * f3)
-                g1, g2, g3 = force(x1 + half * a1, x2 + half * a2, x3 + half * a3)
-                c1, c2, c3 = velocity(p1 + half * g1, p2 + half * g2, p3 + half * g3)
-                e1, e2, e3 = force(x1 + half * b1, x2 + half * b2, x3 + half * b3)
-                d1, d2, d3 = velocity(p1 + h * e1, p2 + h * e2, p3 + h * e3)
-                j1, j2, j3 = force(x1 + h * c1, x2 + h * c2, x3 + h * c3)
+                fa1, fa2, fa3 = force(x1, x2, x3)
+                b1, b2, b3 = velocity(p1 + half * fa1, p2 + half * fa2, p3 + half * fa3)
+                fb1, fb2, fb3 = force(x1 + half * a1, x2 + half * a2, x3 + half * a3)
+                c1, c2, c3 = velocity(p1 + half * fb1, p2 + half * fb2, p3 + half * fb3)
+                fc1, fc2, fc3 = force(x1 + half * b1, x2 + half * b2, x3 + half * b3)
+                d1, d2, d3 = velocity(p1 + h * fc1, p2 + h * fc2, p3 + h * fc3)
+                fd1, fd2, fd3 = force(x1 + h * c1, x2 + h * c2, x3 + h * c3)
                 x1 = x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
                 x2 = x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
                 x3 = x3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
-                p1 = p1 + sixth * (f1 + 2.0 * g1 + 2.0 * e1 + j1)
-                p2 = p2 + sixth * (f2 + 2.0 * g2 + 2.0 * e2 + j2)
-                p3 = p3 + sixth * (f3 + 2.0 * g3 + 2.0 * e3 + j3)
+                p1 = p1 + sixth * (fa1 + 2.0 * fb1 + 2.0 * fc1 + fd1)
+                p2 = p2 + sixth * (fa2 + 2.0 * fb2 + 2.0 * fc2 + fd2)
+                p3 = p3 + sixth * (fa3 + 2.0 * fb3 + 2.0 * fc3 + fd3)
                 energies[k + 1] = (kinetic_energy(p1 * p1 + p2 * p2 + p3 * p3)
                                    + potential_energy(x1, x2, x3))
                 positions[k + 1] = x1, x2, x3
