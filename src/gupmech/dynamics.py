@@ -466,11 +466,11 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
     # costs more than the arithmetic on 3-element arrays.
     kin = kind._kinetic
     square, ratio, kinetic_energy = kin.square, kin.ratio, kin.energy
-    potential_energy, force = kind._potential_terms
     half = 0.5 * h
     sixth = h / 6.0
     try:
         if kind.dim == 1:
+            potential_energy, force = kind._potential_terms
             for k in range(n):
                 vx1 = p * ratio(square(p))
                 vp1 = force(x)

@@ -510,10 +510,10 @@ class TestTrajectoryCsv:
     @pytest.mark.parametrize("dim", sorted(PINNED_TRAJECTORY_SHA256))
     def test_written_bytes_are_pinned(self, tmp_path, dim):
         path = tmp_path / "traj.csv"
-        write_trajectory(path, seeded_trajectory(dim))
+        traj = seeded_trajectory(dim)
+        write_trajectory(path, traj)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TRAJECTORY_SHA256[dim]
-        np.testing.assert_array_equal(read_trajectory(path).positions,
-                                      seeded_trajectory(dim).positions)
+        np.testing.assert_array_equal(read_trajectory(path).positions, traj.positions)
 
 
 
