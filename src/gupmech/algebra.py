@@ -94,6 +94,14 @@ class PhaseState:
     def of(cls, x, p) -> "PhaseState":
         return cls(x=np.asarray(x, dtype=float), p=np.asarray(p, dtype=float))
 
+    @classmethod
+    def _unchecked(cls, x: np.ndarray, p: np.ndarray) -> "PhaseState":
+        """A state from read-only float arrays already known to be valid; no copy, no check."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "x", x)
+        object.__setattr__(state, "p", p)
+        return state
+
     @property
     def dim(self) -> int:
         return self.x.size
@@ -152,24 +160,32 @@ def bracket_xp_3d(P, i: int, j: int, params: DeformationParameters) -> float:
     return math.sqrt(1.0 + b * float(P @ P)) * (delta + b * P[i - 1] * P[j - 1])
 
 
+def _shifted(v: np.ndarray, i: int, value: float) -> np.ndarray:
+    """A read-only copy of v with entry i set to value, which must be finite."""
+    if not math.isfinite(value):
+        raise ValueError("phase-space components must be finite")
+    v = v.copy()
+    v[i] = value
+    v.setflags(write=False)
+    return v
+
+
 def _probes(state: PhaseState, step_scale: float):
     """Per axis, the steps (hx, hp) and the shifted states (x+, x-, p+, p-).
 
-    Per coordinate the step is step_scale * max(1, |coordinate|).
+    Per coordinate the step is step_scale * max(1, |coordinate|).  Each
+    shifted state shares the unmoved array with `state`, so only the
+    moved coordinate needs checking.
     """
+    x, p = state.x, state.p
     probes = []
-    for i in range(state.dim):
-        hx = step_scale * max(1.0, abs(float(state.x[i])))
-        hp = step_scale * max(1.0, abs(float(state.p[i])))
-        shifted = []
-        for amount in (hx, -hx):
-            x = state.x.copy()
-            x[i] += amount
-            shifted.append(PhaseState(x=x, p=state.p))
-        for amount in (hp, -hp):
-            p = state.p.copy()
-            p[i] += amount
-            shifted.append(PhaseState(x=state.x, p=p))
+    for i, (xi, pi) in enumerate(zip(x.tolist(), p.tolist())):
+        hx = step_scale * max(1.0, abs(xi))
+        hp = step_scale * max(1.0, abs(pi))
+        shifted = [PhaseState._unchecked(_shifted(x, i, xi + hx), p),
+                   PhaseState._unchecked(_shifted(x, i, xi - hx), p),
+                   PhaseState._unchecked(x, _shifted(p, i, pi + hp)),
+                   PhaseState._unchecked(x, _shifted(p, i, pi - hp))]
         probes.append((hx, hp, shifted))
     return probes
 

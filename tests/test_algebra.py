@@ -21,6 +21,7 @@ from gupmech.algebra import (
     momentum_map_1d,
     momentum_map_3d,
     numerical_bracket,
+    _probes,
 )
 
 FD_TOL = 10.0 * BRACKET_STEP ** 2
@@ -63,6 +64,36 @@ class TestPhaseState:
     def test_two_component_states_rejected(self):
         with pytest.raises(ValueError):
             PhaseState.of([1.0, 2.0], [0.1, 0.2])
+
+
+class TestProbes:
+    STATE = PhaseState.of([1.0, -2.5, 0.3], [0.1, 40.0, -0.7])
+
+    def test_probe_arrays_are_read_only(self):
+        for _, _, shifted in _probes(self.STATE, BRACKET_STEP):
+            for probe in shifted:
+                for v in (probe.x, probe.p):
+                    with pytest.raises(ValueError):
+                        v[0] = 9.0
+
+    def test_each_probe_is_the_state_with_one_coordinate_moved(self):
+        x, p = self.STATE.x, self.STATE.p
+        for i, (hx, hp, shifted) in enumerate(_probes(self.STATE, BRACKET_STEP)):
+            assert hx == BRACKET_STEP * max(1.0, abs(x[i]))
+            assert hp == BRACKET_STEP * max(1.0, abs(p[i]))
+            unit = np.eye(3)[i]
+            expected = [(x + hx * unit, p), (x - hx * unit, p),
+                        (x, p + hp * unit), (x, p - hp * unit)]
+            for probe, (ex, ep) in zip(shifted, expected):
+                assert probe.dim == 3
+                assert probe.x.tolist() == ex.tolist() and probe.p.tolist() == ep.tolist()
+
+    @pytest.mark.parametrize("x, p", [(1.7e308, 0.0), (0.0, -1.7e308)])
+    def test_probe_past_the_float_range_raises(self, x, p):
+        # a step of a tenth of the coordinate carries it past the largest float
+        with pytest.raises(ValueError, match="^phase-space components must be finite$"):
+            numerical_bracket(coordinate_function(), lambda state: float(state.p[0]),
+                              PhaseState.of(x, p), step_scale=0.1)
 
 
 class TestMomentumMap1d:
