@@ -135,9 +135,15 @@ class Kinetic:
 
 
 def _radius(model: str, s: float, limit: float) -> float:
-    """|p| = sqrt(s), refused unless strictly inside the domain |p| < limit."""
+    """|p| = sqrt(s), refused unless strictly inside the domain |p| < limit.
+
+    An infinite |p| left the float range rather than the domain, and
+    raises OverflowError.
+    """
     q = math.sqrt(s)
     if q >= limit:
+        if q == math.inf:
+            raise OverflowError(f"momentum |p| overflowed in the {model} model")
         raise DomainError(f"momentum |p| = {q:.6g} outside the {model} domain (|p| < {limit:.6g})")
     return q
 
@@ -165,12 +171,19 @@ def _exact_1d(kind) -> Kinetic:
     sb = math.sqrt(b)
     limit = (math.pi / 2.0) / sb
 
+    # The domain test is inline; _radius is called only to raise.
     def energy(s):
-        t = math.tan(sb * _radius(EXACT_1D, s, limit))
+        q = math.sqrt(s)
+        if q >= limit:
+            _radius(EXACT_1D, s, limit)
+        t = math.tan(sb * q)
         return t * t / (2.0 * m * b)
 
     def ratio(s):
-        z = sb * _radius(EXACT_1D, s, limit)
+        q = math.sqrt(s)
+        if q >= limit:
+            _radius(EXACT_1D, s, limit)
+        z = sb * q
         if z == 0.0:
             return 1.0 / m  # tan z / z -> 1
         c = math.cos(z)
@@ -437,8 +450,9 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
     The requested dt is rounded so that a whole number of uniform steps
     lands exactly on t_end.  A DomainError raised mid-run is re-raised
     with the offending step index attached (attribute `step_index`).  A
-    non-finite energy or state raises FloatingPointError naming the
-    initial state or the first step that holds one.
+    non-finite energy or state, or an arithmetic fault such as an
+    overflow mid-run, raises FloatingPointError naming the initial state
+    or the first step that holds one.
     """
     x, p = components(kind, initial.x), components(kind, initial.p)
     if not (math.isfinite(t_end) and t_end > 0.0):
@@ -464,28 +478,32 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
 
     # x and p are floats in 1D.  In 3D each is three floats, because numpy
     # costs more than the arithmetic on 3-element arrays.
+    def left_float_range(step):
+        return FloatingPointError(f"trajectory left the float range at step {step} of {n} "
+                                  f"(t = {step * h:.6g})")
+
     kin = kind._kinetic
-    square, ratio, kinetic_energy = kin.square, kin.ratio, kin.energy
+    ratio, kinetic_energy = kin.ratio, kin.energy
     half = 0.5 * h
     sixth = h / 6.0
     try:
         if kind.dim == 1:
             potential_energy, force = kind._potential_terms
             for k in range(n):
-                vx1 = p * ratio(square(p))
+                vx1 = p * ratio(p * p)
                 vp1 = force(x)
                 p2 = p + half * vp1
-                vx2 = p2 * ratio(square(p2))
+                vx2 = p2 * ratio(p2 * p2)
                 vp2 = force(x + half * vx1)
                 p3 = p + half * vp2
-                vx3 = p3 * ratio(square(p3))
+                vx3 = p3 * ratio(p3 * p3)
                 vp3 = force(x + half * vx2)
                 p4 = p + h * vp3
-                vx4 = p4 * ratio(square(p4))
+                vx4 = p4 * ratio(p4 * p4)
                 vp4 = force(x + h * vx3)
                 x = x + sixth * (vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4)
                 p = p + sixth * (vp1 + 2.0 * vp2 + 2.0 * vp3 + vp4)
-                energies[k + 1] = kinetic_energy(square(p)) + potential_energy(x)
+                energies[k + 1] = kinetic_energy(p * p) + potential_energy(x)
                 positions[k + 1] = x
                 momenta[k + 1] = p
         else:
@@ -523,13 +541,13 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
         )
         err.step_index = k + 1
         raise err from exc
+    except ArithmeticError as exc:
+        raise left_float_range(k + 1) from exc
 
     positions, momenta = positions.reshape(n + 1, kind.dim), momenta.reshape(n + 1, kind.dim)
     finite = np.isfinite(energies) & np.isfinite(positions).all(1) & np.isfinite(momenta).all(1)
     if not finite.all():
-        k = int(np.argmin(finite))
-        raise FloatingPointError(f"trajectory left the float range at step {k} of {n} "
-                                 f"(t = {k * h:.6g})")
+        raise left_float_range(int(np.argmin(finite)))
     return Trajectory(times=times, positions=positions, momenta=momenta,
                       energies=energies, step=h)
 

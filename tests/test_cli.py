@@ -117,6 +117,22 @@ class TestSimulate:
         assert err.startswith("gupmech: error: ") and named in err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("mass, force", [("1e-10", "1e150"), ("1", "1e200")],
+                             ids=["ratio-overflow", "momentum-overflow"])
+    def test_overflow_inside_a_step_names_the_step(self, tmp_path, capsys, mass, force):
+        # The first stage pushes |p| to force * dt / 2.  With the small mass,
+        # (|p| / (m w))^2 overflows; with the large force, |p|^2 is inf.
+        cfg = write(tmp_path, "overflow.cfg",
+                    "model.kind = effective-sqrt\nmodel.sqrt_sign = 1\n"
+                    f"model.mass = {mass}\nmodel.beta = 0.01\nmodel.scale_velocity = 1.0\n"
+                    f"model.potential = uniform-field\nmodel.force = {force}\n"
+                    "initial.x = 0\ninitial.p = 0\nt_end = 2\ndt = 1\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("gupmech: error: ") and "step 1 of 2" in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "simulate", "--config",
                                str(tmp_path / "nope.cfg"))
