@@ -301,6 +301,18 @@ def parse_config(text: str) -> ScenarioConfig:
     elif not has_beta:
         values["model.beta"] = finite("model.gamma", "model.beta = (gamma / mass)^2",
                                       lambda: (values["model.gamma"] / mass) ** 2)
+    if "model.light_speed" in values:
+        # the relativistic model's rest energy and the inverse in its quartic coefficient
+        c = values["model.light_speed"]
+        for what, compute in (("m c^2", lambda: mass * c ** 2),
+                              ("1 / (8 m^2 c^2)", lambda: 1.0 / (8.0 * mass * mass * c * c))):
+            try:
+                in_range = 0.0 < compute() < math.inf
+            except ArithmeticError:
+                in_range = False
+            if not in_range:
+                raise ConfigError(f"model.light_speed: {what} leaves the float range "
+                                  f"with model.mass = {mass!r}", line_of("model.light_speed"))
     config = ScenarioConfig(**{_KEYS[key][0]: value for key, value in values.items()})
     for key in ("initial.x", "initial.p"):
         if key in values and len(values[key]) != config.dim:

@@ -198,6 +198,17 @@ SINGLE_FAULTS = {
     "overflow-derived-gamma": (
         "model.kind = exact-1d\nmodel.mass = 1e300\nmodel.beta = 1e300\n",
         "line 3: model.beta: model.gamma = sqrt(beta) * mass overflows", 3),
+    "range-light-speed-overflow": (
+        RELATIVISTIC + "model.light_speed = 1e200\n",
+        "line 4: model.light_speed: m c^2 leaves the float range with model.mass = 1.0", 4),
+    "range-light-speed-underflow": (
+        RELATIVISTIC + "model.light_speed = 1e-300\n",
+        "line 4: model.light_speed: m c^2 leaves the float range with model.mass = 1.0", 4),
+    "range-light-speed-tiny-mass": (
+        RELATIVISTIC.replace("model.mass = 1.0", "model.mass = 1e-300")
+        + "model.light_speed = 10.0\n",
+        "line 4: model.light_speed: 1 / (8 m^2 c^2) leaves the float range "
+        "with model.mass = 1e-300", 4),
 }
 
 
