@@ -137,8 +137,7 @@ class Kinetic:
 def _radius(model: str, s: float, limit: float) -> float:
     """|p| = sqrt(s), refused unless strictly inside the domain |p| < limit.
 
-    An infinite |p| left the float range rather than the domain, and
-    raises OverflowError.
+    An infinite |p| left the float range, not the domain: OverflowError.
     """
     q = math.sqrt(s)
     if q >= limit:
@@ -476,12 +475,12 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
     positions[0] = x
     momenta[0] = p
 
-    # x and p are floats in 1D.  In 3D each is three floats, because numpy
-    # costs more than the arithmetic on 3-element arrays.
     def left_float_range(step):
         return FloatingPointError(f"trajectory left the float range at step {step} of {n} "
                                   f"(t = {step * h:.6g})")
 
+    # x and p are floats in 1D.  In 3D each is three floats, because numpy
+    # costs more than the arithmetic on 3-element arrays.
     kin = kind._kinetic
     ratio, kinetic_energy = kin.ratio, kin.energy
     half = 0.5 * h
