@@ -470,6 +470,8 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
         energies[0] = hamiltonian_value(kind, initial)
     except DomainError as exc:
         raise DomainError(f"initial state outside the model domain: {exc}") from exc
+    except ArithmeticError as exc:
+        raise FloatingPointError(f"initial state left the float range: {exc}") from exc
     if not math.isfinite(energies[0]):
         raise FloatingPointError(f"initial state has a non-finite energy ({energies[0]})")
     positions[0] = x

@@ -402,6 +402,11 @@ class TestIntegrate:
             integrate(kind, PhaseState.of(0.0, 0.0), t_end=2.0, dt=1.0)
         assert isinstance(err.value.__cause__, OverflowError)
 
+    def test_overflow_in_the_initial_energy_names_the_initial_state(self):
+        kind = Hamiltonian.effective_sqrt(params_of(0.01), 1.0, sign=+1)
+        with pytest.raises(FloatingPointError, match="^initial state left the float range"):
+            integrate(kind, PhaseState.of(0.0, 1e200), t_end=1.0, dt=0.5)
+
     def test_bad_initial_state_named_as_such(self):
         kind = Hamiltonian.exact_1d(params_of(1.0))
         with pytest.raises(DomainError, match="initial state"):
