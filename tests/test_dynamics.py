@@ -396,8 +396,8 @@ class TestIntegrate:
     @pytest.mark.parametrize("mass, force", [(1e-10, 1e150), (1.0, 1e200)])
     def test_overflow_mid_step_is_a_float_range_fault(self, mass, force):
         # (|p| / (m w))^2 overflows for the small mass; |p|^2 is inf for the large force
-        kind = Hamiltonian.effective_sqrt(DeformationParameters(beta=0.01, mass=mass), 1.0,
-                                          sign=+1, potential=Potential.uniform_field(force))
+        kind = Hamiltonian.effective_sqrt(params_of(0.01, mass), 1.0, sign=+1,
+                                          potential=Potential.uniform_field(force))
         with pytest.raises(FloatingPointError, match=r"at step 1 of 2 \(t = 1\)") as err:
             integrate(kind, PhaseState.of(0.0, 0.0), t_end=2.0, dt=1.0)
         assert isinstance(err.value.__cause__, OverflowError)
