@@ -77,7 +77,10 @@ def _load_config(path):
     except UnicodeDecodeError as err:
         raise ConfigError(
             f"config {path} is not UTF-8 text (byte {err.start}: {err.reason})") from None
-    return parse_config(text)
+    try:
+        return parse_config(text)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None
 
 
 def _cmd_simulate(args) -> int:
@@ -229,8 +232,12 @@ def main(argv=None) -> int:
         return _USAGE_EXIT
     except ArithmeticError as err:
         source = getattr(args, "config", None) or "the command line"
-        print(f"gupmech: error: a value in {source} left the float range: {err!r}",
-              file=sys.stderr)
+        if isinstance(err, FloatingPointError):
+            # integrate's own message names the initial state or the step
+            message = f"{source}: {err}"
+        else:
+            message = f"a value in {source} left the float range: {err!r}"
+        print(f"gupmech: error: {message}", file=sys.stderr)
         return _USAGE_EXIT
 
 

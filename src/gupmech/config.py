@@ -301,19 +301,43 @@ def parse_config(text: str) -> ScenarioConfig:
     elif not has_beta:
         values["model.beta"] = finite("model.gamma", "model.beta = (gamma / mass)^2",
                                       lambda: (values["model.gamma"] / mass) ** 2)
+    config = ScenarioConfig(**{_KEYS[key][0]: value for key, value in values.items()})
+    # Products the relativistic model and the boost laws form from these keys:
+    # (key, what, compute, context), refused on the key's line unless the
+    # product is a positive float.
+    products = []
     if "model.light_speed" in values:
         # the relativistic model's rest energy and the inverse in its quartic coefficient
         c = values["model.light_speed"]
-        for what, compute in (("m c^2", lambda: mass * c ** 2),
-                              ("1 / (8 m^2 c^2)", lambda: 1.0 / (8.0 * mass * mass * c * c))):
-            try:
-                in_range = 0.0 < compute() < math.inf
-            except ArithmeticError:
-                in_range = False
-            if not in_range:
-                raise ConfigError(f"model.light_speed: {what} leaves the float range "
-                                  f"with model.mass = {mass!r}", line_of("model.light_speed"))
-    config = ScenarioConfig(**{_KEYS[key][0]: value for key, value in values.items()})
+        products += [("model.light_speed", what, compute, f" with model.mass = {mass!r}")
+                     for what, compute in (("m c^2", lambda: mass * c ** 2),
+                                           ("1 / (8 m^2 c^2)",
+                                            lambda: 1.0 / (8.0 * mass * mass * c * c)))]
+    if "boost.light_speed" in values:
+        # the Lorentz interval's c^2 dt^2
+        light = values["boost.light_speed"]
+        products.append(("boost.light_speed", "c^2", lambda: light ** 2, ""))
+    if "boost.scale" in values and law != frames.GALILEAN_ORDINARY:
+        # V / u^2 and 1 - V^2 / (2 u^2) in the deformed laws, u^2 dt^2 in the exact interval
+        u = values["boost.scale"]
+        products.append(("boost.scale", "u^2", lambda: u * u, ""))
+    if "boost.velocity" in values and law in (None, frames.GALILEAN_EXACT,
+                                               frames.GALILEAN_FIRST_ORDER):
+        # sqrt(1 + (V / u)^2) in the exact law, (V / u)^2 / 2 in the first-order one
+        speed = values["boost.velocity"]
+        scale = values.get("boost.scale")
+        if scale is None and config.gamma > 0.0:
+            scale = config.derived_scale_velocity()
+        if scale is not None:
+            products.append(("boost.velocity", "1 + (V / u)^2",
+                             lambda: 1.0 + (speed / scale) ** 2, f" with u = {scale!r}"))
+    for key, what, compute, context in products:
+        try:
+            in_range = 0.0 < compute() < math.inf
+        except ArithmeticError:
+            in_range = False
+        if not in_range:
+            raise ConfigError(f"{key}: {what} leaves the float range{context}", line_of(key))
     for key in ("initial.x", "initial.p"):
         if key in values and len(values[key]) != config.dim:
             raise ConfigError(f"{key}: model {kind} needs {config.dim} component(s), "

@@ -4,13 +4,16 @@ import functools
 
 import pytest
 
-from gupmech.checks import run_suite
+from gupmech import dynamics, frames
+from gupmech.checks import _rk4_order_errors, run_suite
 
 # float.hex of each row's `measured` at seed 42, recorded while algebra
 # probes were built through the validating PhaseState constructor and the
-# 1D RK4 loop called its square and radius helpers on every stage.  Rows
-# at round-off, such as dynamics.rk4-order, move with any reordering of
-# arithmetic, so a change that keeps these pins keeps every output bit.
+# 1D RK4 loop called its square and radius helpers on every stage, and
+# dynamics.rk4-order compared dt = 8e-3, 4e-3 and 2e-3 with one shared
+# reference at 2.5e-4.  Rows near round-off, such as the residuals of
+# exact identities, move with any reordering of arithmetic, so a change
+# that keeps these pins keeps every output bit.
 _PINNED_ROWS = {
     "algebra.bracket-1d-representation": "0x1.91abf17c8d19fp-37",
     "algebra.bracket-3d-representation": "0x1.0608800f6fbcap-32",
@@ -25,7 +28,7 @@ _PINNED_ROWS = {
     "dynamics.model-agreement-halving": "0x1.918a467a75cc0p-6",
     "dynamics.effective-sqrt-consistency": "0x1.0cb2977fce66bp-1",
     "dynamics.rhs-fd-agreement": "0x1.014e2a598e89ep-29",
-    "dynamics.rk4-order": "0x1.eac42d1798620p-4",
+    "dynamics.rk4-order": "0x1.c98208292fa00p-10",
     "dynamics.relativistic-coefficient": "0x0.0p+0",
     "legendre.inversion-roundtrip": "0x1.eeac44a7eab55p-37",
     "legendre.first-order-gap-bound": "0x1.077034855d749p-1",
@@ -60,3 +63,27 @@ def test_every_row_is_pinned():
 @pytest.mark.parametrize("name", sorted(_PINNED_ROWS))
 def test_seed_42_measurement_is_pinned(name):
     assert _measured()[name].hex() == _PINNED_ROWS[name]
+
+
+def test_rk4_order_measures_truncation_not_round_off():
+    errors = _rk4_order_errors()
+    assert all(error > 1e-13 for error in errors)
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine == pytest.approx(16.0, abs=0.5)
+
+
+def test_suite_step_count(monkeypatch):
+    # A cost guard without timing: rk4-order takes 4,875 RK4 steps (125 +
+    # 250 + 500 and a 4,000-step reference), the other rows 4,000.
+    steps = []
+    integrate = dynamics.integrate
+
+    def counted(*args, **kwargs):
+        trajectory = integrate(*args, **kwargs)
+        steps.append(len(trajectory) - 1)
+        return trajectory
+
+    for module in (dynamics, frames):
+        monkeypatch.setattr(module, "integrate", counted)
+    run_suite("all")
+    assert sum(steps) == 8875

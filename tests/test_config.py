@@ -209,6 +209,21 @@ SINGLE_FAULTS = {
         + "model.light_speed = 10.0\n",
         "line 4: model.light_speed: 1 / (8 m^2 c^2) leaves the float range "
         "with model.mass = 1e-300", 4),
+    "range-boost-velocity-overflow": (
+        MINIMAL + "boost.velocity = 1e200\nboost.scale = 1.0\n",
+        "line 4: boost.velocity: 1 + (V / u)^2 leaves the float range with u = 1.0", 4),
+    "range-boost-velocity-derived-scale": (
+        MINIMAL + "boost.velocity = 1e200\n",
+        "line 4: boost.velocity: 1 + (V / u)^2 leaves the float range "
+        "with u = 6.123724356957944", 4),
+    "range-boost-scale-underflow": (
+        BOOST + "boost.scale = 1e-300\n", "line 5: boost.scale: u^2 leaves the float range", 5),
+    "range-first-order-scale-underflow": (
+        BOOST + "boost.law = first-order\nboost.scale = 1e-300\n",
+        "line 6: boost.scale: u^2 leaves the float range", 6),
+    "range-lorentz-light-speed-overflow": (
+        BOOST + "boost.law = lorentz\nboost.light_speed = 1e200\n",
+        "line 6: boost.light_speed: c^2 leaves the float range", 6),
 }
 
 
