@@ -317,20 +317,20 @@ def parse_config(text: str) -> ScenarioConfig:
         # the Lorentz interval's c^2 dt^2
         light = values["boost.light_speed"]
         products.append(("boost.light_speed", "c^2", lambda: light ** 2, ""))
-    if "boost.scale" in values and law != frames.GALILEAN_ORDINARY:
-        # V / u^2 and 1 - V^2 / (2 u^2) in the deformed laws, u^2 dt^2 in the exact interval
-        u = values["boost.scale"]
-        products.append(("boost.scale", "u^2", lambda: u * u, ""))
     if "boost.velocity" in values and law in (None, frames.GALILEAN_EXACT,
                                                frames.GALILEAN_FIRST_ORDER):
-        # sqrt(1 + (V / u)^2) in the exact law, (V / u)^2 / 2 in the first-order one
+        # The deformed laws form V / u^2, u^2 dt^2 in the exact interval, and
+        # sqrt(1 + (V / u)^2) or V^2 / (2 u^2); u is boost.scale or alpha / gamma.
         speed = values["boost.velocity"]
-        scale = values.get("boost.scale")
+        scale, scale_key, derived = values.get("boost.scale"), "boost.scale", ""
         if scale is None and config.gamma > 0.0:
             scale = config.derived_scale_velocity()
+            scale_key = "model.gamma" if has_gamma else "model.beta"
+            derived = f" with the derived boost scale u = {scale!r}"
         if scale is not None:
-            products.append(("boost.velocity", "1 + (V / u)^2",
-                             lambda: 1.0 + (speed / scale) ** 2, f" with u = {scale!r}"))
+            products += [(scale_key, "u^2", lambda: scale * scale, derived),
+                         ("boost.velocity", "1 + (V / u)^2",
+                          lambda: 1.0 + (speed / scale) ** 2, f" with u = {scale!r}")]
     for key, what, compute, context in products:
         try:
             in_range = 0.0 < compute() < math.inf

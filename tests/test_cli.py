@@ -130,10 +130,9 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", "--config", cfg)
         assert code == 2
         assert out == ""
-        assert err.startswith("gupmech: error: ") and "step 1 of 2" in err
-        assert not (tmp_path / "trajectory.csv").exists()
         assert err == (f"gupmech: error: {cfg}: trajectory left the float range "
                        "at step 1 of 2 (t = 1)\n")
+        assert not (tmp_path / "trajectory.csv").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "simulate", "--config",
@@ -378,20 +377,6 @@ def test_float_range_fault_is_a_usage_error(tmp_path, capsys, command, base, cha
     assert err.startswith("gupmech: error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert "range.cfg" in err or "model." in err
-
-
-@pytest.mark.parametrize("fault, key", [
-    ("boost-velocity-overflow", "boost.velocity"), ("boost-scale-underflow", "boost.scale"),
-    ("first-order-scale-underflow", "boost.scale"),
-    ("lorentz-light-speed-overflow", "boost.light_speed")])
-def test_boost_float_range_fault_names_file_and_key(tmp_path, capsys, fault, key):
-    _, base, changes = _FLOAT_RANGE_FAULTS[fault]
-    cfg = write(tmp_path, "range.cfg", with_keys(base, changes))
-    events = write(tmp_path, "events.csv", "t,x1\n0.0,1.0\n")
-    code, _, err = run_cli(capsys, "transform", "--config", cfg, "--events", events)
-    assert code == 2
-    assert err.startswith(f"gupmech: error: {cfg}: line ")
-    assert f": {key}: " in err and "leaves the float range" in err
 
 
 def test_constants_mass_overflow_is_a_usage_error(capsys):

@@ -216,6 +216,10 @@ SINGLE_FAULTS = {
         MINIMAL + "boost.velocity = 1e200\n",
         "line 4: boost.velocity: 1 + (V / u)^2 leaves the float range "
         "with u = 6.123724356957944", 4),
+    "range-boost-derived-scale-overflow": (
+        "model.kind = exact-1d\nmodel.mass = 1.0\nmodel.beta = 1e-320\nboost.velocity = 1.0\n",
+        "line 3: model.beta: u^2 leaves the float range "
+        "with the derived boost scale u = 6.123758444394844e+159", 3),
     "range-boost-scale-underflow": (
         BOOST + "boost.scale = 1e-300\n", "line 5: boost.scale: u^2 leaves the float range", 5),
     "range-first-order-scale-underflow": (
