@@ -133,6 +133,8 @@ def _cmd_transform(args) -> int:
         mapped = frames.galilean_apply(boost, events)
         boost_echo = {"law": boost.law, "velocity": boost.velocity,
                       "scale": boost.scale}
+    # a non-finite interval is refused before any file is written
+    residual = frames.interval_residual(boost, events, mapped)
     out_path = config.events_path or "events_transformed.csv"
     csvio.write_events(out_path, mapped)
     report = {
@@ -142,7 +144,7 @@ def _cmd_transform(args) -> int:
         "boost": boost_echo,
         "events": {
             "count": len(events),
-            "interval_residual": frames.interval_residual(boost, events, mapped),
+            "interval_residual": residual,
         },
         "output": {"events_csv": out_path},
         "wall_time_s": time.perf_counter() - started,
@@ -233,7 +235,7 @@ def main(argv=None) -> int:
     except ArithmeticError as err:
         source = getattr(args, "config", None) or "the command line"
         if isinstance(err, FloatingPointError):
-            # integrate's own message names the initial state or the step
+            # the raiser's own message names the initial state, the step or the CSV rows
             message = f"{source}: {err}"
         else:
             message = f"a value in {source} left the float range: {err!r}"

@@ -105,10 +105,8 @@ def write_events(path, events) -> None:
     if events.ndim != 2 or events.shape[1] not in (2, 4):
         raise ValueError(f"events must be an (n, 2) or (n, 4) array, got {events.shape}")
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(event_header(events.shape[1] - 1))
-        for row in events.tolist():
-            writer.writerow([repr(v) for v in row])
+        handle.write(",".join(event_header(events.shape[1] - 1)) + "\n")
+        handle.writelines(",".join(map(repr, row)) + "\n" for row in events.tolist())
 
 
 def read_events(path) -> np.ndarray:

@@ -25,6 +25,8 @@ GALILEAN_EXACT = "exact"
 GALILEAN_FIRST_ORDER = "first-order"
 GALILEAN_ORDINARY = "ordinary"
 GALILEAN_LAWS = (GALILEAN_EXACT, GALILEAN_FIRST_ORDER, GALILEAN_ORDINARY)
+# event pairs per block of rows in interval_residual; a constant, not a knob
+_PAIR_BLOCK = 4096
 
 
 def _events(events) -> np.ndarray:
@@ -36,6 +38,14 @@ def _events(events) -> np.ndarray:
     if not np.all(np.isfinite(events)):
         raise ValueError("event coordinates must be finite")
     return events
+
+
+def _finite_rows(out: np.ndarray) -> np.ndarray:
+    """out, or FloatingPointError naming its first non-finite row as a CSV row (index + 2)."""
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=-1))
+    if bad.size:
+        raise FloatingPointError(f"boosted event on CSV row {bad[0] + 2} is not finite")
+    return out
 
 
 @dataclass(frozen=True)
@@ -74,6 +84,7 @@ class LorentzBoost:
             )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def galilean_apply(boost: GalileanBoost, events) -> np.ndarray:
     """Map moving-frame events (t', x') to the rest frame, row by row.
 
@@ -86,10 +97,8 @@ def galilean_apply(boost: GalileanBoost, events) -> np.ndarray:
     Takes a row or a batch and returns a new array of the same shape.
     """
     events = _events(events)
-    V = boost.velocity
-    u = boost.scale
-    t = events[..., 0]
-    x1 = events[..., 1]
+    V, u = boost.velocity, boost.scale
+    t, x1 = events[..., 0], events[..., 1]
     out = events.copy()
     if boost.law == GALILEAN_EXACT:
         denom = math.sqrt(1.0 + (V / u) ** 2)
@@ -101,7 +110,7 @@ def galilean_apply(boost: GalileanBoost, events) -> np.ndarray:
         out[..., 1] = (x1 + V * t) * factor
     else:
         out[..., 1] = x1 + V * t
-    return out
+    return _finite_rows(out)
 
 
 def galilean_inverse(boost: GalileanBoost) -> GalileanBoost:
@@ -149,18 +158,17 @@ def velocity_compose(v: float, boost: GalileanBoost) -> float:
     return (v + V) / denom
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lorentz_apply(boost: LorentzBoost, events) -> np.ndarray:
     """Standard boost x = (x' + V t') gamma, t = (t' + x' V/c^2) gamma, row by row."""
     events = _events(events)
-    V = boost.velocity
-    c = boost.light_speed
+    V, c = boost.velocity, boost.light_speed
     gamma = 1.0 / math.sqrt(1.0 - (V / c) ** 2)
-    t = events[..., 0]
-    x1 = events[..., 1]
+    t, x1 = events[..., 0], events[..., 1]
     out = events.copy()
     out[..., 0] = (t + x1 * V / (c * c)) * gamma
     out[..., 1] = (x1 + V * t) * gamma
-    return out
+    return _finite_rows(out)
 
 
 def _event_pair(e1, e2):
@@ -197,6 +205,7 @@ def euclidean_interval(e1, e2, u: float):
     return time_part + dx2
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def interval_residual(boost, before, after):
     """Worst relative change of the boost's invariant interval over all event pairs.
 
@@ -206,8 +215,11 @@ def interval_residual(boost, before, after):
     s^2 dt^2 + |dx|^2 of the original pair, which is the exact law's interval
     itself and, unlike |c^2 dt^2 - |dx|^2|, does not vanish for near-null
     Lorentz pairs.  before and after are checked once and must be (n, 1+d)
-    batches of the same shape.  Each row is compared with all later rows at
-    once, so memory stays linear in the number of events.
+    batches of the same shape.  Each block of rows spanning about _PAIR_BLOCK
+    pairs is compared with all later rows at once, so memory stays linear in
+    the number of events; the block's pairs on or below its diagonal are
+    self-pairs or exact mirrors and cannot move the maximum.  A non-finite
+    interval makes its ratio inf or nan and raises FloatingPointError.
     """
     if isinstance(boost, LorentzBoost):
         scale_sq, minkowski = boost.light_speed ** 2, True
@@ -220,15 +232,21 @@ def interval_residual(boost, before, after):
         raise ValueError("before and after must be event batches of the same shape, "
                          f"got {before.shape} and {after.shape}")
     worst = 0.0
-    for i in range(len(before) - 1):
-        time_part, dx2 = _interval_parts(before[i], before[i + 1:], scale_sq)
-        mapped_time, mapped_dx2 = _interval_parts(after[i], after[i + 1:], scale_sq)
+    rows = max(1, _PAIR_BLOCK // len(before))
+    for i in range(0, len(before) - 1, rows):
+        (time_part, dx2), (mapped_time, mapped_dx2) = (
+            _interval_parts(e[i:i + rows, None], e[None, i + 1:], scale_sq)
+            for e in (before, after))
         scale = time_part + dx2
         if minkowski:
             change = np.abs((mapped_time - mapped_dx2) - (time_part - dx2))
         else:
             change = np.abs((mapped_time + mapped_dx2) - scale)
-        worst = max(worst, float((change / np.maximum(scale, 1e-30)).max()))
+        ratio = change / np.maximum(scale, 1e-30)
+        if not math.isfinite(peak := float(ratio.max())):
+            row, col = np.argwhere(~np.isfinite(ratio))[0] + (i + 2, i + 3)
+            raise FloatingPointError(f"interval between CSV rows {row} and {col} is not finite")
+        worst = max(worst, peak)
     return worst
 
 

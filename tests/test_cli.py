@@ -206,6 +206,26 @@ class TestTransform:
                                "--events", self._events(tmp_path))
         assert code == 3
 
+    @pytest.mark.parametrize("boost, message", [
+        ("boost.velocity = 1.0\n", "interval between CSV rows 2 and 3 is not finite"),
+        ("boost.law = ordinary\nboost.velocity = 1e200\n",
+         "boosted event on CSV row 3 is not finite"),
+        ("boost.law = first-order\nboost.velocity = 1e160\nboost.scale = 1e150\n",
+         "boosted event on CSV row 2 is not finite"),
+    ], ids=["exact-interval", "ordinary-row", "first-order-row"])
+    def test_non_finite_boost_or_interval_writes_no_csv(self, tmp_path, capsys, boost, message):
+        # Exact law at the derived u = 6.12: both rows stay finite, but
+        # u^2 dt^2 overflows.  Ordinary law: V t overflows on row 3.
+        # First-order law: V^2 overflows, so every row leaves the range.
+        cfg = write(tmp_path, "far.cfg",
+                    "model.kind = exact-1d\nmodel.mass = 1.0\nmodel.beta = 0.01\n" + boost)
+        events = write(tmp_path, "events.csv", "t,x1\n0.0,1.0\n1e200,-2.0\n")
+        code, out, err = run_cli(capsys, "transform", "--config", cfg, "--events", events)
+        assert code == 2
+        assert out == ""
+        assert err == f"gupmech: error: {cfg}: {message}\n"
+        assert not (tmp_path / "events_transformed.csv").exists()
+
     @pytest.mark.parametrize("cell", ["one", "nan", "inf"])
     def test_malformed_events_file(self, tmp_path, capsys, cell):
         cfg = write(tmp_path, "boost.cfg", BOOST_EXACT)

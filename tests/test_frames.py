@@ -1,12 +1,14 @@
 """Deformed Galilean boosts, composition laws, Lorentz counterpart."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gupmech.algebra import DeformationParameters, DomainError, PhaseState
+from gupmech import frames
 from gupmech.checks import run_suite
 from gupmech.dynamics import Hamiltonian, Potential
 from gupmech.frames import (
@@ -286,6 +288,20 @@ class TestLorentz:
             minkowski_interval(e, [0.0, 0.0, 0.0, 0.0], 1.0)
 
 
+class TestFloatRange:
+    @pytest.mark.parametrize("boost", [
+        GalileanBoost(velocity=1e200, scale=1.0, law=GALILEAN_ORDINARY),
+        GalileanBoost(velocity=10.0, scale=1.0, law=GALILEAN_FIRST_ORDER),
+        GalileanBoost(velocity=1e10, scale=1.0),
+        LorentzBoost(velocity=0.9, light_speed=1.0)])
+    def test_non_finite_boosted_row_is_named(self, boost):
+        events = np.array([[0.0, 1.0], [1.0, 2.0], [1.7e308, 1.7e308], [3.0, 4.0]])
+        apply = lorentz_apply if isinstance(boost, LorentzBoost) else galilean_apply
+        with pytest.raises(FloatingPointError,
+                           match=r"^boosted event on CSV row 4 is not finite$"):
+            apply(boost, events)
+
+
 class TestCovariance:
     def _exact_kind(self):
         return Hamiltonian.exact_1d(DeformationParameters(beta=0.01, mass=1.0))
@@ -373,6 +389,73 @@ class TestIntervalResidual:
         after = before + rng.uniform(-1e-3, 1e-3, size=before.shape)
         assert (interval_residual(boost, before, after)
                 == _pairwise_residual(1.3, sign, before, after))
+
+    @pytest.mark.parametrize("budget,count", [
+        (None, 2), (None, 64), (None, 65),
+        (100, 10), (100, 11), (16, 17), (16, 40)],
+        ids=["n2", "n64-one-block", "n65-two-blocks", "rows10-n10", "rows9-n11",
+             "n-over-budget-17", "n-over-budget-40"])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("law", ["exact", "lorentz"])
+    def test_matches_the_pairwise_loop_across_block_edges(self, monkeypatch, budget, count,
+                                                          dim, law):
+        # With the default budget of 4,096 pairs, 64 events fill one block of
+        # 64 rows (63 compared) and 65 events need blocks of 63 and 1 rows.
+        # Smaller budgets put block edges, and n > budget (one row per
+        # block), within reach of the pair-by-pair reference.
+        if budget is not None:
+            monkeypatch.setattr(frames, "_PAIR_BLOCK", budget)
+        rng = np.random.default_rng([count, dim])
+        before = rng.uniform(-10.0, 10.0, size=(count, 1 + dim))
+        if law == "lorentz":
+            boost, sign = LorentzBoost(velocity=0.7, light_speed=1.3), -1.0
+            after = lorentz_apply(boost, before)
+        else:
+            boost, sign = GalileanBoost(velocity=2.5, scale=1.3), 1.0
+            after = galilean_apply(boost, before)
+        assert (interval_residual(boost, before, after)
+                == _pairwise_residual(1.3, sign, before, after))
+
+    @pytest.mark.parametrize("budget", [1, 6, 7, 8, 13, 20, 4096])
+    def test_every_pair_is_compared(self, monkeypatch, budget):
+        # Events sit 10 apart in time, except that event c is moved to 1e-3
+        # after event r and then shifted by 1e-3 in space: only the pair
+        # (r, c) changes by about its whole interval, every other pair by
+        # under 1e-8 of its own.
+        monkeypatch.setattr(frames, "_PAIR_BLOCK", budget)
+        boost = GalileanBoost(velocity=0.4, scale=1.0)
+        for r in range(7):
+            for c in range(r + 1, 7):
+                before = np.column_stack((10.0 * np.arange(7.0), np.zeros(7)))
+                before[c] = before[r] + (1e-3, 0.0)
+                after = before.copy()
+                after[c, 1] += 1e-3
+                assert interval_residual(boost, before, after) > 0.5, (r, c)
+
+    def test_memory_stays_linear_in_the_event_count(self):
+        # 3,000 3D events hold 96 kB; one float per pair would take 36 MB.
+        rng = np.random.default_rng(5)
+        before = rng.uniform(-1.0, 1.0, size=(3000, 4))
+        boost = GalileanBoost(velocity=0.4, scale=1.3)
+        after = galilean_apply(boost, before)
+        tracemalloc.start()
+        try:
+            interval_residual(boost, before, after)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    @pytest.mark.parametrize("budget", [1, 4096])
+    def test_non_finite_interval_names_the_first_pair(self, monkeypatch, budget):
+        # Only events 70 and 85 are far enough apart for u^2 dt^2 to overflow;
+        # with 100 events the default budget puts row 70 in the block from 40.
+        monkeypatch.setattr(frames, "_PAIR_BLOCK", budget)
+        events = np.zeros((100, 2))
+        events[70, 0], events[85, 0] = 1e154, -1e154
+        with pytest.raises(FloatingPointError,
+                           match=r"^interval between CSV rows 72 and 87 is not finite$"):
+            interval_residual(GalileanBoost(velocity=0.4, scale=1.0), events, events)
 
     def test_lorentz_residual_stays_at_round_off_over_many_events(self):
         # Dividing by |c^2 dt^2 - |dx|^2| let near-null pairs inflate this
