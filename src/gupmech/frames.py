@@ -97,8 +97,10 @@ def galilean_apply(boost: GalileanBoost, events) -> np.ndarray:
     Takes a row or a batch and returns a new array of the same shape.
     """
     events = _events(events)
-    V, u = boost.velocity, boost.scale
-    t, x1 = events[..., 0], events[..., 1]
+    V = boost.velocity
+    u = boost.scale
+    t = events[..., 0]
+    x1 = events[..., 1]
     out = events.copy()
     if boost.law == GALILEAN_EXACT:
         denom = math.sqrt(1.0 + (V / u) ** 2)
@@ -162,9 +164,11 @@ def velocity_compose(v: float, boost: GalileanBoost) -> float:
 def lorentz_apply(boost: LorentzBoost, events) -> np.ndarray:
     """Standard boost x = (x' + V t') gamma, t = (t' + x' V/c^2) gamma, row by row."""
     events = _events(events)
-    V, c = boost.velocity, boost.light_speed
+    V = boost.velocity
+    c = boost.light_speed
     gamma = 1.0 / math.sqrt(1.0 - (V / c) ** 2)
-    t, x1 = events[..., 0], events[..., 1]
+    t = events[..., 0]
+    x1 = events[..., 1]
     out = events.copy()
     out[..., 0] = (t + x1 * V / (c * c)) * gamma
     out[..., 1] = (x1 + V * t) * gamma
@@ -232,7 +236,7 @@ def interval_residual(boost, before, after):
         raise ValueError("before and after must be event batches of the same shape, "
                          f"got {before.shape} and {after.shape}")
     worst = 0.0
-    rows = max(1, _PAIR_BLOCK // len(before))
+    rows = max(1, _PAIR_BLOCK // max(len(before), 1))
     for i in range(0, len(before) - 1, rows):
         (time_part, dx2), (mapped_time, mapped_dx2) = (
             _interval_parts(e[i:i + rows, None], e[None, i + 1:], scale_sq)

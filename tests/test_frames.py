@@ -475,6 +475,9 @@ class TestIntervalResidual:
         event = np.array([[0.5, 1.0, 2.0, 3.0]])
         assert interval_residual(BOOST, event, galilean_apply(BOOST, event)) == 0.0
 
+    def test_empty_batch_has_no_pairs(self):
+        assert interval_residual(BOOST, np.zeros((0, 4)), np.zeros((0, 4))) == 0.0
+
     @pytest.mark.parametrize("after", [
         np.zeros((3, 4)),
         np.zeros((2, 2)),
