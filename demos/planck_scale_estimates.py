@@ -8,8 +8,11 @@ would impose on an effective light speed.  The numbers explain why the
 deformation is invisible: u outruns c by twenty-two orders of magnitude.
 """
 
+from decimal import Decimal, localcontext
+
 from gupmech.constants import (
     CODATA,
+    EXTENDED_CONTEXT,
     EXTENDED_PRECISION_DPS,
     GEOMETRY_ONE_D,
     GEOMETRY_THREE_D,
@@ -43,6 +46,8 @@ print(f"\nfloat64 effective light speed == c: {c_eff == consts.light_speed}")
 # above c, by the predicted amount.
 extended = effective_light_speed_extended(gamma.gamma, GEOMETRY_THREE_D,
                                           consts.light_speed)
-shift = (extended - consts.light_speed) / consts.light_speed
+c = Decimal(consts.light_speed)
+with localcontext(EXTENDED_CONTEXT):
+    shift = (extended - c) / c
 print(f"extended precision ({EXTENDED_PRECISION_DPS} digits):"
       f" fractional shift {float(shift):.6e}")

@@ -12,9 +12,9 @@ fail.
 import math
 import zlib
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import Callable, Dict, List, Tuple
 
-import mpmath
 import numpy as np
 
 from . import constants as consts
@@ -615,11 +615,11 @@ def _check_extended_consistency(rng) -> CheckBody:
     gamma = consts.gamma_from_planck_length(consts.CODATA.electron_mass).gamma
     alpha = consts.geometry_alpha(consts.GEOMETRY_THREE_D)
     c = consts.CODATA.light_speed
-    with mpmath.workdps(consts.EXTENDED_PRECISION_DPS):
-        cm, gm, am = mpmath.mpf(c), mpmath.mpf(gamma), mpmath.mpf(alpha)
+    with localcontext(consts.EXTENDED_CONTEXT):
+        cd, gd, ad = Decimal(c), Decimal(gamma), Decimal(alpha)
         c_eff = consts.effective_light_speed_extended(gamma, consts.GEOMETRY_THREE_D)
-        lhs = (cm / c_eff) ** 2
-        deviation = (cm * gm) ** 2 / (2 * am ** 2)
+        lhs = (cd / c_eff) ** 2
+        deviation = (cd * gd) ** 2 / (2 * ad ** 2)
         rhs = 1 - 2 * deviation
         measured = float(abs(lhs / rhs - 1))
     return measured, 1e-20, "c^2/c_eff^2 vs 1 - 2*(first-order shift), extended precision"
@@ -629,9 +629,8 @@ def _check_superluminal_shift(rng) -> CheckBody:
     del rng
     gamma = consts.gamma_from_planck_length(consts.CODATA.electron_mass).gamma
     dev = consts.light_speed_deviation(gamma, consts.GEOMETRY_THREE_D)
-    with mpmath.workdps(consts.EXTENDED_PRECISION_DPS):
-        c_eff = consts.effective_light_speed_extended(gamma, consts.GEOMETRY_THREE_D)
-        exceeds = c_eff > mpmath.mpf(consts.CODATA.light_speed)
+    c_eff = consts.effective_light_speed_extended(gamma, consts.GEOMETRY_THREE_D)
+    exceeds = c_eff > Decimal(consts.CODATA.light_speed)
     ok = dev > 0.0 and exceeds
     return (0.0 if ok else 1.0), 0.5, "effective light speed exceeds c for gamma > 0"
 
@@ -640,10 +639,11 @@ def _check_closed_vs_exact(rng) -> CheckBody:
     del rng
     gamma = consts.gamma_from_planck_length(consts.CODATA.electron_mass).gamma
     closed = consts.light_speed_deviation(gamma, consts.GEOMETRY_THREE_D)
-    with mpmath.workdps(consts.EXTENDED_PRECISION_DPS):
+    c = Decimal(consts.CODATA.light_speed)
+    with localcontext(consts.EXTENDED_CONTEXT):
         c_eff = consts.effective_light_speed_extended(gamma, consts.GEOMETRY_THREE_D)
-        exact = (c_eff - consts.CODATA.light_speed) / consts.CODATA.light_speed
-        measured = float(abs(mpmath.mpf(closed) / exact - 1))
+        exact = (c_eff - c) / c
+        measured = float(abs(Decimal(closed) / exact - 1))
     return measured, 1e-6, "closed-form shift vs extended-precision subtraction"
 
 

@@ -235,8 +235,8 @@ def main(argv=None) -> int:
     except ArithmeticError as err:
         source = getattr(args, "config", None) or "the command line"
         if isinstance(err, FloatingPointError):
-            # the raiser's own message names the initial state, the step or the CSV rows
-            message = f"{source}: {err}"
+            # the message names the initial state or step of the config, or --events rows
+            message = f"{getattr(args, 'events', None) or source}: {err}"
         else:
             message = f"a value in {source} left the float range: {err!r}"
         print(f"gupmech: error: {message}", file=sys.stderr)

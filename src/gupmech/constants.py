@@ -9,15 +9,14 @@ three-dimensional one.
 
 The shift (c_eff - c)/c is of order 1e-45 for the electron, far below
 double-precision resolution of c itself, so the deviation is always
-computed from the closed first-order form; an mpmath path evaluates the
-exact expression for validation only.
+computed from the closed first-order form; a 90-digit `decimal` path
+evaluates the exact expression for validation only.
 """
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from typing import NamedTuple
-
-import mpmath
 
 from .algebra import DomainError
 
@@ -26,6 +25,7 @@ GEOMETRY_THREE_D = "three-d"
 
 # Enough working digits to resolve a 1e-45 perturbation to ~1e-40 and below.
 EXTENDED_PRECISION_DPS = 90
+EXTENDED_CONTEXT = Context(prec=EXTENDED_PRECISION_DPS)  # localcontext(prec=) needs 3.11
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,12 @@ def effective_velocity_u(gamma: float, geometry) -> float:
 
 
 def _light_speed_inputs(gamma: float, geometry, light_speed) -> tuple:
-    """(c, alpha) after checking gamma >= 0; c defaults to the CODATA value."""
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    """(c, alpha) for a finite gamma >= 0 and a finite c > 0; c defaults to CODATA."""
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
     c = CODATA.light_speed if light_speed is None else float(light_speed)
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError(f"light_speed must be finite and positive, got {c}")
     return c, geometry_alpha(geometry)
 
 
@@ -130,16 +132,16 @@ def effective_light_speed(gamma: float, geometry, light_speed: float = None) -> 
     return c / math.sqrt(1.0 - shift)
 
 
-def effective_light_speed_extended(gamma: float, geometry, light_speed: float = None,
-                                    dps: int = EXTENDED_PRECISION_DPS):
-    """Exact-form c_eff as an mpmath value, for validating the closed form."""
+def effective_light_speed_extended(gamma: float, geometry,
+                                   light_speed: float = None) -> Decimal:
+    """Exact-form c_eff as a 90-digit Decimal, for validating the closed form."""
     c, alpha = _light_speed_inputs(gamma, geometry, light_speed)
-    with mpmath.workdps(dps):
-        cm, gm, am = mpmath.mpf(c), mpmath.mpf(gamma), mpmath.mpf(alpha)
-        shift = (cm * gm / am) ** 2
+    with localcontext(EXTENDED_CONTEXT):
+        cd, gd, ad = Decimal(c), Decimal(gamma), Decimal(alpha)
+        shift = (cd * gd / ad) ** 2
         if shift >= 1:
             raise DomainError("deformation too strong: no real effective light speed")
-        return cm / mpmath.sqrt(1 - shift)
+        return cd / (1 - shift).sqrt()
 
 
 @dataclass(frozen=True)

@@ -223,7 +223,7 @@ class TestTransform:
         code, out, err = run_cli(capsys, "transform", "--config", cfg, "--events", events)
         assert code == 2
         assert out == ""
-        assert err == f"gupmech: error: {cfg}: {message}\n"
+        assert err == f"gupmech: error: {events}: {message}\n"
         assert not (tmp_path / "events_transformed.csv").exists()
 
     @pytest.mark.parametrize("cell", ["one", "nan", "inf"])

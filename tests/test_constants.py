@@ -1,14 +1,15 @@
 """Planck-scale identification and the effective kinematic scales."""
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
-import mpmath
 import pytest
 
 from gupmech.algebra import DomainError
 from gupmech.constants import (
     CODATA,
-    EXTENDED_PRECISION_DPS,
+    EXTENDED_CONTEXT,
     EffectiveScales,
     GEOMETRY_ONE_D,
     GEOMETRY_THREE_D,
@@ -126,19 +127,46 @@ class TestExtendedPrecision:
     def test_exceeds_c_strictly(self):
         gamma = gamma_from_planck_length(CODATA.electron_mass).gamma
         c_eff = effective_light_speed_extended(gamma, GEOMETRY_THREE_D)
-        assert c_eff > mpmath.mpf(CODATA.light_speed)
+        assert c_eff > Decimal(CODATA.light_speed)
 
     def test_agrees_with_the_closed_form(self):
         gamma = gamma_from_planck_length(CODATA.electron_mass).gamma
         dev = light_speed_deviation(gamma, GEOMETRY_THREE_D)
-        with mpmath.workdps(EXTENDED_PRECISION_DPS):
+        with localcontext(EXTENDED_CONTEXT):
             c_eff = effective_light_speed_extended(gamma, GEOMETRY_THREE_D)
-            exact = c_eff / mpmath.mpf(CODATA.light_speed) - 1
-            assert abs(float(exact / mpmath.mpf(dev)) - 1.0) < 1e-6
+            exact = c_eff / Decimal(CODATA.light_speed) - 1
+            assert abs(float(exact / Decimal(dev)) - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("geometry", [GEOMETRY_ONE_D, GEOMETRY_THREE_D])
+    def test_matches_exact_rational_arithmetic(self, geometry):
+        # Every float enters as an exact fraction, so the gap is the
+        # 90-digit rounding alone; 50 digits would leave about 1e-50.
+        gamma = gamma_from_planck_length(CODATA.electron_mass).gamma
+        c, g, a = (Fraction(v) for v in
+                   (CODATA.light_speed, gamma, geometry_alpha(geometry)))
+        exact_square = c ** 2 / (1 - (c * g / a) ** 2)
+        c_eff = effective_light_speed_extended(gamma, geometry)
+        assert abs(Fraction(c_eff) ** 2 / exact_square - 1) < Fraction(1, 10 ** 85)
 
     def test_strong_deformation_rejected(self):
         with pytest.raises(DomainError):
             effective_light_speed_extended(1.0, GEOMETRY_ONE_D, light_speed=1.0)
+
+
+@pytest.mark.parametrize("function", [
+    effective_light_speed, light_speed_deviation, effective_light_speed_extended])
+@pytest.mark.parametrize("gamma, light_speed, name", [
+    (math.nan, None, "gamma"),
+    (math.inf, None, "gamma"),
+    (-1e-24, None, "gamma"),
+    (1e-24, math.nan, "light_speed"),
+    (1e-24, math.inf, "light_speed"),
+    (1e-24, -3.0, "light_speed"),
+    (1e-24, 0.0, "light_speed"),
+])
+def test_light_speed_domain_edges_are_refused(function, gamma, light_speed, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and"):
+        function(gamma, GEOMETRY_THREE_D, light_speed)
 
 
 class TestEffectiveScales:
