@@ -495,3 +495,137 @@ class TestTransformPinned:
             (tmp_path / "events_transformed.csv").read_bytes()).hexdigest()
         residual = json.loads(out)["events"]["interval_residual"]
         assert (digest, residual) == _PINNED[dim, law]
+
+
+_REPORT_SIMULATE = """\
+model.kind = exact-3d
+model.mass = 1.0
+model.beta = 0.01
+model.potential = harmonic
+model.stiffness = 1.0
+initial.x = 1.0, 0.0, 0.5
+initial.p = 0.0, 1.0, 0.0
+t_end = 0.1
+dt = 0.05
+output.trajectory = run.csv
+output.report = report.json
+"""
+
+_REPORT_BOOSTS = {
+    "exact": "boost.velocity = 0.4\nboost.scale = 1.0\n",
+    "lorentz": "boost.law = lorentz\nboost.velocity = 0.6\nboost.light_speed = 1.0\n",
+}
+
+
+def _transform_config(law):
+    return ("model.kind = exact-1d\nmodel.mass = 1.0\nmodel.beta = 0.01\n"
+            + _REPORT_BOOSTS[law] + "output.events = out.csv\noutput.report = report.json\n")
+
+
+# render_config writes the derived gamma and puts boost.law last
+_RENDERED_HEAD = "model.kind = exact-1d\nmodel.mass = 1.0\nmodel.beta = 0.01\nmodel.gamma = 0.1\n"
+_RENDERED_TAIL = "output.events = out.csv\noutput.report = report.json\n"
+
+
+# Every report, minus wall_time_s, on one fixed input per command.
+_REPORTS = {
+    "simulate": {
+        "command": "simulate",
+        "output": {"trajectory_csv": "run.csv"},
+        "scenario": _REPORT_SIMULATE.replace("model.beta = 0.01\n",
+                                             "model.beta = 0.01\nmodel.gamma = 0.1\n"),
+        "trajectory": {
+            "endpoint": {
+                "energy": 1.1300505045396756,
+                "p": [-0.0998300283064595, 0.9949027768595173, -0.04991501415322975],
+                "t": 0.1,
+                "x": [0.9949026983048636, 0.10185855362476251, 0.4974513491524318],
+            },
+            "energy_drift": 4.5204138979501514e-10,
+            "samples": 3,
+        },
+        "units": "natural",
+    },
+    "transform-exact": {
+        "boost": {"law": "exact", "scale": 1.0, "velocity": 0.4},
+        "command": "transform",
+        "events": {"count": 3, "interval_residual": 3.3306690738754696e-16},
+        "output": {"events_csv": "out.csv"},
+        "scenario": (_RENDERED_HEAD + "boost.velocity = 0.4\nboost.scale = 1.0\n"
+                     + _RENDERED_TAIL),
+        "units": "natural",
+    },
+    "transform-lorentz": {
+        "boost": {"law": "lorentz", "light_speed": 1.0, "velocity": 0.6},
+        "command": "transform",
+        "events": {"count": 3, "interval_residual": 0.0},
+        "output": {"events_csv": "out.csv"},
+        "scenario": (_RENDERED_HEAD + "boost.velocity = 0.6\nboost.light_speed = 1.0\n"
+                     "boost.law = lorentz\n" + _RENDERED_TAIL),
+        "units": "natural",
+    },
+    "constants": {
+        "assumptions": {
+            "gravitational": 6.6743e-11,
+            "light_speed": 299792458.0,
+            "mass_kg": 9.1093837015e-31,
+            "minimal_length": "planck length",
+            "planck_length": 1.61625502392855e-35,
+            "reduced_planck": 1.054571817e-34,
+            "units": "SI",
+        },
+        "c_eff_rel_deviation_1d": 2.335745860126527e-45,
+        "c_eff_rel_deviation_3d": 3.50361879018979e-45,
+        "c_gamma": 4.1854622147319584e-23,
+        "command": "constants",
+        "gamma": 1.3961199166431193e-31,
+        "u_over_c_1d": 1.4630939291253677e+22,
+        "u_over_c_3d": 1.1946111907069757e+22,
+    },
+    "check": {
+        "command": "check",
+        "failures": 0,
+        "results": [
+            {"detail": "c*gamma 4.1855e-23, u/c 1.1946e+22, shift 3.5036e-45 "
+                       "vs published magnitudes",
+             "measured": 0.1730688722385909, "name": "constants.published-magnitudes",
+             "passed": True, "tolerance": 1.0},
+            {"detail": "u and c_eff identical across masses at fixed gamma",
+             "measured": 0.0, "name": "constants.mass-independence",
+             "passed": True, "tolerance": 0.5},
+            {"detail": "c^2/c_eff^2 vs 1 - 2*(first-order shift), extended precision",
+             "measured": 0.0, "name": "constants.extended-consistency",
+             "passed": True, "tolerance": 1e-20},
+            {"detail": "effective light speed exceeds c for gamma > 0",
+             "measured": 0.0, "name": "constants.superluminal-shift",
+             "passed": True, "tolerance": 0.5},
+            {"detail": "closed-form shift vs extended-precision subtraction",
+             "measured": 1.2871253184573085e-17, "name": "constants.closed-vs-exact",
+             "passed": True, "tolerance": 1e-06},
+        ],
+        "seed": 42,
+        "suite": "constants",
+        "tolerance_scale": 1.0,
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_REPORTS))
+def test_whole_report_is_pinned(tmp_path, capsys, name):
+    if name == "simulate":
+        argv = ["simulate", "--config", write(tmp_path, "run.cfg", _REPORT_SIMULATE)]
+    elif name.startswith("transform-"):
+        argv = ["transform", "--config",
+                write(tmp_path, "run.cfg", _transform_config(name.split("-")[1])),
+                "--events", write(tmp_path, "ev.csv", "t,x1\n0.0,1.0\n1.0,0.0\n2.0,-1.5\n")]
+    elif name == "constants":
+        argv = ["constants"]
+    else:
+        argv = ["check", "--suite", "constants"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    if argv[0] in ("simulate", "transform"):
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == out
+    report = json.loads(out)
+    assert isinstance(report.pop("wall_time_s"), float)
+    assert report == _REPORTS[name]
