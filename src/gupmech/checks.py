@@ -43,6 +43,11 @@ def _rel(delta, scale):
     return abs(delta) / max(1.0, abs(scale))
 
 
+def _worst(*values):
+    """The largest value, or NaN if any is NaN: max() passes over a NaN sample."""
+    return math.nan if any(v != v for v in values) else max(values)
+
+
 # ---------------------------------------------------------------- algebra
 
 _FD_TOL = 10.0 * BRACKET_STEP ** 2
@@ -60,7 +65,7 @@ def _check_bracket_1d(rng) -> CheckBody:
         got = numerical_bracket(big_x, big_p, state)
         # The step is coordinate-scaled, so the truncation bound carries
         # the squared scale factor.
-        worst = max(worst, abs(got - target) / target / max(1.0, p * p))
+        worst = _worst(worst, abs(got - target) / target / max(1.0, p * p))
     return worst, _FD_TOL, "mapped {X,P} vs 1+beta*P^2, 100 states, step-scaled relative"
 
 
@@ -85,7 +90,7 @@ def _check_bracket_3d(rng) -> CheckBody:
             for j in range(3):
                 target = bracket_xp_3d(big_p, i + 1, j + 1, params)
                 got = numerical_bracket(coords[i], momenta[j], state)
-                worst = max(worst, _rel(got - target, root) / scale_sq)
+                worst = _worst(worst, _rel(got - target, root) / scale_sq)
     return worst, _FD_TOL, "mapped {X_i,P_j} componentwise, 40 states, step-scaled"
 
 
@@ -98,9 +103,9 @@ def _check_vanishing_brackets(rng) -> CheckBody:
         state = _random_3d_state(rng, params)
         for i in range(3):
             for j in range(i + 1, 3):
-                worst = max(worst,
-                            abs(numerical_bracket(coords[i], coords[j], state)),
-                            abs(numerical_bracket(momenta[i], momenta[j], state)))
+                worst = _worst(worst,
+                               abs(numerical_bracket(coords[i], coords[j], state)),
+                               abs(numerical_bracket(momenta[i], momenta[j], state)))
     return worst, _FD_TOL, "{X_i,X_j} and {P_i,P_j} magnitudes, 25 states"
 
 
@@ -112,7 +117,7 @@ def _check_beta_zero_bound(rng) -> CheckBody:
     worst = 0.0
     for p in grid:
         dev = abs(momentum_map_1d(float(p), params) - p)
-        worst = max(worst, dev / (beta * p ** 3))
+        worst = _worst(worst, dev / (beta * p ** 3))
     return worst, 1.0, "|P(p) - p| against the beta*|p|^3 bound"
 
 
@@ -124,7 +129,7 @@ def _check_beta_zero_halving(rng) -> CheckBody:
     for p in grid:
         dev = momentum_map_1d(float(p), DeformationParameters(beta, 1.0)) - p
         dev_half = momentum_map_1d(float(p), DeformationParameters(beta / 2.0, 1.0)) - p
-        worst = max(worst, abs(2.0 * dev_half / dev - 1.0))
+        worst = _worst(worst, abs(2.0 * dev_half / dev - 1.0))
     return worst, 0.1, "deviation halves when beta halves"
 
 
@@ -140,7 +145,7 @@ def _check_antisymmetry(rng) -> CheckBody:
         state = PhaseState.of(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
         lhs = numerical_bracket(f, g, state)
         rhs = numerical_bracket(g, f, state)
-        worst = max(worst, _rel(lhs + rhs, lhs))
+        worst = _worst(worst, _rel(lhs + rhs, lhs))
     return worst, 1e-12, "{f,g} = -{g,f} for mixed polynomial pairs"
 
 
@@ -163,7 +168,7 @@ def _check_leibniz(rng) -> CheckBody:
         lhs = numerical_bracket(fg, h, state)
         rhs = (f(state) * numerical_bracket(g, h, state)
                + g(state) * numerical_bracket(f, h, state))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+        worst = _worst(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
     return worst, _FD_TOL, "{fg,h} = f{g,h} + g{f,h}, relative"
 
 
@@ -189,7 +194,7 @@ def _check_jacobi(rng) -> CheckBody:
         def h(s, a=a, b=b):
             return (a * float(s.x[0]) + b) * float(s.p[0])
 
-        worst = max(worst, abs(jacobi_residual(f, g, h, state)))
+        worst = _worst(worst, abs(jacobi_residual(f, g, h, state)))
     for _ in range(10):
         state = _random_3d_state(rng, params, fill=0.5)
         i, j, k, l = rng.integers(1, 4, size=4)
@@ -201,7 +206,7 @@ def _check_jacobi(rng) -> CheckBody:
         def h(s, xk=xk, pl=pl):
             return xk(s) * pl(s)
 
-        worst = max(worst, abs(jacobi_residual(f, g, h, state)))
+        worst = _worst(worst, abs(jacobi_residual(f, g, h, state)))
     return worst, 1e-5, "nested-bracket Jacobi residual, 20 seeded triples"
 
 
@@ -223,7 +228,7 @@ def _check_model_agreement_bound(rng) -> CheckBody:
         state = PhaseState.of(0.0, float(p))
         gap = abs(dynamics.hamiltonian_value(exact, state)
                   - dynamics.hamiltonian_value(first, state))
-        worst = max(worst, gap / (beta ** 2 * p ** 6 / mass))
+        worst = _worst(worst, gap / (beta ** 2 * p ** 6 / mass))
     return worst, 1.0, "|H_exact - H_first| against beta^2 p^6 / m"
 
 
@@ -239,7 +244,7 @@ def _check_model_agreement_halving(rng) -> CheckBody:
             exact, first = _free_hamiltonians(b, mass)
             gaps.append(abs(dynamics.hamiltonian_value(exact, state)
                             - dynamics.hamiltonian_value(first, state)))
-        worst = max(worst, abs(gaps[0] / gaps[1] / 4.0 - 1.0))
+        worst = _worst(worst, abs(gaps[0] / gaps[1] / 4.0 - 1.0))
     return worst, 0.2, "energy gap drops 4x when beta halves"
 
 
@@ -256,7 +261,7 @@ def _check_effective_sqrt_consistency(rng) -> CheckBody:
         state = PhaseState.of(0.0, float(p))
         gap = abs(dynamics.hamiltonian_value(eff, state)
                   - dynamics.hamiltonian_value(first, state))
-        worst = max(worst, gap / (beta ** 2 * p ** 6 / mass))
+        worst = _worst(worst, gap / (beta ** 2 * p ** 6 / mass))
     return worst, 1.0, "sqrt model at u^2 = 3/(8 beta m^2) vs quartic model"
 
 
@@ -300,9 +305,9 @@ def _check_rhs_fd_agreement(rng) -> CheckBody:
             fd_xdot, fd_pdot = dynamics.hamilton_rhs_fd(kind, state)
             scale = max(1.0, float(np.max(np.abs(xdot))),
                         float(np.max(np.abs(pdot))))
-            err = max(float(np.max(np.abs(xdot - fd_xdot))),
-                      float(np.max(np.abs(pdot - fd_pdot))))
-            worst = max(worst, err / scale)
+            err = _worst(float(np.max(np.abs(xdot - fd_xdot))),
+                         float(np.max(np.abs(pdot - fd_pdot))))
+            worst = _worst(worst, err / scale)
     return worst, 1e-6, "analytic vs finite-difference RHS, 100 states per model"
 
 
@@ -325,7 +330,7 @@ def _rk4_order_errors():
 def _check_rk4_order(rng) -> CheckBody:
     del rng
     coarse, mid, fine = _rk4_order_errors()
-    worst = max(abs(coarse / mid / 16.0 - 1.0), abs(mid / fine / 16.0 - 1.0))
+    worst = _worst(abs(coarse / mid / 16.0 - 1.0), abs(mid / fine / 16.0 - 1.0))
     return worst, 0.25, "endpoint error drops 16x per dt halving"
 
 
@@ -338,10 +343,10 @@ def _check_relativistic_coefficient(rng) -> CheckBody:
         kind = dynamics.Hamiltonian.relativistic_first_order_1d(params, c)
         kappa = 1.0 / (8.0 * mass ** 2 * c ** 2) - beta / 3.0
         got = dynamics.relativistic_quartic_coefficient(kind)
-        worst = max(worst, _rel(got + kappa / mass, kappa / mass))
+        worst = _worst(worst, _rel(got + kappa / mass, kappa / mass))
         threshold = 3.0 / (8.0 * mass ** 2 * c ** 2)
         if (beta > threshold) != (got > 0.0):
-            worst = max(worst, 1.0)
+            worst = _worst(worst, 1.0)
     return worst, 1e-12, "quartic coefficient -kappa/m and its sign flip"
 
 
@@ -354,7 +359,7 @@ def _check_inversion_roundtrip(rng) -> CheckBody:
             xdot, _ = dynamics.hamilton_rhs(kind, state)
             back = np.atleast_1d(legendre.momentum_from_velocity_exact(xdot, kind))
             err = float(np.max(np.abs(back - state.p)))
-            worst = max(worst, err / max(1.0, float(np.max(np.abs(state.p)))))
+            worst = _worst(worst, err / max(1.0, float(np.max(np.abs(state.p)))))
     return worst, 1e-10, "velocity map then exact inversion, 100 states per model"
 
 
@@ -385,7 +390,7 @@ def _check_first_order_gap_bound(rng) -> CheckBody:
         for speed in speeds:
             gap = _first_order_gap(kind, params, float(speed))
             bound = _GAP_COEFFS[dim] * beta ** 2 * mass ** 5 * speed ** 5
-            worst = max(worst, gap / bound)
+            worst = _worst(worst, gap / bound)
     return worst, 1.0, "first-order inversion gap against the beta^2 bound"
 
 
@@ -404,7 +409,7 @@ def _check_first_order_gap_halving(rng) -> CheckBody:
                 kind = (dynamics.Hamiltonian.exact_1d(params) if dim == 1
                         else dynamics.Hamiltonian.exact_3d(params))
                 gaps.append(_first_order_gap(kind, params, speed))
-            worst = max(worst, abs(gaps[0] / gaps[1] / 4.0 - 1.0))
+            worst = _worst(worst, abs(gaps[0] / gaps[1] / 4.0 - 1.0))
     return worst, 0.2, "inversion gap drops 4x when beta halves at fixed velocity"
 
 
@@ -440,7 +445,7 @@ def _check_action_additivity(rng) -> CheckBody:
         head, tail = path.split(k)
         parts = (legendre.action_along_path(lag, head)
                  + legendre.action_along_path(lag, tail))
-        worst = max(worst, _rel(whole - parts, whole))
+        worst = _worst(worst, _rel(whole - parts, whole))
     return worst, 1e-12, "split-path actions sum to the whole, relative"
 
 
@@ -457,7 +462,7 @@ def _check_action_interval_link(rng) -> CheckBody:
         action = legendre.action_along_path(lag, path)
         arc = math.hypot(u * 2.0, speed * 2.0)
         target = params.mass * u * arc - params.mass * u * u * 2.0
-        worst = max(worst, _rel(action - target, target))
+        worst = _worst(worst, _rel(action - target, target))
     return worst, 1e-10, "uniform-velocity action vs m*u*(arc length) - m*u^2*T"
 
 
@@ -479,7 +484,7 @@ def _check_interval_invariance(rng) -> CheckBody:
             before = frames.euclidean_interval(e1, e2, u)
             after = frames.euclidean_interval(frames.galilean_apply(boost, e1),
                                               frames.galilean_apply(boost, e2), u)
-            worst = max(worst, abs(after - before) / abs(before))
+            worst = _worst(worst, abs(after - before) / abs(before))
     return worst, 1e-12, "u^2 dt^2 + dx^2 under exact boosts, |V| up to 10u"
 
 
@@ -495,8 +500,8 @@ def _check_first_order_convergence(rng) -> CheckBody:
     u = 1.0
     events = _random_events(rng, 1, 50)
     devs = [_first_order_law_deviation(events, u, v) for v in (0.4, 0.2, 0.1)]
-    worst = max(abs(devs[0] / devs[1] / 16.0 - 1.0),
-                abs(devs[1] / devs[2] / 16.0 - 1.0))
+    worst = _worst(abs(devs[0] / devs[1] / 16.0 - 1.0),
+                   abs(devs[1] / devs[2] / 16.0 - 1.0))
     return worst, 0.25, "exact vs first-order spatial gap drops 16x per V halving"
 
 
@@ -512,17 +517,17 @@ def _check_group_structure(rng) -> CheckBody:
         combo = frames.galilean_compose(b1, b2)
         sequential = frames.galilean_apply(b2, frames.galilean_apply(b1, event))
         direct = frames.galilean_apply(combo, event)
-        worst = max(worst, _rel(direct[0] - sequential[0], sequential[0]),
-                    _rel(direct[1] - sequential[1], sequential[1]))
+        worst = _worst(worst, _rel(direct[0] - sequential[0], sequential[0]),
+                       _rel(direct[1] - sequential[1], sequential[1]))
         left = frames.galilean_compose(frames.galilean_compose(b1, b2), b3)
         right = frames.galilean_compose(b1, frames.galilean_compose(b2, b3))
-        worst = max(worst, _rel(left.velocity - right.velocity, right.velocity))
+        worst = _worst(worst, _rel(left.velocity - right.velocity, right.velocity))
         identity = frames.galilean_compose(b1, frames.galilean_inverse(b1))
-        worst = max(worst, abs(identity.velocity))
+        worst = _worst(worst, abs(identity.velocity))
         back = frames.galilean_apply(frames.galilean_inverse(b1),
                                      frames.galilean_apply(b1, event))
-        worst = max(worst, _rel(back[0] - event[0], event[0]),
-                    _rel(back[1] - event[1], event[1]))
+        worst = _worst(worst, _rel(back[0] - event[0], event[0]),
+                       _rel(back[1] - event[1], event[1]))
     return worst, 1e-12, "composition, associativity, identity, inverse"
 
 
@@ -537,7 +542,7 @@ def _check_lorentz_invariance(rng) -> CheckBody:
         after = frames.minkowski_interval(frames.lorentz_apply(boost, e1),
                                           frames.lorentz_apply(boost, e2), c)
         scale = (c * (e1[0] - e2[0])) ** 2 + float(np.sum((e1[1:] - e2[1:]) ** 2))
-        worst = max(worst, abs(after - before) / scale)
+        worst = _worst(worst, abs(after - before) / scale)
     return worst, 1e-12, "c_eff^2 dt^2 - dx^2 under Lorentz boosts"
 
 
@@ -549,8 +554,8 @@ def _check_no_speed_limit(rng) -> CheckBody:
         event = rng.uniform(-2, 2, size=2)
         back = frames.galilean_apply(frames.galilean_inverse(boost),
                                      frames.galilean_apply(boost, event))
-        worst = max(worst, _rel(back[0] - event[0], event[0]),
-                    _rel(back[1] - event[1], event[1]))
+        worst = _worst(worst, _rel(back[0] - event[0], event[0]),
+                       _rel(back[1] - event[1], event[1]))
     return worst, 1e-12, "V = 10u boost round-trips; no speed ceiling"
 
 
@@ -586,9 +591,9 @@ def _check_paper_magnitudes(rng) -> CheckBody:
     scales = consts.EffectiveScales.for_mass(consts.CODATA.electron_mass,
                                              consts.GEOMETRY_THREE_D)
     u_over_c = scales.u / consts.CODATA.light_speed
-    worst = max(abs(scales.c_gamma / 4.2e-23 - 1.0) / 0.02,
-                abs(u_over_c / 1.2e22 - 1.0) / 0.05,
-                abs(scales.deviation / 3.5e-45 - 1.0) / 0.05)
+    worst = _worst(abs(scales.c_gamma / 4.2e-23 - 1.0) / 0.02,
+                   abs(u_over_c / 1.2e22 - 1.0) / 0.05,
+                   abs(scales.deviation / 3.5e-45 - 1.0) / 0.05)
     return worst, 1.0, (
         f"c*gamma {scales.c_gamma:.4e}, u/c {u_over_c:.4e}, "
         f"shift {scales.deviation:.4e} vs published magnitudes")

@@ -1,11 +1,15 @@
 """Command-line entry: simulate, transform, constants, check.
 
 Exit codes: 0 success, 1 check-suite failure, 2 usage, parse or float
-overflow error, 3 numeric-domain error.  Reports are sorted-key JSON on
-stdout; wall_time_s is the only field expected to differ between identical runs.
+overflow error, 3 numeric-domain error.  Each command returns its report
+body, its report path and its exit code; one runner stamps `command` and
+`wall_time_s`, writes the report file and prints the report as sorted-key
+JSON on stdout.  wall_time_s is the only field expected to differ between
+identical runs.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -47,10 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report) -> None:
-    print(json.dumps(report, sort_keys=True, indent=2))
-
-
 def _units_mode(config_units: str) -> str:
     override = environ.get("GUP_UNITS")
     if override is None:
@@ -59,13 +59,6 @@ def _units_mode(config_units: str) -> str:
         raise ConfigError(
             f"GUP_UNITS: expected one of {', '.join(UNITS_MODES)}, got {override!r}")
     return override
-
-
-def _write_report(path, report) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(report, handle, sort_keys=True, indent=2)
-            handle.write("\n")
 
 
 def _load_config(path):
@@ -83,10 +76,14 @@ def _load_config(path):
         raise ConfigError(f"{path}: {err}") from None
 
 
-def _cmd_simulate(args) -> int:
-    started = time.perf_counter()
-    config = _load_config(args.config)
-    units = _units_mode(config.units)
+def _scenario(path):
+    """The parsed config and the report fields simulate and transform share."""
+    config = _load_config(path)
+    return config, {"scenario": render_config(config), "units": _units_mode(config.units)}
+
+
+def _cmd_simulate(args):
+    config, report = _scenario(args.config)
     if config.t_end is None or config.dt is None:
         raise ConfigError("simulate needs t_end and dt")
     kind = config.build_hamiltonian()
@@ -95,76 +92,51 @@ def _cmd_simulate(args) -> int:
     out_path = config.trajectory_path or "trajectory.csv"
     csvio.write_trajectory(out_path, trajectory)
     end = trajectory.endpoint
-    report = {
-        "command": "simulate",
-        "scenario": render_config(config),
-        "units": units,
-        "trajectory": {
-            "samples": len(trajectory),
-            "endpoint": {
-                "t": float(trajectory.times[-1]),
-                "x": [float(v) for v in end.x],
-                "p": [float(v) for v in end.p],
-                "energy": float(trajectory.energies[-1]),
-            },
-            "energy_drift": float(dynamics.energy_drift(trajectory)),
+    report["trajectory"] = {
+        "samples": len(trajectory),
+        "endpoint": {
+            "t": float(trajectory.times[-1]),
+            "x": [float(v) for v in end.x],
+            "p": [float(v) for v in end.p],
+            "energy": float(trajectory.energies[-1]),
         },
-        "output": {"trajectory_csv": out_path},
-        "wall_time_s": time.perf_counter() - started,
+        "energy_drift": float(dynamics.energy_drift(trajectory)),
     }
-    _write_report(config.report_path, report)
-    _emit(report)
-    return 0
+    report["output"] = {"trajectory_csv": out_path}
+    return report, config.report_path, 0
 
 
-def _cmd_transform(args) -> int:
-    started = time.perf_counter()
-    config = _load_config(args.config)
-    units = _units_mode(config.units)
+def _cmd_transform(args):
+    config, report = _scenario(args.config)
     boost = config.build_boost()
     if boost is None:
         raise ConfigError("transform needs a boost.velocity entry")
     events = csvio.read_events(args.events)
     if isinstance(boost, frames.LorentzBoost):
         mapped = frames.lorentz_apply(boost, events)
-        boost_echo = {"law": "lorentz", "velocity": boost.velocity,
-                      "light_speed": boost.light_speed}
+        report["boost"] = {"law": "lorentz", "velocity": boost.velocity,
+                           "light_speed": boost.light_speed}
     else:
         mapped = frames.galilean_apply(boost, events)
-        boost_echo = {"law": boost.law, "velocity": boost.velocity,
-                      "scale": boost.scale}
+        report["boost"] = {"law": boost.law, "velocity": boost.velocity,
+                           "scale": boost.scale}
     # a non-finite interval is refused before any file is written
     residual = frames.interval_residual(boost, events, mapped)
     out_path = config.events_path or "events_transformed.csv"
     csvio.write_events(out_path, mapped)
-    report = {
-        "command": "transform",
-        "scenario": render_config(config),
-        "units": units,
-        "boost": boost_echo,
-        "events": {
-            "count": len(events),
-            "interval_residual": residual,
-        },
-        "output": {"events_csv": out_path},
-        "wall_time_s": time.perf_counter() - started,
-    }
-    _write_report(config.report_path, report)
-    _emit(report)
-    return 0
+    report["events"] = {"count": len(events), "interval_residual": residual}
+    report["output"] = {"events_csv": out_path}
+    return report, config.report_path, 0
 
 
-def _cmd_constants(args) -> int:
-    started = time.perf_counter()
+def _cmd_constants(args):
     mass = constants.CODATA.electron_mass if args.mass is None else args.mass
     if not (math.isfinite(mass) and mass > 0.0):
         raise ConfigError(f"--mass must be finite and positive, got {mass}")
-    units = _units_mode("SI")
     one = constants.EffectiveScales.for_mass(mass, constants.GEOMETRY_ONE_D)
     three = constants.EffectiveScales.for_mass(mass, constants.GEOMETRY_THREE_D)
     c = constants.CODATA.light_speed
     report = {
-        "command": "constants",
         "gamma": one.gamma,
         "c_gamma": one.c_gamma,
         "u_over_c_1d": one.u / c,
@@ -178,16 +150,14 @@ def _cmd_constants(args) -> int:
             "gravitational": constants.CODATA.gravitational,
             "planck_length": constants.CODATA.planck_length,
             "minimal_length": "planck length",
-            "units": units,
+            # the CODATA values are SI whatever GUP_UNITS says
+            "units": "SI",
         },
-        "wall_time_s": time.perf_counter() - started,
     }
-    _emit(report)
-    return 0
+    return report, None, 0
 
 
-def _cmd_check(args) -> int:
-    started = time.perf_counter()
+def _cmd_check(args):
     if not (math.isfinite(args.tolerance_scale) and args.tolerance_scale >= 0.0):
         raise ConfigError(
             f"--tolerance-scale must be finite and non-negative, got {args.tolerance_scale}")
@@ -197,20 +167,13 @@ def _cmd_check(args) -> int:
                                tolerance_scale=args.tolerance_scale)
     failures = sum(1 for r in results if not r.passed)
     report = {
-        "command": "check",
         "suite": args.suite,
         "seed": args.seed,
         "tolerance_scale": args.tolerance_scale,
-        "results": [
-            {"name": r.name, "measured": r.measured, "tolerance": r.tolerance,
-             "passed": r.passed, "detail": r.detail}
-            for r in results
-        ],
+        "results": [dataclasses.asdict(r) for r in results],
         "failures": failures,
-        "wall_time_s": time.perf_counter() - started,
     }
-    _emit(report)
-    return 0 if failures == 0 else 1
+    return report, None, 0 if failures == 0 else 1
 
 
 _COMMANDS = {
@@ -221,11 +184,25 @@ _COMMANDS = {
 }
 
 
+def _run(args) -> int:
+    """Run one command; stamp, time, write and print its report."""
+    started = time.perf_counter()
+    body, report_path, code = _COMMANDS[args.command](args)
+    report = {"command": args.command, **body,
+              "wall_time_s": time.perf_counter() - started}
+    text = json.dumps(report, sort_keys=True, indent=2)
+    if report_path:
+        with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text + "\n")
+    print(text)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _run(args)
     except DomainError as err:
         print(f"gupmech: domain error: {err}", file=sys.stderr)
         return _DOMAIN_EXIT

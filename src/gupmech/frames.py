@@ -137,15 +137,8 @@ def galilean_compose(first: GalileanBoost, second: GalileanBoost) -> GalileanBoo
         raise ValueError(
             f"cannot compose boosts with different scales {first.scale} and {second.scale}"
         )
-    u = first.scale
-    v1 = first.velocity
-    v2 = second.velocity
-    denom = 1.0 - v1 * v2 / (u * u)
-    if denom == 0.0:
-        raise DomainError(
-            f"boost composition is singular at V1*V2 = u^2 (V1={v1:.6g}, V2={v2:.6g})"
-        )
-    return GalileanBoost(velocity=(v1 + v2) / denom, scale=u, law=GALILEAN_EXACT)
+    return GalileanBoost(velocity=velocity_compose(first.velocity, second),
+                         scale=first.scale, law=GALILEAN_EXACT)
 
 
 def velocity_compose(v: float, boost: GalileanBoost) -> float:

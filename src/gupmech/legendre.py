@@ -139,15 +139,10 @@ def _solve_radial(kind: Hamiltonian, s: float) -> float:
     if s == 0.0:
         return 0.0
     sup = speed_limit(kind)
-    if s > sup:
-        raise DomainError(
-            f"no momentum on the monotone branch reaches speed {s:.6g} "
-            f"(attainable speeds stay below {sup:.6g})"
-        )
-    if math.isfinite(sup) and s == sup:
-        q_sup = monotone_momentum_limit(kind)
+    if math.isfinite(sup) and s >= sup:
+        q_sup = monotone_momentum_limit(kind) if s == sup else math.inf
         if not math.isfinite(q_sup):
-            # speed approached only asymptotically; no momentum attains it
+            # above the limit, or at one approached only asymptotically
             raise DomainError(
                 f"no momentum on the monotone branch reaches speed {s:.6g} "
                 f"(attainable speeds stay below {sup:.6g})"

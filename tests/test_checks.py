@@ -1,10 +1,12 @@
 """Every check row's seed-42 measurement, pinned bit for bit."""
 
 import functools
+import math
 
+import numpy as np
 import pytest
 
-from gupmech import dynamics, frames
+from gupmech import dynamics, frames, legendre
 from gupmech.checks import _rk4_order_errors, run_suite
 
 # float.hex of each row's `measured` at seed 42, recorded while algebra
@@ -88,3 +90,25 @@ def test_suite_step_count(monkeypatch):
         monkeypatch.setattr(module, "integrate", counted)
     run_suite("all")
     assert sum(steps) == 8875
+
+
+def _nan_on_call(function, call):
+    """function, except that its call-th call returns NaN in every value."""
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        calls.append(None)
+        result = function(*args, **kwargs)
+        return np.multiply(result, math.nan) if len(calls) == call else result
+
+    return poisoned
+
+
+@pytest.mark.parametrize("module, function, suite, row", [
+    (dynamics, "hamilton_rhs_fd", "dynamics", "dynamics.rhs-fd-agreement"),
+    (legendre, "momentum_from_velocity_exact", "legendre", "legendre.inversion-roundtrip"),
+], ids=["rhs-fd-agreement", "inversion-roundtrip"])
+def test_a_nan_sample_fails_its_row(monkeypatch, module, function, suite, row):
+    monkeypatch.setattr(module, function, _nan_on_call(getattr(module, function), 50))
+    result = {r.name: r for r in run_suite(suite)}[row]
+    assert math.isnan(result.measured) and not result.passed

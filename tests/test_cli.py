@@ -423,6 +423,13 @@ class TestUnitsFlag:
         assert code == 2
         assert "GUP_UNITS" in err
 
+    @pytest.mark.parametrize("value", ["natural", "bogus"])
+    def test_constants_are_always_si(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GUP_UNITS", value)
+        code, out, _ = run_cli(capsys, "constants")
+        assert code == 0
+        assert json.loads(out)["assumptions"]["units"] == "SI"
+
 
 class TestUsage:
     def test_no_subcommand(self, capsys):
