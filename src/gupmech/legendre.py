@@ -140,8 +140,8 @@ def _solve_radial(kind: Hamiltonian, s: float) -> float:
         return 0.0
     sup = speed_limit(kind)
     if math.isfinite(sup) and s >= sup:
-        q_sup = monotone_momentum_limit(kind) if s == sup else math.inf
-        if not math.isfinite(q_sup):
+        q_sup = monotone_momentum_limit(kind)
+        if s > sup or not math.isfinite(q_sup):
             # above the limit, or at one approached only asymptotically
             raise DomainError(
                 f"no momentum on the monotone branch reaches speed {s:.6g} "

@@ -518,20 +518,15 @@ output.trajectory = run.csv
 output.report = report.json
 """
 
-_REPORT_BOOSTS = {
-    "exact": "boost.velocity = 0.4\nboost.scale = 1.0\n",
-    "lorentz": "boost.law = lorentz\nboost.velocity = 0.6\nboost.light_speed = 1.0\n",
-}
-
 
 def _transform_config(law):
     return ("model.kind = exact-1d\nmodel.mass = 1.0\nmodel.beta = 0.01\n"
-            + _REPORT_BOOSTS[law] + "output.events = out.csv\noutput.report = report.json\n")
+            + _PIN_BOOSTS[law] + "output.events = out.csv\noutput.report = report.json\n")
 
 
-# render_config writes the derived gamma and puts boost.law last
-_RENDERED_HEAD = "model.kind = exact-1d\nmodel.mass = 1.0\nmodel.beta = 0.01\nmodel.gamma = 0.1\n"
-_RENDERED_TAIL = "output.events = out.csv\noutput.report = report.json\n"
+def _rendered(config):
+    """config as render_config echoes it: with the derived gamma after beta."""
+    return config.replace("model.beta = 0.01\n", "model.beta = 0.01\nmodel.gamma = 0.1\n")
 
 
 # Every report, minus wall_time_s, on one fixed input per command.
@@ -539,8 +534,7 @@ _REPORTS = {
     "simulate": {
         "command": "simulate",
         "output": {"trajectory_csv": "run.csv"},
-        "scenario": _REPORT_SIMULATE.replace("model.beta = 0.01\n",
-                                             "model.beta = 0.01\nmodel.gamma = 0.1\n"),
+        "scenario": _rendered(_REPORT_SIMULATE),
         "trajectory": {
             "endpoint": {
                 "energy": 1.1300505045396756,
@@ -558,8 +552,7 @@ _REPORTS = {
         "command": "transform",
         "events": {"count": 3, "interval_residual": 3.3306690738754696e-16},
         "output": {"events_csv": "out.csv"},
-        "scenario": (_RENDERED_HEAD + "boost.velocity = 0.4\nboost.scale = 1.0\n"
-                     + _RENDERED_TAIL),
+        "scenario": _rendered(_transform_config("exact")),
         "units": "natural",
     },
     "transform-lorentz": {
@@ -567,8 +560,7 @@ _REPORTS = {
         "command": "transform",
         "events": {"count": 3, "interval_residual": 0.0},
         "output": {"events_csv": "out.csv"},
-        "scenario": (_RENDERED_HEAD + "boost.velocity = 0.6\nboost.light_speed = 1.0\n"
-                     "boost.law = lorentz\n" + _RENDERED_TAIL),
+        "scenario": _rendered(_transform_config("lorentz")),
         "units": "natural",
     },
     "constants": {
