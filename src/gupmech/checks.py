@@ -212,38 +212,40 @@ def _check_jacobi(rng) -> CheckBody:
 
 # --------------------------------------------------------------- dynamics
 
-def _free_hamiltonians(beta, mass=1.0):
-    params = DeformationParameters(beta=beta, mass=mass)
+def _free_hamiltonians(beta):
+    params = DeformationParameters(beta=beta, mass=1.0)
     return (dynamics.Hamiltonian.exact_1d(params),
             dynamics.Hamiltonian.first_order_1d(params))
 
 
-def _check_model_agreement_bound(rng) -> CheckBody:
-    del rng
-    beta, mass = 0.01, 1.0
-    exact, first = _free_hamiltonians(beta, mass)
-    grid = np.linspace(0.02, 0.3, 15) / math.sqrt(beta)
+def _energy_gap(one, other, p):
+    """|H_one - H_other| at x = 0 and momentum p."""
+    state = PhaseState.of(0.0, float(p))
+    return abs(dynamics.hamiltonian_value(one, state) - dynamics.hamiltonian_value(other, state))
+
+
+def _worst_sextic_gap(one, other, grid):
+    """The worst energy gap over the momenta in grid, against beta^2 p^6 / m."""
+    beta, mass = one.params.beta, one.params.mass
     worst = 0.0
     for p in grid:
-        state = PhaseState.of(0.0, float(p))
-        gap = abs(dynamics.hamiltonian_value(exact, state)
-                  - dynamics.hamiltonian_value(first, state))
-        worst = _worst(worst, gap / (beta ** 2 * p ** 6 / mass))
-    return worst, 1.0, "|H_exact - H_first| against beta^2 p^6 / m"
+        worst = _worst(worst, _energy_gap(one, other, p) / (beta ** 2 * p ** 6 / mass))
+    return worst
+
+
+def _check_model_agreement_bound(rng) -> CheckBody:
+    del rng
+    beta = 0.01
+    grid = np.linspace(0.02, 0.3, 15) / math.sqrt(beta)
+    return _worst_sextic_gap(*_free_hamiltonians(beta), grid), 1.0, "|H_exact - H_first| against beta^2 p^6 / m"
 
 
 def _check_model_agreement_halving(rng) -> CheckBody:
     del rng
-    beta, mass = 0.01, 1.0
-    grid = np.linspace(0.1, 0.3, 9) / math.sqrt(beta)
+    beta = 0.01
     worst = 0.0
-    for p in grid:
-        state = PhaseState.of(0.0, float(p))
-        gaps = []
-        for b in (beta, beta / 2.0):
-            exact, first = _free_hamiltonians(b, mass)
-            gaps.append(abs(dynamics.hamiltonian_value(exact, state)
-                            - dynamics.hamiltonian_value(first, state)))
+    for p in np.linspace(0.1, 0.3, 9) / math.sqrt(beta):
+        gaps = [_energy_gap(*_free_hamiltonians(b), p) for b in (beta, beta / 2.0)]
         worst = _worst(worst, abs(gaps[0] / gaps[1] / 4.0 - 1.0))
     return worst, 0.2, "energy gap drops 4x when beta halves"
 
@@ -254,14 +256,8 @@ def _check_effective_sqrt_consistency(rng) -> CheckBody:
     params = DeformationParameters(beta=beta, mass=mass)
     u = math.sqrt(3.0 / (8.0 * beta * mass * mass))
     eff = dynamics.Hamiltonian.effective_sqrt(params, u, sign=-1)
-    first = dynamics.Hamiltonian.first_order_1d(params)
     grid = np.linspace(0.05, 0.3, 11) / math.sqrt(beta)
-    worst = 0.0
-    for p in grid:
-        state = PhaseState.of(0.0, float(p))
-        gap = abs(dynamics.hamiltonian_value(eff, state)
-                  - dynamics.hamiltonian_value(first, state))
-        worst = _worst(worst, gap / (beta ** 2 * p ** 6 / mass))
+    worst = _worst_sextic_gap(eff, dynamics.Hamiltonian.first_order_1d(params), grid)
     return worst, 1.0, "sqrt model at u^2 = 3/(8 beta m^2) vs quartic model"
 
 
@@ -366,29 +362,24 @@ def _check_inversion_roundtrip(rng) -> CheckBody:
 _GAP_COEFFS = {1: 8.0, 3: 24.0}
 
 
-def _first_order_gap(kind, params, speed):
-    if kind.dim == 1:
-        exact = float(np.asarray(
-            legendre.momentum_from_velocity_exact(speed, kind)))
-        first = legendre.momentum_from_velocity_first_order(speed, params)
-    else:
-        v = np.array([speed, 0.0, 0.0])
-        exact = legendre.momentum_from_velocity_exact(v, kind)[0]
-        first = legendre.momentum_from_velocity_first_order(v, params)[0]
+def _first_order_gap(dim, params, speed):
+    """|p_exact - p_first| at the given speed along axis 1, in 1D or 3D."""
+    exact_model = dynamics.Hamiltonian.exact_1d if dim == 1 else dynamics.Hamiltonian.exact_3d
+    v = speed if dim == 1 else np.array([speed, 0.0, 0.0])
+    exact = np.ravel(legendre.momentum_from_velocity_exact(v, exact_model(params)))[0]
+    first = np.ravel(legendre.momentum_from_velocity_first_order(v, params))[0]
     return abs(exact - first)
 
 
 def _check_first_order_gap_bound(rng) -> CheckBody:
     del rng
     beta, mass = 0.01, 1.0
+    params = DeformationParameters(beta=beta, mass=mass)
+    speeds = np.sqrt(np.linspace(0.005, 0.095, 12) / (beta * mass * mass))
     worst = 0.0
     for dim in (1, 3):
-        params = DeformationParameters(beta=beta, mass=mass)
-        kind = (dynamics.Hamiltonian.exact_1d(params) if dim == 1
-                else dynamics.Hamiltonian.exact_3d(params))
-        speeds = np.sqrt(np.linspace(0.005, 0.095, 12) / (beta * mass * mass))
         for speed in speeds:
-            gap = _first_order_gap(kind, params, float(speed))
+            gap = _first_order_gap(dim, params, float(speed))
             bound = _GAP_COEFFS[dim] * beta ** 2 * mass ** 5 * speed ** 5
             worst = _worst(worst, gap / bound)
     return worst, 1.0, "first-order inversion gap against the beta^2 bound"
@@ -403,12 +394,8 @@ def _check_first_order_gap_halving(rng) -> CheckBody:
     for dim in (1, 3):
         for speed_sq in (0.02, 0.05, 0.09):
             speed = math.sqrt(speed_sq / (0.01 * mass * mass))
-            gaps = []
-            for beta in (0.01, 0.005):
-                params = DeformationParameters(beta=beta, mass=mass)
-                kind = (dynamics.Hamiltonian.exact_1d(params) if dim == 1
-                        else dynamics.Hamiltonian.exact_3d(params))
-                gaps.append(_first_order_gap(kind, params, speed))
+            gaps = [_first_order_gap(dim, DeformationParameters(beta=beta, mass=mass), speed)
+                    for beta in (0.01, 0.005)]
             worst = _worst(worst, abs(gaps[0] / gaps[1] / 4.0 - 1.0))
     return worst, 0.2, "inversion gap drops 4x when beta halves at fixed velocity"
 
@@ -523,12 +510,15 @@ def _check_group_structure(rng) -> CheckBody:
         right = frames.galilean_compose(b1, frames.galilean_compose(b2, b3))
         worst = _worst(worst, _rel(left.velocity - right.velocity, right.velocity))
         identity = frames.galilean_compose(b1, frames.galilean_inverse(b1))
-        worst = _worst(worst, abs(identity.velocity))
-        back = frames.galilean_apply(frames.galilean_inverse(b1),
-                                     frames.galilean_apply(b1, event))
-        worst = _worst(worst, _rel(back[0] - event[0], event[0]),
-                       _rel(back[1] - event[1], event[1]))
+        worst = _worst(worst, abs(identity.velocity), _round_trip_error(b1, event))
     return worst, 1e-12, "composition, associativity, identity, inverse"
+
+
+def _round_trip_error(boost, event):
+    """Relative error of a 1D event boosted and boosted back, worst coordinate."""
+    back = frames.galilean_apply(frames.galilean_inverse(boost),
+                                 frames.galilean_apply(boost, event))
+    return _worst(_rel(back[0] - event[0], event[0]), _rel(back[1] - event[1], event[1]))
 
 
 def _check_lorentz_invariance(rng) -> CheckBody:
@@ -551,35 +541,27 @@ def _check_no_speed_limit(rng) -> CheckBody:
     boost = frames.GalileanBoost(10.0 * u, u)
     worst = 0.0
     for _ in range(20):
-        event = rng.uniform(-2, 2, size=2)
-        back = frames.galilean_apply(frames.galilean_inverse(boost),
-                                     frames.galilean_apply(boost, event))
-        worst = _worst(worst, _rel(back[0] - event[0], event[0]),
-                       _rel(back[1] - event[1], event[1]))
+        worst = _worst(worst, _round_trip_error(boost, rng.uniform(-2, 2, size=2)))
     return worst, 1e-12, "V = 10u boost round-trips; no speed ceiling"
 
 
-def _covariance_setup():
+def _covariance(law):
+    """covariance_residual of a free exact-1d particle under a 0.3 u boost by `law`."""
     params = DeformationParameters(beta=0.01, mass=1.0)
-    kind = dynamics.Hamiltonian.exact_1d(params)
     u = math.sqrt(3.0 / (8.0 * params.beta * params.mass ** 2))
-    initial = PhaseState.of(0.0, 1.0)
-    return kind, u, initial
+    boost = frames.GalileanBoost(0.3 * u, u, law=law)
+    return frames.covariance_residual(dynamics.Hamiltonian.exact_1d(params), boost,
+                                      PhaseState.of(0.0, 1.0), 1.0, 1e-3)
 
 
 def _check_covariance_exact(rng) -> CheckBody:
     del rng
-    kind, u, initial = _covariance_setup()
-    boost = frames.GalileanBoost(0.3 * u, u, law=frames.GALILEAN_EXACT)
-    residual = frames.covariance_residual(kind, boost, initial, 1.0, 1e-3)
-    return residual, 1e-10, "exact law keeps free motion linear with composed slope"
+    return _covariance(frames.GALILEAN_EXACT), 1e-10, "exact law keeps free motion linear with composed slope"
 
 
 def _check_covariance_control(rng) -> CheckBody:
     del rng
-    kind, u, initial = _covariance_setup()
-    boost = frames.GalileanBoost(0.3 * u, u, law=frames.GALILEAN_ORDINARY)
-    residual = frames.covariance_residual(kind, boost, initial, 1.0, 1e-3)
+    residual = _covariance(frames.GALILEAN_ORDINARY)
     return 1e-4 / residual, 1.0, (
         f"ordinary law must fail covariance; residual {residual:.3e}")
 

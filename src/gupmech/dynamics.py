@@ -11,10 +11,11 @@ one fixed-step integrator:
     effective-sqrt                square-root form with a velocity scale
 
 The deformation is rotation-invariant, so each model is one `Kinetic`
-record of functions of |p|.  Hamilton's equations come with analytic
-derivatives; a central finite-difference fallback is kept for
-cross-checking them.  The integrator is classic fixed-step RK4 and
-records energy along the way.
+record of functions of |p|.  Every quantity is computed on floats, one
+per axis, with |p|^2 summed left to right.  Hamilton's equations come
+with analytic derivatives; a central finite-difference fallback is kept
+for cross-checking them.  The integrator is classic fixed-step RK4, one
+loop per dimension, and records energy along the way.
 """
 
 import math
@@ -41,14 +42,6 @@ POTENTIAL_FREE = "free"
 POTENTIAL_HARMONIC = "harmonic"
 POTENTIAL_UNIFORM_FIELD = "uniform-field"
 POTENTIAL_KINDS = (POTENTIAL_FREE, POTENTIAL_HARMONIC, POTENTIAL_UNIFORM_FIELD)
-
-
-def _square_1d(v: float) -> float:
-    return v * v
-
-
-def _square_3d(v: np.ndarray) -> float:
-    return float(v @ v)
 
 
 @dataclass(frozen=True)
@@ -80,22 +73,15 @@ class Potential:
         return cls(kind=POTENTIAL_UNIFORM_FIELD, force=float(force))
 
     def terms(self, dim: int):
-        """(U, -dU/dx) as functions of x, a float for dim 1 and a 3-array for dim 3."""
+        """(U, -dU/dx) as functions of floats: x in 1D, x1, x2, x3 in 3D with a 3-tuple force."""
         k = self.stiffness
         f = self.force
-        if self.kind == POTENTIAL_HARMONIC:
-            square = _square_1d if dim == 1 else _square_3d
-            return (lambda x: 0.5 * k * square(x)), (lambda x: -k * x)
-        if self.kind == POTENTIAL_UNIFORM_FIELD:
-            if dim == 1:
+        if dim == 1:
+            if self.kind == POTENTIAL_HARMONIC:
+                return (lambda x: 0.5 * k * (x * x)), (lambda x: -k * x)
+            if self.kind == POTENTIAL_UNIFORM_FIELD:
                 return (lambda x: -f * x), (lambda x: f)
-            return (lambda x: -f * float(x[0])), (lambda x: np.array([f, 0.0, 0.0]))
-        return (lambda x: 0.0), (lambda x: 0.0 * x)
-
-    def triples(self):
-        """(U, -dU/dx) as functions of three floats x1, x2, x3; the force is a 3-tuple."""
-        k = self.stiffness
-        f = self.force
+            return (lambda x: 0.0), (lambda x: 0.0 * x)
         if self.kind == POTENTIAL_HARMONIC:
             return ((lambda a, b, c: 0.5 * k * (a * a + b * b + c * c)),
                     (lambda a, b, c: (-k * a, -k * b, -k * c)))
@@ -104,15 +90,21 @@ class Potential:
         return (lambda a, b, c: 0.0), (lambda a, b, c: (0.0 * a, 0.0 * b, 0.0 * c))
 
     def energy(self, x) -> float:
-        if np.ndim(x) == 0:
-            return self.terms(1)[0](float(x))
-        return self.terms(3)[0](np.asarray(x, dtype=float))
+        return self._at(x)[0]
 
     def gradient(self, x):
         """dU/dx with the same scalar/vector shape as x."""
-        if np.ndim(x) == 0:
-            return -self.terms(1)[1](float(x))
-        return -self.terms(3)[1](np.asarray(x, dtype=float))
+        force = self._at(x)[1]
+        return -force if np.ndim(x) == 0 else -np.array(force, dtype=float, ndmin=1)
+
+    def _at(self, x):
+        """(U, -dU/dx) at x, a scalar or a 1- or 3-component vector."""
+        v = np.asarray(x, dtype=float)
+        if v.ndim > 1 or v.size not in (1, 3):
+            raise ValueError(f"a position has 1 or 3 components, got shape {v.shape}")
+        energy, force = self.terms(v.size)
+        xs = v.ravel().tolist()
+        return energy(*xs), force(*xs)
 
 
 @dataclass(frozen=True)
@@ -122,10 +114,9 @@ class Kinetic:
     `energy` and `ratio` take s = |p|^2 and raise DomainError outside the
     model's domain; `ratio` is |dx/dt| / |p|, so dx/dt = p * ratio(s) in
     either dimension.  `slope` is d|dx/dt| / d|p| at q = |p|, unchecked.
-    `square` gives s from p: p * p for a float, p @ p for a 3-array.
+    Callers sum s from the float components of p, left to right.
     """
 
-    square: Callable
     energy: Callable[[float], float]
     ratio: Callable[[float], float]
     slope: Callable[[float], float]
@@ -147,7 +138,7 @@ def _radius(model: str, s: float, limit: float) -> float:
     return q
 
 
-def _quartic(square, m: float, a: float, rest: float = 0.0) -> Kinetic:
+def _quartic(m: float, a: float, rest: float = 0.0) -> Kinetic:
     """T = rest + |p|^2 / 2m + a |p|^4; with a < 0 the speed peaks at 12 a m |p|^2 = -1."""
 
     def ratio(s):
@@ -157,7 +148,7 @@ def _quartic(square, m: float, a: float, rest: float = 0.0) -> Kinetic:
     if a < 0.0:
         monotone = 1.0 / math.sqrt(-12.0 * a * m)
         speed = monotone * ratio(monotone * monotone)
-    return Kinetic(square, lambda s: rest + s / (2.0 * m) + a * s * s, ratio,
+    return Kinetic(lambda s: rest + s / (2.0 * m) + a * s * s, ratio,
                    lambda q: 1.0 / m + 12.0 * a * q * q,
                    monotone_momentum_limit=monotone, speed_limit=speed)
 
@@ -166,7 +157,7 @@ def _exact_1d(kind) -> Kinetic:
     m = kind.params.mass
     b = kind.params.beta
     if b == 0.0:
-        return _quartic(_square_1d, m, 0.0)
+        return _quartic(m, 0.0)
     sb = math.sqrt(b)
     limit = (math.pi / 2.0) / sb
 
@@ -195,12 +186,12 @@ def _exact_1d(kind) -> Kinetic:
         t = math.tan(z)
         return sec2 * (sec2 + 2.0 * t * t) / m
 
-    return Kinetic(_square_1d, energy, ratio, slope, limit, limit)
+    return Kinetic(energy, ratio, slope, limit, limit)
 
 
 def _first_order_1d(kind) -> Kinetic:
     m = kind.params.mass
-    return _quartic(_square_1d, m, kind.params.beta / (3.0 * m))
+    return _quartic(m, kind.params.beta / (3.0 * m))
 
 
 def _exact_3d(kind) -> Kinetic:
@@ -219,13 +210,13 @@ def _exact_3d(kind) -> Kinetic:
         bq = b * q * q
         return (1.0 + 3.0 * bq) / (m * (1.0 - bq) ** 3)
 
-    return Kinetic(_square_3d, lambda s: s / (2.0 * m * one_minus_bs(s)),
+    return Kinetic(lambda s: s / (2.0 * m * one_minus_bs(s)),
                    lambda s: 1.0 / (m * one_minus_bs(s) ** 2), slope, limit, limit)
 
 
 def _first_order_3d(kind) -> Kinetic:
     m = kind.params.mass
-    return _quartic(_square_3d, m, kind.params.beta / (2.0 * m))
+    return _quartic(m, kind.params.beta / (2.0 * m))
 
 
 def _effective_sqrt(kind) -> Kinetic:
@@ -245,8 +236,7 @@ def _effective_sqrt(kind) -> Kinetic:
     def root(s):
         return math.sqrt(1.0 + sign * (_radius(EFFECTIVE_SQRT, s, limit) / (m * w)) ** 2)
 
-    return Kinetic(_square_1d,
-                   lambda s: sign * m * w * w * (root(s) - 1.0),
+    return Kinetic(lambda s: sign * m * w * w * (root(s) - 1.0),
                    lambda s: 1.0 / (m * root(s)),
                    lambda q: (1.0 + sign * (q / (m * w)) ** 2) ** -1.5 / m,
                    limit, limit, w if sign > 0 else math.inf)
@@ -256,7 +246,7 @@ def _relativistic_first_order_1d(kind) -> Kinetic:
     if not kind.light_speed > 0.0:
         raise ValueError("the relativistic model needs light_speed > 0")
     m = kind.params.mass
-    return _quartic(_square_1d, m, relativistic_quartic_coefficient(kind),
+    return _quartic(m, relativistic_quartic_coefficient(kind),
                     rest=m * kind.light_speed ** 2)
 
 
@@ -382,20 +372,27 @@ def components(kind: Hamiltonian, values):
     return v if kind.dim == 3 else v.item()
 
 
+def _unpack(kind: Hamiltonian, state: PhaseState):
+    """(x, p, |p|^2) on lists of floats, |p|^2 summed left to right as in the RK4 loops."""
+    x, p = components(kind, state.x), components(kind, state.p)
+    if kind.dim == 1:
+        return [x], [p], p * p
+    p1, p2, p3 = p.tolist()
+    return x.tolist(), [p1, p2, p3], p1 * p1 + p2 * p2 + p3 * p3
+
+
 def hamiltonian_value(kind: Hamiltonian, state: PhaseState) -> float:
     """Total energy of the state under the given model."""
-    x, p = components(kind, state.x), components(kind, state.p)
-    kin = kind._kinetic
-    return kin.energy(kin.square(p)) + kind._potential_terms[0](x)
+    x, _, s = _unpack(kind, state)
+    return kind._kinetic.energy(s) + kind._potential_terms[0](*x)
 
 
 def hamilton_rhs(kind: Hamiltonian, state: PhaseState):
     """Analytic (dx/dt, dp/dt) = (dH/dp, -dH/dx) as a pair of arrays."""
-    x, p = components(kind, state.x), components(kind, state.p)
-    kin = kind._kinetic
-    xdot = p * kin.ratio(kin.square(p))
-    pdot = kind._potential_terms[1](x)
-    return np.array(xdot, dtype=float, ndmin=1), np.array(pdot, dtype=float, ndmin=1)
+    x, p, s = _unpack(kind, state)
+    r = kind._kinetic.ratio(s)
+    return (np.array([c * r for c in p]),
+            np.array(kind._potential_terms[1](*x), dtype=float, ndmin=1))
 
 
 def hamilton_rhs_fd(kind: Hamiltonian, state: PhaseState):
@@ -453,18 +450,20 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
     overflow mid-run, raises FloatingPointError naming the initial state
     or the first step that holds one.
     """
-    x, p = components(kind, initial.x), components(kind, initial.p)
+    x, p, _ = _unpack(kind, initial)
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     n = max(1, int(round(t_end / dt)))
     h = t_end / n
-    times = np.linspace(0.0, t_end, n + 1)
-    # rows shaped like x and p themselves: floats in 1D, 3-arrays in 3D
-    positions = np.empty((n + 1,) + np.shape(x))
-    momenta = np.empty((n + 1,) + np.shape(p))
-    energies = np.empty(n + 1)
+    try:  # numpy refuses a size it cannot hold before any write
+        positions, momenta = np.empty((n + 1, kind.dim)), np.empty((n + 1, kind.dim))
+        energies = np.empty(n + 1)
+        times = np.linspace(0.0, t_end, n + 1)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"t_end / dt = {t_end / dt:.6g} asks for {n} steps, "
+                         "more than memory can hold") from exc
 
     try:
         energies[0] = hamiltonian_value(kind, initial)
@@ -474,22 +473,23 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
         raise FloatingPointError(f"initial state left the float range: {exc}") from exc
     if not math.isfinite(energies[0]):
         raise FloatingPointError(f"initial state has a non-finite energy ({energies[0]})")
-    positions[0] = x
-    momenta[0] = p
+    positions[0], momenta[0] = x, p
 
     def left_float_range(step):
         return FloatingPointError(f"trajectory left the float range at step {step} of {n} "
                                   f"(t = {step * h:.6g})")
 
-    # x and p are floats in 1D.  In 3D each is three floats, because numpy
-    # costs more than the arithmetic on 3-element arrays.
+    # x and p are one float in 1D and three in 3D, because numpy costs
+    # more than the arithmetic on 1- and 3-element arrays.
     kin = kind._kinetic
     ratio, kinetic_energy = kin.ratio, kin.energy
+    potential_energy, force = kind._potential_terms
     half = 0.5 * h
     sixth = h / 6.0
     try:
         if kind.dim == 1:
-            potential_energy, force = kind._potential_terms
+            (x,), (p,) = x, p
+            xs, ps = positions[:, 0], momenta[:, 0]
             for k in range(n):
                 vx1 = p * ratio(p * p)
                 vp1 = force(x)
@@ -505,11 +505,10 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
                 x = x + sixth * (vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4)
                 p = p + sixth * (vp1 + 2.0 * vp2 + 2.0 * vp3 + vp4)
                 energies[k + 1] = kinetic_energy(p * p) + potential_energy(x)
-                positions[k + 1] = x
-                momenta[k + 1] = p
+                xs[k + 1] = x
+                ps[k + 1] = p
         else:
-            potential_energy, force = kind.potential.triples()
-            (x1, x2, x3), (p1, p2, p3) = x.tolist(), p.tolist()
+            (x1, x2, x3), (p1, p2, p3) = x, p
 
             def velocity(s1, s2, s3):
                 r = ratio(s1 * s1 + s2 * s2 + s3 * s3)
@@ -545,7 +544,6 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
     except ArithmeticError as exc:
         raise left_float_range(k + 1) from exc
 
-    positions, momenta = positions.reshape(n + 1, kind.dim), momenta.reshape(n + 1, kind.dim)
     finite = np.isfinite(energies) & np.isfinite(positions).all(1) & np.isfinite(momenta).all(1)
     if not finite.all():
         raise left_float_range(int(np.argmin(finite)))

@@ -134,6 +134,18 @@ class TestSimulate:
                        "at step 1 of 2 (t = 1)\n")
         assert not (tmp_path / "trajectory.csv").exists()
 
+    def test_unallocatable_step_count_writes_no_trajectory(self, tmp_path, capsys):
+        # 1e18 steps: numpy refuses the 8-EiB arrays before it writes any
+        cfg = write(tmp_path, "long.cfg",
+                    FREE_EXACT.replace("t_end = 1.0", "t_end = 1e9")
+                              .replace("dt = 0.01", "dt = 1e-9"))
+        code, out, err = run_cli(capsys, "simulate", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("gupmech: error: t_end / dt = 1e+18 asks for "
+                              "1000000000000000000 steps")
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "simulate", "--config",
                                str(tmp_path / "nope.cfg"))

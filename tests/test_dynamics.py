@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,13 @@ CONFIGURATIONS = [
 ]
 
 
+POTENTIALS = {
+    "free": Potential.free(),
+    "harmonic": Potential.harmonic(0.7),
+    "uniform-field": Potential.uniform_field(0.4),
+}
+
+
 def config_id(kind):
     return f"{kind.model}{'+' if kind.sqrt_sign > 0 else ''}"
 
@@ -78,6 +86,26 @@ class TestPotential:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Potential(kind="quartic")
+
+    @pytest.mark.parametrize("x", [[1.0, 2.0], np.ones(4), [[1.0]], np.ones((3, 1)), []],
+                             ids=["2-vector", "4-vector", "1x1", "3x1", "empty"])
+    @pytest.mark.parametrize("pot", POTENTIALS.values(), ids=list(POTENTIALS))
+    def test_wrong_size_position_refused_naming_its_shape(self, pot, x):
+        shape = re.escape(f"shape {np.shape(x)}")
+        with pytest.raises(ValueError, match=shape):
+            pot.energy(x)
+        with pytest.raises(ValueError, match=shape):
+            pot.gradient(x)
+
+    @pytest.mark.parametrize("pot", POTENTIALS.values(), ids=list(POTENTIALS))
+    def test_output_shape_follows_the_input(self, pot):
+        scalar = pot.gradient(1.5)
+        assert np.ndim(scalar) == 0 and type(pot.energy(1.5)) is float
+        for x in ([1.5], np.array([1.5, -0.5, 2.0])):
+            assert type(pot.energy(x)) is float
+            assert pot.gradient(x).shape == np.shape(x)
+        assert pot.gradient([1.5])[0] == scalar
+        assert pot.energy([1.5]) == pot.energy(1.5)
 
 
 class TestHamiltonianConstruction:
@@ -281,13 +309,6 @@ REFERENCE_ENDPOINTS = {
         ([3.2626276242014827], [1.7000000000000006], 0.07999999999999075),
 }
 
-POTENTIALS = {
-    "free": Potential.free(),
-    "harmonic": Potential.harmonic(0.7),
-    "uniform-field": Potential.uniform_field(0.4),
-}
-
-
 def reference_rk4_3d(kind, state, t_end, n):
     """Every row of classic RK4 on 3-arrays through hamilton_rhs and hamiltonian_value."""
     h = t_end / n
@@ -380,6 +401,21 @@ class TestIntegrate:
         np.testing.assert_allclose(traj.momenta, momenta, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(traj.energies, energies, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("potential", POTENTIALS)
+    @pytest.mark.parametrize("kind", CONFIGURATIONS, ids=config_id)
+    def test_every_recorded_energy_is_hamiltonian_value(self, kind, potential):
+        # bit for bit: the loops and hamiltonian_value sum |p|^2 one way
+        kind = dataclasses.replace(kind, potential=POTENTIALS[potential])
+        traj = integrate(kind, probe_state(kind), t_end=2.0, dt=0.01)
+        want = [float(hamiltonian_value(kind, traj.state(k))).hex() for k in range(len(traj))]
+        assert [e.hex() for e in traj.energies.tolist()] == want
+
+    def test_unallocatable_step_count_refused(self):
+        kind = Hamiltonian.first_order_1d(params_of(0.0))
+        with pytest.raises(ValueError, match=r"^t_end / dt = 1e\+18 asks for "
+                                             r"1000000000000000000 steps"):
+            integrate(kind, PhaseState.of(0.0, 1.0), t_end=1e9, dt=1e-9)
+
     def test_non_finite_energy_refused_naming_initial_state_or_step(self):
         kind = Hamiltonian.first_order_1d(params_of(0.01), Potential.harmonic(1e200))
         with pytest.raises(FloatingPointError, match="initial state"):
@@ -435,6 +471,13 @@ class TestEnergyDrift:
         kind = Hamiltonian.exact_1d(params_of(0.01))
         traj = integrate(kind, PhaseState.of(0.0, 1.0), t_end=2.0, dt=0.01)
         assert energy_drift(traj) < 1e-13
+
+    def test_free_exact_3d_energy_is_constant(self):
+        # |p| never changes, so every row must sum |p|^2 as row 0 does
+        kind = Hamiltonian.exact_3d(params_of(0.01))
+        p = [0.06427434219151484, -1.5365375501169187, 0.49395902215000165]
+        traj = integrate(kind, PhaseState.of(np.zeros(3), p), t_end=2.0, dt=0.01)
+        assert energy_drift(traj) == 0.0
 
     def test_deformed_harmonic_bound(self):
         kind = Hamiltonian.first_order_1d(params_of(0.01),
