@@ -13,7 +13,7 @@ from typing import List, NamedTuple
 import numpy as np
 
 
-# rows per stacked block of a trajectory write; stacking the whole table copies every array
+# rows per stacked block of a table write; stacking the whole table copies every array
 _BLOCK_ROWS = 256
 
 
@@ -44,13 +44,19 @@ def event_header(dim: int) -> List[str]:
     return ["t"] + _axis_names("x", dim)
 
 
-def write_trajectory(path, trajectory) -> None:
-    columns = (trajectory.times, trajectory.positions, trajectory.momenta, trajectory.energies)
+def _write_table(path, header, columns) -> None:
+    """Write the header, then the column-stacked rows, one %r-format per block of rows."""
+    line = ",".join(["%r"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(trajectory_header(trajectory.positions.shape[1])) + "\n")
-        for start in range(0, len(trajectory), _BLOCK_ROWS):
-            block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns]).tolist()
-            handle.writelines(",".join(map(repr, row)) + "\n" for row in block)
+        handle.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
+            handle.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
+def write_trajectory(path, trajectory) -> None:
+    _write_table(path, trajectory_header(trajectory.positions.shape[1]),
+                 (trajectory.times, trajectory.positions, trajectory.momenta, trajectory.energies))
 
 
 def _parse_row(row, width, row_no):
@@ -104,9 +110,7 @@ def write_events(path, events) -> None:
         raise ValueError("no events to write")
     if events.ndim != 2 or events.shape[1] not in (2, 4):
         raise ValueError(f"events must be an (n, 2) or (n, 4) array, got {events.shape}")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(event_header(events.shape[1] - 1)) + "\n")
-        handle.writelines(",".join(map(repr, row)) + "\n" for row in events.tolist())
+    _write_table(path, event_header(events.shape[1] - 1), (events,))
 
 
 def read_events(path) -> np.ndarray:

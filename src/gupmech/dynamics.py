@@ -455,6 +455,8 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not math.isfinite(t_end / dt):
+        raise ValueError("t_end / dt = inf asks for more steps than memory can hold")
     n = max(1, int(round(t_end / dt)))
     h = t_end / n
     try:  # numpy refuses a size it cannot hold before any write
@@ -479,8 +481,9 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
         return FloatingPointError(f"trajectory left the float range at step {step} of {n} "
                                   f"(t = {step * h:.6g})")
 
-    # x and p are one float in 1D and three in 3D, because numpy costs
-    # more than the arithmetic on 1- and 3-element arrays.
+    # x and p are one float in 1D and three in 3D, because numpy costs more than the
+    # arithmetic on 1- and 3-element arrays; steps are written through flat float views.
+    xs, ps, es = (memoryview(a).cast("B").cast("d") for a in (positions, momenta, energies))
     kin = kind._kinetic
     ratio, kinetic_energy = kin.ratio, kin.energy
     potential_energy, force = kind._potential_terms
@@ -489,7 +492,6 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
     try:
         if kind.dim == 1:
             (x,), (p,) = x, p
-            xs, ps = positions[:, 0], momenta[:, 0]
             for k in range(n):
                 vx1 = p * ratio(p * p)
                 vp1 = force(x)
@@ -504,25 +506,27 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
                 vp4 = force(x + h * vx3)
                 x = x + sixth * (vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4)
                 p = p + sixth * (vp1 + 2.0 * vp2 + 2.0 * vp3 + vp4)
-                energies[k + 1] = kinetic_energy(p * p) + potential_energy(x)
+                es[k + 1] = kinetic_energy(p * p) + potential_energy(x)
                 xs[k + 1] = x
                 ps[k + 1] = p
         else:
             (x1, x2, x3), (p1, p2, p3) = x, p
-
-            def velocity(s1, s2, s3):
-                r = ratio(s1 * s1 + s2 * s2 + s3 * s3)
-                return s1 * r, s2 * r, s3 * r
-
-            # stage rates: velocities a, b, c, d and forces fa, fb, fc, fd
+            # stage rates: velocities a, b, c, d (momenta q, ratio r) and forces fa, fb, fc, fd
             for k in range(n):
-                a1, a2, a3 = velocity(p1, p2, p3)
+                r = ratio(p1 * p1 + p2 * p2 + p3 * p3)
+                a1, a2, a3 = p1 * r, p2 * r, p3 * r
                 fa1, fa2, fa3 = force(x1, x2, x3)
-                b1, b2, b3 = velocity(p1 + half * fa1, p2 + half * fa2, p3 + half * fa3)
+                q1, q2, q3 = p1 + half * fa1, p2 + half * fa2, p3 + half * fa3
+                r = ratio(q1 * q1 + q2 * q2 + q3 * q3)
+                b1, b2, b3 = q1 * r, q2 * r, q3 * r
                 fb1, fb2, fb3 = force(x1 + half * a1, x2 + half * a2, x3 + half * a3)
-                c1, c2, c3 = velocity(p1 + half * fb1, p2 + half * fb2, p3 + half * fb3)
+                q1, q2, q3 = p1 + half * fb1, p2 + half * fb2, p3 + half * fb3
+                r = ratio(q1 * q1 + q2 * q2 + q3 * q3)
+                c1, c2, c3 = q1 * r, q2 * r, q3 * r
                 fc1, fc2, fc3 = force(x1 + half * b1, x2 + half * b2, x3 + half * b3)
-                d1, d2, d3 = velocity(p1 + h * fc1, p2 + h * fc2, p3 + h * fc3)
+                q1, q2, q3 = p1 + h * fc1, p2 + h * fc2, p3 + h * fc3
+                r = ratio(q1 * q1 + q2 * q2 + q3 * q3)
+                d1, d2, d3 = q1 * r, q2 * r, q3 * r
                 fd1, fd2, fd3 = force(x1 + h * c1, x2 + h * c2, x3 + h * c3)
                 x1 = x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
                 x2 = x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
@@ -530,10 +534,11 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
                 p1 = p1 + sixth * (fa1 + 2.0 * fb1 + 2.0 * fc1 + fd1)
                 p2 = p2 + sixth * (fa2 + 2.0 * fb2 + 2.0 * fc2 + fd2)
                 p3 = p3 + sixth * (fa3 + 2.0 * fb3 + 2.0 * fc3 + fd3)
-                energies[k + 1] = (kinetic_energy(p1 * p1 + p2 * p2 + p3 * p3)
-                                   + potential_energy(x1, x2, x3))
-                positions[k + 1] = x1, x2, x3
-                momenta[k + 1] = p1, p2, p3
+                es[k + 1] = (kinetic_energy(p1 * p1 + p2 * p2 + p3 * p3)
+                             + potential_energy(x1, x2, x3))
+                j = 3 * k + 3
+                xs[j], xs[j + 1], xs[j + 2] = x1, x2, x3
+                ps[j], ps[j + 1], ps[j + 2] = p1, p2, p3
     except DomainError as exc:
         err = DomainError(
             f"trajectory left the model domain at step {k + 1} of {n} "

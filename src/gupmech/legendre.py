@@ -91,7 +91,8 @@ def momentum_from_velocity_first_order(xdot, params: DeformationParameters):
         measure, label = b * m * m * v * v, "v^2"
     else:
         v = np.asarray(xdot, dtype=float)
-        vsq = float(v @ v)
+        v1, v2, v3 = v.tolist()  # |v|^2 summed left to right on floats, as in dynamics
+        vsq = v1 * v1 + v2 * v2 + v3 * v3
         measure, label = b * m * m * vsq, "|v|^2"
     if measure > SMALL_DEFORMATION_BOUND:
         warnings.warn(
@@ -195,8 +196,8 @@ def lagrangian_value(kind: Lagrangian, x, xdot) -> float:
     b = kind.params.beta
     model = kind.model
     if model == L_FIRST_ORDER_3D:
-        v = np.asarray(xdot, dtype=float)
-        vsq = float(v @ v)
+        v1, v2, v3 = np.asarray(xdot, dtype=float).tolist()
+        vsq = v1 * v1 + v2 * v2 + v3 * v3
         return m * vsq / 2.0 - (b * m ** 3 / 2.0) * vsq * vsq - kind.potential.energy(x)
     v = float(xdot)
     if model == L_FIRST_ORDER_1D:

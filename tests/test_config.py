@@ -11,8 +11,10 @@ from gupmech import config as config_module
 from gupmech.config import ConfigError, ScenarioConfig, parse_config, render_config
 from gupmech.csvio import (
     CsvFormatError,
+    event_header,
     read_events,
     read_trajectory,
+    trajectory_header,
     write_events,
     write_trajectory,
 )
@@ -566,3 +568,47 @@ class TestEventCsv:
         path.write_text("t,x1\n")
         with pytest.raises(CsvFormatError, match="no event rows"):
             read_events(path)
+
+
+# Cells whose repr() is easy to get wrong, cycled through every table below.
+_WRITER_CELLS = (-0.0, 5e-324, 1e-5, 1e16, 0.1 + 0.2, 1.7976931348623157e308)
+
+
+def _writer_table(rows, width, seed):
+    """Seeded (rows, width) floats over many magnitudes with _WRITER_CELLS in every other cell."""
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+    table.flat[::2] = np.resize(_WRITER_CELLS, (table.size + 1) // 2)
+    return table
+
+
+def _per_row_bytes(header, table):
+    """What a per-row repr() writer puts out for these rows."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in table.tolist()]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# 2 rows, one block minus, at and plus one row, and two blocks plus one
+_WRITER_ROWS = (2, 255, 256, 257, 513)
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize("rows", _WRITER_ROWS)
+    @pytest.mark.parametrize("dim", (1, 3))
+    def test_trajectory_matches_the_per_row_writer(self, tmp_path, dim, rows):
+        table = _writer_table(rows, 2 * dim + 2, seed=10 * rows + dim)
+        table[:, 0] = np.arange(rows) * 0.1
+        table[0, 0] = -0.0
+        traj = Trajectory(times=table[:, 0], positions=table[:, 1:1 + dim],
+                          momenta=table[:, 1 + dim:1 + 2 * dim], energies=table[:, -1], step=0.1)
+        path = tmp_path / "traj.csv"
+        write_trajectory(path, traj)
+        assert path.read_bytes() == _per_row_bytes(trajectory_header(dim), table)
+
+    @pytest.mark.parametrize("rows", _WRITER_ROWS)
+    @pytest.mark.parametrize("dim", (1, 3))
+    def test_events_match_the_per_row_writer(self, tmp_path, dim, rows):
+        table = _writer_table(rows, 1 + dim, seed=10 * rows + dim + 5)
+        path = tmp_path / "events.csv"
+        write_events(path, table)
+        assert path.read_bytes() == _per_row_bytes(event_header(dim), table)

@@ -309,6 +309,37 @@ REFERENCE_ENDPOINTS = {
         ([3.2626276242014827], [1.7000000000000006], 0.07999999999999075),
 }
 
+# float.hex of positions and momenta at rows 100 and 200 (the endpoint) of
+# integrate(kind, probe_state(kind), t_end=2.0, dt=0.01), recorded from the
+# loop that wrote each step by numpy row assignment: (model, potential, row) -> (x, p).
+RECORDED_3D_ROWS = {
+    ("exact-3d", "harmonic", 100): (
+        ["0x1.025dda676dd50p+0", "-0x1.f8d20f9950ec9p-2", "0x1.bede5cafd131fp-1"],
+        ["0x1.a56091859e6cap-2", "-0x1.21e88f1457e59p-3", "0x1.69d4aa43ca190p-4"]),
+    ("exact-3d", "harmonic", 200): (
+        ["0x1.0a8152b979480p+0", "-0x1.d2946a66deffep-2", "0x1.531fbd78dd000p-1"],
+        ["-0x1.67ba703165b6cp-2", "0x1.b0ee3c25986f4p-3", "-0x1.ee74c712ba099p-2"]),
+    ("exact-3d", "uniform-field", 100): (
+        ["0x1.70a542c922a3cp+0", "-0x1.3a893f77c4158p-1", "0x1.1f1a22cd06436p+0"],
+        ["0x1.4cccccccccccep+0", "-0x1.999999999999ap-2", "0x1.3333333333333p-1"]),
+    ("exact-3d", "uniform-field", 200): (
+        ["0x1.8397e8e390d01p+1", "-0x1.099e9e0815dc2p+0", "0x1.c1a1203f53fdbp+0"],
+        ["0x1.b333333333336p+0", "-0x1.999999999999ap-2", "0x1.3333333333333p-1"]),
+    ("first-order-3d", "harmonic", 100): (
+        ["0x1.04bd64caafcf4p+0", "-0x1.fcd0c773dcb0ap-2", "0x1.c1875ea831101p-1"],
+        ["0x1.a057a2014d57cp-2", "-0x1.1d95d186df6afp-3", "0x1.5dc6530c3e41ap-4"]),
+    ("first-order-3d", "harmonic", 200): (
+        ["0x1.0ae4d74ba21a3p+0", "-0x1.d30c8709ca2c5p-2", "0x1.53249c61abf3bp-1"],
+        ["-0x1.7112d07fcd1ffp-2", "0x1.b8cb030195b64p-3", "-0x1.f3afb0c3d4b0dp-2"]),
+    ("first-order-3d", "uniform-field", 100): (
+        ["0x1.7a5657fb69984p+0", "-0x1.417b3c2816106p-1", "0x1.244fa05143bf9p+0"],
+        ["0x1.4cccccccccccep+0", "-0x1.999999999999ap-2", "0x1.3333333333333p-1"]),
+    ("first-order-3d", "uniform-field", 200): (
+        ["0x1.92bfdb4cc250bp+1", "-0x1.128a8dd4b10e6p+0", "0x1.cf0307f23cc90p+0"],
+        ["0x1.b333333333336p+0", "-0x1.999999999999ap-2", "0x1.3333333333333p-1"]),
+}
+
+
 def reference_rk4_3d(kind, state, t_end, n):
     """Every row of classic RK4 on 3-arrays through hamilton_rhs and hamiltonian_value."""
     h = t_end / n
@@ -401,6 +432,15 @@ class TestIntegrate:
         np.testing.assert_allclose(traj.momenta, momenta, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(traj.energies, energies, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("model, potential, row", sorted(RECORDED_3D_ROWS))
+    def test_recorded_3d_rows_are_pinned(self, model, potential, row):
+        kind = next(k for k in CONFIGURATIONS if k.model == model)
+        kind = dataclasses.replace(kind, potential=POTENTIALS[potential])
+        traj = integrate(kind, probe_state(kind), t_end=2.0, dt=0.01)
+        x, p = RECORDED_3D_ROWS[model, potential, row]
+        assert [v.hex() for v in traj.positions[row].tolist()] == x
+        assert [v.hex() for v in traj.momenta[row].tolist()] == p
+
     @pytest.mark.parametrize("potential", POTENTIALS)
     @pytest.mark.parametrize("kind", CONFIGURATIONS, ids=config_id)
     def test_every_recorded_energy_is_hamiltonian_value(self, kind, potential):
@@ -415,6 +455,12 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=r"^t_end / dt = 1e\+18 asks for "
                                              r"1000000000000000000 steps"):
             integrate(kind, PhaseState.of(0.0, 1.0), t_end=1e9, dt=1e-9)
+
+    def test_infinite_step_count_refused_before_rounding(self):
+        kind = Hamiltonian.first_order_1d(params_of(0.0))
+        with pytest.raises(ValueError, match=r"^t_end / dt = inf asks for more steps than "
+                                             r"memory can hold$"):
+            integrate(kind, PhaseState.of(0.0, 1.0), t_end=1e300, dt=1e-300)
 
     def test_non_finite_energy_refused_naming_initial_state_or_step(self):
         kind = Hamiltonian.first_order_1d(params_of(0.01), Potential.harmonic(1e200))

@@ -175,6 +175,26 @@ class TestLagrangianValue:
             Lagrangian.sqrt_1d(params_of(0.01), 0.0)
 
 
+def test_3d_first_order_forms_sum_the_squared_speed_on_floats():
+    # bit for bit: |v|^2 is summed left to right on floats, as dynamics sums
+    # |p|^2; numpy's v @ v rounds some of these samples differently
+    params = params_of(0.01, 1.3)
+    m, b = params.mass, params.beta
+    kind = Lagrangian.first_order_3d(params)
+    velocities = np.random.default_rng(11).uniform(-1.2, 1.2, (200, 3))
+    rounded_apart = 0
+    for v in velocities:
+        v1, v2, v3 = v.tolist()
+        vsq = v1 * v1 + v2 * v2 + v3 * v3
+        rounded_apart += float(v @ v) != vsq
+        want = m * vsq / 2.0 - (b * m ** 3 / 2.0) * vsq * vsq - 0.0
+        assert lagrangian_value(kind, np.zeros(3), v).hex() == want.hex()
+        got = momentum_from_velocity_first_order(v, params).tolist()
+        want = (m * v * (1.0 - 2.0 * b * m * m * vsq)).tolist()
+        assert [c.hex() for c in got] == [c.hex() for c in want]
+    assert rounded_apart > 0
+
+
 class TestLegendreRoundtrip:
     def test_undeformed_pair_closes(self):
         lag = Lagrangian.first_order_1d(params_of(0.0))
