@@ -303,6 +303,60 @@ class TestActionAlongPath:
         with pytest.raises(ValueError):
             action_along_path(kind, PathSample(t, t))
 
+    def test_relativistic_sample_at_light_speed_raises(self):
+        # one sample of an otherwise slow path sits exactly at |v| = c
+        kind = Lagrangian.relativistic(params_of(1e-4), 3.0, Potential.harmonic(0.7))
+        t = np.linspace(0.0, 1.0, 11)
+        velocities = np.full(11, 0.5)
+        velocities[6] = -3.0
+        with pytest.raises(DomainError) as err:
+            action_along_path(kind, PathSample(t, 0.5 * t, velocities))
+        assert str(err.value) == "relativistic Lagrangian needs |v| < 3, got 3"
+
+
+_ACTION_PARAMS = params_of(0.01, 1.3)
+_ACTION_POTENTIALS = {"free": Potential.free(), "harmonic": Potential.harmonic(0.7),
+                      "uniform-field": Potential.uniform_field(0.4)}
+_ACTION_MODELS = {
+    "first-order-1d": lambda pot: Lagrangian.first_order_1d(_ACTION_PARAMS, pot),
+    "sqrt-1d": lambda pot: Lagrangian.sqrt_1d(
+        _ACTION_PARAMS, math.sqrt(3.0 / (8.0 * 0.01 * 1.3 ** 2)), pot),
+    "first-order-3d": lambda pot: Lagrangian.first_order_3d(_ACTION_PARAMS, pot),
+    "relativistic": lambda pot: Lagrangian.relativistic(_ACTION_PARAMS, 3.0, pot),
+}
+
+# float.hex of action_along_path on _action_path, recorded from the
+# per-sample lagrangian_value loop.
+_PINNED_ACTIONS = {
+    ("first-order-1d", "free"): "0x1.d99bd883d831cp-2",
+    ("first-order-1d", "harmonic"): "0x1.c0f8319a58dfep-5",
+    ("first-order-1d", "uniform-field"): "0x1.1268c13ebc328p+0",
+    ("sqrt-1d", "free"): "0x1.d9ca31b3e3c9bp-2",
+    ("sqrt-1d", "harmonic"): "0x1.c26afb1ab59f3p-5",
+    ("sqrt-1d", "uniform-field"): "0x1.1274578abf188p+0",
+    ("first-order-3d", "free"): "0x1.a7e258b682ed6p+0",
+    ("first-order-3d", "harmonic"): "0x1.1a0b530a8630fp+0",
+    ("first-order-3d", "uniform-field"): "0x1.106ba1561927dp+1",
+    ("relativistic", "free"): "-0x1.6eb087cd23384p+4",
+    ("relativistic", "harmonic"): "-0x1.75367b16656cap+4",
+    ("relativistic", "uniform-field"): "-0x1.64f06b1b46d5ep+4",
+}
+
+
+def _action_path(dim):
+    """A seeded random walk of 81 samples over t in [0, 2]; |v| stays under 2.2."""
+    rng = np.random.default_rng(23 + dim)
+    times = np.linspace(0.0, 2.0, 81)
+    steps = rng.uniform(-0.04, 0.04, (81, dim))
+    return PathSample(times, rng.uniform(-1.0, 1.0, dim) + np.cumsum(steps, axis=0))
+
+
+@pytest.mark.parametrize("model, potential", sorted(_PINNED_ACTIONS))
+def test_action_along_path_is_pinned(model, potential):
+    kind = _ACTION_MODELS[model](_ACTION_POTENTIALS[potential])
+    got = action_along_path(kind, _action_path(kind.dim))
+    assert got.hex() == _PINNED_ACTIONS[model, potential]
+
 
 class TestEuclideanInterval:
     def test_coincident_events(self):
