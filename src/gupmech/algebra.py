@@ -208,6 +208,12 @@ def _gradient(values, probes):
     return grad
 
 
+def _gradients(fns, state: PhaseState, step_scale: float = BRACKET_STEP):
+    """Each function's central-difference gradient, all over one set of probe states."""
+    probes = _probes(state, step_scale)
+    return [_gradient(_values(fn, probes), probes) for fn in fns]
+
+
 def _contract(df, dg) -> float:
     """sum_i (df/dx_i dg/dp_i - df/dp_i dg/dx_i) of two per-axis gradients."""
     # Each difference is divided by its own step before multiplying; the
@@ -234,9 +240,7 @@ def numerical_bracket(f, g, state: PhaseState, step_scale: float = BRACKET_STEP)
     Raises DomainError if any probed value fails to be finite, which
     usually means the state sits too close to a representation boundary.
     """
-    probes = _probes(state, step_scale)
-    return _contract(_gradient(_values(f, probes), probes),
-                     _gradient(_values(g, probes), probes))
+    return _contract(*_gradients((f, g), state, step_scale))
 
 
 def jacobi_residual(f, g, h, state: PhaseState) -> float:
@@ -255,8 +259,7 @@ def jacobi_residual(f, g, h, state: PhaseState) -> float:
     for _, _, shifted in outer:
         row = []
         for s in shifted:
-            probes = _probes(s, BRACKET_STEP)
-            df, dg, dh = (_gradient(_values(fn, probes), probes) for fn in (f, g, h))
+            df, dg, dh = _gradients((f, g, h), s)
             row.append((_contract(dg, dh), _contract(dh, df), _contract(df, dg)))
         nested.append(row)
     b1, b2, b3 = (

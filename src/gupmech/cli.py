@@ -133,8 +133,13 @@ def _cmd_constants(args):
     mass = constants.CODATA.electron_mass if args.mass is None else args.mass
     if not (math.isfinite(mass) and mass > 0.0):
         raise ConfigError(f"--mass must be finite and positive, got {mass}")
-    one = constants.EffectiveScales.for_mass(mass, constants.GEOMETRY_ONE_D)
-    three = constants.EffectiveScales.for_mass(mass, constants.GEOMETRY_THREE_D)
+    try:
+        one = constants.EffectiveScales.for_mass(mass, constants.GEOMETRY_ONE_D)
+        three = constants.EffectiveScales.for_mass(mass, constants.GEOMETRY_THREE_D)
+    except DomainError:
+        raise
+    except (ArithmeticError, ValueError) as err:  # gamma underflowed to 0, or a square overflowed
+        raise ConfigError(f"--mass {mass!r} left the float range: {err!r}") from None
     c = constants.CODATA.light_speed
     report = {
         "gamma": one.gamma,

@@ -24,8 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (BRACKET_STEP, DeformationParameters, DomainError, PhaseState,
-                      _gradient, _probes, _values)
+from .algebra import DeformationParameters, DomainError, PhaseState, _gradients
 
 EXACT_1D = "exact-1d"
 FIRST_ORDER_1D = "first-order-1d"
@@ -397,8 +396,7 @@ def hamilton_rhs(kind: Hamiltonian, state: PhaseState):
 
 def hamilton_rhs_fd(kind: Hamiltonian, state: PhaseState):
     """(dx/dt, dp/dt) by central differences of the energy; test fallback."""
-    probes = _probes(state, BRACKET_STEP)
-    grad = _gradient(_values(lambda s: hamiltonian_value(kind, s), probes), probes)
+    (grad,) = _gradients([lambda s: hamiltonian_value(kind, s)], state)
     return np.array([dh_dp for _, dh_dp in grad]), np.array([-dh_dx for dh_dx, _ in grad])
 
 

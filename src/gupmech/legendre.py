@@ -9,8 +9,9 @@ and a square-root form whose free action is a Euclidean arc length in
 """
 
 import math
+import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,6 +55,12 @@ class Lagrangian:
             raise ValueError(f"unknown Lagrangian model {self.model!r}")
         if self.model in (L_SQRT_1D, L_RELATIVISTIC) and not self.scale_velocity > 0.0:
             raise ValueError(f"model {self.model} needs scale_velocity > 0")
+        # derived function, kept off the dataclass fields (and so out of eq and repr)
+        object.__setattr__(self, "_kinetic", _kinetic_lagrangian(self))
+
+    def __reduce__(self):
+        # the derived function is a closure; pickle the fields and rebuild it
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def dim(self) -> int:
@@ -76,6 +83,26 @@ class Lagrangian:
     def relativistic(cls, params, light_speed, potential=None) -> "Lagrangian":
         return cls(L_RELATIVISTIC, params, potential or Potential(),
                    scale_velocity=float(light_speed))
+
+
+def _kinetic_lagrangian(kind: Lagrangian):
+    """The kinetic part of L as a function of floats: of v in 1D, of v1, v2, v3 in 3D."""
+    m, b, w = kind.params.mass, kind.params.beta, kind.scale_velocity
+    if kind.model == L_FIRST_ORDER_1D:
+        return lambda v: m * v * v / 2.0 - (b * m ** 3 / 3.0) * v ** 4
+    if kind.model == L_SQRT_1D:
+        return lambda v: m * w * w * (math.sqrt(1.0 + (v / w) ** 2) - 1.0)
+    if kind.model == L_FIRST_ORDER_3D:
+        def kinetic(v1, v2, v3):
+            vsq = v1 * v1 + v2 * v2 + v3 * v3  # left to right, as dynamics sums |p|^2
+            return m * vsq / 2.0 - (b * m ** 3 / 2.0) * vsq * vsq
+        return kinetic
+
+    def relativistic(v):
+        if abs(v) >= w:
+            raise DomainError(f"relativistic Lagrangian needs |v| < {w:.6g}, got {abs(v):.6g}")
+        return -m * w * w * math.sqrt(1.0 - (v / w) ** 2)
+    return relativistic
 
 
 def momentum_from_velocity_first_order(xdot, params: DeformationParameters):
@@ -186,31 +213,15 @@ def momentum_from_velocity_exact(xdot, kind: Hamiltonian):
 
 
 def lagrangian_value(kind: Lagrangian, x, xdot) -> float:
-    """L(x, xdot) for the given model.
+    """L(x, xdot) for the given model, its kinetic part minus U(x).
 
-    Constant offsets follow the convention that the kinetic part vanishes
-    at rest, except for the relativistic form which keeps its -m c^2 rest
-    term (see rest_term).
+    The kinetic part vanishes at rest, except in the relativistic form,
+    which keeps its -m c^2 rest term (see rest_term).
     """
-    m = kind.params.mass
-    b = kind.params.beta
-    model = kind.model
-    if model == L_FIRST_ORDER_3D:
-        v1, v2, v3 = np.asarray(xdot, dtype=float).tolist()
-        vsq = v1 * v1 + v2 * v2 + v3 * v3
-        return m * vsq / 2.0 - (b * m ** 3 / 2.0) * vsq * vsq - kind.potential.energy(x)
-    v = float(xdot)
-    if model == L_FIRST_ORDER_1D:
-        return m * v * v / 2.0 - (b * m ** 3 / 3.0) * v ** 4 - kind.potential.energy(x)
-    w = kind.scale_velocity
-    if model == L_SQRT_1D:
-        return m * w * w * (math.sqrt(1.0 + (v / w) ** 2) - 1.0) - kind.potential.energy(x)
-    # relativistic
-    if abs(v) >= w:
-        raise DomainError(
-            f"relativistic Lagrangian needs |v| < {w:.6g}, got {abs(v):.6g}"
-        )
-    return -m * w * w * math.sqrt(1.0 - (v / w) ** 2) - kind.potential.energy(x)
+    if kind.dim == 1:
+        return kind._kinetic(float(xdot)) - kind.potential.energy(x)
+    v1, v2, v3 = np.asarray(xdot, dtype=float).tolist()
+    return kind._kinetic(v1, v2, v3) - kind.potential.energy(x)
 
 
 def rest_term(kind: Lagrangian) -> float:
@@ -334,10 +345,7 @@ def action_along_path(kind: Lagrangian, path: PathSample) -> float:
         raise ValueError(
             f"model {kind.model} expects {kind.dim}-component paths, got {path.dim}"
         )
-    values = np.empty(len(path))
-    for k in range(len(path)):
-        if kind.dim == 1:
-            values[k] = lagrangian_value(kind, path.positions[k, 0], path.velocities[k, 0])
-        else:
-            values[k] = lagrangian_value(kind, path.positions[k], path.velocities[k])
+    energy = kind.potential.terms(kind.dim)[0]
+    values = np.fromiter(map(operator.sub, map(kind._kinetic, *path.velocities.T.tolist()),
+                             map(energy, *path.positions.T.tolist())), float, len(path))
     return float(np.trapezoid(values, path.times))

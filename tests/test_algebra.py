@@ -21,6 +21,8 @@ from gupmech.algebra import (
     momentum_map_1d,
     momentum_map_3d,
     numerical_bracket,
+    _contract,
+    _gradients,
     _probes,
 )
 
@@ -302,6 +304,75 @@ class TestJacobiResidual:
                         counted("h", momentum_function_3d(params, 2)),
                         PhaseState.of([0.2, -0.1, 0.5], [1.0, 2.0, -1.5]))
         assert {name: calls.count(name) for name in "fgh"} == {"f": 156, "g": 156, "h": 156}
+
+
+class TestSharedGradients:
+    """Pairs contracted from _gradients against numerical_bracket, bit for bit."""
+
+    @staticmethod
+    def _functions(dim):
+        """X, the deformed P, and the antisymmetry and Leibniz polynomials."""
+        params = params_of(0.01)
+
+        def x(s):
+            return float(s.x[0])
+
+        def p(s):
+            return float(s.p[0])
+
+        polynomials = [lambda s: x(s) * p(s), lambda s: x(s) + p(s) ** 2,
+                       lambda s: x(s) ** 2, lambda s: p(s) ** 2,
+                       lambda s: x(s) ** 2 * p(s) ** 2]
+        if dim == 1:
+            return [coordinate_function(), momentum_function_1d(params)] + polynomials
+        return ([coordinate_function(axis) for axis in (1, 2, 3)]
+                + [momentum_function_3d(params, axis) for axis in (1, 2, 3)] + polynomials)
+
+    @staticmethod
+    def _states(dim):
+        rng = np.random.default_rng(31 + dim)
+        if dim == 1:
+            return [PhaseState.of(rng.uniform(-2.0, 2.0), rng.uniform(-8.0, 8.0))
+                    for _ in range(4)]
+        states = []
+        for _ in range(4):
+            p = rng.uniform(-1.0, 1.0, size=3)
+            p *= math.sqrt(rng.uniform(0.1, 0.9) / 0.01) / np.linalg.norm(p)
+            states.append(PhaseState.of(rng.uniform(-2.0, 2.0, size=3), p))
+        return states
+
+    @pytest.mark.parametrize("step", [BRACKET_STEP, NESTED_BRACKET_STEP], ids=["step", "nested"])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_contracted_pairs_equal_numerical_bracket(self, dim, step):
+        fns = self._functions(dim)
+        for state in self._states(dim):
+            grads = _gradients(fns, state, step)
+            for f, df in zip(fns, grads):
+                for g, dg in zip(fns, grads):
+                    assert _contract(df, dg).hex() == numerical_bracket(f, g, state, step).hex()
+
+    @pytest.mark.parametrize("x, p", [(1.7e308, 0.0), (0.0, -1.7e308)])
+    def test_probe_past_the_float_range_raises(self, x, p):
+        with pytest.raises(ValueError, match="^phase-space components must be finite$"):
+            _gradients([coordinate_function(), lambda state: float(state.p[0])],
+                       PhaseState.of(x, p), 0.1)
+
+    def test_nonfinite_probe_raises_as_numerical_bracket_does(self):
+        params = params_of(0.04)
+        edge = (math.pi / 2.0) / params.sqrt_beta
+        state = PhaseState.of(0.0, edge * (1.0 - 1e-12))
+
+        def mapped_or_nan(s):
+            q = float(s.p[0])
+            return momentum_map_1d(q, params) if abs(q) < edge else math.nan
+
+        for mapped, match in ((momentum_function_1d(params), "tangent branch"),
+                              (mapped_or_nan, "non-finite")):
+            with pytest.raises(DomainError, match=match) as shared:
+                _gradients([coordinate_function(), mapped], state)
+            with pytest.raises(DomainError) as single:
+                numerical_bracket(coordinate_function(), mapped, state)
+            assert str(shared.value) == str(single.value)
 
 
 # ------------------------------------------------------- pinned bracket layer

@@ -425,8 +425,18 @@ def test_constants_mass_overflow_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "constants", "--mass", "1e200")
     assert code == 2
     assert out == ""
-    assert err.startswith("gupmech: error: a value in the command line left the float range: "
+    assert err.startswith("gupmech: error: --mass 1e+200 left the float range: "
                           "OverflowError") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mass", ["1e-300", "5e-324"])
+def test_constants_mass_underflow_names_the_flag(capsys, mass):
+    # gamma = mass * planck_length / hbar underflows to 0 here
+    code, out, err = run_cli(capsys, "constants", "--mass", mass)
+    assert code == 2
+    assert out == ""
+    assert err == (f"gupmech: error: --mass {float(mass)!r} left the float range: "
+                   "ValueError('gamma must be positive, got 0.0')\n")
 
 
 class TestUnitsFlag:

@@ -1,6 +1,7 @@
 """Momentum inversion, Lagrangian forms, actions along sampled paths."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -127,6 +128,18 @@ class TestExactInversion:
         assert back == pytest.approx(s, abs=1e-11)
 
 
+_ACTION_PARAMS = params_of(0.01, 1.3)
+_ACTION_POTENTIALS = {"free": Potential.free(), "harmonic": Potential.harmonic(0.7),
+                      "uniform-field": Potential.uniform_field(0.4)}
+_ACTION_MODELS = {
+    "first-order-1d": lambda pot: Lagrangian.first_order_1d(_ACTION_PARAMS, pot),
+    "sqrt-1d": lambda pot: Lagrangian.sqrt_1d(
+        _ACTION_PARAMS, math.sqrt(3.0 / (8.0 * 0.01 * 1.3 ** 2)), pot),
+    "first-order-3d": lambda pot: Lagrangian.first_order_3d(_ACTION_PARAMS, pot),
+    "relativistic": lambda pot: Lagrangian.relativistic(_ACTION_PARAMS, 3.0, pot),
+}
+
+
 class TestLagrangianValue:
     def test_undeformed_quadratic(self):
         kind = Lagrangian.first_order_1d(params_of(0.0))
@@ -167,6 +180,14 @@ class TestLagrangianValue:
         kind = Lagrangian.relativistic(params_of(1e-4), 10.0)
         with pytest.raises(DomainError):
             lagrangian_value(kind, 0.0, 10.0)
+
+    @pytest.mark.parametrize("model", sorted(_ACTION_MODELS))
+    def test_pickle_round_trip(self, model):
+        kind = _ACTION_MODELS[model](Potential.harmonic(0.7))
+        back = pickle.loads(pickle.dumps(kind))
+        v = np.array([0.3, -0.2, 0.1]) if kind.dim == 3 else 0.3
+        assert back == kind
+        assert lagrangian_value(back, 0.5 * v, v) == lagrangian_value(kind, 0.5 * v, v)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
@@ -313,17 +334,6 @@ class TestActionAlongPath:
             action_along_path(kind, PathSample(t, 0.5 * t, velocities))
         assert str(err.value) == "relativistic Lagrangian needs |v| < 3, got 3"
 
-
-_ACTION_PARAMS = params_of(0.01, 1.3)
-_ACTION_POTENTIALS = {"free": Potential.free(), "harmonic": Potential.harmonic(0.7),
-                      "uniform-field": Potential.uniform_field(0.4)}
-_ACTION_MODELS = {
-    "first-order-1d": lambda pot: Lagrangian.first_order_1d(_ACTION_PARAMS, pot),
-    "sqrt-1d": lambda pot: Lagrangian.sqrt_1d(
-        _ACTION_PARAMS, math.sqrt(3.0 / (8.0 * 0.01 * 1.3 ** 2)), pot),
-    "first-order-3d": lambda pot: Lagrangian.first_order_3d(_ACTION_PARAMS, pot),
-    "relativistic": lambda pot: Lagrangian.relativistic(_ACTION_PARAMS, 3.0, pot),
-}
 
 # float.hex of action_along_path on _action_path, recorded from the
 # per-sample lagrangian_value loop.
