@@ -488,3 +488,44 @@ class TestBracketPinned:
         dim, f, g, h = _pin_families()[1][name]
         for state in _pin_states(dim):
             assert jacobi_residual(f, g, h, state) == _nested_jacobi(f, g, h, state)
+
+
+# float.hex per state of _pin_states(3): the three momentum_function_3d
+# components, then bracket_xp_3d at those components for (i, j) in row order.
+_PINNED_MOMENTA_3D = [
+    ["0x1.f79a74d85bbf4p+2", "-0x1.a72649eb3d8d1p+1", "0x1.3479b005d3b23p+2"],
+    ["0x1.e1bf245220369p+2", "0x1.8d449ba5ecc22p+2", "-0x1.e25d5ea3f871dp-1"],
+    ["0x1.376804c58cc66p+2", "0x1.f47ce918bb1c7p+2", "-0x1.ad4d79337447fp+1"],
+]
+_PINNED_CLOSED_BRACKETS_3D = [
+    ["0x1.223716e38c641p+1", "-0x1.74ffb121452bap-2", "0x1.0fea5f18567d7p-1",
+     "-0x1.74ffb121452bap-2", "0x1.8da5df679a8a6p+0", "-0x1.c8f35c126d214p-3",
+     "0x1.0fea5f18567d7p-1", "-0x1.c8f35c126d214p-3", "0x1.b9c032353a71fp+0"],
+    ["0x1.18ca84eb76305p+1", "0x1.4efc86781ea2bp-1", "-0x1.96bdfcc5a40e4p-4",
+     "0x1.4efc86781ea2bp-1", "0x1.f097ecf5c53a2p+0", "-0x1.4f6a8cddbb584p-4",
+     "-0x1.96bdfcc5a40e3p-4", "-0x1.4f6a8cddbb584p-4", "0x1.69a748973c29bp+0"],
+    ["0x1.bb5741237c85ap+0", "0x1.10cd0e7677f83p-1", "-0x1.d4000312b697ap-3",
+     "0x1.10cd0e7677f83p-1", "0x1.20d8aa59f97bcp+1", "-0x1.7814e3a93dcd8p-2",
+     "-0x1.d4000312b697ap-3", "-0x1.7814e3a93dcd8p-2", "0x1.8ecba98c7e476p+0"],
+]
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_3d_momenta_and_closed_brackets_are_pinned(k):
+    state = _pin_states(3)[k]
+    big_p = [momentum_function_3d(_PIN_PARAMS, axis)(state) for axis in (1, 2, 3)]
+    assert [c.hex() for c in big_p] == _PINNED_MOMENTA_3D[k]
+    got = [bracket_xp_3d(np.array(big_p), i, j, _PIN_PARAMS)
+           for i in (1, 2, 3) for j in (1, 2, 3)]
+    assert [c.hex() for c in got] == _PINNED_CLOSED_BRACKETS_3D[k]
+
+
+@pytest.mark.parametrize("where", ["x", "p"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_phase_state_refuses_a_non_finite_component(where, bad, dim):
+    good = [0.5, -1.0, 2.0][:dim]
+    broken = good[:-1] + [bad]
+    x, p = (broken, good) if where == "x" else (good, broken)
+    with pytest.raises(ValueError, match="^phase-space components must be finite$"):
+        PhaseState.of(x, p)

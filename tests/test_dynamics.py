@@ -26,6 +26,7 @@ from gupmech.dynamics import (
     rest_energy,
     speed_limit,
 )
+from gupmech.checks import _sample_states, _suite_hamiltonians
 
 
 def params_of(beta, mass=1.0):
@@ -630,3 +631,76 @@ class TestTrajectory:
         traj = integrate(kind, PhaseState.of(0.0, 1.0), t_end=1.0, dt=0.5)
         assert traj.endpoint.x[0] == traj.positions[-1, 0]
         assert len(traj) == 3
+
+
+# float.hex of (dx/dt, dp/dt) per _suite_hamiltonians() model on two states
+# of _sample_states(default_rng(200 + k)), recorded before either RHS read
+# states through floats.
+_PINNED_RHS = [
+    ["0x1.35e6336fd6d2ap+2", "-0x1.d5fdc895d7623p-2", "-0x1.3e4d7b4c9528cp+8", "0x1.cddc69af5b007p-1"],
+    ["0x1.086971ce65258p+9", "-0x1.a423eb6600090p-4", "-0x1.994f26883f708p-1", "-0x1.07b57fc3dfde3p-2"],
+    ["0x1.bdedb23a62c0bp+5", "-0x1.daaa3d65b322ep+5", "-0x1.1cbb91734407ep+4",
+     "0x1.b8b977891daf0p-2", "0x1.43197cd9a10cbp-3", "-0x1.c4aaa3a4a0b91p-1",
+     "-0x1.66ec723172331p+4", "0x1.0e84ae2df0326p+5", "0x1.80dc963d53e07p+1",
+     "-0x1.e2bfaf00e3989p-1", "0x1.9c4e193c5c22ap-1", "-0x1.291d970295d4bp+0"],
+    ["-0x1.9f6b704c2b751p+4", "-0x1.1a9389974a5bep+4", "0x1.1798bf6611155p+5",
+     "-0x1.92c28c742e1dap-1", "0x1.be6667b8a318ep-2", "0x1.27b8322adc8a7p+0",
+     "-0x1.1e376541de14bp+5", "-0x1.5c15d95f1a1e6p+5", "0x1.b2ffaa1dc0449p+4",
+     "0x1.5bce21626a648p-3", "-0x1.3387894326df0p-1", "-0x1.1365fa6cb20d5p+0"],
+    ["0x1.2dfc64257b6abp-1", "-0x1.bf3f5d2104cfap-1", "0x1.e570b33ba4a0ep+0", "0x1.8ab01ddfd1753p-1"],
+    ["0x1.79b0b0ae5cb9dp+2", "0x1.85da4ea36e0a6p-1", "0x1.019747fc4e838p+2", "0x1.bbdb1be714c78p-1"],
+    ["0x1.7c53b8f9dd716p+2", "0x1.3fdf81a02c822p-2", "0x1.81a4081d644fep+2", "0x1.fec8d552b4469p-2"],
+]
+_PINNED_RHS_FD = [
+    ["0x1.35e6336fdaae3p+2", "-0x1.d5fdc893f8669p-2", "-0x1.3e4d7b52d4bcap+8", "0x1.cddc69c7201cap-1"],
+    ["0x1.086971ce9396cp+9", "-0x1.a423ea9fd8d85p-4", "-0x1.994f26883b425p-1", "-0x1.07b57fc3d4131p-2"],
+    ["0x1.bdedb23ac8425p+5", "-0x1.daaa3d6632654p+5", "-0x1.1cbb9172bcab1p+4",
+     "0x1.b8b977a6ecd53p-2", "0x1.43197cb7dec34p-3", "-0x1.c4aaa3a5d20b6p-1",
+     "-0x1.66ec723162fe7p+4", "0x1.0e84ae2e16119p+5", "0x1.80dc963a972c5p+1",
+     "-0x1.e2bfaf0b3edd4p-1", "0x1.9c4e193f80ce6p-1", "-0x1.291d96fecc788p+0"],
+    ["-0x1.9f6b704c41938p+4", "-0x1.1a9389977c26fp+4", "0x1.1798bf6633130p+5",
+     "-0x1.92c28c6fda635p-1", "0x1.be6667a78e99ep-2", "0x1.27b83229a3333p+0",
+     "-0x1.1e376541e3250p+5", "-0x1.5c15d95f14cbcp+5", "0x1.b2ffaa1dd242fp+4",
+     "0x1.5bce20e167bbbp-3", "-0x1.3387894646d81p-1", "-0x1.1365fa6ecb8f2p+0"],
+    ["0x1.2dfc64204f8d9p-1", "-0x1.bf3f5d20503a5p-1", "0x1.e570b338f3955p+0", "0x1.8ab01de463ed3p-1"],
+    ["0x1.79b0b0ae964bep+2", "0x1.85da4ea377503p-1", "0x1.019747fc3bb6ep+2", "0x1.bbdb1be73bc3dp-1"],
+    ["0x1.7c53b8f9c26b2p+2", "0x1.3fdf81aa22e9cp-2", "0x1.81a4081d53c77p+2", "0x1.fec8d564dbd53p-2"],
+]
+
+
+@pytest.mark.parametrize("rhs, pinned", [(hamilton_rhs, _PINNED_RHS),
+                                         (hamilton_rhs_fd, _PINNED_RHS_FD)])
+@pytest.mark.parametrize("k", range(7))
+def test_rhs_is_pinned_per_suite_model(rhs, pinned, k):
+    kind = _suite_hamiltonians()[k]
+    states = _sample_states(np.random.default_rng(200 + k), kind, 2)
+    got = [c.hex() for s in states for a in rhs(kind, s) for c in a.tolist()]
+    assert got == pinned[k]
+
+
+@pytest.mark.parametrize("model, values", [
+    ("exact-1d", [0.0, 0.0, 0.0]),
+    ("exact-3d", [0.0]),
+    ("exact-3d", [[0.0, 0.0, 0.0]] * 3),
+])
+def test_a_wrong_size_state_is_refused_with_the_components_message(model, values):
+    kind = Hamiltonian(model, params_of(0.01))
+    dim = 3 if model == "exact-3d" else 1
+    # PhaseState itself refuses a (3, 3) array, so build the state past its check
+    v = np.array(values, dtype=float)
+    state = PhaseState._unchecked(v, v)
+    with pytest.raises(ValueError, match=re.escape(
+            f"model {model} expects {dim}-component vectors, got shape {v.shape}")):
+        hamiltonian_value(kind, state)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_suite_models_pickle_and_compare_equal(k):
+    kind = _suite_hamiltonians()[k]
+    back = pickle.loads(pickle.dumps(kind))
+    assert back == kind and repr(back) == repr(kind)
+    assert back.dim == kind.dim == (3 if kind.model in ("exact-3d", "first-order-3d") else 1)
+    assert [f.name for f in dataclasses.fields(kind)] == [
+        "model", "params", "potential", "light_speed", "scale_velocity", "sqrt_sign"]
+    state = _sample_states(np.random.default_rng(k), kind, 1)[0]
+    assert hamiltonian_value(back, state) == hamiltonian_value(kind, state)

@@ -22,6 +22,8 @@ from gupmech.legendre import (
     momentum_from_velocity_first_order,
     rest_term,
 )
+from gupmech.checks import _suite_hamiltonians
+from gupmech.dynamics import speed_limit
 
 
 def params_of(beta, mass=1.0):
@@ -398,3 +400,40 @@ class TestEuclideanInterval:
         action = action_along_path(kind, PathSample(t, V * t))
         arc = math.sqrt(euclidean_interval([0.0, 0.0], [T, V * T], u))
         assert action == pytest.approx(u * arc - u * u * T, rel=1e-12)
+
+
+# float.hex of momentum_from_velocity_exact per _suite_hamiltonians() model
+# on the three velocities of _seeded_velocities(kind, 100 + k), flattened.
+_PINNED_INVERSIONS = [
+    ["0x1.a0f24f5d11155p+2", "0x1.87ce48d7edba4p+1", "-0x1.4cc22d246e5fcp+2"],
+    ["0x1.09f80c438726ep+3", "-0x1.07ffd6a22055cp+2", "0x1.a22a6fba24320p+2"],
+    ["-0x1.027e0df53dfb4p+2", "0x1.055adb0581b36p+0", "0x1.ec6524d1987b3p+1",
+     "0x1.e894b2d191744p+1", "-0x1.7dbb58a5ecff7p-1", "0x1.02882ee9560afp+3",
+     "0x1.2612f26c5d00bp+2", "-0x1.330d3bae3eac1p+1", "-0x1.d1ed660ff9041p+1"],
+    ["-0x1.3a9d684d1f94dp+2", "-0x1.cf0818a2975d8p+2", "-0x1.0b0bd5031c9a7p+3",
+     "0x1.94c2f6e942bc4p+2", "-0x1.c0cb19d6af29dp+2", "-0x1.dd873f90cd106p+1",
+     "0x1.4df5ba3f24d4dp+3", "-0x1.96ee92f095e0bp+1", "-0x1.ed8ee55320836p-1"],
+    ["0x1.087a5c5c493d9p+2", "0x1.1ead5cf964966p+1", "-0x1.b219b23fbe210p+1"],
+    ["0x1.ee4088ec23018p+1", "0x1.725c851de741fp+2", "-0x1.691ba3a25a222p+2"],
+    ["0x1.57131bf7f01edp+3", "-0x1.2090aacef384cp+3", "-0x1.6a778db4f50cap+2"],
+]
+
+
+def _seeded_velocities(kind, seed):
+    """Three velocities below 0.9 of the model's speed limit, capped at 18."""
+    rng = np.random.default_rng(seed)
+    cap = min(speed_limit(kind), 20.0)
+    for _ in range(3):
+        if kind.dim == 1:
+            yield float(rng.uniform(-0.9, 0.9)) * cap
+        else:
+            d = rng.uniform(-1.0, 1.0, size=3)
+            yield d * (float(rng.uniform(0.05, 0.9)) * cap / math.sqrt(d.dot(d)))
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_exact_inversion_is_pinned_per_suite_model(k):
+    kind = _suite_hamiltonians()[k]
+    got = [float(c).hex() for v in _seeded_velocities(kind, 100 + k)
+           for c in np.ravel(momentum_from_velocity_exact(v, kind))]
+    assert got == _PINNED_INVERSIONS[k]
