@@ -83,7 +83,7 @@ class PhaseState:
             raise ValueError(
                 f"x and p must both have 1 or 3 components, got shapes {x.shape} and {p.shape}"
             )
-        if not (np.isfinite(x).all() and np.isfinite(p).all()):
+        if not all(map(math.isfinite, x.tolist() + p.tolist())):
             raise ValueError("phase-space components must be finite")
         x.setflags(write=False)
         p.setflags(write=False)
@@ -129,7 +129,7 @@ def _map_3d_divisor(p: np.ndarray, params: DeformationParameters) -> float:
     """sqrt(1 - beta p^2) for the three-dimensional map, after its domain check."""
     if params.beta == 0.0:
         return 1.0
-    bp2 = params.beta * float(p @ p)
+    bp2 = params.beta * float(p.dot(p))
     if bp2 >= 1.0:
         raise DomainError(
             f"canonical momentum is outside the map domain (need beta*|p|^2 < 1, got {bp2:.6g})"
@@ -157,7 +157,7 @@ def bracket_xp_3d(P, i: int, j: int, params: DeformationParameters) -> float:
         raise ValueError(f"P must have 3 components, got {P.size}")
     b = params.beta
     delta = 1.0 if i == j else 0.0
-    return math.sqrt(1.0 + b * float(P @ P)) * (delta + b * P[i - 1] * P[j - 1])
+    return math.sqrt(1.0 + b * float(P.dot(P))) * (delta + b * P[i - 1] * P[j - 1])
 
 
 def _shifted(v: np.ndarray, i: int, value: float) -> np.ndarray:

@@ -279,17 +279,14 @@ class Hamiltonian:
         make_kinetic = _MODELS.get(self.model)
         if make_kinetic is None:
             raise ValueError(f"unknown model {self.model!r}")
-        # derived functions, kept off the dataclass fields (and so out of eq and repr)
+        # derived once, kept off the dataclass fields (and so out of eq and repr)
+        object.__setattr__(self, "dim", 3 if self.model in THREE_D_MODELS else 1)
         object.__setattr__(self, "_kinetic", make_kinetic(self))
         object.__setattr__(self, "_potential_terms", self.potential.terms(self.dim))
 
     def __reduce__(self):
         # the derived functions are closures; pickle the fields and rebuild them
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
-
-    @property
-    def dim(self) -> int:
-        return 3 if self.model in THREE_D_MODELS else 1
 
     @classmethod
     def exact_1d(cls, params, potential=None) -> "Hamiltonian":
@@ -372,12 +369,18 @@ def components(kind: Hamiltonian, values):
 
 
 def _unpack(kind: Hamiltonian, state: PhaseState):
-    """(x, p, |p|^2) on lists of floats, |p|^2 summed left to right as in the RK4 loops."""
-    x, p = components(kind, state.x), components(kind, state.p)
+    """(x, p, |p|^2) on lists of floats, |p|^2 summed left to right as in the RK4 loops.
+
+    A PhaseState was checked when it was built, so only its size is tested here.
+    """
+    if isinstance(state, PhaseState) and state.x.size == kind.dim:
+        x, p = state.x.tolist(), state.p.tolist()
+    else:
+        x, p = (np.ravel(components(kind, v)).tolist() for v in (state.x, state.p))
     if kind.dim == 1:
-        return [x], [p], p * p
-    p1, p2, p3 = p.tolist()
-    return x.tolist(), [p1, p2, p3], p1 * p1 + p2 * p2 + p3 * p3
+        return x, p, p[0] * p[0]
+    p1, p2, p3 = p
+    return x, p, p1 * p1 + p2 * p2 + p3 * p3
 
 
 def hamiltonian_value(kind: Hamiltonian, state: PhaseState) -> float:

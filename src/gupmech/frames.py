@@ -183,7 +183,7 @@ def _interval_parts(e1, e2, scale_sq: float):
     """
     d = e2 - e1
     dx = d[..., 1:]
-    return scale_sq * d[..., 0] * d[..., 0], (dx[..., None, :] @ dx[..., :, None])[..., 0, 0]
+    return scale_sq * d[..., 0] * d[..., 0], np.vecdot(dx, dx)
 
 
 def minkowski_interval(e1, e2, light_speed: float):

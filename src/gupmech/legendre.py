@@ -10,6 +10,7 @@ and a square-root form whose free action is a Euclidean arc length in
 
 import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -162,7 +163,8 @@ def _solve_radial(kind: Hamiltonian, s: float) -> float:
     """Solve radial_velocity(kind, q) = s for q >= 0 by safeguarded Newton.
 
     Initial guess m*s, bisection fallback on the bracketing interval,
-    residual tolerance 1e-12 relative, hard cap of 64 iterations.
+    residual tolerance 1e-12 relative.  After 64 Newton iterations the
+    bracket is bisected until the residual meets the tolerance.
     """
     if s == 0.0:
         return 0.0
@@ -194,7 +196,15 @@ def _solve_radial(kind: Hamiltonian, s: float) -> float:
         step_ok = slope > 0.0 and math.isfinite(slope)
         qn = q - r / slope if step_ok else math.nan
         q = qn if lo < qn < hi else 0.5 * (lo + hi)
-    raise RuntimeError("momentum inversion did not converge within 64 iterations")
+    # Newton from far above the root of a convex speed shrinks q by about a third a
+    # step and never leaves the bracket; bisect it until it stops shrinking.
+    while lo < q < hi:
+        r = radial_velocity(kind, q) - s
+        if abs(r) <= tol:
+            return q
+        lo, hi = (q, hi) if r < 0.0 else (lo, q)
+        q = 0.5 * (lo + hi)
+    raise RuntimeError("momentum inversion did not converge: its bracket stopped shrinking")
 
 
 def momentum_from_velocity_exact(xdot, kind: Hamiltonian):
@@ -206,7 +216,13 @@ def momentum_from_velocity_exact(xdot, kind: Hamiltonian):
     requested speed.
     """
     v = components(kind, xdot)
-    s = float(np.linalg.norm(v))
+    if kind.dim == 1:
+        s = abs(v)
+    else:
+        sq = v.dot(v)
+        # below the normal range |v|^2 has lost digits or underflowed: scale v first
+        big = max(map(abs, v.tolist())) if sq < sys.float_info.min else 0.0
+        s = big * math.sqrt((v / big).dot(v / big)) if big else math.sqrt(sq)
     if s == 0.0:
         return 0.0 * v
     return _solve_radial(kind, s) * (v / s)

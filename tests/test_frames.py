@@ -358,6 +358,20 @@ def _pairwise_residual(scale, sign, before, after):
     return worst
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("boost", [GalileanBoost(0.6 * 1.3, 1.3), LorentzBoost(0.6 * 1.4, 1.4)])
+def test_squared_separation_sums_as_the_stacked_matmul(dim, boost):
+    # np.vecdot must keep every bit of the (1, d) @ (d, 1) form the residual pins came from
+    rng = np.random.default_rng(17 + dim)
+    before = rng.uniform(-2.0, 2.0, (300, 1 + dim)) * 10.0 ** rng.uniform(-5.0, 5.0, (300, 1))
+    apply = lorentz_apply if isinstance(boost, LorentzBoost) else galilean_apply
+    for events in (before, apply(boost, before)):
+        e1, e2 = events[:60, None], events[None, 1:]
+        dx = (e2 - e1)[..., 1:]
+        stacked = (dx[..., None, :] @ dx[..., :, None])[..., 0, 0]
+        assert frames._interval_parts(e1, e2, 1.0)[1].tobytes() == stacked.tobytes()
+
+
 class TestIntervalResidual:
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("law", ["exact", "lorentz"])

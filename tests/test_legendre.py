@@ -130,6 +130,24 @@ class TestExactInversion:
         assert back == pytest.approx(s, abs=1e-11)
 
 
+    @pytest.mark.parametrize("speed", [1e-170, 1e-160])
+    @pytest.mark.parametrize("model", ["exact-1d", "first-order-1d", "exact-3d", "first-order-3d"])
+    def test_a_tiny_speed_keeps_its_momentum(self, model, speed):
+        # p = m v to every digit here; squaring the speed used to underflow to p = 0
+        kind = Hamiltonian(model, params_of(0.01))
+        v = speed if kind.dim == 1 else np.array([0.0, speed, 0.0])
+        assert np.ravel(momentum_from_velocity_exact(v, kind)).tolist() == np.ravel(v).tolist()
+
+    @pytest.mark.parametrize("speed", [1e17, 1e19, 1e50, 1e100])
+    @pytest.mark.parametrize("model", ["first-order-1d", "first-order-3d"])
+    def test_a_huge_speed_on_an_unbounded_branch_inverts(self, model, speed):
+        # Newton from m*s crawls toward the root for more than 64 steps here
+        kind = Hamiltonian(model, params_of(0.01))
+        from gupmech.dynamics import radial_velocity
+        v = speed if kind.dim == 1 else np.array([speed, 0.0, 0.0])
+        q = float(np.ravel(momentum_from_velocity_exact(v, kind))[0])
+        assert abs(radial_velocity(kind, q) - speed) <= 1e-12 * speed
+
 _ACTION_PARAMS = params_of(0.01, 1.3)
 _ACTION_POTENTIALS = {"free": Potential.free(), "harmonic": Potential.harmonic(0.7),
                       "uniform-field": Potential.uniform_field(0.4)}
