@@ -199,7 +199,7 @@ def _gradient(values, probes):
     """Per axis (df/dx_i, df/dp_i) by central differences of f's probe values."""
     grad = []
     for (hx, hp, _), (f_xp, f_xm, f_pp, f_pm) in zip(probes, values):
-        if not all(math.isfinite(v) for v in (f_xp, f_xm, f_pp, f_pm)):
+        if not all(map(math.isfinite, (f_xp, f_xm, f_pp, f_pm))):
             raise DomainError(
                 "non-finite function value while probing a central difference; "
                 "the state is too close to a domain boundary"

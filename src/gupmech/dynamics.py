@@ -373,10 +373,9 @@ def _unpack(kind: Hamiltonian, state: PhaseState):
 
     A PhaseState was checked when it was built, so only its size is tested here.
     """
-    if isinstance(state, PhaseState) and state.x.size == kind.dim:
-        x, p = state.x.tolist(), state.p.tolist()
-    else:
-        x, p = (np.ravel(components(kind, v)).tolist() for v in (state.x, state.p))
+    if not (isinstance(state, PhaseState) and state.x.size == kind.dim):
+        state = PhaseState(components(kind, state.x), components(kind, state.p))
+    x, p = state.x.tolist(), state.p.tolist()
     if kind.dim == 1:
         return x, p, p[0] * p[0]
     p1, p2, p3 = p

@@ -220,9 +220,8 @@ def momentum_from_velocity_exact(xdot, kind: Hamiltonian):
         s = abs(v)
     else:
         sq = v.dot(v)
-        # below the normal range |v|^2 has lost digits or underflowed: scale v first
-        big = max(map(abs, v.tolist())) if sq < sys.float_info.min else 0.0
-        s = big * math.sqrt((v / big).dot(v / big)) if big else math.sqrt(sq)
+        # below the normal range |v|^2 has lost digits or underflowed; hypot scales first
+        s = math.sqrt(sq) if sq >= sys.float_info.min else math.hypot(*v.tolist())
     if s == 0.0:
         return 0.0 * v
     return _solve_radial(kind, s) * (v / s)
