@@ -491,6 +491,19 @@ PINNED_TRAJECTORY_SHA256 = {
 }
 
 
+# Rows of the tables pinned below: odd, not a whole number of write blocks,
+# and long enough that the writer splits them between two processes.
+SPLIT_PIN_ROWS = 4999
+
+# sha256 of each table of SPLIT_PIN_ROWS rows, recorded from the writer
+# that formatted every row in one process.
+PINNED_SPLIT_SHA256 = {
+    "trajectory-1d": "ee9dfdd685af6bc118ae443da71beec1d32f41579b10a55207d1f1e6669f22b8",
+    "trajectory-3d": "d6dbf107f54c9896aeacf5cc67932a7b27386d08ae9582c06b65c6b75aaf2f05",
+    "events-3d": "6423655bb3e43219efcd84bc788f8d6d85ebf0f9fd1719d1747dac5be5e8256d",
+}
+
+
 class TestTrajectoryCsv:
     def _trajectory(self):
         kind = Hamiltonian.first_order_1d(
@@ -612,3 +625,12 @@ class TestWriterBytes:
         path = tmp_path / "events.csv"
         write_events(path, table)
         assert path.read_bytes() == _per_row_bytes(event_header(dim), table)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SPLIT_SHA256))
+    def test_long_tables_are_pinned(self, tmp_path, name):
+        path = tmp_path / "table.csv"
+        if name == "events-3d":
+            write_events(path, _writer_table(SPLIT_PIN_ROWS, 4, seed=SPLIT_PIN_ROWS))
+        else:
+            write_trajectory(path, seeded_trajectory(int(name[-2]), SPLIT_PIN_ROWS))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SPLIT_SHA256[name]
