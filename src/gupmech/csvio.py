@@ -8,6 +8,10 @@ read and written as one (n, 1+d) float array.
 
 import csv
 import math
+import os
+import shutil
+import signal
+import tempfile
 from typing import List, NamedTuple
 
 import numpy as np
@@ -15,6 +19,9 @@ import numpy as np
 
 # rows per stacked block of a table write; stacking the whole table copies every array
 _BLOCK_ROWS = 256
+# rows above which a forked child formats the second half of a table: a fork
+# and a copy of the child's bytes break even near 2,000 1D or 1,000 3D rows
+_SPLIT_ROWS = 4096
 
 
 class CsvFormatError(ValueError):
@@ -44,14 +51,59 @@ def event_header(dim: int) -> List[str]:
     return ["t"] + _axis_names("x", dim)
 
 
+def _write_rows(handle, line, columns, start, stop):
+    """Write rows start..stop-1, column-stacked, one %r-format per block of rows."""
+    for lo in range(start, stop, _BLOCK_ROWS):
+        block = np.column_stack([c[lo:min(lo + _BLOCK_ROWS, stop)] for c in columns])
+        handle.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
 def _write_table(path, header, columns) -> None:
-    """Write the header, then the column-stacked rows, one %r-format per block of rows."""
+    """Write the header, then the rows.
+
+    Formatting is repr-bound and holds the GIL, so a table longer than
+    _SPLIT_ROWS is split at a block boundary near its middle: a forked
+    child formats the second half into an unnamed temporary file while
+    this process writes the first, and then its bytes are appended.  The
+    bytes are those of a write in one process.
+    """
     line = ",".join(["%r"] * len(header)) + "\n"
+    rows = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
-            handle.write(line * len(block) % tuple(block.ravel().tolist()))
+        if rows <= _SPLIT_ROWS or not hasattr(os, "fork"):
+            _write_rows(handle, line, columns, 0, rows)
+            return
+        split = (rows // 2 + _BLOCK_ROWS // 2) // _BLOCK_ROWS * _BLOCK_ROWS
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as tail:
+            status = 1  # the child's exit status until its rows are on disk
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: write every row here
+                _write_rows(handle, line, columns, 0, rows)
+                return
+            if pid == 0:
+                # os._exit on every path: no exception unwinds into the caller's
+                # code and no buffer inherited from this process is flushed twice
+                try:
+                    _write_rows(tail, line, columns, split, rows)
+                    tail.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            try:
+                _write_rows(handle, line, columns, 0, split)
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status != 0:
+                raise OSError(f"cannot write {path}: the process formatting its rows "
+                              f"{split + 2}-{rows + 1} failed (exit status {status})")
+            handle.flush()
+            tail.seek(0)
+            shutil.copyfileobj(tail.buffer, handle.buffer)
 
 
 def write_trajectory(path, trajectory) -> None:

@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
+from gupmech import csvio
 from gupmech.cli import main
 from gupmech.csvio import read_events, read_trajectory
 
@@ -156,6 +159,35 @@ class TestSimulate:
         assert out == ""
         assert err == "gupmech: error: t_end / dt = inf asks for more steps than memory can hold\n"
         assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_a_long_run_leaves_no_process_or_file(self, tmp_path, capsys, monkeypatch, fails):
+        # 5,001 rows: the writer forks a child for the second half of the table
+        cfg = write(tmp_path, "long.cfg",
+                    FREE_EXACT.replace("t_end = 1.0", "t_end = 5.0")
+                              .replace("dt = 0.01", "dt = 0.001"))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        (tmp_path / "tmp").mkdir()
+        here, write_rows = os.getpid(), csvio._write_rows
+        if fails:
+            def write_rows_here(*args):
+                if os.getpid() != here:
+                    raise RuntimeError("row formatting failed in the child")
+                return write_rows(*args)
+
+            monkeypatch.setattr(csvio, "_write_rows", write_rows_here)
+        code, out, err = run_cli(capsys, "simulate", "--config", cfg)
+        if fails:
+            assert (code, out) == (2, "")
+            assert err == ("gupmech: error: cannot write trajectory.csv: the process formatting "
+                           "its rows 2562-5002 failed (exit status 1)\n")
+        else:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["trajectory"]["samples"] == 5001
+            assert read_trajectory(tmp_path / "trajectory.csv").times.size == 5001
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list((tmp_path / "tmp").iterdir()) == []
 
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "simulate", "--config",

@@ -1,6 +1,10 @@
 """Scenario documents: scanning, validation, rendering, CSV tables."""
 
 import hashlib
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gupmech import config as config_module
+from gupmech import csvio
 from gupmech.config import ConfigError, ScenarioConfig, parse_config, render_config
 from gupmech.csvio import (
     CsvFormatError,
@@ -605,10 +610,55 @@ def _per_row_bytes(header, table):
 _WRITER_ROWS = (2, 255, 256, 257, 513)
 
 
+@pytest.fixture(params=["as-set", "split-every-table"])
+def split_rows(request, monkeypatch):
+    """The row count above which the writer forks: as set, or 0 so every table is split.
+
+    Split at 0, the tables above give an empty first half (2, 255 rows), an
+    empty second half (256), a one-row second half (257) and a second half
+    of one block plus one row (513).
+    """
+    if request.param == "split-every-table":
+        monkeypatch.setattr(csvio, "_SPLIT_ROWS", 0)
+    return csvio._SPLIT_ROWS
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The list of fork calls made, one entry each, counted in the calling process."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _rows_writer_failing_in(monkeypatch, side):
+    """Make csvio's row writer raise in the forked child or in this process only."""
+    here = os.getpid()
+    write_rows = csvio._write_rows
+
+    def writer(*args):
+        if (os.getpid() == here) == (side == "parent"):
+            raise RuntimeError(f"row formatting failed in the {side}")
+        return write_rows(*args)
+
+    monkeypatch.setattr(csvio, "_write_rows", writer)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestWriterBytes:
     @pytest.mark.parametrize("rows", _WRITER_ROWS)
     @pytest.mark.parametrize("dim", (1, 3))
-    def test_trajectory_matches_the_per_row_writer(self, tmp_path, dim, rows):
+    def test_trajectory_matches_the_per_row_writer(self, tmp_path, dim, rows, split_rows):
         table = _writer_table(rows, 2 * dim + 2, seed=10 * rows + dim)
         table[:, 0] = np.arange(rows) * 0.1
         table[0, 0] = -0.0
@@ -620,7 +670,7 @@ class TestWriterBytes:
 
     @pytest.mark.parametrize("rows", _WRITER_ROWS)
     @pytest.mark.parametrize("dim", (1, 3))
-    def test_events_match_the_per_row_writer(self, tmp_path, dim, rows):
+    def test_events_match_the_per_row_writer(self, tmp_path, dim, rows, split_rows):
         table = _writer_table(rows, 1 + dim, seed=10 * rows + dim + 5)
         path = tmp_path / "events.csv"
         write_events(path, table)
@@ -634,3 +684,77 @@ class TestWriterBytes:
         else:
             write_trajectory(path, seeded_trajectory(int(name[-2]), SPLIT_PIN_ROWS))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SPLIT_SHA256[name]
+
+    def test_pinned_tables_are_split(self):
+        assert SPLIT_PIN_ROWS > csvio._SPLIT_ROWS
+
+    @pytest.mark.parametrize("offset", (-1, 0, 1))
+    @pytest.mark.parametrize("dim", (1, 3))
+    def test_tables_split_only_above_the_threshold(self, tmp_path, forks, dim, offset):
+        rows = csvio._SPLIT_ROWS + offset
+        table = _writer_table(rows, 2 * dim + 2, seed=rows + dim)
+        table[:, 0] = np.arange(rows) * 0.1
+        traj = Trajectory(times=table[:, 0], positions=table[:, 1:1 + dim],
+                          momenta=table[:, 1 + dim:1 + 2 * dim], energies=table[:, -1], step=0.1)
+        path = tmp_path / "traj.csv"
+        write_trajectory(path, traj)
+        assert path.read_bytes() == _per_row_bytes(trajectory_header(dim), table)
+        assert len(forks) == (offset > 0)
+
+
+class TestSplitWriterProcesses:
+    """The forked writer of a long table's second half leaves nothing behind."""
+
+    @pytest.fixture(autouse=True)
+    def _temporary_directory(self, tmp_path, monkeypatch):
+        # tempfile puts its unnamed files here, so a named one would show
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        (tmp_path / "tmp").mkdir()
+        yield
+        assert_no_child_left()
+        assert list((tmp_path / "tmp").iterdir()) == []
+
+    def test_a_long_write_reaps_its_child(self, tmp_path, forks):
+        path = tmp_path / "traj.csv"
+        write_trajectory(path, seeded_trajectory(3, SPLIT_PIN_ROWS))
+        assert len(forks) == 1
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            PINNED_SPLIT_SHA256["trajectory-3d"]
+
+    def test_a_failing_child_is_an_oserror_naming_the_path(self, tmp_path, monkeypatch):
+        _rows_writer_failing_in(monkeypatch, "child")
+        path = tmp_path / "traj.csv"
+        with pytest.raises(OSError, match="cannot write .*traj.csv: .*rows 2562-5000 failed"):
+            write_trajectory(path, seeded_trajectory(1, SPLIT_PIN_ROWS))
+
+    def test_a_failing_first_half_reaps_the_child(self, tmp_path, monkeypatch):
+        _rows_writer_failing_in(monkeypatch, "parent")
+        with pytest.raises(RuntimeError, match="failed in the parent"):
+            write_events(tmp_path / "events.csv",
+                         _writer_table(SPLIT_PIN_ROWS, 4, seed=SPLIT_PIN_ROWS))
+
+    def test_a_failed_fork_writes_every_row_here(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        path = tmp_path / "events.csv"
+        write_events(path, _writer_table(SPLIT_PIN_ROWS, 4, seed=SPLIT_PIN_ROWS))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SPLIT_SHA256["events-3d"]
+
+    def test_the_child_flushes_no_inherited_buffer(self, tmp_path):
+        # stdout to a pipe is block-buffered: text printed before the fork and
+        # still unflushed would show twice if the child flushed it on exit
+        script = ("import sys\n"
+                  "from gupmech.csvio import write_events\n"
+                  "print('before')\n"
+                  f"write_events(sys.argv[1], [[0.1 * i, 1.0] for i in range({SPLIT_PIN_ROWS})])\n"
+                  "print('after')\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(csvio.__file__).parents[1])
+        path = tmp_path / "events.csv"
+        done = subprocess.run([sys.executable, "-c", script, str(path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "before\nafter\n", "")
+        table = np.column_stack([np.arange(SPLIT_PIN_ROWS) * 0.1, np.ones(SPLIT_PIN_ROWS)])
+        assert path.read_bytes() == _per_row_bytes(event_header(1), table)
