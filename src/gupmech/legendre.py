@@ -37,6 +37,9 @@ ALL_LAGRANGIANS = frozenset({L_FIRST_ORDER_1D, L_SQRT_1D, L_FIRST_ORDER_3D, L_RE
 # Beyond this the first-order momentum formula is an extrapolation.
 SMALL_DEFORMATION_BOUND = 0.1
 
+# Float sums of squares up to this leave numpy's v.dot(v) finite, so it cannot warn.
+_SQUARES_CAP = sys.float_info.max / 2.0
+
 
 @dataclass(frozen=True)
 class Lagrangian:
@@ -150,13 +153,20 @@ def _bracket_high(kind: Hamiltonian, s: float) -> float:
             cand = blim * (1.0 - 0.5 ** k)
             if radial_velocity(kind, cand) >= s:
                 return cand
-        raise RuntimeError("could not bracket the momentum inversion near the branch edge")
+        raise _unresolvable(kind, s)
     hi = max(m * s, 1e-30)
     for _ in range(200):
         if radial_velocity(kind, hi) >= s:
             return hi
         hi *= 2.0
     raise RuntimeError("could not bracket the momentum inversion")
+
+
+def _unresolvable(kind: Hamiltonian, s: float) -> DomainError:
+    return DomainError(
+        f"speed {s:.6g} is out of reach of {kind.model}: its momentum lies closer to the "
+        f"branch edge |p| = {monotone_momentum_limit(kind):.6g} than adjacent floats resolve"
+    )
 
 
 def _solve_radial(kind: Hamiltonian, s: float) -> float:
@@ -204,6 +214,9 @@ def _solve_radial(kind: Hamiltonian, s: float) -> float:
             return q
         lo, hi = (q, hi) if r < 0.0 else (lo, q)
         q = 0.5 * (lo + hi)
+    if math.isfinite(monotone_momentum_limit(kind)):
+        # the speed climbs by more than the tolerance between adjacent floats
+        raise _unresolvable(kind, s)
     raise RuntimeError("momentum inversion did not converge: its bracket stopped shrinking")
 
 
@@ -213,15 +226,18 @@ def momentum_from_velocity_exact(xdot, kind: Hamiltonian):
     Returns a float for one-dimensional models and a 3-array for
     three-dimensional ones (momentum parallel to the velocity).  Raises
     DomainError when no momentum on the monotone branch reaches the
-    requested speed.
+    requested speed, or one whose momentum sits closer to a finite branch
+    edge than floats resolve.
     """
     v = components(kind, xdot)
     if kind.dim == 1:
         s = abs(v)
     else:
-        sq = v.dot(v)
-        # below the normal range |v|^2 has lost digits or underflowed; hypot scales first
-        s = math.sqrt(sq) if sq >= sys.float_info.min else math.hypot(*v.tolist())
+        v1, v2, v3 = v.tolist()
+        # numpy warns where v.dot(v) overflows; float squares do not, so they decide
+        sq = v.dot(v) if v1 * v1 + v2 * v2 + v3 * v3 <= _SQUARES_CAP else math.inf
+        # outside the normal range |v|^2 has lost digits or overflowed; hypot scales first
+        s = math.sqrt(sq) if sys.float_info.min <= sq < math.inf else math.hypot(v1, v2, v3)
     if s == 0.0:
         return 0.0 * v
     return _solve_radial(kind, s) * (v / s)

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -138,15 +139,42 @@ class TestExactInversion:
         v = speed if kind.dim == 1 else np.array([0.0, speed, 0.0])
         assert np.ravel(momentum_from_velocity_exact(v, kind)).tolist() == np.ravel(v).tolist()
 
-    @pytest.mark.parametrize("speed", [1e17, 1e19, 1e50, 1e100])
+    @pytest.mark.parametrize("speed", [1e17, 1e19, 1e50, 1e100, 1e200, 1e300])
     @pytest.mark.parametrize("model", ["first-order-1d", "first-order-3d"])
     def test_a_huge_speed_on_an_unbounded_branch_inverts(self, model, speed):
-        # Newton from m*s crawls toward the root for more than 64 steps here
+        # Newton from m*s crawls toward the root for more than 64 steps here,
+        # and from 1e200 on the square of a 3D speed overflows
         kind = Hamiltonian(model, params_of(0.01))
         from gupmech.dynamics import radial_velocity
         v = speed if kind.dim == 1 else np.array([speed, 0.0, 0.0])
         q = float(np.ravel(momentum_from_velocity_exact(v, kind))[0])
         assert abs(radial_velocity(kind, q) - speed) <= 1e-12 * speed
+
+    @pytest.mark.parametrize("model, speed", [
+        ("exact-1d", 1e16), ("exact-1d", 1e30), ("exact-1d", 1e100), ("exact-1d", 1e300),
+        ("exact-3d", 1e10), ("exact-3d", 1e16), ("exact-3d", 1e30), ("exact-3d", 1e100),
+        ("exact-3d", 1e200), ("exact-3d", 1e300)])
+    def test_a_speed_floats_cannot_resolve_is_a_domain_error(self, model, speed):
+        # its momentum lies within an ulp or so of the branch edge, where the
+        # speed climbs by more than the 1e-12 residual from one float to the next
+        kind = Hamiltonian(model, params_of(0.01))
+        v = speed if kind.dim == 1 else np.array([speed, 0.0, 0.0])
+        edge = {"exact-1d": "15.708", "exact-3d": "10"}[model]
+        with pytest.raises(DomainError, match=re.escape(
+                f"speed {speed:.6g} is out of reach of {model}: its momentum lies closer "
+                f"to the branch edge |p| = {edge} than adjacent floats resolve")):
+            momentum_from_velocity_exact(v, kind)
+
+    @pytest.mark.parametrize("model, speed, pinned", [
+        ("exact-1d", 1e8, ["0x1.f52b65690632bp+3"]),
+        ("exact-1d", -1e10, ["-0x1.f655b71034cd9p+3"]),
+        ("exact-3d", [1e8, 0.0, 0.0], ["0x1.3ff30c1c8e941p+3", "0x0.0p+0", "0x0.0p+0"]),
+        ("exact-3d", [0.0, -6e7, 8e7], ["0x0.0p+0", "-0x1.7ff074ef117e7p+2",
+                                        "0x1.ffeb469417535p+2"])])
+    def test_a_speed_near_the_branch_edge_keeps_its_bits(self, model, speed, pinned):
+        kind = Hamiltonian(model, params_of(0.01))
+        q = np.ravel(momentum_from_velocity_exact(speed, kind)).tolist()
+        assert [float(c).hex() for c in q] == pinned
 
 _ACTION_PARAMS = params_of(0.01, 1.3)
 _ACTION_POTENTIALS = {"free": Potential.free(), "harmonic": Potential.harmonic(0.7),
