@@ -58,20 +58,33 @@ def _write_rows(handle, line, columns, start, stop):
         handle.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
+def _child_runs_alongside() -> bool:
+    """Whether fork exists and this process may run on two CPUs.
+
+    On one CPU the two halves take turns, so the fork and the copy are pure cost.
+    """
+    if not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
 def _write_table(path, header, columns) -> None:
     """Write the header, then the rows.
 
     Formatting is repr-bound and holds the GIL, so a table longer than
-    _SPLIT_ROWS is split at a block boundary near its middle: a forked
-    child formats the second half into an unnamed temporary file while
-    this process writes the first, and then its bytes are appended.  The
-    bytes are those of a write in one process.
+    _SPLIT_ROWS, written by a process allowed on two CPUs, is split at a
+    block boundary near its middle: a forked child formats the second
+    half into an unnamed temporary file while this process writes the
+    first, and then its bytes are appended.  The bytes are those of a
+    write in one process.
     """
     line = ",".join(["%r"] * len(header)) + "\n"
     rows = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        if rows <= _SPLIT_ROWS or not hasattr(os, "fork"):
+        if rows <= _SPLIT_ROWS or not _child_runs_alongside():
             _write_rows(handle, line, columns, 0, rows)
             return
         split = (rows // 2 + _BLOCK_ROWS // 2) // _BLOCK_ROWS * _BLOCK_ROWS

@@ -167,6 +167,7 @@ class TestSimulate:
                     FREE_EXACT.replace("t_end = 1.0", "t_end = 5.0")
                               .replace("dt = 0.01", "dt = 0.001"))
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         (tmp_path / "tmp").mkdir()
         here, write_rows = os.getpid(), csvio._write_rows
         if fails:

@@ -610,8 +610,14 @@ def _per_row_bytes(header, table):
 _WRITER_ROWS = (2, 255, 256, 257, 513)
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let the writer see two allowed CPUs, whatever the host allows."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
 @pytest.fixture(params=["as-set", "split-every-table"])
-def split_rows(request, monkeypatch):
+def split_rows(request, monkeypatch, two_cpus):
     """The row count above which the writer forks: as set, or 0 so every table is split.
 
     Split at 0, the tables above give an empty first half (2, 255 rows), an
@@ -624,7 +630,7 @@ def split_rows(request, monkeypatch):
 
 
 @pytest.fixture
-def forks(monkeypatch):
+def forks(monkeypatch, two_cpus):
     """The list of fork calls made, one entry each, counted in the calling process."""
     calls = []
     fork = os.fork
@@ -706,7 +712,7 @@ class TestSplitWriterProcesses:
     """The forked writer of a long table's second half leaves nothing behind."""
 
     @pytest.fixture(autouse=True)
-    def _temporary_directory(self, tmp_path, monkeypatch):
+    def _temporary_directory(self, tmp_path, monkeypatch, two_cpus):
         # tempfile puts its unnamed files here, so a named one would show
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
         (tmp_path / "tmp").mkdir()
@@ -742,6 +748,16 @@ class TestSplitWriterProcesses:
         write_events(path, _writer_table(SPLIT_PIN_ROWS, 4, seed=SPLIT_PIN_ROWS))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SPLIT_SHA256["events-3d"]
 
+    def test_one_allowed_cpu_writes_every_row_here(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        path = tmp_path / "traj.csv"
+        write_trajectory(path, seeded_trajectory(1, SPLIT_PIN_ROWS))
+        assert forks == []
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            PINNED_SPLIT_SHA256["trajectory-1d"]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or
+                        len(os.sched_getaffinity(0)) < 2, reason="needs two allowed CPUs")
     def test_the_child_flushes_no_inherited_buffer(self, tmp_path):
         # stdout to a pipe is block-buffered: text printed before the fork and
         # still unflushed would show twice if the child flushed it on exit
