@@ -10,7 +10,6 @@ import csv
 import math
 import os
 import shutil
-import signal
 import tempfile
 from typing import List, NamedTuple
 
@@ -107,6 +106,7 @@ def _write_table(path, header, columns) -> None:
             try:
                 _write_rows(handle, line, columns, 0, split)
             except BaseException:
+                import signal  # here, not at start-up, where it would cost about 1 ms
                 os.kill(pid, signal.SIGKILL)
                 raise
             finally:

@@ -656,11 +656,6 @@ def _rows_writer_failing_in(monkeypatch, side):
     monkeypatch.setattr(csvio, "_write_rows", writer)
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestWriterBytes:
     @pytest.mark.parametrize("rows", _WRITER_ROWS)
     @pytest.mark.parametrize("dim", (1, 3))
@@ -684,15 +679,13 @@ class TestWriterBytes:
 
     @pytest.mark.parametrize("name", sorted(PINNED_SPLIT_SHA256))
     def test_long_tables_are_pinned(self, tmp_path, name):
+        assert SPLIT_PIN_ROWS > csvio._SPLIT_ROWS
         path = tmp_path / "table.csv"
         if name == "events-3d":
             write_events(path, _writer_table(SPLIT_PIN_ROWS, 4, seed=SPLIT_PIN_ROWS))
         else:
             write_trajectory(path, seeded_trajectory(int(name[-2]), SPLIT_PIN_ROWS))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SPLIT_SHA256[name]
-
-    def test_pinned_tables_are_split(self):
-        assert SPLIT_PIN_ROWS > csvio._SPLIT_ROWS
 
     @pytest.mark.parametrize("offset", (-1, 0, 1))
     @pytest.mark.parametrize("dim", (1, 3))
@@ -717,7 +710,8 @@ class TestSplitWriterProcesses:
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
         (tmp_path / "tmp").mkdir()
         yield
-        assert_no_child_left()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
         assert list((tmp_path / "tmp").iterdir()) == []
 
     def test_a_long_write_reaps_its_child(self, tmp_path, forks):
