@@ -692,3 +692,36 @@ def test_whole_report_is_pinned(tmp_path, capsys, name):
     report = json.loads(out)
     assert isinstance(report.pop("wall_time_s"), float)
     assert report == _REPORTS[name]
+
+
+# Long simulate runs, many 256-row blocks each: the sha256 of the trajectory
+# CSV and of the report minus wall_time_s (sorted-key JSON), recorded from
+# the writer that formatted the rows after the integration had ended.
+_LONG_RUNS = {
+    "exact-1d": ("initial.x = 1.0\ninitial.p = 3.0\nt_end = 5.0\n", 5001,
+                 "1374482e7b443c1271014849fc6e5ef72aa7dc6122b479cfed842f54942cd818",
+                 "3a368836b2d4c1f952e88f54e388b3d4973c3ebf9df5c200e71561b20d5a8741"),
+    "exact-3d": ("initial.x = 1.0, 0.0, 0.5\ninitial.p = 0.5, 2.5, -1.0\nt_end = 4.3\n", 4301,
+                 "5ca3baef560a36eaa2d25a1ff7194aff7cbfd4223d3095ebb62f76a65b239eb2",
+                 "db1cb4d29f04360b82282016ce6f6220830f71b199667a72bb492857a82c6020"),
+}
+
+
+def _long_run_config(model):
+    return (f"model.kind = {model}\nmodel.mass = 1.0\nmodel.beta = 0.01\n"
+            "model.potential = harmonic\nmodel.stiffness = 1.0\n"
+            + _LONG_RUNS[model][0] + "dt = 0.001\noutput.trajectory = run.csv\n")
+
+
+@pytest.mark.parametrize("model", sorted(_LONG_RUNS))
+def test_long_simulate_is_pinned(tmp_path, capsys, model):
+    code, out, err = run_cli(capsys, "simulate", "--config",
+                             write(tmp_path, "run.cfg", _long_run_config(model)))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    report.pop("wall_time_s")
+    _, samples, csv_digest, report_digest = _LONG_RUNS[model]
+    assert report["trajectory"]["samples"] == samples > csvio._SPLIT_ROWS + 1
+    assert hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == \
+        report_digest
