@@ -482,7 +482,9 @@ def seeded_trajectory(dim, rows=2500):
     cells = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
     for k, value in enumerate(_AWKWARD_CELLS):
         cells[(37 * k) % rows::len(_AWKWARD_CELLS) * 11, k % width] = value
-    times = np.cumsum(rng.uniform(0.001, 0.1, rows)) - 0.05
+    times = np.cumsum(rng.uniform(0.001, 0.1, rows))
+    # the second time must stay above the first, -0.0, whatever the first two draws
+    times -= 0.05 if rows < 2 or times[1] > 0.05 else times[0]
     times[0] = -0.0
     return Trajectory(times=times, positions=cells[:, :dim], momenta=cells[:, dim:2 * dim],
                       energies=cells[:, 2 * dim], step=0.05)
@@ -564,6 +566,15 @@ class TestTrajectoryCsv:
         write_trajectory(path, traj)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TRAJECTORY_SHA256[dim]
         np.testing.assert_array_equal(read_trajectory(path).positions, traj.positions)
+
+    @pytest.mark.parametrize("rows", [*range(2, 65), 5001, 5003])
+    @pytest.mark.parametrize("dim", (1, 3))
+    def test_seeded_tables_take_any_row_count(self, tmp_path, dim, rows):
+        traj = seeded_trajectory(dim, rows)
+        assert len(traj) == rows and traj.times[0].hex() == "-0x0.0p+0"
+        path = tmp_path / "traj.csv"
+        write_trajectory(path, traj)
+        np.testing.assert_array_equal(read_trajectory(path).times, traj.times)
 
 
 
