@@ -88,9 +88,11 @@ def _cmd_simulate(args):
         raise ConfigError("simulate needs t_end and dt")
     kind = config.build_hamiltonian()
     initial = config.build_initial_state()
-    trajectory = dynamics.integrate(kind, initial, config.t_end, config.dt)
     out_path = config.trajectory_path or "trajectory.csv"
-    csvio.write_trajectory(out_path, trajectory)
+    # a long trajectory's finished rows are formatted by a forked child while RK4 steps on
+    with csvio.TableWriter() as rows:
+        trajectory = dynamics.integrate(kind, initial, config.t_end, config.dt, rows.trajectory)
+        csvio.write_trajectory(out_path, trajectory, rows)
     end = trajectory.endpoint
     report["trajectory"] = {
         "samples": len(trajectory),

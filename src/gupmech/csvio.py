@@ -16,11 +16,15 @@ from typing import List, NamedTuple
 import numpy as np
 
 
-# rows per stacked block of a table write; stacking the whole table copies every array
+# rows per block of a table write, the unit the forked child takes; stacking
+# the whole table at once would copy every array
 _BLOCK_ROWS = 256
-# rows above which a forked child formats the second half of a table: a fork
-# and a copy of the child's bytes break even near 2,000 1D or 1,000 3D rows
+# rows above which a forked child formats part of a table: a fork and a copy
+# of the child's bytes break even near 2,000 1D or 1,000 3D rows
 _SPLIT_ROWS = 4096
+# slots of the two counters shared with the child: the next block it takes
+# and the block it stops before
+_NEXT, _STOP = 0, 1
 
 
 class CsvFormatError(ValueError):
@@ -54,13 +58,13 @@ def _write_rows(handle, line, columns, start, stop):
     """Write rows start..stop-1, column-stacked, one %r-format per block of rows."""
     for lo in range(start, stop, _BLOCK_ROWS):
         block = np.column_stack([c[lo:min(lo + _BLOCK_ROWS, stop)] for c in columns])
-        handle.write(line * len(block) % tuple(block.ravel().tolist()))
+        handle.write((line * len(block) % tuple(block.ravel().tolist())).encode())
 
 
 def _child_runs_alongside() -> bool:
     """Whether fork exists and this process may run on two CPUs.
 
-    On one CPU the two halves take turns, so the fork and the copy are pure cost.
+    On one CPU the two processes take turns, so the fork and the copy are pure cost.
     """
     if not hasattr(os, "fork"):
         return False
@@ -69,59 +73,200 @@ def _child_runs_alongside() -> bool:
     return (os.cpu_count() or 1) > 1
 
 
-def _write_table(path, header, columns) -> None:
-    """Write the header, then the rows.
+def _shared_memory(rows, size):
+    """An anonymous mapping of size bytes that a child forked later shares.
 
-    Formatting is repr-bound and holds the GIL, so a table longer than
-    _SPLIT_ROWS, written by a process allowed on two CPUs, is split at a
-    block boundary near its middle: a forked child formats the second
-    half into an unnamed temporary file while this process writes the
-    first, and then its bytes are appended.  The bytes are those of a
-    write in one process.
+    None if the table is too short to fork for, or no mapping can be had.
     """
-    line = ",".join(["%r"] * len(header)) + "\n"
+    if rows <= _SPLIT_ROWS or not _child_runs_alongside():
+        return None
+    import mmap  # only where the writer forks, so start-up imports nothing new
+    try:
+        return mmap.mmap(-1, size)
+    except (OSError, OverflowError):
+        return None
+
+
+def _format_front(handle, line, columns, pipe, counters):
+    """The child's rows: blocks from the front, each once it is ready, up to the stop."""
     rows = len(columns[0])
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        if rows <= _SPLIT_ROWS or not _child_runs_alongside():
-            _write_rows(handle, line, columns, 0, rows)
-            return
-        split = (rows // 2 + _BLOCK_ROWS // 2) // _BLOCK_ROWS * _BLOCK_ROWS
-        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as tail:
-            status = 1  # the child's exit status until its rows are on disk
+    blocks = -(-rows // _BLOCK_ROWS)
+    k = known = 0  # the next block, and the blocks known to be ready
+    while k < counters[_STOP]:
+        if k < known:
+            lo = k * _BLOCK_ROWS
+            _write_rows(handle, line, columns, lo, min(lo + _BLOCK_ROWS, rows))
+            k += 1
+            counters[_NEXT] = k
+        else:  # one byte per block made ready, end of file once all are
+            got = os.read(pipe, 4096)
+            known = known + len(got) if got else blocks
+    handle.flush()
+
+
+class TableWriter:
+    """Formats the rows of one table, with a forked child when the table is long.
+
+    Formatting is repr-bound and holds the GIL.  So when a table has more
+    than _SPLIT_ROWS rows and this process may run on two CPUs, a child
+    forked over its columns formats _BLOCK_ROWS-row blocks from the front
+    into an unnamed temporary file, each as soon as it is ready: a finished
+    table is ready at the fork, and a trajectory is ready block by block as
+    `dynamics.integrate` fills the arrays of `trajectory`.  Once every row
+    is ready, `write` stops the child at the midpoint of the blocks it has
+    not taken, formats the blocks from there on into a second unnamed file
+    and reaps the child.  Only then is the output file opened; it gets the
+    header and the bytes of both files, the bytes of a write in one process.
+    Leaving the `with` block kills and reaps a child still running.
+    """
+
+    def __init__(self):
+        self.columns = ()
+        self._line = ""  # the %r-format of one row
+        self._pid = None
+        self._pipe = None  # write end: one byte per block made ready
+        self._counters = None  # _NEXT and _STOP, in memory shared with the child
+        self._front = None  # the child's unnamed file
+        self._told = 0  # blocks told to the child
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._pid is not None:
+            import signal  # here, not at start-up, where it would cost about 1 ms
+            os.kill(self._pid, signal.SIGKILL)
+            self._reap()
+        if self._front is not None:
+            self._front.close()
+
+    def share(self, columns) -> None:
+        """Take a finished table of columns, every row of them ready."""
+        self._start(columns, _shared_memory(len(columns[0]), 16))
+        self._close_pipe()
+
+    def trajectory(self, times, dim):
+        """The arrays of a trajectory at these times, to be filled row by row.
+
+        Returns the positions, the momenta, the energies and a function to
+        call with the number of leading rows that are final.  A long table's
+        arrays live in memory shared with a child forked here, which formats
+        those rows while the caller computes the next.
+        """
+        rows = len(times)
+        size = (2 * dim + 1) * rows
+        shared = _shared_memory(rows, 8 * (2 + size))
+        cells = np.empty(size) if shared is None else np.frombuffer(shared, float, offset=16)
+        arrays = (cells[:dim * rows].reshape(rows, dim),
+                  cells[dim * rows:2 * dim * rows].reshape(rows, dim), cells[2 * dim * rows:])
+        self._start((times,) + arrays, shared)
+        return arrays + (self.ready,)
+
+    def ready(self, rows) -> None:
+        """Tell the child that the first `rows` rows are final."""
+        blocks = rows // _BLOCK_ROWS
+        if self._pipe is not None and blocks > self._told:
             try:
-                pid = os.fork()
-            except OSError:  # no process to spare: write every row here
+                self._told += os.write(self._pipe, bytes(blocks - self._told))
+            except OSError:  # a full pipe, caught up at the end, or a child gone
+                pass
+
+    def write(self, path, header) -> None:
+        """Write the header and every row, all of them now final, to path."""
+        head = (",".join(header) + "\n").encode()
+        line, columns = self._line, self.columns
+        rows = len(columns[0])
+        if self._pid is None:
+            with open(path, "wb") as handle:
+                handle.write(head)
                 _write_rows(handle, line, columns, 0, rows)
-                return
-            if pid == 0:
-                # os._exit on every path: no exception unwinds into the caller's
-                # code and no buffer inherited from this process is flushed twice
-                try:
-                    _write_rows(tail, line, columns, split, rows)
-                    tail.flush()
-                    status = 0
-                finally:
-                    os._exit(status)
-            try:
-                _write_rows(handle, line, columns, 0, split)
-            except BaseException:
-                import signal  # here, not at start-up, where it would cost about 1 ms
-                os.kill(pid, signal.SIGKILL)
-                raise
-            finally:
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            return
+        blocks = -(-rows // _BLOCK_ROWS)
+        taken = int(self._counters[_NEXT])
+        stop = taken + (blocks - taken + 1) // 2
+        # the child may take blocks past the stop until it is set; a block
+        # both processes format is kept from the child's file
+        self._close_pipe()
+        self._counters[_STOP] = stop
+        with tempfile.TemporaryFile() as back:
+            starts = []
+            for lo in range(stop * _BLOCK_ROWS, rows, _BLOCK_ROWS):
+                starts.append(back.tell())
+                _write_rows(back, line, columns, lo, min(lo + _BLOCK_ROWS, rows))
+            status = self._reap()
             if status != 0:
                 raise OSError(f"cannot write {path}: the process formatting its rows "
-                              f"{split + 2}-{rows + 1} failed (exit status {status})")
-            handle.flush()
-            tail.seek(0)
-            shutil.copyfileobj(tail.buffer, handle.buffer)
+                              f"2-{min(stop * _BLOCK_ROWS, rows) + 1} failed "
+                              f"(exit status {status})")
+            both = int(self._counters[_NEXT]) - stop
+            with open(path, "wb") as handle:
+                handle.write(head)
+                self._front.seek(0)
+                shutil.copyfileobj(self._front, handle)
+                if both < len(starts):
+                    back.seek(starts[both])
+                    shutil.copyfileobj(back, handle)
+
+    def _start(self, columns, shared):
+        """Fork the child over columns, unless shared is None or the fork fails."""
+        self.columns = columns
+        self._line = ",".join(["%r"] * sum(c.shape[1] if c.ndim > 1 else 1
+                                           for c in columns)) + "\n"
+        if shared is None:
+            return
+        counters = np.frombuffer(shared, np.int64, 2)
+        counters[_STOP] = -(-len(columns[0]) // _BLOCK_ROWS)
+        front = tempfile.TemporaryFile()
+        read_end, self._pipe = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: write every row here
+            front.close()
+            os.close(read_end)
+            self._close_pipe()
+            return
+        if pid == 0:
+            # os._exit on every path: no exception unwinds into the caller's
+            # code and no buffer inherited from this process is flushed twice
+            status = 1  # the child's exit status until its rows are on disk
+            try:
+                self._close_pipe()
+                _format_front(front, self._line, columns, read_end, counters)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(read_end)
+        os.set_blocking(self._pipe, False)
+        self._pid, self._counters, self._front = pid, counters, front
+
+    def _close_pipe(self):
+        """End of file on the child's pipe: every block is ready."""
+        if self._pipe is not None:
+            os.close(self._pipe)
+            self._pipe = None
+
+    def _reap(self) -> int:
+        """Wait for the child to end; its exit status."""
+        self._close_pipe()
+        pid, self._pid = self._pid, None
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def write_trajectory(path, trajectory) -> None:
-    _write_table(path, trajectory_header(trajectory.positions.shape[1]),
-                 (trajectory.times, trajectory.positions, trajectory.momenta, trajectory.energies))
+def _write_table(path, header, columns) -> None:
+    """Write the header, then the rows of a finished table of columns."""
+    with TableWriter() as writer:
+        writer.share(columns)
+        writer.write(path, header)
+
+
+def write_trajectory(path, trajectory, rows=None) -> None:
+    """Write a trajectory; rows, if given, is the TableWriter it was integrated into."""
+    header = trajectory_header(trajectory.positions.shape[1])
+    if rows is None:
+        _write_table(path, header, (trajectory.times, trajectory.positions,
+                                    trajectory.momenta, trajectory.energies))
+    else:
+        rows.write(path, header)
 
 
 def _parse_row(row, width, row_no):

@@ -440,7 +440,18 @@ class Trajectory:
         return self.state(-1)
 
 
-def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -> Trajectory:
+# steps per block of the RK4 loops, whose rows are reported final together
+_BLOCK_STEPS = 256
+
+
+def _private_table(times, dim):
+    """Arrays of a trajectory at these times that no one reads before the end."""
+    rows = len(times)
+    return np.empty((rows, dim)), np.empty((rows, dim)), np.empty(rows), lambda done: None
+
+
+def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float,
+              table=_private_table) -> Trajectory:
     """Classic fixed-step RK4 from t = 0 to t_end.
 
     The requested dt is rounded so that a whole number of uniform steps
@@ -449,6 +460,11 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
     non-finite energy or state, or an arithmetic fault such as an
     overflow mid-run, raises FloatingPointError naming the initial state
     or the first step that holds one.
+
+    `table(times, dim)` gives the position, momentum and energy arrays to
+    fill and a function told the number of final rows after each block of
+    _BLOCK_STEPS steps, so that a writer such as csvio.TableWriter can
+    format them while the next are computed.
     """
     x, p, _ = _unpack(kind, initial)
     if not (math.isfinite(t_end) and t_end > 0.0):
@@ -460,9 +476,8 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
     n = max(1, int(round(t_end / dt)))
     h = t_end / n
     try:  # numpy refuses a size it cannot hold before any write
-        positions, momenta = np.empty((n + 1, kind.dim)), np.empty((n + 1, kind.dim))
-        energies = np.empty(n + 1)
         times = np.linspace(0.0, t_end, n + 1)
+        positions, momenta, energies, finished = table(times, kind.dim)
     except (MemoryError, ValueError) as exc:
         raise ValueError(f"t_end / dt = {t_end / dt:.6g} asks for {n} steps, "
                          "more than memory can hold") from exc
@@ -492,53 +507,57 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float) -
     try:
         if kind.dim == 1:
             (x,), (p,) = x, p
-            for k in range(n):
-                vx1 = p * ratio(p * p)
-                vp1 = force(x)
-                p2 = p + half * vp1
-                vx2 = p2 * ratio(p2 * p2)
-                vp2 = force(x + half * vx1)
-                p3 = p + half * vp2
-                vx3 = p3 * ratio(p3 * p3)
-                vp3 = force(x + half * vx2)
-                p4 = p + h * vp3
-                vx4 = p4 * ratio(p4 * p4)
-                vp4 = force(x + h * vx3)
-                x = x + sixth * (vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4)
-                p = p + sixth * (vp1 + 2.0 * vp2 + 2.0 * vp3 + vp4)
-                es[k + 1] = kinetic_energy(p * p) + potential_energy(x)
-                xs[k + 1] = x
-                ps[k + 1] = p
+            for block in range(0, n, _BLOCK_STEPS):
+                for k in range(block, min(block + _BLOCK_STEPS, n)):
+                    vx1 = p * ratio(p * p)
+                    vp1 = force(x)
+                    p2 = p + half * vp1
+                    vx2 = p2 * ratio(p2 * p2)
+                    vp2 = force(x + half * vx1)
+                    p3 = p + half * vp2
+                    vx3 = p3 * ratio(p3 * p3)
+                    vp3 = force(x + half * vx2)
+                    p4 = p + h * vp3
+                    vx4 = p4 * ratio(p4 * p4)
+                    vp4 = force(x + h * vx3)
+                    x = x + sixth * (vx1 + 2.0 * vx2 + 2.0 * vx3 + vx4)
+                    p = p + sixth * (vp1 + 2.0 * vp2 + 2.0 * vp3 + vp4)
+                    es[k + 1] = kinetic_energy(p * p) + potential_energy(x)
+                    xs[k + 1] = x
+                    ps[k + 1] = p
+                finished(k + 2)
         else:
             (x1, x2, x3), (p1, p2, p3) = x, p
             # stage rates: velocities a, b, c, d (momenta q, ratio r) and forces fa, fb, fc, fd
-            for k in range(n):
-                r = ratio(p1 * p1 + p2 * p2 + p3 * p3)
-                a1, a2, a3 = p1 * r, p2 * r, p3 * r
-                fa1, fa2, fa3 = force(x1, x2, x3)
-                q1, q2, q3 = p1 + half * fa1, p2 + half * fa2, p3 + half * fa3
-                r = ratio(q1 * q1 + q2 * q2 + q3 * q3)
-                b1, b2, b3 = q1 * r, q2 * r, q3 * r
-                fb1, fb2, fb3 = force(x1 + half * a1, x2 + half * a2, x3 + half * a3)
-                q1, q2, q3 = p1 + half * fb1, p2 + half * fb2, p3 + half * fb3
-                r = ratio(q1 * q1 + q2 * q2 + q3 * q3)
-                c1, c2, c3 = q1 * r, q2 * r, q3 * r
-                fc1, fc2, fc3 = force(x1 + half * b1, x2 + half * b2, x3 + half * b3)
-                q1, q2, q3 = p1 + h * fc1, p2 + h * fc2, p3 + h * fc3
-                r = ratio(q1 * q1 + q2 * q2 + q3 * q3)
-                d1, d2, d3 = q1 * r, q2 * r, q3 * r
-                fd1, fd2, fd3 = force(x1 + h * c1, x2 + h * c2, x3 + h * c3)
-                x1 = x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-                x2 = x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
-                x3 = x3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
-                p1 = p1 + sixth * (fa1 + 2.0 * fb1 + 2.0 * fc1 + fd1)
-                p2 = p2 + sixth * (fa2 + 2.0 * fb2 + 2.0 * fc2 + fd2)
-                p3 = p3 + sixth * (fa3 + 2.0 * fb3 + 2.0 * fc3 + fd3)
-                es[k + 1] = (kinetic_energy(p1 * p1 + p2 * p2 + p3 * p3)
-                             + potential_energy(x1, x2, x3))
-                j = 3 * k + 3
-                xs[j], xs[j + 1], xs[j + 2] = x1, x2, x3
-                ps[j], ps[j + 1], ps[j + 2] = p1, p2, p3
+            for block in range(0, n, _BLOCK_STEPS):
+                for k in range(block, min(block + _BLOCK_STEPS, n)):
+                    r = ratio(p1 * p1 + p2 * p2 + p3 * p3)
+                    a1, a2, a3 = p1 * r, p2 * r, p3 * r
+                    fa1, fa2, fa3 = force(x1, x2, x3)
+                    q1, q2, q3 = p1 + half * fa1, p2 + half * fa2, p3 + half * fa3
+                    r = ratio(q1 * q1 + q2 * q2 + q3 * q3)
+                    b1, b2, b3 = q1 * r, q2 * r, q3 * r
+                    fb1, fb2, fb3 = force(x1 + half * a1, x2 + half * a2, x3 + half * a3)
+                    q1, q2, q3 = p1 + half * fb1, p2 + half * fb2, p3 + half * fb3
+                    r = ratio(q1 * q1 + q2 * q2 + q3 * q3)
+                    c1, c2, c3 = q1 * r, q2 * r, q3 * r
+                    fc1, fc2, fc3 = force(x1 + half * b1, x2 + half * b2, x3 + half * b3)
+                    q1, q2, q3 = p1 + h * fc1, p2 + h * fc2, p3 + h * fc3
+                    r = ratio(q1 * q1 + q2 * q2 + q3 * q3)
+                    d1, d2, d3 = q1 * r, q2 * r, q3 * r
+                    fd1, fd2, fd3 = force(x1 + h * c1, x2 + h * c2, x3 + h * c3)
+                    x1 = x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+                    x2 = x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+                    x3 = x3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+                    p1 = p1 + sixth * (fa1 + 2.0 * fb1 + 2.0 * fc1 + fd1)
+                    p2 = p2 + sixth * (fa2 + 2.0 * fb2 + 2.0 * fc2 + fd2)
+                    p3 = p3 + sixth * (fa3 + 2.0 * fb3 + 2.0 * fc3 + fd3)
+                    es[k + 1] = (kinetic_energy(p1 * p1 + p2 * p2 + p3 * p3)
+                                 + potential_energy(x1, x2, x3))
+                    j = 3 * k + 3
+                    xs[j], xs[j + 1], xs[j + 2] = x1, x2, x3
+                    ps[j], ps[j + 1], ps[j + 2] = p1, p2, p3
+                finished(k + 2)
     except DomainError as exc:
         err = DomainError(
             f"trajectory left the model domain at step {k + 1} of {n} "

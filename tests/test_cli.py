@@ -162,7 +162,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("fails", [False, True])
     def test_a_long_run_leaves_no_process_or_file(self, tmp_path, capsys, monkeypatch, fails):
-        # 5,001 rows: the writer forks a child for the second half of the table
+        # 5,001 rows: a forked child formats the front blocks while RK4 steps
         cfg = write(tmp_path, "long.cfg",
                     FREE_EXACT.replace("t_end = 1.0", "t_end = 5.0")
                               .replace("dt = 0.01", "dt = 0.001"))
@@ -180,8 +180,11 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", "--config", cfg)
         if fails:
             assert (code, out) == (2, "")
+            # it fails on its first block, so the midpoint of the 20 blocks,
+            # set when the rows are all ready, stops it after block 9 (row 2561)
             assert err == ("gupmech: error: cannot write trajectory.csv: the process formatting "
-                           "its rows 2562-5002 failed (exit status 1)\n")
+                           "its rows 2-2561 failed (exit status 1)\n")
+            assert not (tmp_path / "trajectory.csv").exists()
         else:
             assert (code, err) == (0, "")
             assert json.loads(out)["trajectory"]["samples"] == 5001
@@ -725,3 +728,62 @@ def test_long_simulate_is_pinned(tmp_path, capsys, model):
     assert hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest() == csv_digest
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == \
         report_digest
+
+
+@pytest.fixture
+def overlapped(tmp_path, monkeypatch):
+    """Two allowed CPUs, forks counted, unnamed temporary files under tmp/.
+
+    On leaving, no child is left and no named temporary file.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    yield forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list((tmp_path / "tmp").iterdir()) == []
+
+
+class TestOverlappedWriter:
+    def test_a_domain_exit_after_many_blocks_leaves_nothing(self, tmp_path, capsys,
+                                                            overlapped):
+        # the field drives |p| to the branch edge pi / (2 sqrt(beta)) at step 15,708
+        # of 20,000, after the child was forked and given 61 blocks
+        cfg = write(tmp_path, "edge.cfg",
+                    "model.kind = exact-1d\nmodel.mass = 1.0\nmodel.beta = 0.01\n"
+                    "model.potential = uniform-field\nmodel.force = 1.0\n"
+                    "initial.x = 0.0\ninitial.p = 0.0\nt_end = 20.0\ndt = 0.001\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", cfg)
+        assert (code, out) == (3, "")
+        assert err == ("gupmech: domain error: trajectory left the model domain at step 15708 "
+                       "of 20000 (t = 15.708): momentum |p| = 15.708 outside the exact-1d "
+                       "domain (|p| < 15.708)\n")
+        assert len(overlapped) == 1
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("model", sorted(_LONG_RUNS))
+    @pytest.mark.parametrize("case", ["fork-fails", "one-cpu"])
+    def test_one_process_writes_the_same_bytes(self, tmp_path, capsys, monkeypatch,
+                                               overlapped, model, case):
+        if case == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            def no_fork():
+                overlapped.append(os.getpid())
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", no_fork)
+        code, _, err = run_cli(capsys, "simulate", "--config",
+                               write(tmp_path, "run.cfg", _long_run_config(model)))
+        assert (code, err) == (0, "")
+        assert len(overlapped) == (case == "fork-fails")
+        assert hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest() == \
+            _LONG_RUNS[model][2]

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -631,9 +632,10 @@ def two_cpus(monkeypatch):
 def split_rows(request, monkeypatch, two_cpus):
     """The row count above which the writer forks: as set, or 0 so every table is split.
 
-    Split at 0, the tables above give an empty first half (2, 255 rows), an
-    empty second half (256), a one-row second half (257) and a second half
-    of one block plus one row (513).
+    Split at 0, the child stops at the midpoint of the blocks it has not
+    taken, so the tables above leave this process no rows (2, 255, 256),
+    the one-row last block (257) or that block of 513 rows, unless the child
+    took a block before the midpoint was set.
     """
     if request.param == "split-every-table":
         monkeypatch.setattr(csvio, "_SPLIT_ROWS", 0)
@@ -713,7 +715,7 @@ class TestWriterBytes:
 
 
 class TestSplitWriterProcesses:
-    """The forked writer of a long table's second half leaves nothing behind."""
+    """The forked writer of a long table's front blocks leaves nothing behind."""
 
     @pytest.fixture(autouse=True)
     def _temporary_directory(self, tmp_path, monkeypatch, two_cpus):
@@ -735,10 +737,59 @@ class TestSplitWriterProcesses:
     def test_a_failing_child_is_an_oserror_naming_the_path(self, tmp_path, monkeypatch):
         _rows_writer_failing_in(monkeypatch, "child")
         path = tmp_path / "traj.csv"
-        with pytest.raises(OSError, match="cannot write .*traj.csv: .*rows 2562-5000 failed"):
+        # it fails on its first block, so it has taken none when the midpoint
+        # of the 20 blocks is set: it was to format blocks 0-9, rows 2-2561
+        with pytest.raises(OSError, match="cannot write .*traj.csv: .*rows 2-2561 failed"):
             write_trajectory(path, seeded_trajectory(1, SPLIT_PIN_ROWS))
+        assert not path.exists()
 
-    def test_a_failing_first_half_reaps_the_child(self, tmp_path, monkeypatch):
+    def test_blocks_both_processes_formatted_are_written_once(self, tmp_path, monkeypatch):
+        # The child is held on its first block until this process has read its
+        # progress (none, so the stop is block 10 of 20), and then on block 13
+        # until the stop is set: blocks 10-13 are formatted by both processes.
+        here = os.getpid()
+
+        def mark(name):
+            open(tmp_path / name, "w").close()
+
+        def wait(name):
+            deadline = time.monotonic() + 60
+            while not (tmp_path / name).exists():
+                assert time.monotonic() < deadline, f"no {name} mark"
+                time.sleep(0.001)
+
+        write_rows, close = csvio._write_rows, os.close
+        formatted_here = []
+
+        def writer(handle, line, columns, start, stop):
+            block = start // csvio._BLOCK_ROWS
+            if os.getpid() == here:
+                formatted_here.append(block)
+                mark("stop-set")
+            elif block in (0, 13):
+                wait("progress-read" if block == 0 else "stop-set")
+            write_rows(handle, line, columns, start, stop)
+            if block == 12 and os.getpid() != here:
+                mark("past-stop")
+
+        def held_close(fd):  # between reading the child's progress and setting its stop
+            close(fd)
+            mark("progress-read")
+            wait("past-stop")
+
+        monkeypatch.setattr(csvio, "_write_rows", writer)
+        kind = Hamiltonian.exact_1d(DeformationParameters(beta=0.01, mass=1.0))
+        path = tmp_path / "traj.csv"
+        with csvio.TableWriter() as rows:
+            traj = integrate(kind, PhaseState.of(0.0, 1.0), 4.998, 0.001, rows.trajectory)
+            monkeypatch.setattr(os, "close", held_close)
+            write_trajectory(path, traj, rows)
+        monkeypatch.setattr(os, "close", close)
+        assert len(traj) == SPLIT_PIN_ROWS and formatted_here == list(range(10, 20))
+        table = np.column_stack([traj.times, traj.positions, traj.momenta, traj.energies])
+        assert path.read_bytes() == _per_row_bytes(trajectory_header(1), table)
+
+    def test_a_failing_part_of_this_process_reaps_the_child(self, tmp_path, monkeypatch):
         _rows_writer_failing_in(monkeypatch, "parent")
         with pytest.raises(RuntimeError, match="failed in the parent"):
             write_events(tmp_path / "events.csv",

@@ -522,6 +522,30 @@ class TestIntegrate:
         assert float(np.max(np.abs(traj.momenta - p0))) < 1e-12
 
 
+    @pytest.mark.parametrize("kind", CONFIGURATIONS[:3], ids=config_id)
+    def test_a_table_is_told_each_finished_block(self, kind):
+        # 600 steps: two blocks of 256 and one of 88; a reported row never changes
+        reported = []
+
+        def table(times, dim):
+            arrays = np.empty((len(times), dim)), np.empty((len(times), dim)), np.empty(len(times))
+
+            def finished(rows):
+                reported.append((rows, [a[:rows].copy() for a in arrays]))
+
+            return arrays + (finished,)
+
+        traj = integrate(kind, probe_state(kind), 0.6, 0.001, table)
+        plain = integrate(kind, probe_state(kind), 0.6, 0.001)
+        assert [rows for rows, _ in reported] == [257, 513, 601]
+        for got, want in ((traj.positions, plain.positions), (traj.momenta, plain.momenta),
+                          (traj.energies, plain.energies)):
+            assert got.tobytes() == want.tobytes()
+        for rows, seen in reported:
+            for got, final in zip(seen, (traj.positions, traj.momenta, traj.energies)):
+                assert got.tobytes() == final[:rows].tobytes()
+
+
 class TestEnergyDrift:
     def test_free_particle_floor(self):
         kind = Hamiltonian.exact_1d(params_of(0.01))
