@@ -90,9 +90,9 @@ def _cmd_simulate(args):
     initial = config.build_initial_state()
     out_path = config.trajectory_path or "trajectory.csv"
     # a long trajectory's finished rows are formatted by a forked child while RK4 steps on
-    with csvio.TableWriter() as rows:
-        trajectory = dynamics.integrate(kind, initial, config.t_end, config.dt, rows.trajectory)
-        csvio.write_trajectory(out_path, trajectory, rows)
+    with csvio.TableWriter() as writer:
+        trajectory = dynamics.integrate(kind, initial, config.t_end, config.dt, writer.trajectory)
+        csvio.write_trajectory(out_path, trajectory, writer)
     end = trajectory.endpoint
     report["trajectory"] = {
         "samples": len(trajectory),

@@ -259,14 +259,14 @@ def _write_table(path, header, columns) -> None:
         writer.write(path, header)
 
 
-def write_trajectory(path, trajectory, rows=None) -> None:
-    """Write a trajectory; rows, if given, is the TableWriter it was integrated into."""
+def write_trajectory(path, trajectory, writer=None) -> None:
+    """Write a trajectory; writer, if given, is the TableWriter it was integrated into."""
     header = trajectory_header(trajectory.positions.shape[1])
-    if rows is None:
+    if writer is None:
         _write_table(path, header, (trajectory.times, trajectory.positions,
                                     trajectory.momenta, trajectory.energies))
     else:
-        rows.write(path, header)
+        writer.write(path, header)
 
 
 def _parse_row(row, width, row_no):

@@ -780,14 +780,30 @@ class TestSplitWriterProcesses:
         monkeypatch.setattr(csvio, "_write_rows", writer)
         kind = Hamiltonian.exact_1d(DeformationParameters(beta=0.01, mass=1.0))
         path = tmp_path / "traj.csv"
-        with csvio.TableWriter() as rows:
-            traj = integrate(kind, PhaseState.of(0.0, 1.0), 4.998, 0.001, rows.trajectory)
+        with csvio.TableWriter() as writer:
+            traj = integrate(kind, PhaseState.of(0.0, 1.0), 4.998, 0.001, writer.trajectory)
             monkeypatch.setattr(os, "close", held_close)
-            write_trajectory(path, traj, rows)
+            write_trajectory(path, traj, writer)
         monkeypatch.setattr(os, "close", close)
         assert len(traj) == SPLIT_PIN_ROWS and formatted_here == list(range(10, 20))
         table = np.column_stack([traj.times, traj.positions, traj.momenta, traj.energies])
         assert path.read_bytes() == _per_row_bytes(trajectory_header(1), table)
+
+    @pytest.mark.parametrize("steps", (1, 255, 256, 511, 600, 1500, 3000))
+    def test_overlapped_writes_match_one_process(self, tmp_path, monkeypatch, forks, steps):
+        # forked at every size, so the child and this process meet at whatever
+        # block the timing gives, from the first block to the last
+        monkeypatch.setattr(csvio, "_SPLIT_ROWS", 0)
+        kind = Hamiltonian.exact_3d(DeformationParameters(beta=0.01, mass=1.0))
+        path = tmp_path / "traj.csv"
+        for _ in range(3):
+            with csvio.TableWriter() as writer:
+                traj = integrate(kind, PhaseState.of([1.0, 0.0, 0.5], [0.5, 2.5, -1.0]),
+                                 steps * 0.001, 0.001, writer.trajectory)
+                write_trajectory(path, traj, writer)
+            table = np.column_stack([traj.times, traj.positions, traj.momenta, traj.energies])
+            assert path.read_bytes() == _per_row_bytes(trajectory_header(3), table)
+        assert len(forks) == 3
 
     def test_a_failing_part_of_this_process_reaps_the_child(self, tmp_path, monkeypatch):
         _rows_writer_failing_in(monkeypatch, "parent")
