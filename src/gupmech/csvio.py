@@ -235,9 +235,9 @@ class TableWriter:
                 status = 0
             finally:
                 os._exit(status)
+        self._pid, self._counters, self._front = pid, counters, front
         os.close(read_end)
         os.set_blocking(self._pipe, False)
-        self._pid, self._counters, self._front = pid, counters, front
 
     def _close_pipe(self):
         """End of file on the child's pipe: every block is ready."""

@@ -15,7 +15,8 @@ record of functions of |p|.  Every quantity is computed on floats, one
 per axis, with |p|^2 summed left to right.  Hamilton's equations come
 with analytic derivatives; a central finite-difference fallback is kept
 for cross-checking them.  The integrator is classic fixed-step RK4, one
-loop per dimension, and records energy along the way.
+loop per dimension, and records energy along the way, telling a writer
+which rows are final after each block of steps.
 """
 
 import math
