@@ -10,6 +10,8 @@ fail.
 """
 
 import math
+import os
+import pickle
 import zlib
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -18,7 +20,7 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from . import constants as consts
-from . import dynamics, frames, legendre
+from . import csvio, dynamics, frames, legendre
 from .algebra import (BRACKET_STEP, DeformationParameters, PhaseState, _contract, _gradients,
                       bracket_xp_1d, bracket_xp_3d, coordinate_function, jacobi_residual,
                       momentum_function_1d, momentum_function_3d,
@@ -685,26 +687,87 @@ _SUITES: Dict[str, List[Tuple[str, Callable]]] = {
 SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
+def _row(seed, name, fn) -> Tuple[float, float, str]:
+    # crc32 keyed per check: stable across processes, unlike hash().
+    measured, tolerance, detail = fn(np.random.default_rng([seed, zlib.crc32(name.encode())]))
+    return float(measured), float(tolerance), detail
+
+
+def _run_queued(rows, seed, queue):
+    """{index: row} of the rows whose 2-byte indices this process reads from queue."""
+    done = {}
+    while got := os.read(queue, 2):
+        index = int.from_bytes(got, "little")
+        try:
+            done[index] = _row(seed, *rows[index])
+        except Exception:  # left out, so run_suite runs it again in suite order
+            pass
+    return done
+
+
+def _run_with_child(rows, seed):
+    """{index: row} of the rows run here and by a child forked here; {} if none was.
+
+    Every row index goes into a pipe before the fork, and both processes
+    read one index at a time until its end: a pipe read is atomic, so each
+    row runs once and the work balances itself.
+    """
+    queue, head = os.pipe()
+    back, out = os.pipe()
+    os.set_blocking(head, False)  # a write too long for the pipe is cut short
+    pid = None
+    try:
+        indices = b"".join(i.to_bytes(2, "little") for i in range(len(rows)))
+        if os.write(head, indices) == len(indices):
+            pid = os.fork()
+    except (OSError, OverflowError):  # no process to spare, or more rows than 2 bytes number
+        pass
+    os.close(head)
+    if pid is None:
+        for fd in (queue, back, out):
+            os.close(fd)
+        return {}
+    if pid == 0:
+        status = 1  # os._exit on every path: nothing unwinds into the caller or flushes twice
+        try:
+            with open(out, "wb") as stream:
+                pickle.dump(_run_queued(rows, seed, queue), stream)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(out)
+    with open(back, "rb") as stream:
+        try:
+            done = _run_queued(rows, seed, queue)
+            delivered = stream.read()  # to end of file: the child has left
+        except BaseException:  # an interrupt: stop the child's rows too
+            import signal  # here, not at start-up
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            os.close(queue)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status == 0:
+        done.update(pickle.loads(delivered))
+    return done
+
+
 def run_suite(suite: str, seed: int = DEFAULT_SEED,
               tolerance_scale: float = 1.0) -> List[CheckResult]:
     """Run one named suite (or all of them) and return the verdict rows.
 
-    Failures are results, not exceptions; the caller owns exit codes.
+    Failures are results, not exceptions; the caller owns exit codes.  Rows
+    may run in two processes (`_run_with_child`), with the same results as
+    in one; a row that raised or was never delivered runs again here.
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
     names = list(_SUITES) if suite == "all" else [suite]
+    rows = [row for block in names for row in _SUITES[block]]
+    done = _run_with_child(rows, seed) if len(rows) > 1 and csvio._child_runs_alongside() else {}
     results = []
-    for block in names:
-        for name, fn in _SUITES[block]:
-            # crc32 keyed per check: stable across processes, unlike hash().
-            rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
-            measured, tolerance, detail = fn(rng)
-            results.append(CheckResult(
-                name=name,
-                measured=float(measured),
-                tolerance=float(tolerance),
-                passed=bool(measured <= tolerance * tolerance_scale),
-                detail=detail,
-            ))
+    for index, (name, fn) in enumerate(rows):
+        measured, tolerance, detail = done[index] if index in done else _row(seed, name, fn)
+        results.append(CheckResult(name, measured, tolerance,
+                                   bool(measured <= tolerance * tolerance_scale), detail))
     return results

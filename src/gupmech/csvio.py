@@ -156,9 +156,12 @@ class TableWriter:
         rows = len(times)
         size = (2 * dim + 1) * rows
         shared = _shared_memory(rows, 8 * (2 + size))
-        cells = np.empty(size) if shared is None else np.frombuffer(shared, float, offset=16)
-        arrays = (cells[:dim * rows].reshape(rows, dim),
-                  cells[dim * rows:2 * dim * rows].reshape(rows, dim), cells[2 * dim * rows:])
+        if shared is None:  # apart: one block of all three raised a one-process peak RSS
+            arrays = (np.empty((rows, dim)), np.empty((rows, dim)), np.empty(rows))
+        else:
+            cells = np.frombuffer(shared, float, offset=16)
+            arrays = (cells[:dim * rows].reshape(rows, dim),
+                      cells[dim * rows:2 * dim * rows].reshape(rows, dim), cells[2 * dim * rows:])
         self._start((times,) + arrays, shared)
         return arrays + (self.ready,)
 

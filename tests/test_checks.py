@@ -1,13 +1,15 @@
-"""Every check row's seed-42 measurement, pinned bit for bit."""
+"""Every check row's seed-42 measurement, pinned bit for bit, and the two-process runner."""
 
 import functools
 import math
+import os
+import time
 
 import numpy as np
 import pytest
 
 from gupmech import dynamics, frames, legendre
-from gupmech.checks import _rk4_order_errors, run_suite
+from gupmech.checks import _SUITES, _rk4_order_errors, run_suite
 
 # float.hex of each row's `measured` at seed 42, recorded while algebra
 # probes were built through the validating PhaseState constructor and the
@@ -75,9 +77,16 @@ def test_rk4_order_measures_truncation_not_round_off():
         assert coarse / fine == pytest.approx(16.0, abs=0.5)
 
 
+def _allow_cpus(monkeypatch, count):
+    allowed = set(range(count))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: allowed, raising=False)
+
+
 def test_suite_step_count(monkeypatch):
     # A cost guard without timing: rk4-order takes 4,875 RK4 steps (125 +
-    # 250 + 500 and a 4,000-step reference), the other rows 4,000.
+    # 250 + 500 and a 4,000-step reference), the other rows 4,000.  On one
+    # CPU every row runs here, where the steps are counted.
+    _allow_cpus(monkeypatch, 1)
     steps = []
     integrate = dynamics.integrate
 
@@ -108,7 +117,165 @@ def _nan_on_call(function, call):
     (dynamics, "hamilton_rhs_fd", "dynamics", "dynamics.rhs-fd-agreement"),
     (legendre, "momentum_from_velocity_exact", "legendre", "legendre.inversion-roundtrip"),
 ], ids=["rhs-fd-agreement", "inversion-roundtrip"])
-def test_a_nan_sample_fails_its_row(monkeypatch, module, function, suite, row):
+@pytest.mark.parametrize("cpus", (1, 2), ids=["one-cpu", "two-cpus"])
+def test_a_nan_sample_fails_its_row(monkeypatch, module, function, suite, row, cpus):
+    # the calls are counted per process, and the row is the first of its
+    # suite to call the function in whichever process runs it
+    _allow_cpus(monkeypatch, cpus)
     monkeypatch.setattr(module, function, _nan_on_call(getattr(module, function), 50))
     result = {r.name: r for r in run_suite(suite)}[row]
     assert math.isnan(result.measured) and not result.passed
+
+
+def _rows(results):
+    """Everything a report prints of each row, measured values as float.hex."""
+    return [(r.name, r.measured.hex(), r.tolerance.hex(), r.passed, r.detail) for r in results]
+
+
+def _child_marks(tmp_path, here):
+    """(mark, wait, path): the child marks each row it takes in the file at path;
+    wait returns once the file exists."""
+    path = tmp_path / "child-rows"
+
+    def mark(index):
+        if os.getpid() != here:
+            with open(path, "a") as handle:
+                handle.write(f"{index}\n")
+
+    def wait():
+        deadline = time.monotonic() + 60
+        while not path.exists():
+            assert time.monotonic() < deadline, "the child took no row"
+            time.sleep(0.001)
+
+    return mark, wait, path
+
+
+class TestTwoProcessRunner:
+    """run_suite shares its rows with one forked child and returns the rows of one process."""
+
+    @pytest.fixture(autouse=True)
+    def _no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("suite, seed", [("all", 0), ("all", 42)]
+                             + [(name, 42) for name in _SUITES])
+    def test_two_processes_give_the_rows_of_one(self, monkeypatch, forks, suite, seed):
+        shared = run_suite(suite, seed=seed)
+        assert len(forks) == 1
+        _allow_cpus(monkeypatch, 1)
+        assert _rows(shared) == _rows(run_suite(suite, seed=seed))
+        assert len(forks) == 1
+
+    def test_a_single_row_forks_nothing(self, monkeypatch, forks):
+        monkeypatch.setitem(_SUITES, "frames", _SUITES["frames"][:1])
+        assert [r.name for r in run_suite("frames")] == ["frames.interval-invariance"]
+        assert forks == []
+
+    def test_a_failed_fork_runs_every_row_here(self, monkeypatch, two_cpus):
+        attempts = []
+
+        def no_fork():
+            attempts.append(os.getpid())
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        rows = _rows(run_suite("legendre"))
+        assert len(attempts) == 1
+        _allow_cpus(monkeypatch, 1)
+        assert rows == _rows(run_suite("legendre"))
+        assert len(attempts) == 1
+
+    def test_300_rows_each_run_once(self, tmp_path, monkeypatch, forks):
+        # 2-byte indices: a one-byte queue would run rows 256-299 as rows 0-43
+        here = os.getpid()
+        mark, wait, child_rows = _child_marks(tmp_path, here)
+        log = tmp_path / "rows-run"
+
+        def row(rng, index):
+            mark(index)
+            if os.getpid() == here:
+                wait()  # so the child takes rows as well
+            with open(log, "a") as handle:
+                handle.write(f"{index}\n")
+            return index + float(rng.random()), 1e9, f"row {index}"
+
+        monkeypatch.setitem(_SUITES, "frames", [
+            (f"trivial-{i}", functools.partial(row, index=i)) for i in range(300)])
+        shared = run_suite("frames")
+        assert len(forks) == 1 and child_rows.exists()
+        assert sorted(map(int, log.read_text().split())) == list(range(300))
+        _allow_cpus(monkeypatch, 1)
+        assert _rows(shared) == _rows(run_suite("frames"))
+        assert [r.name for r in shared] == [f"trivial-{i}" for i in range(300)]
+
+    @pytest.mark.parametrize("count", (40_000, 70_000), ids=["past-the-pipe", "past-2-bytes"])
+    def test_a_queue_that_cannot_be_written_runs_every_row_here(self, monkeypatch, count):
+        # 80,000 bytes of indices do not fit a 64 KiB pipe; 70,000 rows do
+        # not fit 2-byte indices.  The rows take no generator, which would
+        # cost more than the rest of the run.
+        attempts = []
+        monkeypatch.setattr(os, "fork", lambda: attempts.append(os.getpid()))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: None)
+        _allow_cpus(monkeypatch, 2)
+        monkeypatch.setitem(_SUITES, "frames", [
+            (f"trivial-{i}", functools.partial(lambda rng, i: (i, 1.0, ""), i=i))
+            for i in range(count)])
+        assert [r.measured for r in run_suite("frames")] == list(range(count))
+        assert attempts == []
+
+    def test_a_row_raising_only_in_the_child_is_run_again_here(self, tmp_path, monkeypatch,
+                                                               forks):
+        here = os.getpid()
+        mark, wait, child_rows = _child_marks(tmp_path, here)
+
+        def failing_in_the_child(index, fn):
+            def row(rng):
+                mark(index)
+                if os.getpid() != here:
+                    raise RuntimeError(f"row {index} failed in the child")
+                wait()
+                return fn(rng)
+            return row
+
+        expected = _rows(run_suite("legendre"))
+        monkeypatch.setitem(_SUITES, "legendre", [
+            (name, failing_in_the_child(i, fn)) for i, (name, fn) in enumerate(_SUITES["legendre"])])
+        assert _rows(run_suite("legendre")) == expected
+        assert len(forks) == 2 and child_rows.read_text()
+
+    def test_a_row_raising_in_both_raises_as_in_one_process(self, monkeypatch, forks):
+        def row(rng, index):
+            time.sleep(0.002)  # long enough that both processes take rows
+            if index in (3, 7):
+                raise ValueError(f"row {index} has no value")
+            return float(rng.random()), 1.0, "trivial"
+
+        monkeypatch.setitem(_SUITES, "frames", [
+            (f"trivial-{i}", functools.partial(row, index=i)) for i in range(12)])
+        with pytest.raises(ValueError, match=r"^row 3 has no value$"):
+            run_suite("frames")
+        assert len(forks) == 1
+        _allow_cpus(monkeypatch, 1)
+        with pytest.raises(ValueError, match=r"^row 3 has no value$"):
+            run_suite("frames")
+
+    def test_an_interrupt_kills_and_reaps_the_child(self, tmp_path, monkeypatch, forks):
+        here = os.getpid()
+        mark, wait, _ = _child_marks(tmp_path, here)
+
+        def row(rng, index):
+            mark(index)
+            if os.getpid() != here:
+                time.sleep(60)
+            wait()
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(_SUITES, "frames", [
+            (f"held-{i}", functools.partial(row, index=i)) for i in range(2)])
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_suite("frames")
+        assert len(forks) == 1 and time.monotonic() - started < 30

@@ -622,12 +622,6 @@ def _per_row_bytes(header, table):
 _WRITER_ROWS = (2, 255, 256, 257, 513)
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Let the writer see two allowed CPUs, whatever the host allows."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
 @pytest.fixture(params=["as-set", "split-every-table"])
 def split_rows(request, monkeypatch, two_cpus):
     """The row count above which the writer forks: as set, or 0 so every table is split.
@@ -640,20 +634,6 @@ def split_rows(request, monkeypatch, two_cpus):
     if request.param == "split-every-table":
         monkeypatch.setattr(csvio, "_SPLIT_ROWS", 0)
     return csvio._SPLIT_ROWS
-
-
-@pytest.fixture
-def forks(monkeypatch, two_cpus):
-    """The list of fork calls made, one entry each, counted in the calling process."""
-    calls = []
-    fork = os.fork
-
-    def counted():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
 
 
 def _rows_writer_failing_in(monkeypatch, side):
@@ -827,6 +807,17 @@ class TestSplitWriterProcesses:
         assert forks == []
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
             PINNED_SPLIT_SHA256["trajectory-1d"]
+
+    def test_one_allowed_cpu_allocates_the_trajectory_arrays_apart(self, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        with csvio.TableWriter() as writer:
+            *arrays, _ = writer.trajectory(np.arange(SPLIT_PIN_ROWS) * 0.1, 3)
+        assert forks == []
+        assert [a.shape for a in arrays] == [(SPLIT_PIN_ROWS, 3), (SPLIT_PIN_ROWS, 3),
+                                             (SPLIT_PIN_ROWS,)]
+        # slices of one block that do not overlap share no memory either,
+        # so each array must own its data
+        assert all(a.flags.owndata for a in arrays)
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or
                         len(os.sched_getaffinity(0)) < 2, reason="needs two allowed CPUs")
