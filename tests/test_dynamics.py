@@ -264,6 +264,42 @@ class TestHamiltonRhs:
         assert [v.hex() for v in xdot.tolist()] == [v.hex() for v in want_xdot]
         assert [v.hex() for v in pdot.tolist()] == [v.hex() for v in want_pdot]
 
+    # beta = 0.01; EDGE_1D is just inside exact-1d's |p| < (pi/2)/sqrt(beta)
+    # and EDGE_3D inside exact-3d's |p| < 1/sqrt(beta), nearer than one step.
+    EDGE_1D = (math.pi / 2.0) / 0.1 * (1.0 - 1e-7)
+    EDGE_3D = (1.0 - 1e-7) / 0.1
+    NON_FINITE = ("non-finite function value while probing a central difference; "
+                  "the state is too close to a domain boundary")
+
+    @pytest.mark.parametrize("model, x, p", [
+        ("exact-1d", 1.7976931348623157e308, 0.0),
+        ("exact-1d", -1.7976931348623157e308, 0.0),
+        ("exact-3d", [0.0, 1.7976931348623157e308, 0.0], [0.0] * 3),
+        # every shift is checked before any energy is taken
+        ("exact-3d", [0.0, 0.0, 1.7976931348623157e308], [EDGE_3D, 0.0, 0.0]),
+    ])
+    def test_finite_difference_refuses_a_shift_past_the_float_range(self, model, x, p):
+        with pytest.raises(ValueError) as info:
+            hamilton_rhs_fd(Hamiltonian(model, params_of(0.01)), PhaseState.of(x, p))
+        assert type(info.value) is ValueError
+        assert str(info.value) == "phase-space components must be finite"
+
+    @pytest.mark.parametrize("model, x, p, message", [
+        ("exact-1d", 1e200, 0.0, NON_FINITE),
+        ("exact-1d", 0.0, EDGE_1D,
+         "momentum |p| = 15.7081 outside the exact-1d domain (|p| < 15.708)"),
+        ("exact-3d", [0.0] * 3, [EDGE_3D, 0.0, 0.0],
+         "momentum outside the exact-3d domain (beta*|p|^2 = 1.00001 >= 1)"),
+        # every energy is taken before any is tested for being finite
+        ("exact-3d", [1e200, 0.0, 0.0], [0.0, 0.0, -EDGE_3D],
+         "momentum outside the exact-3d domain (beta*|p|^2 = 1.00001 >= 1)"),
+    ])
+    def test_finite_difference_refuses_a_probe_off_the_domain(self, model, x, p, message):
+        kind = Hamiltonian(model, params_of(0.01), Potential.harmonic(0.7))
+        with pytest.raises(DomainError) as info:
+            hamilton_rhs_fd(kind, PhaseState.of(x, p))
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("kind", CONFIGURATIONS, ids=config_id)
     def test_rest_has_zero_velocity(self, kind):
         xdot, pdot = hamilton_rhs(kind, probe_state(kind, p=[0.0] * kind.dim))
