@@ -719,6 +719,7 @@ def _run_with_child(rows, seed):
     try:
         indices = b"".join(i.to_bytes(2, "little") for i in range(len(rows)))
         if os.write(head, indices) == len(indices):
+            import numpy.random  # noqa: F401  the rows' generator, loaded once for both processes
             pid = os.fork()
     except (OSError, OverflowError):  # no process to spare, or more rows than 2 bytes number
         pass

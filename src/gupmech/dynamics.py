@@ -13,10 +13,10 @@ one fixed-step integrator:
 The deformation is rotation-invariant, so each model is one `Kinetic`
 record of functions of |p|.  Every quantity is computed on floats, one
 per axis, with |p|^2 summed left to right.  Hamilton's equations come
-with analytic derivatives; a central finite-difference fallback is kept
-for cross-checking them.  The integrator is classic fixed-step RK4, one
-loop per dimension, and records energy along the way, telling a writer
-which rows are final after each block of steps.
+with analytic derivatives; a central difference of the energy on the
+same floats cross-checks them.  The integrator is classic fixed-step
+RK4, one loop per dimension, and records energy along the way, telling
+a writer which rows are final after each block of steps.
 """
 
 import math
@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import DeformationParameters, DomainError, PhaseState, _gradients
+from .algebra import BRACKET_STEP, DeformationParameters, DomainError, PhaseState, _gradient
 
 EXACT_1D = "exact-1d"
 FIRST_ORDER_1D = "first-order-1d"
@@ -370,36 +370,51 @@ def components(kind: Hamiltonian, values):
 
 
 def _unpack(kind: Hamiltonian, state: PhaseState):
-    """(x, p, |p|^2) on lists of floats, |p|^2 summed left to right as in the RK4 loops.
-
-    A PhaseState was checked when it was built, so only its size is tested here.
-    """
+    """(x, p) as lists of floats; only the size of a PhaseState, checked when built, is tested."""
     if not (isinstance(state, PhaseState) and state.x.size == kind.dim):
         state = PhaseState(components(kind, state.x), components(kind, state.p))
-    x, p = state.x.tolist(), state.p.tolist()
-    if kind.dim == 1:
-        return x, p, p[0] * p[0]
-    p1, p2, p3 = p
-    return x, p, p1 * p1 + p2 * p2 + p3 * p3
+    return state.x.tolist(), state.p.tolist()
+
+
+def _square(p) -> float:
+    """|p|^2 of 1 or 3 floats, summed left to right as in the RK4 loops."""
+    return p[0] * p[0] if len(p) == 1 else p[0] * p[0] + p[1] * p[1] + p[2] * p[2]
+
+
+def _energy(kind: Hamiltonian, x, p) -> float:
+    """Total energy at the float components x and p."""
+    return kind._kinetic.energy(_square(p)) + kind._potential_terms[0](*x)
 
 
 def hamiltonian_value(kind: Hamiltonian, state: PhaseState) -> float:
     """Total energy of the state under the given model."""
-    x, _, s = _unpack(kind, state)
-    return kind._kinetic.energy(s) + kind._potential_terms[0](*x)
+    return _energy(kind, *_unpack(kind, state))
 
 
 def hamilton_rhs(kind: Hamiltonian, state: PhaseState):
     """Analytic (dx/dt, dp/dt) = (dH/dp, -dH/dx) as a pair of arrays."""
-    x, p, s = _unpack(kind, state)
-    r = kind._kinetic.ratio(s)
+    x, p = _unpack(kind, state)
+    r = kind._kinetic.ratio(_square(p))
     return (np.array([c * r for c in p]),
             np.array(kind._potential_terms[1](*x), dtype=float, ndmin=1))
 
 
 def hamilton_rhs_fd(kind: Hamiltonian, state: PhaseState):
-    """(dx/dt, dp/dt) by central differences of the energy; test fallback."""
-    (grad,) = _gradients([lambda s: hamiltonian_value(kind, s)], state)
+    """(dx/dt, dp/dt) by central differences of the energy on floats; test fallback.
+
+    Per axis the probes hold the steps of `algebra.numerical_bracket` and x+, x-, p+, p-.
+    """
+    x, p = _unpack(kind, state)
+    probes = []
+    for xi, pi in zip(x, p):
+        hx, hp = BRACKET_STEP * max(1.0, abs(xi)), BRACKET_STEP * max(1.0, abs(pi))
+        probes.append((hx, hp, (xi + hx, xi - hx, pi + hp, pi - hp)))
+    if not all(math.isfinite(c) for _, _, moved in probes for c in moved):
+        raise ValueError("phase-space components must be finite")
+    values = [[_energy(kind, x[:i] + [c] + x[i + 1:], p) for c in moved[:2]]
+              + [_energy(kind, x, p[:i] + [c] + p[i + 1:]) for c in moved[2:]]
+              for i, (_, _, moved) in enumerate(probes)]
+    grad = _gradient(values, probes)
     return np.array([dh_dp for _, dh_dp in grad]), np.array([-dh_dx for dh_dx, _ in grad])
 
 
@@ -467,7 +482,7 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float,
     _BLOCK_STEPS steps, so that a writer such as csvio.TableWriter can
     format them while the next are computed.
     """
-    x, p, _ = _unpack(kind, initial)
+    x, p = _unpack(kind, initial)
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not (math.isfinite(dt) and dt > 0.0):

@@ -3,7 +3,10 @@
 import functools
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +152,37 @@ def _child_marks(tmp_path, here):
             time.sleep(0.001)
 
     return mark, wait, path
+
+
+# Run in a fresh interpreter, where no test has loaded numpy.random yet: two
+# CPUs allowed, and each fork call records whether numpy.random was loaded.
+_IMPORTS_AT_FORK = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+fork, at_fork = os.fork, []
+
+def recorded():
+    at_fork.append("numpy.random" in sys.modules)
+    return fork()
+
+os.fork = recorded
+import gupmech.cli
+at_import = "numpy.random" in sys.modules
+status = gupmech.cli.main(["check", "--suite", "algebra"])
+print(status, at_import, at_fork)
+"""
+
+
+def test_the_child_inherits_the_rows_generator_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    result = subprocess.run([sys.executable, "-c", _IMPORTS_AT_FORK], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    # start-up leaves numpy.random unloaded; the one fork finds it loaded
+    assert result.stdout.splitlines()[-1] == "0 False [True]"
 
 
 class TestTwoProcessRunner:
