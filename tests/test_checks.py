@@ -3,6 +3,7 @@
 import functools
 import math
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -185,6 +186,28 @@ def test_the_child_inherits_the_rows_generator_module():
     assert result.stdout.splitlines()[-1] == "0 False [True]"
 
 
+# Run in a fresh interpreter with stdout piped, so it is block-buffered:
+# text printed before the fork and still unflushed would show twice if the
+# child flushed it on its way out.
+_PRINTS_AROUND_THE_FORK = """
+import os
+os.sched_getaffinity = lambda pid: {0, 1}
+from gupmech.checks import run_suite
+print("before")
+print("after", len(run_suite("frames")))
+"""
+
+
+def test_the_check_child_flushes_no_inherited_buffer():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    done = subprocess.run([sys.executable, "-c", _PRINTS_AROUND_THE_FORK], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "before\nafter 7\n", "")
+
+
 class TestTwoProcessRunner:
     """run_suite shares its rows with one forked child and returns the rows of one process."""
 
@@ -279,6 +302,35 @@ class TestTwoProcessRunner:
             (name, failing_in_the_child(i, fn)) for i, (name, fn) in enumerate(_SUITES["legendre"])])
         assert _rows(run_suite("legendre")) == expected
         assert len(forks) == 2 and child_rows.read_text()
+
+    def test_rows_the_child_never_delivers_run_again_here(self, tmp_path, monkeypatch, forks):
+        # the child's rows cannot be pickled, so it exits 1 with none delivered
+        _allow_cpus(monkeypatch, 1)
+        expected = _rows(run_suite("legendre"))
+        _allow_cpus(monkeypatch, 2)
+        here = os.getpid()
+        mark, wait, child_rows = _child_marks(tmp_path, here)
+        dump = pickle.dump
+
+        def dump_here_only(*args, **kwargs):
+            if os.getpid() != here:
+                raise pickle.PicklingError("the child's rows cannot be sent")
+            return dump(*args, **kwargs)
+
+        def held_until_the_child_takes_one(index, fn):
+            def row(rng):
+                mark(index)
+                if os.getpid() == here:
+                    wait()
+                return fn(rng)
+            return row
+
+        monkeypatch.setattr(pickle, "dump", dump_here_only)
+        monkeypatch.setitem(_SUITES, "legendre", [
+            (name, held_until_the_child_takes_one(i, fn))
+            for i, (name, fn) in enumerate(_SUITES["legendre"])])
+        assert _rows(run_suite("legendre")) == expected
+        assert len(forks) == 1 and child_rows.read_text()
 
     def test_a_row_raising_in_both_raises_as_in_one_process(self, monkeypatch, forks):
         def row(rng, index):
