@@ -11,7 +11,6 @@ fail.
 
 import math
 import os
-import pickle
 import zlib
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -20,7 +19,7 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from . import constants as consts
-from . import csvio, dynamics, frames, legendre
+from . import _child, dynamics, frames, legendre
 from .algebra import (BRACKET_STEP, DeformationParameters, PhaseState, _contract, _gradients,
                       bracket_xp_1d, bracket_xp_3d, coordinate_function, jacobi_residual,
                       momentum_function_1d, momentum_function_3d,
@@ -710,46 +709,34 @@ def _run_with_child(rows, seed):
 
     Every row index goes into a pipe before the fork, and both processes
     read one index at a time until its end: a pipe read is atomic, so each
-    row runs once and the work balances itself.
+    row runs once and the work balances itself.  The child returns its rows
+    through `_child`, which forks, kills and reaps it.
     """
-    queue, head = os.pipe()
-    back, out = os.pipe()
+    try:
+        queue, head = os.pipe()
+    except OSError:  # no descriptor to spare
+        return {}
     os.set_blocking(head, False)  # a write too long for the pipe is cut short
-    pid = None
     try:
         indices = b"".join(i.to_bytes(2, "little") for i in range(len(rows)))
-        if os.write(head, indices) == len(indices):
-            import numpy.random  # noqa: F401  the rows' generator, loaded once for both processes
-            pid = os.fork()
-    except (OSError, OverflowError):  # no process to spare, or more rows than 2 bytes number
-        pass
-    os.close(head)
-    if pid is None:
-        for fd in (queue, back, out):
-            os.close(fd)
+        queued = os.write(head, indices) == len(indices)
+    except (OSError, OverflowError):  # a full pipe, or more rows than 2 bytes number
+        queued = False
+    os.close(head)  # before the fork: what was written stays readable, and no process holds it
+    child = None
+    if queued:
+        import numpy.random  # noqa: F401  the rows' generator, loaded once for both processes
+        child = _child.fork(_run_queued, rows, seed, queue)
+    if child is None:  # no descriptor or process to spare
+        os.close(queue)
         return {}
-    if pid == 0:
-        status = 1  # os._exit on every path: nothing unwinds into the caller or flushes twice
-        try:
-            with open(out, "wb") as stream:
-                pickle.dump(_run_queued(rows, seed, queue), stream)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(out)
-    with open(back, "rb") as stream:
-        try:
-            done = _run_queued(rows, seed, queue)
-            delivered = stream.read()  # to end of file: the child has left
-        except BaseException:  # an interrupt: stop the child's rows too
-            import signal  # here, not at start-up
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            os.close(queue)
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status == 0:
-        done.update(pickle.loads(delivered))
+    try:
+        done = _run_queued(rows, seed, queue)
+        delivered = child.join()[1]  # None if the child failed: its rows run again here
+    finally:  # after an interrupt, kill and reap the child too
+        os.close(queue)
+        child.close()
+    done.update(delivered or {})
     return done
 
 
@@ -765,7 +752,7 @@ def run_suite(suite: str, seed: int = DEFAULT_SEED,
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
     names = list(_SUITES) if suite == "all" else [suite]
     rows = [row for block in names for row in _SUITES[block]]
-    done = _run_with_child(rows, seed) if len(rows) > 1 and csvio._child_runs_alongside() else {}
+    done = _run_with_child(rows, seed) if len(rows) > 1 and _child.runs_alongside() else {}
     results = []
     for index, (name, fn) in enumerate(rows):
         measured, tolerance, detail = done[index] if index in done else _row(seed, name, fn)

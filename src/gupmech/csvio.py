@@ -15,6 +15,7 @@ from typing import List, NamedTuple
 
 import numpy as np
 
+from . import _child
 
 # rows per block of a table write, the unit the forked child takes; stacking
 # the whole table at once would copy every array
@@ -61,24 +62,12 @@ def _write_rows(handle, line, columns, start, stop):
         handle.write((line * len(block) % tuple(block.ravel().tolist())).encode())
 
 
-def _child_runs_alongside() -> bool:
-    """Whether fork exists and this process may run on two CPUs.
-
-    On one CPU the two processes take turns, so the fork and the copy are pure cost.
-    """
-    if not hasattr(os, "fork"):
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
-
-
 def _shared_memory(rows, size):
     """An anonymous mapping of size bytes that a child forked later shares.
 
     None if the table is too short to fork for, or no mapping can be had.
     """
-    if rows <= _SPLIT_ROWS or not _child_runs_alongside():
+    if rows <= _SPLIT_ROWS or not _child.runs_alongside():
         return None
     import mmap  # only where the writer forks, so start-up imports nothing new
     try:
@@ -87,43 +76,26 @@ def _shared_memory(rows, size):
         return None
 
 
-def _format_front(handle, line, columns, pipe, counters):
-    """The child's rows: blocks from the front, each once it is ready, up to the stop."""
-    rows = len(columns[0])
-    blocks = -(-rows // _BLOCK_ROWS)
-    k = known = 0  # the next block, and the blocks known to be ready
-    while k < counters[_STOP]:
-        if k < known:
-            lo = k * _BLOCK_ROWS
-            _write_rows(handle, line, columns, lo, min(lo + _BLOCK_ROWS, rows))
-            k += 1
-            counters[_NEXT] = k
-        else:  # one byte per block made ready, end of file once all are
-            got = os.read(pipe, 4096)
-            known = known + len(got) if got else blocks
-    handle.flush()
-
-
 class TableWriter:
     """Formats the rows of one table, with a forked child when the table is long.
 
     Formatting is repr-bound and holds the GIL.  So when a table has more
-    than _SPLIT_ROWS rows and this process may run on two CPUs, a child
-    forked over its columns formats _BLOCK_ROWS-row blocks from the front
-    into an unnamed temporary file, each as soon as it is ready: a finished
-    table is ready at the fork, and a trajectory is ready block by block as
-    `dynamics.integrate` fills the arrays of `trajectory`.  Once every row
-    is ready, `write` stops the child at the midpoint of the blocks it has
-    not taken, formats the blocks from there on into a second unnamed file
-    and reaps the child.  Only then is the output file opened; it gets the
-    header and the bytes of both files, the bytes of a write in one process.
-    Leaving the `with` block kills and reaps a child still running.
+    than _SPLIT_ROWS rows, a child forked over its columns formats
+    _BLOCK_ROWS-row blocks from the front into an unnamed temporary file,
+    each once a byte on a pipe says it is ready: a finished table is ready
+    at the fork, and a trajectory block by block as `dynamics.integrate`
+    fills the arrays of `trajectory`.  Once every row is ready, `write` sets
+    the stop counter at the midpoint of the blocks the child has not taken
+    and formats the blocks from there on into a second unnamed file.  Only
+    then is the output file opened; it gets the header and the bytes of both
+    files, the bytes of a write in one process.  `_child` forks the child,
+    waits for it, and kills it if the `with` block is left before that.
     """
 
     def __init__(self):
         self.columns = ()
         self._line = ""  # the %r-format of one row
-        self._pid = None
+        self._child = None
         self._pipe = None  # write end: one byte per block made ready
         self._counters = None  # _NEXT and _STOP, in memory shared with the child
         self._front = None  # the child's unnamed file
@@ -133,10 +105,9 @@ class TableWriter:
         return self
 
     def __exit__(self, *exc_info):
-        if self._pid is not None:
-            import signal  # here, not at start-up, where it would cost about 1 ms
-            os.kill(self._pid, signal.SIGKILL)
-            self._reap()
+        self._close_pipe()
+        if self._child is not None:
+            self._child.close()
         if self._front is not None:
             self._front.close()
 
@@ -179,7 +150,7 @@ class TableWriter:
         head = (",".join(header) + "\n").encode()
         line, columns = self._line, self.columns
         rows = len(columns[0])
-        if self._pid is None:
+        if self._child is None:
             with open(path, "wb") as handle:
                 handle.write(head)
                 _write_rows(handle, line, columns, 0, rows)
@@ -196,7 +167,7 @@ class TableWriter:
             for lo in range(stop * _BLOCK_ROWS, rows, _BLOCK_ROWS):
                 starts.append(back.tell())
                 _write_rows(back, line, columns, lo, min(lo + _BLOCK_ROWS, rows))
-            status = self._reap()
+            status = self._child.join()[0]
             if status != 0:
                 raise OSError(f"cannot write {path}: the process formatting its rows "
                               f"2-{min(stop * _BLOCK_ROWS, rows) + 1} failed "
@@ -211,48 +182,48 @@ class TableWriter:
                     shutil.copyfileobj(back, handle)
 
     def _start(self, columns, shared):
-        """Fork the child over columns, unless shared is None or the fork fails."""
+        """Fork the child over columns, unless shared is None or a descriptor or the fork fails."""
         self.columns = columns
         self._line = ",".join(["%r"] * sum(c.shape[1] if c.ndim > 1 else 1
                                            for c in columns)) + "\n"
         if shared is None:
             return
-        counters = np.frombuffer(shared, np.int64, 2)
-        counters[_STOP] = -(-len(columns[0]) // _BLOCK_ROWS)
-        front = tempfile.TemporaryFile()
-        read_end, self._pipe = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # no process to spare: write every row here
-            front.close()
-            os.close(read_end)
-            self._close_pipe()
+        self._counters = np.frombuffer(shared, np.int64, 2)
+        self._counters[_STOP] = -(-len(columns[0]) // _BLOCK_ROWS)
+        try:  # either is closed on leaving the `with` block
+            self._front = tempfile.TemporaryFile()
+            read_end, self._pipe = os.pipe()
+        except OSError:  # no descriptor to spare: write every row here
             return
-        if pid == 0:
-            # os._exit on every path: no exception unwinds into the caller's
-            # code and no buffer inherited from this process is flushed twice
-            status = 1  # the child's exit status until its rows are on disk
-            try:
-                self._close_pipe()
-                _format_front(front, self._line, columns, read_end, counters)
-                status = 0
-            finally:
-                os._exit(status)
-        self._pid, self._counters, self._front = pid, counters, front
-        os.close(read_end)
         os.set_blocking(self._pipe, False)
+        self._child = _child.fork(self._format_front, read_end)
+        os.close(read_end)
+        if self._child is None:  # no process to spare either
+            self._close_pipe()
+
+    def _format_front(self, read_end):
+        """The child's rows: blocks from the front, each once it is ready, up to the stop."""
+        self._close_pipe()  # the write end: the end of file must come from the parent
+        handle, line, columns, counters = self._front, self._line, self.columns, self._counters
+        rows = len(columns[0])
+        blocks = -(-rows // _BLOCK_ROWS)
+        k = known = 0  # the next block, and the blocks known to be ready
+        while k < counters[_STOP]:
+            if k < known:
+                lo = k * _BLOCK_ROWS
+                _write_rows(handle, line, columns, lo, min(lo + _BLOCK_ROWS, rows))
+                k += 1
+                counters[_NEXT] = k
+            else:  # one byte per block made ready, end of file once all are
+                got = os.read(read_end, 4096)
+                known = known + len(got) if got else blocks
+        handle.flush()
 
     def _close_pipe(self):
         """End of file on the child's pipe: every block is ready."""
         if self._pipe is not None:
             os.close(self._pipe)
             self._pipe = None
-
-    def _reap(self) -> int:
-        """Wait for the child to end; its exit status."""
-        self._close_pipe()
-        pid, self._pid = self._pid, None
-        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def _write_table(path, header, columns) -> None:

@@ -1,5 +1,6 @@
 """Every check row's seed-42 measurement, pinned bit for bit, and the two-process runner."""
 
+import errno
 import functools
 import math
 import os
@@ -231,19 +232,27 @@ class TestTwoProcessRunner:
         assert [r.name for r in run_suite("frames")] == ["frames.interval-invariance"]
         assert forks == []
 
-    def test_a_failed_fork_runs_every_row_here(self, monkeypatch, two_cpus):
-        attempts = []
+    # the call refused, the calls of it that go through first, and its error
+    @pytest.mark.parametrize("name, passed, error", [
+        ("fork", 0, BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+        ("pipe", 0, OSError(errno.EMFILE, "Too many open files")),
+        ("pipe", 1, OSError(errno.EMFILE, "Too many open files")),
+    ], ids=["EAGAIN", "EMFILE-queue", "EMFILE-child-value"])
+    def test_a_failed_fork_runs_every_row_here(self, monkeypatch, two_cpus, name, passed, error):
+        attempts, call = [], getattr(os, name)
 
         def no_fork():
             attempts.append(os.getpid())
-            raise BlockingIOError(11, "Resource temporarily unavailable")
+            if len(attempts) > passed:
+                raise error
+            return call()
 
-        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, name, no_fork)
         rows = _rows(run_suite("legendre"))
-        assert len(attempts) == 1
+        assert len(attempts) == passed + 1
         _allow_cpus(monkeypatch, 1)
         assert rows == _rows(run_suite("legendre"))
-        assert len(attempts) == 1
+        assert len(attempts) == passed + 1
 
     def test_300_rows_each_run_once(self, tmp_path, monkeypatch, forks):
         # 2-byte indices: a one-byte queue would run rows 256-299 as rows 0-43

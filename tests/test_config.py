@@ -1,5 +1,6 @@
 """Scenario documents: scanning, validation, rendering, CSV tables."""
 
+import errno
 import hashlib
 import os
 import subprocess
@@ -791,11 +792,24 @@ class TestSplitWriterProcesses:
             write_events(tmp_path / "events.csv",
                          _writer_table(SPLIT_PIN_ROWS, 4, seed=SPLIT_PIN_ROWS))
 
-    def test_a_failed_fork_writes_every_row_here(self, tmp_path, monkeypatch):
-        def no_fork():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
+    # the call refused, the calls of it that go through first, and its error
+    @pytest.mark.parametrize("module, name, passed, error", [
+        (os, "fork", 0, BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+        (tempfile, "TemporaryFile", 0, OSError(errno.EMFILE, "Too many open files")),
+        (os, "pipe", 0, OSError(errno.EMFILE, "Too many open files")),
+        (os, "pipe", 1, OSError(errno.EMFILE, "Too many open files")),
+    ], ids=["EAGAIN", "EMFILE-unnamed-file", "EMFILE-ready-pipe", "EMFILE-child-value"])
+    def test_a_failed_fork_writes_every_row_here(self, tmp_path, monkeypatch,
+                                                 module, name, passed, error):
+        calls, call = [], getattr(module, name)
 
-        monkeypatch.setattr(os, "fork", no_fork)
+        def no_fork(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > passed:
+                raise error
+            return call(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, no_fork)
         path = tmp_path / "events.csv"
         write_events(path, _writer_table(SPLIT_PIN_ROWS, 4, seed=SPLIT_PIN_ROWS))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SPLIT_SHA256["events-3d"]

@@ -1,4 +1,5 @@
-"""The package imports only the standard library and its declared dependencies."""
+"""The package imports only the standard library and its declared dependencies,
+and forks, leaves, kills and reaps its child processes in one module."""
 
 import ast
 import os
@@ -32,6 +33,26 @@ def _imported(path: Path) -> set:
     return names
 
 
+# the os calls of the process steps and the fork rule, which only `_child` may make
+PROCESS_STEPS = {"fork", "_exit", "kill", "waitpid", "sched_getaffinity"}
+
+
+def _os_names(path: Path) -> set:
+    """Every name the module takes from os: os.name, from os import name, getattr(os, "name")."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "os":
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Call) and len(node.args) > 1 \
+                and isinstance(node.args[0], ast.Name) and node.args[0].id == "os" \
+                and isinstance(node.args[1], ast.Constant):
+            names.add(node.args[1].value)
+    return names
+
+
 def test_sources_found():
     assert SOURCES, "no package sources found"
 
@@ -54,3 +75,10 @@ def test_the_cli_loads_no_third_party_package_but_numpy():
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.split()) - set(sys.stdlib_module_names) - {"gupmech"}
     assert loaded == {"numpy"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_only_the_child_module_forks(path):
+    named = _os_names(path) & PROCESS_STEPS
+    assert named == (PROCESS_STEPS if path.stem == "_child" else set()), \
+        f"{path.name} names {sorted(named)}"
