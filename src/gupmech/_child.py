@@ -38,12 +38,13 @@ def fork(work, *args):
     if pid == 0:
         # os._exit on every path: no exception unwinds into the caller's
         # code and no buffer inherited from this process is flushed twice
+        status = 1  # the child's exit status until its value is sent
         try:
             with open(out, "wb") as stream:
                 pickle.dump(work(*args), stream)
-        except BaseException:
-            os._exit(1)
-        os._exit(0)
+            status = 0
+        finally:
+            os._exit(status)
     os.close(out)
     return Child(pid, back)
 

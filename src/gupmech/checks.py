@@ -707,10 +707,10 @@ def _run_queued(rows, seed, queue):
 def _run_with_child(rows, seed):
     """{index: row} of the rows run here and by a child forked here; {} if none was.
 
-    Every row index goes into a pipe before the fork, and both processes
-    read one index at a time until its end: a pipe read is atomic, so each
-    row runs once and the work balances itself.  The child returns its rows
-    through `_child`, which forks, kills and reaps it.
+    Every row's 2-byte index goes into a pipe before the fork, and both
+    processes read one index at a time until its end: a pipe read is atomic,
+    so each row runs once and the work balances itself.  `_child` forks the
+    child, brings back its rows, and kills and reaps it.
     """
     try:
         queue, head = os.pipe()
