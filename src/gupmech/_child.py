@@ -1,7 +1,7 @@
-"""One child forked alongside this process: the fork rule and the process steps.
+"""One child forked alongside this process: the fork rule, the process steps and the queue.
 
 The check rows' child in `checks` and the long-table child in `csvio` both
-fork here, so each leaves, sends back its value and is killed and reaped one way.
+fork here, so each takes its work, leaves, sends back its value and is killed and reaped one way.
 """
 
 import os
@@ -70,3 +70,53 @@ class Child:
             import signal  # here, not at start-up, where it would cost about 1 ms
             os.kill(self._pid, signal.SIGKILL)
             self.join()
+
+
+class Queue:
+    """A pipe of 4-byte indices that this process and a child forked later both take from.
+
+    A read of one index is atomic, so each index is taken once, by whichever
+    process reads it first.  Making one raises OSError if no descriptor is to spare.
+    """
+
+    def __init__(self):
+        self._take, self._put = os.pipe()
+        os.set_blocking(self._put, False)  # a full pipe refuses a write instead of waiting
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def put(self, indices) -> int:
+        """Queue the leading indices that the pipe has room for; how many that was."""
+        data = b"".join(i.to_bytes(4, "little") for i in indices)
+        written = 0
+        try:  # 512 bytes, POSIX's least PIPE_BUF, are written whole or refused
+            while written < len(data):
+                written += os.write(self._put, data[written:written + 512])
+        except BlockingIOError:  # the pipe is full
+            pass
+        return written // 4
+
+    def take(self):
+        """The indices this process takes, one at a time, until the queue is empty.
+
+        It ends the queue here first, so the end of file comes once every
+        process that takes has ended it and none puts any more.
+        """
+        self.end()
+        while got := os.read(self._take, 4):
+            yield int.from_bytes(got, "little")
+
+    def end(self) -> None:
+        """Put no more indices from this process."""
+        if self._put is not None:
+            os.close(self._put)
+            self._put = None
+
+    def close(self) -> None:
+        """End the queue and close its pipe, once."""
+        self.end()
+        os.close(self._take)

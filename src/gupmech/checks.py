@@ -10,7 +10,6 @@ fail.
 """
 
 import math
-import os
 import zlib
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -693,10 +692,9 @@ def _row(seed, name, fn) -> Tuple[float, float, str]:
 
 
 def _run_queued(rows, seed, queue):
-    """{index: row} of the rows whose 2-byte indices this process reads from queue."""
+    """{index: row} of the rows whose indices this process takes from queue."""
     done = {}
-    while got := os.read(queue, 2):
-        index = int.from_bytes(got, "little")
+    for index in queue.take():
         try:
             done[index] = _row(seed, *rows[index])
         except Exception:  # left out, so run_suite runs it again in suite order
@@ -707,35 +705,26 @@ def _run_queued(rows, seed, queue):
 def _run_with_child(rows, seed):
     """{index: row} of the rows run here and by a child forked here; {} if none was.
 
-    Every row's 2-byte index goes into a pipe before the fork, and both
-    processes read one index at a time until its end: a pipe read is atomic,
-    so each row runs once and the work balances itself.  `_child` forks the
-    child, brings back its rows, and kills and reaps it.
+    The rows' indices go into a `_child.Queue` before the fork, and both
+    processes take one at a time until it is empty, so each row runs once
+    and the work balances itself.  `_child` forks the child, brings back its
+    rows, and kills and reaps it.
     """
     try:
-        queue, head = os.pipe()
+        queue = _child.Queue()
     except OSError:  # no descriptor to spare
         return {}
-    os.set_blocking(head, False)  # a write too long for the pipe is cut short
-    try:
-        indices = b"".join(i.to_bytes(2, "little") for i in range(len(rows)))
-        queued = os.write(head, indices) == len(indices)
-    except (OSError, OverflowError):  # a full pipe, or more rows than 2 bytes number
-        queued = False
-    os.close(head)  # before the fork: what was written stays readable, and no process holds it
-    child = None
-    if queued:
+    with queue:
+        queue.put(range(len(rows)))  # rows past a full pipe run in run_suite
         import numpy.random  # noqa: F401  the rows' generator, loaded once for both processes
         child = _child.fork(_run_queued, rows, seed, queue)
-    if child is None:  # no descriptor or process to spare
-        os.close(queue)
-        return {}
-    try:
-        done = _run_queued(rows, seed, queue)
-        delivered = child.join()[1]  # None if the child failed: its rows run again here
-    finally:  # after an interrupt, kill and reap the child too
-        os.close(queue)
-        child.close()
+        if child is None:  # no descriptor or process to spare
+            return {}
+        try:
+            done = _run_queued(rows, seed, queue)
+            delivered = child.join()[1]  # None if the child failed: its rows run again here
+        finally:  # after an interrupt, kill and reap the child too
+            child.close()
     done.update(delivered or {})
     return done
 

@@ -8,8 +8,6 @@ read and written as one (n, 1+d) float array.
 
 import csv
 import math
-import os
-import shutil
 import tempfile
 from typing import List, NamedTuple
 
@@ -23,17 +21,14 @@ _BLOCK_ROWS = 256
 # rows above which a forked child formats part of a table: a fork and a copy
 # of the child's bytes break even near 2,000 1D or 1,000 3D rows
 _SPLIT_ROWS = 4096
-# slots of the two counters shared with the child: the next block it takes
-# and the block it stops before
-_NEXT, _STOP = 0, 1
 
 
 class CsvFormatError(ValueError):
-    """Malformed CSV content; carries the 1-based row number."""
+    """Malformed CSV content; names its file and carries the 1-based row number."""
 
-    def __init__(self, message, row):
+    def __init__(self, message, row, path):
         self.row = row
-        super().__init__(f"row {row}: {message}")
+        super().__init__(f"{path}: row {row}: {message}")
 
 
 class TrajectoryTable(NamedTuple):
@@ -62,59 +57,48 @@ def _write_rows(handle, line, columns, start, stop):
         handle.write((line * len(block) % tuple(block.ravel().tolist())).encode())
 
 
-def _shared_memory(rows, size):
-    """An anonymous mapping of size bytes that a child forked later shares.
-
-    None if the table is too short to fork for, or no mapping can be had.
-    """
-    if rows <= _SPLIT_ROWS or not _child.runs_alongside():
-        return None
-    import mmap  # only where the writer forks, so start-up imports nothing new
-    try:
-        return mmap.mmap(-1, size)
-    except (OSError, OverflowError):
-        return None
+def _forks(rows) -> bool:
+    """Whether a table of this many rows is formatted with a forked child."""
+    return rows > _SPLIT_ROWS and _child.runs_alongside()
 
 
 class TableWriter:
     """Formats the rows of one table, with a forked child when the table is long.
 
     Formatting is repr-bound and holds the GIL.  So when a table has more
-    than _SPLIT_ROWS rows, a child forked over its columns formats
-    _BLOCK_ROWS-row blocks from the front into an unnamed temporary file,
-    each once a byte on a pipe says it is ready: a finished table is ready
-    at the fork, and a trajectory block by block as `dynamics.integrate`
-    fills the arrays of `trajectory`.  Once every row is ready, `write` sets
-    the stop counter at the midpoint of the blocks the child has not taken
-    and formats the blocks from there on into a second unnamed file.  Only
-    then is the output file opened; it gets the header and the bytes of both
-    files, the bytes of a write in one process.  `_child` forks the child,
-    waits for it, and kills it if the `with` block is left before that.
+    than _SPLIT_ROWS rows, a child is forked over its columns, and each whole
+    _BLOCK_ROWS-row block goes into a `_child.Queue` once its rows are final:
+    a finished table's blocks at once, a trajectory's one by one as
+    `dynamics.integrate` fills the arrays of `trajectory`.  The child takes
+    blocks and formats them into an unnamed temporary file.  Once every row
+    is final, `write` takes the blocks left into a second one, and formats
+    there each block neither process took: the last part block, one a full
+    pipe never held, and each of a child that failed.  Only then is the
+    output file opened; it gets the header and every block in order, the
+    bytes of a write in one process.  `_child` forks the child, brings back
+    where its blocks are, and kills it if the `with` block is left before that.
     """
 
     def __init__(self):
         self.columns = ()
         self._line = ""  # the %r-format of one row
         self._child = None
-        self._pipe = None  # write end: one byte per block made ready
-        self._counters = None  # _NEXT and _STOP, in memory shared with the child
+        self._queue = None
         self._front = None  # the child's unnamed file
-        self._told = 0  # blocks told to the child
+        self._told = 0  # blocks queued
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
-        self._close_pipe()
-        if self._child is not None:
-            self._child.close()
-        if self._front is not None:
-            self._front.close()
+        for held in (self._queue, self._child, self._front):
+            if held is not None:
+                held.close()
 
     def share(self, columns) -> None:
-        """Take a finished table of columns, every row of them ready."""
-        self._start(columns, _shared_memory(len(columns[0]), 16))
-        self._close_pipe()
+        """Take a finished table of columns, every row of them final."""
+        self._start(columns, _forks(len(columns[0])))
+        self.ready(len(columns[0]))
 
     def trajectory(self, times, dim):
         """The arrays of a trajectory at these times, to be filled row by row.
@@ -125,105 +109,79 @@ class TableWriter:
         those rows while the caller computes the next.
         """
         rows = len(times)
-        size = (2 * dim + 1) * rows
-        shared = _shared_memory(rows, 8 * (2 + size))
+        shared = None
+        if _forks(rows):
+            import mmap  # only where the writer forks, so start-up imports nothing new
+            try:
+                shared = mmap.mmap(-1, 8 * (2 * dim + 1) * rows)
+            except (OSError, OverflowError):
+                pass
         if shared is None:  # apart: one block of all three raised a one-process peak RSS
             arrays = (np.empty((rows, dim)), np.empty((rows, dim)), np.empty(rows))
         else:
-            cells = np.frombuffer(shared, float, offset=16)
+            cells = np.frombuffer(shared, float)
             arrays = (cells[:dim * rows].reshape(rows, dim),
                       cells[dim * rows:2 * dim * rows].reshape(rows, dim), cells[2 * dim * rows:])
-        self._start((times,) + arrays, shared)
+        self._start((times,) + arrays, shared is not None)
         return arrays + (self.ready,)
 
     def ready(self, rows) -> None:
-        """Tell the child that the first `rows` rows are final."""
-        blocks = rows // _BLOCK_ROWS
-        if self._pipe is not None and blocks > self._told:
-            try:
-                self._told += os.write(self._pipe, bytes(blocks - self._told))
-            except OSError:  # a full pipe, caught up at the end, or a child gone
-                pass
+        """Queue each whole block of the first `rows` rows, which are final."""
+        if self._child is not None:
+            self._told += self._queue.put(range(self._told, rows // _BLOCK_ROWS))
 
     def write(self, path, header) -> None:
         """Write the header and every row, all of them now final, to path."""
         head = (",".join(header) + "\n").encode()
-        line, columns = self._line, self.columns
-        rows = len(columns[0])
+        rows = len(self.columns[0])
         if self._child is None:
             with open(path, "wb") as handle:
                 handle.write(head)
-                _write_rows(handle, line, columns, 0, rows)
+                _write_rows(handle, self._line, self.columns, 0, rows)
             return
-        blocks = -(-rows // _BLOCK_ROWS)
-        taken = int(self._counters[_NEXT])
-        stop = taken + (blocks - taken + 1) // 2
-        # the child may take blocks past the stop until it is set; a block
-        # both processes format is kept from the child's file
-        self._close_pipe()
-        self._counters[_STOP] = stop
+        self.ready(rows)
         with tempfile.TemporaryFile() as back:
-            starts = []
-            for lo in range(stop * _BLOCK_ROWS, rows, _BLOCK_ROWS):
-                starts.append(back.tell())
-                _write_rows(back, line, columns, lo, min(lo + _BLOCK_ROWS, rows))
-            status = self._child.join()[0]
-            if status != 0:
-                raise OSError(f"cannot write {path}: the process formatting its rows "
-                              f"2-{min(stop * _BLOCK_ROWS, rows) + 1} failed "
-                              f"(exit status {status})")
-            both = int(self._counters[_NEXT]) - stop
+            spans = {k: (back, span) for k, span in self._take_blocks(back).items()}
+            delivered = self._child.join()[1] or {}  # {} if the child failed
+            spans.update((k, (self._front, span)) for k, span in delivered.items())
+            for k in range(-(-rows // _BLOCK_ROWS)):
+                if k not in spans:
+                    spans[k] = (back, self._format_block(back, k))
             with open(path, "wb") as handle:
                 handle.write(head)
-                self._front.seek(0)
-                shutil.copyfileobj(self._front, handle)
-                if both < len(starts):
-                    back.seek(starts[both])
-                    shutil.copyfileobj(back, handle)
+                for k in range(len(spans)):
+                    source, (start, stop) = spans[k]
+                    source.seek(start)
+                    handle.write(source.read(stop - start))
 
-    def _start(self, columns, shared):
-        """Fork the child over columns, unless shared is None or a descriptor or the fork fails."""
+    def _start(self, columns, fork):
+        """Fork the child over columns if fork, unless a descriptor or the fork fails."""
         self.columns = columns
         self._line = ",".join(["%r"] * sum(c.shape[1] if c.ndim > 1 else 1
                                            for c in columns)) + "\n"
-        if shared is None:
+        if not fork:
             return
-        self._counters = np.frombuffer(shared, np.int64, 2)
-        self._counters[_STOP] = -(-len(columns[0]) // _BLOCK_ROWS)
         try:  # either is closed on leaving the `with` block
             self._front = tempfile.TemporaryFile()
-            read_end, self._pipe = os.pipe()
+            self._queue = _child.Queue()
         except OSError:  # no descriptor to spare: write every row here
             return
-        os.set_blocking(self._pipe, False)
-        self._child = _child.fork(self._format_front, read_end)
-        os.close(read_end)
-        if self._child is None:  # no process to spare either
-            self._close_pipe()
+        self._child = _child.fork(self._take_blocks, self._front)
 
-    def _format_front(self, read_end):
-        """The child's rows: blocks from the front, each once it is ready, up to the stop."""
-        self._close_pipe()  # the write end: the end of file must come from the parent
-        handle, line, columns, counters = self._front, self._line, self.columns, self._counters
-        rows = len(columns[0])
-        blocks = -(-rows // _BLOCK_ROWS)
-        k = known = 0  # the next block, and the blocks known to be ready
-        while k < counters[_STOP]:
-            if k < known:
-                lo = k * _BLOCK_ROWS
-                _write_rows(handle, line, columns, lo, min(lo + _BLOCK_ROWS, rows))
-                k += 1
-                counters[_NEXT] = k
-            else:  # one byte per block made ready, end of file once all are
-                got = os.read(read_end, 4096)
-                known = known + len(got) if got else blocks
+    def _take_blocks(self, handle):
+        """{block: (start, stop)} of the blocks this process takes from the queue,
+        each formatted into handle from byte start to stop."""
+        spans = {k: self._format_block(handle, k) for k in self._queue.take()}
         handle.flush()
+        return spans
 
-    def _close_pipe(self):
-        """End of file on the child's pipe: every block is ready."""
-        if self._pipe is not None:
-            os.close(self._pipe)
-            self._pipe = None
+    def _format_block(self, handle, block):
+        """(start, stop): where in handle the block's rows were formatted."""
+        start = handle.tell()
+        lo = block * _BLOCK_ROWS
+        _write_rows(handle, self._line, self.columns, lo,
+                    min(lo + _BLOCK_ROWS, len(self.columns[0])))
+        return start, handle.tell()
 
 
 def _write_table(path, header, columns) -> None:
@@ -243,17 +201,17 @@ def write_trajectory(path, trajectory, writer=None) -> None:
         writer.write(path, header)
 
 
-def _parse_row(row, width, row_no):
+def _parse_row(row, width, row_no, path):
     if len(row) != width:
-        raise CsvFormatError(f"expected {width} columns, got {len(row)}", row_no)
+        raise CsvFormatError(f"expected {width} columns, got {len(row)}", row_no, path)
     out = []
     for cell in row:
         try:
             value = float(cell)
         except ValueError:
-            raise CsvFormatError(f"not a number: {cell!r}", row_no) from None
+            raise CsvFormatError(f"not a number: {cell!r}", row_no, path) from None
         if not math.isfinite(value):
-            raise CsvFormatError(f"not a finite number: {cell!r}", row_no)
+            raise CsvFormatError(f"not a finite number: {cell!r}", row_no, path)
         out.append(value)
     return out
 
@@ -266,14 +224,14 @@ def _read_table(path, header):
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: not UTF-8 text (byte {err.start}: {err.reason})") from None
     if not rows:
-        raise CsvFormatError("empty file", 1)
+        raise CsvFormatError("empty file", 1, path)
     for dim in (1, 3):
         if rows[0] == header(dim):
-            return dim, [_parse_row(row, len(rows[0]), row_no)
+            return dim, [_parse_row(row, len(rows[0]), row_no, path)
                          for row_no, row in enumerate(rows[1:], start=2)]
     raise CsvFormatError(
         f"unrecognized header {','.join(rows[0])!r}; "
-        f"expected {','.join(header(1))} or {','.join(header(3))}", 1)
+        f"expected {','.join(header(1))} or {','.join(header(3))}", 1, path)
 
 
 def read_trajectory(path) -> TrajectoryTable:
@@ -301,5 +259,5 @@ def read_events(path) -> np.ndarray:
     """The event rows as an (n, 1+d) float array with columns t, x1[..x3]."""
     _, data = _read_table(path, event_header)
     if not data:
-        raise CsvFormatError("no event rows after the header", 2)
+        raise CsvFormatError("no event rows after the header", 2, path)
     return np.asarray(data, dtype=float)

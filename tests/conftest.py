@@ -23,3 +23,17 @@ def forks(monkeypatch, two_cpus):
 
     monkeypatch.setattr(os, "fork", counted)
     return calls
+
+
+@pytest.fixture
+def descriptors_kept():
+    """Fail the test if it leaves more or fewer file descriptors open than it found.
+
+    They are counted in /proc/self/fd, which is only read, where it exists.
+    """
+    def count():
+        return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+    before = count()
+    yield
+    assert count() == before

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gupmech import dynamics, frames, legendre
+from gupmech import _child, dynamics, frames, legendre
 from gupmech.checks import _SUITES, _rk4_order_errors, run_suite
 
 # float.hex of each row's `measured` at seed 42, recorded while algebra
@@ -213,7 +213,7 @@ class TestTwoProcessRunner:
     """run_suite shares its rows with one forked child and returns the rows of one process."""
 
     @pytest.fixture(autouse=True)
-    def _no_child_left(self):
+    def _no_child_left(self, descriptors_kept):
         yield
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -255,7 +255,7 @@ class TestTwoProcessRunner:
         assert len(attempts) == passed + 1
 
     def test_300_rows_each_run_once(self, tmp_path, monkeypatch, forks):
-        # 2-byte indices: a one-byte queue would run rows 256-299 as rows 0-43
+        # indices wider than a byte: a one-byte queue would run rows 256-299 as rows 0-43
         here = os.getpid()
         mark, wait, child_rows = _child_marks(tmp_path, here)
         log = tmp_path / "rows-run"
@@ -278,19 +278,23 @@ class TestTwoProcessRunner:
         assert [r.name for r in shared] == [f"trivial-{i}" for i in range(300)]
 
     @pytest.mark.parametrize("count", (40_000, 70_000), ids=["past-the-pipe", "past-2-bytes"])
-    def test_a_queue_that_cannot_be_written_runs_every_row_here(self, monkeypatch, count):
-        # 80,000 bytes of indices do not fit a 64 KiB pipe; 70,000 rows do
-        # not fit 2-byte indices.  The rows take no generator, which would
+    def test_rows_past_a_full_queue_run_here(self, monkeypatch, forks, count):
+        # 160,000 bytes of indices do not fit a 64 KiB pipe, and 70,000 rows
+        # do not fit 2-byte indices.  The rows take no generator, which would
         # cost more than the rest of the run.
-        attempts = []
-        monkeypatch.setattr(os, "fork", lambda: attempts.append(os.getpid()))
+        put, queued = _child.Queue.put, []
+
+        def counted(queue, indices):
+            queued.append(put(queue, indices))
+            return queued[-1]
+
+        monkeypatch.setattr(_child.Queue, "put", counted)
         monkeypatch.setattr(np.random, "default_rng", lambda seed: None)
-        _allow_cpus(monkeypatch, 2)
         monkeypatch.setitem(_SUITES, "frames", [
             (f"trivial-{i}", functools.partial(lambda rng, i: (i, 1.0, ""), i=i))
             for i in range(count)])
         assert [r.measured for r in run_suite("frames")] == list(range(count))
-        assert attempts == []
+        assert len(forks) == 1 and 0 < queued[0] < count
 
     def test_a_row_raising_only_in_the_child_is_run_again_here(self, tmp_path, monkeypatch,
                                                                forks):

@@ -3,6 +3,7 @@
 import errno
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -549,6 +550,13 @@ class TestTrajectoryCsv:
         with pytest.raises(CsvFormatError, match="row 2"):
             read_trajectory(path)
 
+    def test_a_malformed_cell_names_its_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,x1,p1,energy\n0.0,one,2.0,3.0\n")
+        with pytest.raises(CsvFormatError) as err:
+            read_trajectory(path)
+        assert str(err.value) == f"{path}: row 2: not a number: 'one'"
+
     def test_unrecognized_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,pos,mom,E\n")
@@ -627,10 +635,9 @@ _WRITER_ROWS = (2, 255, 256, 257, 513)
 def split_rows(request, monkeypatch, two_cpus):
     """The row count above which the writer forks: as set, or 0 so every table is split.
 
-    Split at 0, the child stops at the midpoint of the blocks it has not
-    taken, so the tables above leave this process no rows (2, 255, 256),
-    the one-row last block (257) or that block of 513 rows, unless the child
-    took a block before the midpoint was set.
+    Split at 0, the child and this process take the blocks of every table
+    above, the one-row last block of 257 and 513 rows included, from one
+    queue, each process whichever blocks the timing gives it.
     """
     if request.param == "split-every-table":
         monkeypatch.setattr(csvio, "_SPLIT_ROWS", 0)
@@ -696,10 +703,10 @@ class TestWriterBytes:
 
 
 class TestSplitWriterProcesses:
-    """The forked writer of a long table's front blocks leaves nothing behind."""
+    """The forked writer of a long table's blocks leaves nothing behind."""
 
     @pytest.fixture(autouse=True)
-    def _temporary_directory(self, tmp_path, monkeypatch, two_cpus):
+    def _temporary_directory(self, tmp_path, monkeypatch, two_cpus, descriptors_kept):
         # tempfile puts its unnamed files here, so a named one would show
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
         (tmp_path / "tmp").mkdir()
@@ -715,58 +722,107 @@ class TestSplitWriterProcesses:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
             PINNED_SPLIT_SHA256["trajectory-3d"]
 
-    def test_a_failing_child_is_an_oserror_naming_the_path(self, tmp_path, monkeypatch):
+    def test_a_failing_child_s_blocks_are_written_here(self, tmp_path, monkeypatch, forks):
+        # it fails on its first block and exits 1, so this process formats every block
         _rows_writer_failing_in(monkeypatch, "child")
         path = tmp_path / "traj.csv"
-        # it fails on its first block, so it has taken none when the midpoint
-        # of the 20 blocks is set: it was to format blocks 0-9, rows 2-2561
-        with pytest.raises(OSError, match="cannot write .*traj.csv: .*rows 2-2561 failed"):
-            write_trajectory(path, seeded_trajectory(1, SPLIT_PIN_ROWS))
-        assert not path.exists()
+        write_trajectory(path, seeded_trajectory(1, SPLIT_PIN_ROWS))
+        assert len(forks) == 1
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            PINNED_SPLIT_SHA256["trajectory-1d"]
 
-    def test_blocks_both_processes_formatted_are_written_once(self, tmp_path, monkeypatch):
-        # The child is held on its first block until this process has read its
-        # progress (none, so the stop is block 10 of 20), and then on block 13
-        # until the stop is set: blocks 10-13 are formatted by both processes.
+    def test_a_held_child_and_this_process_both_take_blocks(self, tmp_path, monkeypatch, forks):
+        # The child is held on its first block until this process has formatted
+        # one, and this process on its first until the child has taken one.
         here = os.getpid()
+        child_blocks = tmp_path / "child-blocks"
 
-        def mark(name):
-            open(tmp_path / name, "w").close()
-
-        def wait(name):
+        def wait(path):
             deadline = time.monotonic() + 60
-            while not (tmp_path / name).exists():
-                assert time.monotonic() < deadline, f"no {name} mark"
+            while not path.exists():
+                assert time.monotonic() < deadline, f"no {path.name}"
                 time.sleep(0.001)
 
-        write_rows, close = csvio._write_rows, os.close
+        write_rows = csvio._write_rows
         formatted_here = []
 
         def writer(handle, line, columns, start, stop):
             block = start // csvio._BLOCK_ROWS
             if os.getpid() == here:
+                wait(child_blocks)
+                write_rows(handle, line, columns, start, stop)
                 formatted_here.append(block)
-                mark("stop-set")
-            elif block in (0, 13):
-                wait("progress-read" if block == 0 else "stop-set")
+                (tmp_path / "formatted-here").touch()
+                return
+            first = not child_blocks.exists()
+            with open(child_blocks, "a") as handle_of_blocks:
+                handle_of_blocks.write(f"{block}\n")
+            if first:
+                wait(tmp_path / "formatted-here")
             write_rows(handle, line, columns, start, stop)
-            if block == 12 and os.getpid() != here:
-                mark("past-stop")
-
-        def held_close(fd):  # between reading the child's progress and setting its stop
-            close(fd)
-            mark("progress-read")
-            wait("past-stop")
 
         monkeypatch.setattr(csvio, "_write_rows", writer)
         kind = Hamiltonian.exact_1d(DeformationParameters(beta=0.01, mass=1.0))
         path = tmp_path / "traj.csv"
+        with csvio.TableWriter() as table_writer:
+            traj = integrate(kind, PhaseState.of(0.0, 1.0), 4.998, 0.001, table_writer.trajectory)
+            write_trajectory(path, traj, table_writer)
+        taken_there = [int(k) for k in child_blocks.read_text().split()]
+        assert len(traj) == SPLIT_PIN_ROWS and len(forks) == 1
+        assert formatted_here and taken_there
+        assert sorted(formatted_here + taken_there) == list(range(20))
+        table = np.column_stack([traj.times, traj.positions, traj.momenta, traj.energies])
+        assert path.read_bytes() == _per_row_bytes(trajectory_header(1), table)
+
+    def test_blocks_the_child_never_delivers_are_written_here(self, tmp_path, monkeypatch,
+                                                               forks):
+        # where its blocks are cannot be pickled, so it exits 1 with none delivered
+        here = os.getpid()
+        child_took = tmp_path / "child-took"
+        write_rows, dump = csvio._write_rows, pickle.dump
+
+        def dump_here_only(*args, **kwargs):
+            if os.getpid() != here:
+                raise pickle.PicklingError("the child's blocks cannot be sent")
+            return dump(*args, **kwargs)
+
+        def writer(*args):
+            if os.getpid() != here:
+                child_took.touch()
+            else:  # held until the child takes a block
+                deadline = time.monotonic() + 60
+                while not child_took.exists():
+                    assert time.monotonic() < deadline, "the child took no block"
+                    time.sleep(0.001)
+            return write_rows(*args)
+
+        monkeypatch.setattr(pickle, "dump", dump_here_only)
+        monkeypatch.setattr(csvio, "_write_rows", writer)
+        path = tmp_path / "events.csv"
+        write_events(path, _writer_table(SPLIT_PIN_ROWS, 4, seed=SPLIT_PIN_ROWS))
+        assert len(forks) == 1 and child_took.exists()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SPLIT_SHA256["events-3d"]
+
+    @pytest.mark.parametrize("room", (0, 1, 7))
+    def test_blocks_past_a_full_queue_are_written_here(self, tmp_path, monkeypatch, forks,
+                                                       room):
+        # the queue's pipe takes `room` blocks and then refuses every write
+        write, queued = os.write, []
+
+        def full_after_room(fd, data):
+            data = data[:4 * (room - len(queued))]
+            if not data:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            queued.extend(range(len(data) // 4))
+            return write(fd, data)
+
+        monkeypatch.setattr(os, "write", full_after_room)
+        kind = Hamiltonian.exact_1d(DeformationParameters(beta=0.01, mass=1.0))
+        path = tmp_path / "traj.csv"
         with csvio.TableWriter() as writer:
             traj = integrate(kind, PhaseState.of(0.0, 1.0), 4.998, 0.001, writer.trajectory)
-            monkeypatch.setattr(os, "close", held_close)
             write_trajectory(path, traj, writer)
-        monkeypatch.setattr(os, "close", close)
-        assert len(traj) == SPLIT_PIN_ROWS and formatted_here == list(range(10, 20))
+        assert len(queued) == room and len(forks) == 1
         table = np.column_stack([traj.times, traj.positions, traj.momenta, traj.energies])
         assert path.read_bytes() == _per_row_bytes(trajectory_header(1), table)
 

@@ -1,5 +1,6 @@
 """The package imports only the standard library and its declared dependencies,
-and forks, leaves, kills and reaps its child processes in one module."""
+and forks, leaves, kills and reaps its child processes and shares their work in
+one module."""
 
 import ast
 import os
@@ -33,8 +34,10 @@ def _imported(path: Path) -> set:
     return names
 
 
-# the os calls of the process steps and the fork rule, which only `_child` may make
-PROCESS_STEPS = {"fork", "_exit", "kill", "waitpid", "sched_getaffinity"}
+# the os calls of the process steps, the fork rule and the work queue, which
+# only `_child` may make
+PROCESS_STEPS = {"fork", "_exit", "kill", "waitpid", "sched_getaffinity", "pipe",
+                 "set_blocking"}
 
 
 def _os_names(path: Path) -> set:
