@@ -106,11 +106,11 @@ class Queue:
         It ends the queue here first, so the end of file comes once every
         process that takes has ended it and none puts any more.
         """
-        self.end()
+        self._end()
         while got := os.read(self._take, 4):
             yield int.from_bytes(got, "little")
 
-    def end(self) -> None:
+    def _end(self) -> None:
         """Put no more indices from this process."""
         if self._put is not None:
             os.close(self._put)
@@ -118,5 +118,5 @@ class Queue:
 
     def close(self) -> None:
         """End the queue and close its pipe, once."""
-        self.end()
+        self._end()
         os.close(self._take)

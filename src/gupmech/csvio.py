@@ -169,8 +169,7 @@ class TableWriter:
         self._child = _child.fork(self._take_blocks, self._front)
 
     def _take_blocks(self, handle):
-        """{block: (start, stop)} of the blocks this process takes from the queue,
-        each formatted into handle from byte start to stop."""
+        """{block: (start, stop)}: the blocks this process takes, and where in handle it formats each."""
         spans = {k: self._format_block(handle, k) for k in self._queue.take()}
         handle.flush()
         return spans
