@@ -84,14 +84,14 @@ class TableWriter:
         self._line = ""  # the %r-format of one row
         self._child = None
         self._queue = None
-        self._front = None  # the child's unnamed file
+        self._front = self._back = None  # the child's unnamed file, and this process's
         self._told = 0  # blocks queued
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
-        for held in (self._queue, self._child, self._front):
+        for held in (self._queue, self._child, self._front, self._back):
             if held is not None:
                 held.close()
 
@@ -140,19 +140,19 @@ class TableWriter:
                 _write_rows(handle, self._line, self.columns, 0, rows)
             return
         self.ready(rows)
-        with tempfile.TemporaryFile() as back:
-            spans = {k: (back, span) for k, span in self._take_blocks(back).items()}
-            delivered = self._child.join()[1] or {}  # {} if the child failed
-            spans.update((k, (self._front, span)) for k, span in delivered.items())
-            for k in range(-(-rows // _BLOCK_ROWS)):
-                if k not in spans:
-                    spans[k] = (back, self._format_block(back, k))
-            with open(path, "wb") as handle:
-                handle.write(head)
-                for k in range(len(spans)):
-                    source, (start, stop) = spans[k]
-                    source.seek(start)
-                    handle.write(source.read(stop - start))
+        back = self._back
+        spans = {k: (back, span) for k, span in self._take_blocks(back).items()}
+        delivered = self._child.join()[1] or {}  # {} if the child failed
+        spans.update((k, (self._front, span)) for k, span in delivered.items())
+        for k in range(-(-rows // _BLOCK_ROWS)):
+            if k not in spans:
+                spans[k] = (back, self._format_block(back, k))
+        with open(path, "wb") as handle:
+            handle.write(head)
+            for k in range(len(spans)):
+                source, (start, stop) = spans[k]
+                source.seek(start)
+                handle.write(source.read(stop - start))
 
     def _start(self, columns, fork):
         """Fork the child over columns if fork, unless a descriptor or the fork fails."""
@@ -161,8 +161,9 @@ class TableWriter:
                                            for c in columns)) + "\n"
         if not fork:
             return
-        try:  # either is closed on leaving the `with` block
+        try:  # each is closed on leaving the `with` block
             self._front = tempfile.TemporaryFile()
+            self._back = tempfile.TemporaryFile()
             self._queue = _child.Queue()
         except OSError:  # no descriptor to spare: write every row here
             return

@@ -852,9 +852,11 @@ class TestSplitWriterProcesses:
     @pytest.mark.parametrize("module, name, passed, error", [
         (os, "fork", 0, BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
         (tempfile, "TemporaryFile", 0, OSError(errno.EMFILE, "Too many open files")),
+        (tempfile, "TemporaryFile", 1, OSError(errno.EMFILE, "Too many open files")),
         (os, "pipe", 0, OSError(errno.EMFILE, "Too many open files")),
         (os, "pipe", 1, OSError(errno.EMFILE, "Too many open files")),
-    ], ids=["EAGAIN", "EMFILE-unnamed-file", "EMFILE-ready-pipe", "EMFILE-child-value"])
+    ], ids=["EAGAIN", "EMFILE-unnamed-file", "EMFILE-second-unnamed-file", "EMFILE-ready-pipe",
+            "EMFILE-child-value"])
     def test_a_failed_fork_writes_every_row_here(self, tmp_path, monkeypatch,
                                                  module, name, passed, error):
         calls, call = [], getattr(module, name)
