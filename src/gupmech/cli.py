@@ -12,9 +12,9 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
-from os import environ
 
 from . import checks, constants, csvio, dynamics, frames
 from .algebra import DomainError
@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _units_mode(config_units: str) -> str:
-    override = environ.get("GUP_UNITS")
+    override = os.environ.get("GUP_UNITS")
     if override is None:
         return config_units
     if override not in UNITS_MODES:
@@ -82,6 +82,13 @@ def _scenario(path):
     return config, {"scenario": render_config(config), "units": _units_mode(config.units)}
 
 
+def _distinct(report_path, outputs):
+    """ConfigError if output.report resolves to a file of outputs, a {setting: path} dict."""
+    for key, other in outputs.items():
+        if report_path and os.path.realpath(report_path) == os.path.realpath(other):
+            raise ConfigError(f"output.report and {key} both name {other}")
+
+
 def _cmd_simulate(args):
     config, report = _scenario(args.config)
     if config.t_end is None or config.dt is None:
@@ -89,6 +96,7 @@ def _cmd_simulate(args):
     kind = config.build_hamiltonian()
     initial = config.build_initial_state()
     out_path = config.trajectory_path or "trajectory.csv"
+    _distinct(config.report_path, {"output.trajectory": out_path})
     # a long trajectory's finished rows are formatted by a forked child while RK4 steps on
     with csvio.TableWriter() as writer:
         trajectory = dynamics.integrate(kind, initial, config.t_end, config.dt, writer.trajectory)
@@ -113,6 +121,8 @@ def _cmd_transform(args):
     boost = config.build_boost()
     if boost is None:
         raise ConfigError("transform needs a boost.velocity entry")
+    out_path = config.events_path or "events_transformed.csv"
+    _distinct(config.report_path, {"output.events": out_path, "--events": args.events})
     events = csvio.read_events(args.events)
     if isinstance(boost, frames.LorentzBoost):
         mapped = frames.lorentz_apply(boost, events)
@@ -124,7 +134,6 @@ def _cmd_transform(args):
                            "scale": boost.scale}
     # a non-finite interval is refused before any file is written
     residual = frames.interval_residual(boost, events, mapped)
-    out_path = config.events_path or "events_transformed.csv"
     csvio.write_events(out_path, mapped)
     report["events"] = {"count": len(events), "interval_residual": residual}
     report["output"] = {"events_csv": out_path}

@@ -175,15 +175,15 @@ def _event_pair(e1, e2):
     return e1, e2
 
 
-def _interval_parts(e1, e2, scale_sq: float):
-    """(scale_sq dt^2, |dx|^2) between checked events, broadcast over rows.
+def _interval_parts(e1, e2, scale_sq: float, axis: int = -1):
+    """(scale_sq dt^2, |dx|^2) between checked events with components along axis.
 
-    Checks nothing.  |dx|^2 is a dot product per row, so it is summed
-    exactly as dx @ dx.
+    Checks nothing.  Event rows take axis -1, the residual's (1+d, ...) copies
+    axis 0; |dx|^2 is a dot product per pair, summed exactly as dx @ dx.
     """
     d = e2 - e1
-    dx = d[..., 1:]
-    return scale_sq * d[..., 0] * d[..., 0], np.vecdot(dx, dx)
+    dt, dx = (d[0], d[1:]) if axis == 0 else (d[..., 0], d[..., 1:])
+    return scale_sq * dt * dt, np.vecdot(dx, dx, axis=axis)
 
 
 def minkowski_interval(e1, e2, light_speed: float):
@@ -215,8 +215,11 @@ def interval_residual(boost, before, after):
     batches of the same shape.  Each block of rows spanning about _PAIR_BLOCK
     pairs is compared with all later rows at once, so memory stays linear in
     the number of events; the block's pairs on or below its diagonal are
-    self-pairs or exact mirrors and cannot move the maximum.  A non-finite
-    interval makes its ratio inf or nan and raises FloatingPointError.
+    self-pairs or exact mirrors and cannot move the maximum.  Blocks are cut
+    from (1+d, n) component-first copies, so dt is a contiguous plane and
+    np.vecdot over axis 0 keeps the bits of dx @ dx; the change reuses the
+    block's arrays.  A non-finite interval makes its ratio inf or nan and
+    raises FloatingPointError.
     """
     if isinstance(boost, LorentzBoost):
         scale_sq, minkowski = boost.light_speed ** 2, True
@@ -230,16 +233,17 @@ def interval_residual(boost, before, after):
                          f"got {before.shape} and {after.shape}")
     worst = 0.0
     rows = max(1, _PAIR_BLOCK // max(len(before), 1))
+    columns = before.T.copy(), after.T.copy()
     for i in range(0, len(before) - 1, rows):
         (time_part, dx2), (mapped_time, mapped_dx2) = (
-            _interval_parts(e[i:i + rows, None], e[None, i + 1:], scale_sq)
-            for e in (before, after))
+            _interval_parts(c[:, i:i + rows, None], c[:, None, i + 1:], scale_sq, axis=0)
+            for c in columns)
         scale = time_part + dx2
-        if minkowski:
-            change = np.abs((mapped_time - mapped_dx2) - (time_part - dx2))
-        else:
-            change = np.abs((mapped_time + mapped_dx2) - scale)
-        ratio = change / np.maximum(scale, 1e-30)
+        interval = np.subtract(time_part, dx2, out=time_part) if minkowski else scale
+        ratio = (np.subtract if minkowski else np.add)(mapped_time, mapped_dx2, out=mapped_time)
+        ratio -= interval
+        np.abs(ratio, out=ratio)
+        ratio /= np.maximum(scale, 1e-30, out=scale)
         if not math.isfinite(peak := float(ratio.max())):
             row, col = np.argwhere(~np.isfinite(ratio))[0] + (i + 2, i + 3)
             raise FloatingPointError(f"interval between CSV rows {row} and {col} is not finite")

@@ -331,6 +331,47 @@ class TestUnusablePaths:
         assert "out_dir" in err
 
 
+class TestReportPathClash:
+    """output.report may not name a CSV of the same run; nothing is written on a clash."""
+
+    @pytest.mark.parametrize("outputs, named", [
+        ("output.trajectory = run.csv\noutput.report = ./run.csv\n", "run.csv"),
+        ("output.trajectory = ./run.csv\noutput.report = run.csv\n", "./run.csv"),
+        ("output.report = trajectory.csv\n", "trajectory.csv"),
+    ], ids=["dot-report", "dot-trajectory", "default-trajectory"])
+    def test_simulate_report_on_the_trajectory(self, tmp_path, capsys, outputs, named):
+        cfg = write(tmp_path, "free.cfg", FREE_EXACT + outputs)
+        code, out, err = run_cli(capsys, "simulate", "--config", cfg)
+        assert (code, out) == (2, "")
+        assert err == f"gupmech: error: output.report and output.trajectory both name {named}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["free.cfg"]
+
+    @pytest.mark.parametrize("outputs, key, named", [
+        ("output.events = out.csv\noutput.report = ./out.csv\n", "output.events", "out.csv"),
+        ("output.report = events_transformed.csv\n", "output.events", "events_transformed.csv"),
+        ("output.report = ./events.csv\n", "--events", "events.csv"),
+        ("output.events = events.csv\noutput.report = events.csv\n", "output.events",
+         "events.csv"),
+    ], ids=["dot-report", "default-events", "events-input", "events-input-and-output"])
+    def test_transform_report_on_an_events_file(self, tmp_path, capsys, outputs, key, named):
+        cfg = write(tmp_path, "boost.cfg", BOOST_EXACT + outputs)
+        write(tmp_path, "events.csv", "t,x1\n0.0,1.0\n1.0,0.0\n")
+        code, out, err = run_cli(capsys, "transform", "--config", cfg, "--events", "events.csv")
+        assert (code, out) == (2, "")
+        assert err == f"gupmech: error: output.report and {key} both name {named}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["boost.cfg", "events.csv"]
+        assert (tmp_path / "events.csv").read_text() == "t,x1\n0.0,1.0\n1.0,0.0\n"
+
+    def test_transformed_events_may_replace_the_input(self, tmp_path, capsys):
+        cfg = write(tmp_path, "boost.cfg", BOOST_EXACT + "output.events = ./events.csv\n"
+                                                         "output.report = report.json\n")
+        events = write(tmp_path, "events.csv", "t,x1\n0.0,1.0\n1.0,0.0\n")
+        code, out, _ = run_cli(capsys, "transform", "--config", cfg, "--events", events)
+        assert code == 0
+        assert read_events(events)[0, 1] == pytest.approx(0.7071067811865475, rel=1e-15)
+        assert json.loads((tmp_path / "report.json").read_text()) == json.loads(out)
+
+
 class TestConstants:
     def test_electron_defaults(self, capsys):
         code, out, _ = run_cli(capsys, "constants")

@@ -370,6 +370,13 @@ def test_squared_separation_sums_as_the_stacked_matmul(dim, boost):
         dx = (e2 - e1)[..., 1:]
         stacked = (dx[..., None, :] @ dx[..., :, None])[..., 0, 0]
         assert frames._interval_parts(e1, e2, 1.0)[1].tobytes() == stacked.tobytes()
+        # the residual's component-first (1+d, rows, m) differences sum the same bits
+        columns = events.T.copy()
+        d = columns[:, None, 1:] - columns[:, :60, None]
+        assert np.vecdot(d[1:], d[1:], axis=0).tobytes() == stacked.tobytes()
+        parts = frames._interval_parts(columns[:, :60, None], columns[:, None, 1:], 1.0, axis=0)
+        assert parts[1].tobytes() == stacked.tobytes()
+        assert parts[0].tobytes() == frames._interval_parts(e1, e2, 1.0)[0].tobytes()
 
 
 class TestIntervalResidual:
@@ -405,16 +412,17 @@ class TestIntervalResidual:
                 == _pairwise_residual(1.3, sign, before, after))
 
     @pytest.mark.parametrize("budget,count", [
-        (None, 2), (None, 64), (None, 65),
+        (None, 2), (None, 64), (None, 65), (None, 130),
         (100, 10), (100, 11), (16, 17), (16, 40)],
-        ids=["n2", "n64-one-block", "n65-two-blocks", "rows10-n10", "rows9-n11",
-             "n-over-budget-17", "n-over-budget-40"])
+        ids=["n2", "n64-one-block", "n65-two-blocks", "n130-part-block", "rows10-n10",
+             "rows9-n11", "n-over-budget-17", "n-over-budget-40"])
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("law", ["exact", "lorentz"])
     def test_matches_the_pairwise_loop_across_block_edges(self, monkeypatch, budget, count,
                                                           dim, law):
         # With the default budget of 4,096 pairs, 64 events fill one block of
-        # 64 rows (63 compared) and 65 events need blocks of 63 and 1 rows.
+        # 64 rows (63 compared), 65 events need blocks of 63 and 1 rows, and
+        # 130 events blocks of 31 rows from rows 0 to 93, then a part block.
         # Smaller budgets put block edges, and n > budget (one row per
         # block), within reach of the pair-by-pair reference.
         if budget is not None:
