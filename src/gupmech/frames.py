@@ -240,10 +240,10 @@ def interval_residual(boost, before, after):
             for c in columns)
         scale = time_part + dx2
         interval = np.subtract(time_part, dx2, out=time_part) if minkowski else scale
-        ratio = (np.subtract if minkowski else np.add)(mapped_time, mapped_dx2, out=mapped_time)
-        ratio -= interval
-        np.abs(ratio, out=ratio)
-        ratio /= np.maximum(scale, 1e-30, out=scale)
+        change = (np.subtract if minkowski else np.add)(mapped_time, mapped_dx2, out=mapped_time)
+        change -= interval
+        np.abs(change, out=change)
+        ratio = np.divide(change, np.maximum(scale, 1e-30, out=scale), out=change)
         if not math.isfinite(peak := float(ratio.max())):
             row, col = np.argwhere(~np.isfinite(ratio))[0] + (i + 2, i + 3)
             raise FloatingPointError(f"interval between CSV rows {row} and {col} is not finite")
