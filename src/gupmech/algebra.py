@@ -125,11 +125,19 @@ def momentum_map_1d(p: float, params: DeformationParameters) -> float:
         )
     return math.tan(z) / sb
 
+def _square(v) -> float:
+    """|v|^2 of 1 or 3 floats, summed left to right, so no BLAS kernel sets its bits."""
+    return v[0] * v[0] if len(v) == 1 else v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+
+def _dot(u, v) -> float:
+    """u . v of 1 or 3 floats each, summed left to right as _square is."""
+    return u[0] * v[0] if len(u) == 1 else u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
 def _map_3d_divisor(p: np.ndarray, params: DeformationParameters) -> float:
     """sqrt(1 - beta p^2) for the three-dimensional map, after its domain check."""
     if params.beta == 0.0:
         return 1.0
-    bp2 = params.beta * float(p.dot(p))
+    bp2 = params.beta * _square(p.tolist())
     if bp2 >= 1.0:
         raise DomainError(
             f"canonical momentum is outside the map domain (need beta*|p|^2 < 1, got {bp2:.6g})"
@@ -139,6 +147,8 @@ def _map_3d_divisor(p: np.ndarray, params: DeformationParameters) -> float:
 def momentum_map_3d(p, params: DeformationParameters) -> np.ndarray:
     """Deformed momentum in three dimensions, P_i = p_i / sqrt(1 - beta p^2)."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
+    if p.size != 3:
+        raise ValueError(f"p must have 3 components, got {p.size}")
     return p / _map_3d_divisor(p, params)
 
 def bracket_xp_1d(P: float, params: DeformationParameters) -> float:
@@ -157,7 +167,7 @@ def bracket_xp_3d(P, i: int, j: int, params: DeformationParameters) -> float:
         raise ValueError(f"P must have 3 components, got {P.size}")
     b = params.beta
     delta = 1.0 if i == j else 0.0
-    return math.sqrt(1.0 + b * float(P.dot(P))) * (delta + b * P[i - 1] * P[j - 1])
+    return math.sqrt(1.0 + b * _square(P.tolist())) * (delta + b * P[i - 1] * P[j - 1])
 
 
 def _shifted(v: np.ndarray, i: int, value: float) -> np.ndarray:

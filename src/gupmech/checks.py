@@ -20,7 +20,7 @@ import numpy as np
 from . import constants as consts
 from . import _child, dynamics, frames, legendre
 from .algebra import (BRACKET_STEP, DeformationParameters, PhaseState, _contract, _gradients,
-                      bracket_xp_1d, bracket_xp_3d, coordinate_function, jacobi_residual,
+                      _square, bracket_xp_1d, bracket_xp_3d, coordinate_function, jacobi_residual,
                       momentum_function_1d, momentum_function_3d,
                       momentum_map_1d, numerical_bracket)
 
@@ -72,7 +72,7 @@ def _check_bracket_1d(rng) -> CheckBody:
 def _random_3d_state(rng, params, fill=0.9):
     x = rng.uniform(-2.0, 2.0, size=3)
     p = rng.uniform(-1.0, 1.0, size=3)
-    p *= math.sqrt(fill * rng.uniform(0.1, 1.0) / params.beta) / math.sqrt(p.dot(p))
+    p *= math.sqrt(fill * rng.uniform(0.1, 1.0) / params.beta) / math.sqrt(_square(p.tolist()))
     return PhaseState.of(x, p)
 
 
@@ -86,7 +86,7 @@ def _check_bracket_3d(rng) -> CheckBody:
         state = _random_3d_state(rng, params)
         scale_sq = max(1.0, float(np.max(np.abs(state.p)))) ** 2
         big_p = np.array([fns[3 + j](state) for j in range(3)])
-        root = math.sqrt(1.0 + params.beta * float(big_p.dot(big_p)))
+        root = math.sqrt(1.0 + params.beta * _square(big_p.tolist()))
         grads = _gradients(fns, state)
         for i in range(3):
             for j in range(3):

@@ -25,7 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import BRACKET_STEP, DeformationParameters, DomainError, PhaseState, _gradient
+from .algebra import (BRACKET_STEP, DeformationParameters, DomainError, PhaseState, _gradient,
+                      _square)
 
 EXACT_1D = "exact-1d"
 FIRST_ORDER_1D = "first-order-1d"
@@ -374,11 +375,6 @@ def _unpack(kind: Hamiltonian, state: PhaseState):
     if not (isinstance(state, PhaseState) and state.x.size == kind.dim):
         state = PhaseState(components(kind, state.x), components(kind, state.p))
     return state.x.tolist(), state.p.tolist()
-
-
-def _square(p) -> float:
-    """|p|^2 of 1 or 3 floats, summed left to right as in the RK4 loops."""
-    return p[0] * p[0] if len(p) == 1 else p[0] * p[0] + p[1] * p[1] + p[2] * p[2]
 
 
 def _energy(kind: Hamiltonian, x, p) -> float:

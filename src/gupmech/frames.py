@@ -35,7 +35,7 @@ def _events(events) -> np.ndarray:
     if events.ndim not in (1, 2) or events.shape[-1] not in (2, 4):
         raise ValueError(
             f"events must be rows of t, x1 or t, x1, x2, x3; got shape {events.shape}")
-    if not np.all(np.isfinite(events)):
+    if not np.isfinite(events).all():
         raise ValueError("event coordinates must be finite")
     return events
 
@@ -175,31 +175,42 @@ def _event_pair(e1, e2):
     return e1, e2
 
 
-def _interval_parts(e1, e2, scale_sq: float, axis: int = -1):
-    """(scale_sq dt^2, |dx|^2) between checked events with components along axis.
+def _interval_parts(d, scale_sq: float):
+    """(scale_sq dt^2, |dx|^2) from event differences d with components first.
 
-    Checks nothing.  Event rows take axis -1, the residual's (1+d, ...) copies
-    axis 0; |dx|^2 is a dot product per pair, summed exactly as dx @ dx.
+    Checks nothing.  Event rows give d as (e2 - e1).T, the residual's blocks as
+    (1+d, rows, m) slabs.  |dx|^2 adds the squared component planes left to
+    right, as algebra._square does, so no BLAS kernel sets its bits.
     """
-    d = e2 - e1
-    dt, dx = (d[0], d[1:]) if axis == 0 else (d[..., 0], d[..., 1:])
-    return scale_sq * dt * dt, np.vecdot(dx, dx, axis=axis)
+    dx2 = d[1] * d[1]
+    for dk in d[2:]:
+        dx2 += dk * dk
+    return scale_sq * d[0] * d[0], dx2
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _interval(e1, e2, scale_sq: float, combine):
+    """combine(scale_sq dt^2, |dx|^2) between events, or FloatingPointError if not finite."""
+    e1, e2 = _event_pair(e1, e2)
+    interval = combine(*_interval_parts((e2 - e1).T, scale_sq))
+    # one pair gives a numpy scalar, which math tests far faster than numpy
+    if not (math.isfinite(interval) if interval.ndim == 0 else np.isfinite(interval).all()):
+        raise FloatingPointError("interval between the events is not finite")
+    return interval
 
 
 def minkowski_interval(e1, e2, light_speed: float):
     """Minkowski interval c^2 dt^2 - |dx|^2 between events, broadcast over rows."""
     if not light_speed > 0.0:
         raise ValueError(f"light_speed must be positive, got {light_speed}")
-    time_part, dx2 = _interval_parts(*_event_pair(e1, e2), light_speed ** 2)
-    return time_part - dx2
+    return _interval(e1, e2, light_speed ** 2, np.subtract)
 
 
 def euclidean_interval(e1, e2, u: float):
     """Euclidean-signature interval u^2 dt^2 + |dx|^2 between events, broadcast over rows."""
     if not u > 0.0:
         raise ValueError(f"the velocity scale u must be positive, got {u}")
-    time_part, dx2 = _interval_parts(*_event_pair(e1, e2), u * u)
-    return time_part + dx2
+    return _interval(e1, e2, u * u, np.add)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -216,10 +227,10 @@ def interval_residual(boost, before, after):
     pairs is compared with all later rows at once, so memory stays linear in
     the number of events; the block's pairs on or below its diagonal are
     self-pairs or exact mirrors and cannot move the maximum.  Blocks are cut
-    from (1+d, n) component-first copies, so dt is a contiguous plane and
-    np.vecdot over axis 0 keeps the bits of dx @ dx; the change reuses the
-    block's arrays.  A non-finite interval makes its ratio inf or nan and
-    raises FloatingPointError.
+    from (1+d, n) component-first copies, so dt and each dx_k are contiguous
+    planes and |dx|^2 is one in-place multiply-add per plane; the change
+    reuses the block's arrays.  A non-finite interval makes its ratio inf or
+    nan and raises FloatingPointError.
     """
     if isinstance(boost, LorentzBoost):
         scale_sq, minkowski = boost.light_speed ** 2, True
@@ -236,7 +247,7 @@ def interval_residual(boost, before, after):
     columns = before.T.copy(), after.T.copy()
     for i in range(0, len(before) - 1, rows):
         (time_part, dx2), (mapped_time, mapped_dx2) = (
-            _interval_parts(c[:, i:i + rows, None], c[:, None, i + 1:], scale_sq, axis=0)
+            _interval_parts(c[:, None, i + 1:] - c[:, i:i + rows, None], scale_sq)
             for c in columns)
         scale = time_part + dx2
         interval = np.subtract(time_part, dx2, out=time_part) if minkowski else scale
@@ -267,7 +278,10 @@ def covariance_residual(kind: Hamiltonian, boost: GalileanBoost,
     traj = integrate(kind, initial, t_end, dt)
     mapped = galilean_apply(boost, np.column_stack((traj.times, traj.positions)))
     t_new, x_new = mapped[:, 0], mapped[:, 1]
-    slope, intercept = np.polyfit(t_new, x_new, 1)
+    t_mean, x_mean = np.mean(t_new), np.mean(x_new)
+    centred = t_new - t_mean
+    slope = np.sum(centred * (x_new - x_mean)) / np.sum(centred * centred)
+    intercept = x_mean - slope * t_mean
     deviation = float(np.max(np.abs(x_new - (slope * t_new + intercept))))
     v0 = float(hamilton_rhs(kind, initial)[0][0])
     return deviation + abs(slope - velocity_compose(v0, boost))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .algebra import DeformationParameters, DomainError, PhaseState
+from .algebra import DeformationParameters, DomainError, PhaseState, _dot, _square
 from .dynamics import (
     Hamiltonian,
     Potential,
@@ -36,10 +36,6 @@ ALL_LAGRANGIANS = frozenset({L_FIRST_ORDER_1D, L_SQRT_1D, L_FIRST_ORDER_3D, L_RE
 
 # Beyond this the first-order momentum formula is an extrapolation.
 SMALL_DEFORMATION_BOUND = 0.1
-
-# Float sums of squares up to this leave numpy's v.dot(v) finite, so it cannot warn.
-_SQUARES_CAP = sys.float_info.max / 2.0
-
 
 @dataclass(frozen=True)
 class Lagrangian:
@@ -233,11 +229,10 @@ def momentum_from_velocity_exact(xdot, kind: Hamiltonian):
     if kind.dim == 1:
         s = abs(v)
     else:
-        v1, v2, v3 = v.tolist()
-        # numpy warns where v.dot(v) overflows; float squares do not, so they decide
-        sq = v.dot(v) if v1 * v1 + v2 * v2 + v3 * v3 <= _SQUARES_CAP else math.inf
+        vs = v.tolist()
+        sq = _square(vs)
         # outside the normal range |v|^2 has lost digits or overflowed; hypot scales first
-        s = math.sqrt(sq) if sys.float_info.min <= sq < math.inf else math.hypot(v1, v2, v3)
+        s = math.sqrt(sq) if sys.float_info.min <= sq < math.inf else math.hypot(*vs)
     if s == 0.0:
         return 0.0 * v
     return _solve_radial(kind, s) * (v / s)
@@ -272,7 +267,8 @@ def _pairing(hkind: Hamiltonian, x, xdot):
     v = components(hkind, xdot)
     p = momentum_from_velocity_exact(v, hkind)
     state = PhaseState(components(hkind, x), p)
-    return float(np.dot(v, p)), hamiltonian_value(hkind, state)
+    vp = v * p if hkind.dim == 1 else _dot(v.tolist(), p.tolist())
+    return vp, hamiltonian_value(hkind, state)
 
 
 def lagrangian_from_hamiltonian(hkind: Hamiltonian):

@@ -158,7 +158,7 @@ def test_criterion_4_bracket_verification():
         state = PhaseState.of(rng.uniform(-2, 2, size=3),
                               rng.uniform(-1.5, 1.5, size=3))
         P = momentum_map_3d(state.p, params)
-        root = math.sqrt(1.0 + params.beta * float(P @ P))
+        root = math.sqrt(1.0 + params.beta * float(P[0] * P[0] + P[1] * P[1] + P[2] * P[2]))
         for i in range(3):
             for j in range(3):
                 got = numerical_bracket(coords[i], momenta[j], state)
@@ -248,7 +248,11 @@ def test_criterion_7_covariance():
     mapped = galilean_apply(exact_boost,
                             np.column_stack((traj.times, traj.positions)))
     t_new, x_new = mapped[:, 0], mapped[:, 1]
-    slope, intercept = np.polyfit(t_new, x_new, 1)
+    # the least-squares line from centred sums, no LAPACK solve
+    t_mean, x_mean = np.mean(t_new), np.mean(x_new)
+    centred = t_new - t_mean
+    slope = np.sum(centred * (x_new - x_mean)) / np.sum(centred * centred)
+    intercept = x_mean - slope * t_mean
     linearity = float(np.max(np.abs(x_new - (slope * t_new + intercept))))
     v0 = float(hamilton_rhs(kind, initial)[0][0])
     slope_gap = abs(slope - velocity_compose(v0, exact_boost))
@@ -308,7 +312,7 @@ def test_criterion_9_lorentz_invariance():
         # near-null pairs make |before| itself vanish; measure against the
         # positive-definite coordinate scale instead
         dt = e2[0] - e1[0]
-        dx = float((e2[1:] - e1[1:]) @ (e2[1:] - e1[1:]))
+        dx = float((e2[1] - e1[1]) * (e2[1] - e1[1]))
         scale = max(c_eff * c_eff * dt * dt + dx, 1e-30)
         worst = max(worst, abs(after - before) / scale)
 

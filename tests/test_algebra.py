@@ -33,6 +33,12 @@ def params_of(beta, mass=1.0):
     return DeformationParameters(beta=beta, mass=mass)
 
 
+def _left_to_right_square(p):
+    """|p|^2 of a 3-vector summed in axis order on floats, with no BLAS kernel involved."""
+    p1, p2, p3 = p.tolist()
+    return p1 * p1 + p2 * p2 + p3 * p3
+
+
 class TestDeformationParameters:
     def test_gamma_is_sqrt_beta_times_mass(self):
         params = params_of(0.04, mass=3.0)
@@ -149,6 +155,11 @@ class TestMomentumMap3d:
         with pytest.raises(DomainError):
             momentum_map_3d(np.array([0.0, 3.0, 0.0]), params_of(0.25))
 
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_other_sizes_rejected(self, size):
+        with pytest.raises(ValueError, match=f"^p must have 3 components, got {size}$"):
+            momentum_map_3d(np.full(size, 0.5), params_of(0.01))
+
 
 class TestClosedFormBrackets:
     def test_undeformed_point(self):
@@ -227,7 +238,7 @@ class TestNumericalBracket:
         momenta = [momentum_function_3d(params, axis) for axis in (1, 2, 3)]
         coords = [coordinate_function(axis) for axis in (1, 2, 3)]
         big_p = np.array([momenta[j](state) for j in range(3)])
-        root = math.sqrt(1.0 + params.beta * float(big_p @ big_p))
+        root = math.sqrt(1.0 + params.beta * _left_to_right_square(big_p))
         for i in range(3):
             for j in range(3):
                 target = root * ((i == j) + params.beta * big_p[i] * big_p[j])
@@ -337,7 +348,7 @@ class TestSharedGradients:
         states = []
         for _ in range(4):
             p = rng.uniform(-1.0, 1.0, size=3)
-            p *= math.sqrt(rng.uniform(0.1, 0.9) / 0.01) / np.linalg.norm(p)
+            p *= math.sqrt(rng.uniform(0.1, 0.9) / 0.01) / math.sqrt(_left_to_right_square(p))
             states.append(PhaseState.of(rng.uniform(-2.0, 2.0, size=3), p))
         return states
 
@@ -393,7 +404,7 @@ def _pin_states(dim):
             states.append(PhaseState.of(rng.uniform(-2.0, 2.0), rng.uniform(-8.0, 8.0)))
         else:
             p = rng.uniform(-1.0, 1.0, size=3)
-            p *= 0.7 / _PIN_PARAMS.sqrt_beta / np.linalg.norm(p)
+            p *= 0.7 / _PIN_PARAMS.sqrt_beta / math.sqrt(_left_to_right_square(p))
             states.append(PhaseState.of(rng.uniform(-2.0, 2.0, size=3), p))
     return states
 
@@ -447,25 +458,26 @@ def _nested_jacobi(f, g, h, state):
 
 
 # float.hex of each value per state of _pin_states, recorded from the
-# bracket engine that built every probe state per function.
+# bracket engine that built every probe state per function, with each 3D
+# state's |p|^2 summed left to right on floats.
 _PINNED_BRACKETS = {
     "1d X,P": ["0x1.c0d709cdbf0e5p+0", "0x1.51485492e35d7p+0", "0x1.362b125a0e1bbp+0"],
     "1d P,X": ["-0x1.c0d709cdbf0e5p+0", "-0x1.51485492e35d7p+0", "-0x1.362b125a0e1bbp+0"],
     "1d XP,P": ["0x1.e6f1fbbc8da75p+3", "-0x1.db214c8f7141fp+2", "-0x1.64b064c0041d6p+2"],
     "1d X,XP": ["-0x1.bf5c1b79ee521p+0", "-0x1.a325b18411a57p+0", "-0x1.747a0b09e2c15p-1"],
-    "3d X1,P1": ["0x1.223716e3b0f67p+1", "0x1.18ca84ebaa382p+1", "0x1.bb5741238507ap+0"],
-    "3d X2,P3": ["-0x1.c8f35c125421dp-3", "-0x1.4f6a8cde0aaf7p-4", "-0x1.7814e3a9c7ddfp-2"],
+    "3d X1,P1": ["0x1.223716e3b0f67p+1", "0x1.18ca84ebb1b84p+1", "0x1.bb5741238507ap+0"],
+    "3d X2,P3": ["-0x1.c8f35c125421dp-3", "-0x1.4f6a8cdde64e3p-4", "-0x1.7814e3a9c7ddfp-2"],
     "3d X1,X3": ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"],
     "3d P1,P2": ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"],
-    "3d X1P2,X3": ["0x1.491cee1cb7773p-2", "0x1.84dcc8ed37b3fp-6", "0x1.59c17e9fcb9dbp-7"],
-    "3d X3P3,P1": ["0x1.47a73b275af76p+1", "0x1.7f3307a6f8a3ep-4", "0x1.8868d35c30eafp-1"],
+    "3d X1P2,X3": ["0x1.491cee1cb7773p-2", "0x1.84dcc8f74c057p-6", "0x1.59c17e9fcb9dbp-7"],
+    "3d X3P3,P1": ["0x1.47a73b275af76p+1", "0x1.7f3307aba5c6bp-4", "0x1.8868d35c30eafp-1"],
 }
 
 _PINNED_JACOBI = {
     "1d X,P,XP": ["0x1.f585fce000000p-23", "0x1.c456ccc000000p-27", "0x1.9f65645000000p-25"],
     "1d P,XP,X": ["0x1.f585fce000000p-23", "0x1.c456cd0000000p-27", "0x1.9f65646000000p-25"],
-    "3d X1,P2,X3P1": ["0x1.7e69f38000000p-27", "0x1.b6252f4d80000p-22", "0x1.707f621d00000p-22"],
-    "3d X2,P2,X2P3": ["0x1.12601c0000000p-29", "0x1.737be9c000000p-27", "0x1.fdf0488000000p-24"],
+    "3d X1,P2,X3P1": ["0x1.7e69f38000000p-27", "0x1.d0f7c81c80000p-22", "0x1.707f621d00000p-22"],
+    "3d X2,P2,X2P3": ["0x1.12601c0000000p-29", "0x1.7363e06000000p-27", "0x1.fdedf98000000p-24"],
     "3d P1,P3,X1P1": ["0x1.676f4cba00000p-41", "0x1.158467c100000p-42", "0x0.0p+0"],
 }
 
@@ -494,16 +506,16 @@ class TestBracketPinned:
 # components, then bracket_xp_3d at those components for (i, j) in row order.
 _PINNED_MOMENTA_3D = [
     ["0x1.f79a74d85bbf4p+2", "-0x1.a72649eb3d8d1p+1", "0x1.3479b005d3b23p+2"],
-    ["0x1.e1bf245220369p+2", "0x1.8d449ba5ecc22p+2", "-0x1.e25d5ea3f871dp-1"],
+    ["0x1.e1bf245220365p+2", "0x1.8d449ba5ecc1ep+2", "-0x1.e25d5ea3f8719p-1"],
     ["0x1.376804c58cc66p+2", "0x1.f47ce918bb1c7p+2", "-0x1.ad4d79337447fp+1"],
 ]
 _PINNED_CLOSED_BRACKETS_3D = [
     ["0x1.223716e38c641p+1", "-0x1.74ffb121452bap-2", "0x1.0fea5f18567d7p-1",
      "-0x1.74ffb121452bap-2", "0x1.8da5df679a8a6p+0", "-0x1.c8f35c126d214p-3",
      "0x1.0fea5f18567d7p-1", "-0x1.c8f35c126d214p-3", "0x1.b9c032353a71fp+0"],
-    ["0x1.18ca84eb76305p+1", "0x1.4efc86781ea2bp-1", "-0x1.96bdfcc5a40e4p-4",
-     "0x1.4efc86781ea2bp-1", "0x1.f097ecf5c53a2p+0", "-0x1.4f6a8cddbb584p-4",
-     "-0x1.96bdfcc5a40e3p-4", "-0x1.4f6a8cddbb584p-4", "0x1.69a748973c29bp+0"],
+    ["0x1.18ca84eb76302p+1", "0x1.4efc86781ea23p-1", "-0x1.96bdfcc5a40d9p-4",
+     "0x1.4efc86781ea23p-1", "0x1.f097ecf5c539cp+0", "-0x1.4f6a8cddbb57cp-4",
+     "-0x1.96bdfcc5a40dbp-4", "-0x1.4f6a8cddbb57dp-4", "0x1.69a748973c299p+0"],
     ["0x1.bb5741237c85ap+0", "0x1.10cd0e7677f83p-1", "-0x1.d4000312b697ap-3",
      "0x1.10cd0e7677f83p-1", "0x1.20d8aa59f97bcp+1", "-0x1.7814e3a93dcd8p-2",
      "-0x1.d4000312b697ap-3", "-0x1.7814e3a93dcd8p-2", "0x1.8ecba98c7e476p+0"],

@@ -1,6 +1,6 @@
 """The package imports only the standard library and its declared dependencies,
-and forks, leaves, kills and reaps its child processes and shares their work in
-one module."""
+forks, leaves, kills and reaps its child processes and shares their work in one
+module, and hands no reduction to BLAS or LAPACK."""
 
 import ast
 import os
@@ -56,6 +56,28 @@ def _os_names(path: Path) -> set:
     return names
 
 
+# numpy names that hand a reduction to BLAS or LAPACK, whose kernel, and so
+# whose bits, the CPU picks; gupmech sums on floats in a fixed order instead
+BLAS_NAMES = {"dot", "vecdot", "matmul", "einsum", "inner", "tensordot", "polyfit", "linalg"}
+
+
+def _blas_uses(source: str) -> list:
+    """(line, name) of every @ operator and every call or attribute named in BLAS_NAMES."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in BLAS_NAMES:
+            found.append((node.lineno, node.func.id))
+        elif isinstance(node, ast.ImportFrom):
+            found.extend((node.lineno, alias.name) for alias in node.names
+                         if alias.name in BLAS_NAMES or "linalg" in (node.module or ""))
+    return sorted(found)
+
+
 def test_sources_found():
     assert SOURCES, "no package sources found"
 
@@ -85,3 +107,21 @@ def test_only_the_child_module_forks(path):
     named = _os_names(path) & PROCESS_STEPS
     assert named == (PROCESS_STEPS if path.stem == "_child" else set()), \
         f"{path.name} names {sorted(named)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_no_reduction_goes_through_blas(path):
+    assert _blas_uses(path.read_text(encoding="utf-8")) == [], path.name
+
+
+@pytest.mark.parametrize("source, found", [
+    ("bp2 = beta * float(p.dot(p))", [(1, "dot")]),
+    ("s = np.vecdot(dx, dx, axis=0)", [(1, "vecdot")]),
+    ("a = u @ v\nb @= v", [(1, "@"), (2, "@")]),
+    ("n = np.linalg.norm(v)", [(1, "linalg")]),
+    ("from numpy import dot\nx = dot(u, v)", [(1, "dot"), (2, "dot")]),
+    ("from numpy.linalg import norm", [(1, "norm")]),
+    ("@np.errstate(over='ignore')\ndef f(a, b):\n    return a * b", []),
+])
+def test_the_blas_guard_sees_each_form(source, found):
+    assert _blas_uses(source) == found

@@ -708,7 +708,7 @@ class TestTrajectory:
 _PINNED_RHS = [
     ["0x1.35e6336fd6d2ap+2", "-0x1.d5fdc895d7623p-2", "-0x1.3e4d7b4c9528cp+8", "0x1.cddc69af5b007p-1"],
     ["0x1.086971ce65258p+9", "-0x1.a423eb6600090p-4", "-0x1.994f26883f708p-1", "-0x1.07b57fc3dfde3p-2"],
-    ["0x1.bdedb23a62c0bp+5", "-0x1.daaa3d65b322ep+5", "-0x1.1cbb91734407ep+4",
+    ["0x1.bdedb23a62c06p+5", "-0x1.daaa3d65b3229p+5", "-0x1.1cbb91734407bp+4",
      "0x1.b8b977891daf0p-2", "0x1.43197cd9a10cbp-3", "-0x1.c4aaa3a4a0b91p-1",
      "-0x1.66ec723172331p+4", "0x1.0e84ae2df0326p+5", "0x1.80dc963d53e07p+1",
      "-0x1.e2bfaf00e3989p-1", "0x1.9c4e193c5c22ap-1", "-0x1.291d970295d4bp+0"],
@@ -723,7 +723,7 @@ _PINNED_RHS = [
 _PINNED_RHS_FD = [
     ["0x1.35e6336fdaae3p+2", "-0x1.d5fdc893f8669p-2", "-0x1.3e4d7b52d4bcap+8", "0x1.cddc69c7201cap-1"],
     ["0x1.086971ce9396cp+9", "-0x1.a423ea9fd8d85p-4", "-0x1.994f26883b425p-1", "-0x1.07b57fc3d4131p-2"],
-    ["0x1.bdedb23ac8425p+5", "-0x1.daaa3d6632654p+5", "-0x1.1cbb9172bcab1p+4",
+    ["0x1.bdedb23abd51ep+5", "-0x1.daaa3d663cac4p+5", "-0x1.1cbb91730132cp+4",
      "0x1.b8b977a6ecd53p-2", "0x1.43197cb7dec34p-3", "-0x1.c4aaa3a5d20b6p-1",
      "-0x1.66ec723162fe7p+4", "0x1.0e84ae2e16119p+5", "0x1.80dc963a972c5p+1",
      "-0x1.e2bfaf0b3edd4p-1", "0x1.9c4e193f80ce6p-1", "-0x1.291d96fecc788p+0"],

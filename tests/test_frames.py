@@ -301,6 +301,27 @@ class TestFloatRange:
                            match=r"^boosted event on CSV row 4 is not finite$"):
             apply(boost, events)
 
+    @pytest.mark.parametrize("interval", [euclidean_interval, minkowski_interval])
+    @pytest.mark.parametrize("e1, e2", [
+        ([0.0, 0.0], [1e200, 0.0]),
+        ([0.0, 1e200], [0.0, -1e200]),
+        ([0.0, 1.7e308], [0.0, -1.7e308]),
+        ([0.0, 0.0, 0.0, 0.0], [-1e200, 0.0, 0.0, 0.0]),
+        ([0.0, 0.0, 1e200, 0.0], [0.0, 0.0, 0.0, -1e200]),
+        ([0.0, 1e200, 0.0, 0.0], [1e200, -1e200, 0.0, 0.0]),
+        ([0.0, 0.0], [[1.0, 2.0], [0.0, 1e200]]),
+    ], ids=["1d-time", "1d-space", "1d-difference", "3d-time", "3d-space", "3d-both",
+            "batch-row"])
+    def test_non_finite_interval_raises_without_a_warning(self, interval, e1, e2):
+        # RuntimeWarning is an error in this suite, so numpy must stay quiet
+        with pytest.raises(FloatingPointError,
+                           match=r"^interval between the events is not finite$"):
+            interval(e1, e2, 1.3)
+
+    def test_largest_finite_intervals_pass(self):
+        assert euclidean_interval([0.0, 0.0, 0.0, 0.0], [1e153, 1e153, 1e153, 1e153], 1.0) > 1e306
+        assert minkowski_interval([0.0, 0.0], [1e150, 1e150], 1.0) == 0.0
+
 
 class TestCovariance:
     def _exact_kind(self):
@@ -340,13 +361,20 @@ class TestCovariance:
                                 PhaseState.of(0.0, 1.0), 1.0, 0.01)
 
 
+def _left_to_right_square(dx):
+    """|dx|^2 of 1 or 3 floats added in axis order, the contract of every |v|^2 in gupmech."""
+    total = dx[0] * dx[0]
+    for c in dx[1:]:
+        total += c * c
+    return total
+
+
 def _pairwise_residual(scale, sign, before, after):
     """Reference: the change of scale^2 dt^2 + sign |dx|^2 over scale^2 dt^2 + |dx|^2,
     for every pair, one pair at a time."""
     def parts(e1, e2):
         dt = e2[0] - e1[0]
-        dx = e2[1:] - e1[1:]
-        return scale ** 2 * dt * dt, float(dx @ dx)
+        return scale ** 2 * dt * dt, _left_to_right_square((e2[1:] - e1[1:]).tolist())
 
     worst = 0.0
     for i in range(len(before)):
@@ -360,23 +388,30 @@ def _pairwise_residual(scale, sign, before, after):
 
 @pytest.mark.parametrize("dim", [1, 3])
 @pytest.mark.parametrize("boost", [GalileanBoost(0.6 * 1.3, 1.3), LorentzBoost(0.6 * 1.4, 1.4)])
-def test_squared_separation_sums_as_the_stacked_matmul(dim, boost):
-    # np.vecdot must keep every bit of the (1, d) @ (d, 1) form the residual pins came from
+def test_squared_separation_adds_the_component_squares_left_to_right(dim, boost):
+    # |dx|^2 is dx1^2 (+ dx2^2 + dx3^2) added in axis order on floats, whatever
+    # BLAS kernel the host has, in event rows and in the residual's slabs alike
     rng = np.random.default_rng(17 + dim)
     before = rng.uniform(-2.0, 2.0, (300, 1 + dim)) * 10.0 ** rng.uniform(-5.0, 5.0, (300, 1))
     apply = lorentz_apply if isinstance(boost, LorentzBoost) else galilean_apply
     for events in (before, apply(boost, before)):
-        e1, e2 = events[:60, None], events[None, 1:]
-        dx = (e2 - e1)[..., 1:]
-        stacked = (dx[..., None, :] @ dx[..., :, None])[..., 0, 0]
-        assert frames._interval_parts(e1, e2, 1.0)[1].tobytes() == stacked.tobytes()
-        # the residual's component-first (1+d, rows, m) differences sum the same bits
+        pairs = [(a.tolist(), b.tolist()) for a in events[:60] for b in events[1:]]
+        want = np.array([_left_to_right_square([q - p for p, q in zip(a[1:], b[1:])])
+                         for a, b in pairs]).reshape(60, 299)
+        want_time = np.array([1.7 * (b[0] - a[0]) * (b[0] - a[0]) for a, b in pairs])
+        # the residual's component-first (1+d, rows, m) differences
         columns = events.T.copy()
-        d = columns[:, None, 1:] - columns[:, :60, None]
-        assert np.vecdot(d[1:], d[1:], axis=0).tobytes() == stacked.tobytes()
-        parts = frames._interval_parts(columns[:, :60, None], columns[:, None, 1:], 1.0, axis=0)
-        assert parts[1].tobytes() == stacked.tobytes()
-        assert parts[0].tobytes() == frames._interval_parts(e1, e2, 1.0)[0].tobytes()
+        parts = frames._interval_parts(columns[:, None, 1:] - columns[:, :60, None], 1.7)
+        assert parts[1].tobytes() == want.tobytes()
+        assert parts[0].tobytes() == want_time.tobytes()
+        # event rows, turned component-first through .T
+        rows = frames._interval_parts((events[None, 1:] - events[:60, None]).T, 1.7)
+        assert rows[1].T.tobytes() == want.tobytes()
+        assert rows[0].T.tobytes() == want_time.tobytes()
+        if dim == 3:
+            # the order matters: the correctly rounded sum differs on some pairs
+            assert any(math.fsum((q - p) ** 2 for p, q in zip(a[1:], b[1:])) != w
+                       for (a, b), w in zip(pairs, want.ravel().tolist()))
 
 
 class TestIntervalResidual:
