@@ -1,7 +1,8 @@
-"""One child forked alongside this process: the fork rule, the process steps and the queue.
+"""Indexed work shared with one child forked alongside: the fork rule and the process steps.
 
-The check rows' child in `checks` and the long-table child in `csvio` both
-fork here, so each takes its work, leaves, sends back its value and is killed and reaped one way.
+The check rows in `checks` and the long-table blocks in `csvio` are both
+shared here, so each child takes its work, leaves, sends back its values
+and is killed and reaped one way.
 """
 
 import os
@@ -20,103 +21,104 @@ def runs_alongside() -> bool:
     return (os.cpu_count() or 1) > 1
 
 
-def fork(work, *args):
-    """A Child that runs work(*args) and sends back its value as one pickle.
+class Shared:
+    """Indices 0, 1, ... that this process and one child forked here both take from a pipe.
 
-    None, with nothing forked, if no pipe or process is to spare: the caller does the work.
+    Each index is a 4-byte read, which is atomic, so it is taken once, by
+    whichever process reads it first, and the work balances itself.  The
+    child runs work(index) on each index it takes and sends back
+    {index: value} as one pickle; this process runs its own in `finish`.
+    An index whose work raised is left out, as is one a full pipe never
+    held and each of a child that failed: the caller runs those itself.
+    With no pipe or process to spare nothing is forked and nothing taken.
     """
-    try:
-        back, out = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(back)
-        os.close(out)
-        return None
-    if pid == 0:
-        # os._exit on every path: no exception unwinds into the caller's
-        # code and no buffer inherited from this process is flushed twice
-        status = 1  # the child's exit status until its value is sent
+
+    def __init__(self, work, count=0):
+        """Queue the indices below count, then fork the child that runs work on those it takes."""
+        self._take = self._put = self._back = self._pid = None
+        self._queued = 0
         try:
-            with open(out, "wb") as stream:
-                pickle.dump(work(*args), stream)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(out)
-    return Child(pid, back)
+            self._take, self._put = os.pipe()
+            os.set_blocking(self._put, False)  # a full pipe refuses a write instead of waiting
+            self.put(count)
+            self._back, out = os.pipe()
+            try:
+                self._pid = os.fork()
+            finally:  # the value pipe's write end stays open in the child only
+                if self._pid != 0:
+                    os.close(out)
+        except OSError:  # no descriptor or process to spare
+            self.close()
+            return
+        if self._pid == 0:
+            # os._exit on every path: no exception unwinds into the caller's
+            # code and no buffer inherited from this process is flushed twice
+            status = 1  # the child's exit status until its values are sent
+            try:
+                with open(out, "wb") as stream:
+                    pickle.dump(self._run(work), stream)
+                status = 0
+            finally:
+                os._exit(status)
 
-
-class Child:
-    """A forked child and the read end of the pipe that brings back its value."""
-
-    def __init__(self, pid, back):
-        self._pid, self._back = pid, back
-
-    def join(self):
-        """Wait for the child to leave: its exit status, and its value if that is 0, else None."""
-        with open(self._back, "rb", closefd=False) as stream:  # still open if interrupted
-            delivered = stream.read()  # to end of file: the child has left
-        os.close(self._back)
-        pid, self._pid = self._pid, None
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        return status, pickle.loads(delivered) if status == 0 else None
-
-    def close(self) -> None:
-        """Kill and reap the child unless it was joined."""
-        if self._pid is not None:
-            import signal  # here, not at start-up, where it would cost about 1 ms
-            os.kill(self._pid, signal.SIGKILL)
-            self.join()
-
-
-class Queue:
-    """A pipe of 4-byte indices that this process and a child forked later both take from.
-
-    A read of one index is atomic, so each index is taken once, by whichever
-    process reads it first.  Making one raises OSError if no descriptor is to spare.
-    """
-
-    def __init__(self):
-        self._take, self._put = os.pipe()
-        os.set_blocking(self._put, False)  # a full pipe refuses a write instead of waiting
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
-    def put(self, indices) -> int:
-        """Queue the leading indices that the pipe has room for; how many that was."""
-        data = b"".join(i.to_bytes(4, "little") for i in indices)
+    def put(self, count) -> int:
+        """Queue the indices below count not yet queued, as the pipe has room; how many went."""
+        if self._put is None:
+            return 0
+        data = b"".join(i.to_bytes(4, "little") for i in range(self._queued, count))
         written = 0
         try:  # 512 bytes, POSIX's least PIPE_BUF, are written whole or refused
             while written < len(data):
                 written += os.write(self._put, data[written:written + 512])
         except BlockingIOError:  # the pipe is full
             pass
+        self._queued += written // 4
         return written // 4
 
-    def take(self):
-        """The indices this process takes, one at a time, until the queue is empty.
+    def finish(self, work_here):
+        """(mine, theirs): {index: value} of what work_here did here, then of what the child did.
 
-        It ends the queue here first, so the end of file comes once every
-        process that takes has ended it and none puts any more.
+        This process takes indices until none is left, then joins the child
+        and closes the pipes; theirs is {} if the child failed, and both are
+        {} if nothing forked.
         """
-        self._end()
-        while got := os.read(self._take, 4):
-            yield int.from_bytes(got, "little")
+        try:
+            return ({}, {}) if self._pid is None else (self._run(work_here), self._join())
+        finally:  # after an interrupt, kill and reap the child too
+            self.close()
 
-    def _end(self) -> None:
-        """Put no more indices from this process."""
-        if self._put is not None:
-            os.close(self._put)
-            self._put = None
+    def _run(self, work):
+        """{index: work(index)} of the indices this process takes, but those whose work raised.
+
+        It puts no more indices first, so the end of file comes once both
+        processes have stopped putting and every index is taken.
+        """
+        os.close(self._put)
+        self._put = None
+        done = {}
+        while got := os.read(self._take, 4):
+            index = int.from_bytes(got, "little")
+            try:
+                done[index] = work(index)
+            except Exception:  # left out, so the caller runs it again
+                pass
+        return done
+
+    def _join(self):
+        """The child's {index: value} once it has left; {} if it failed."""
+        with open(self._back, "rb", closefd=False) as stream:  # closed by `close`
+            delivered = stream.read()  # to end of file: the child has left
+        pid, self._pid = self._pid, None
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        return pickle.loads(delivered) if status == 0 else {}
 
     def close(self) -> None:
-        """End the queue and close its pipe, once."""
-        self._end()
-        os.close(self._take)
+        """Kill and reap the child unless it was joined, then close the pipes, once."""
+        if self._pid is not None:
+            import signal  # here, not at start-up, where it would cost about 1 ms
+            os.kill(self._pid, signal.SIGKILL)
+            self._join()
+        for end in (self._take, self._put, self._back):
+            if end is not None:
+                os.close(end)
+        self._take = self._put = self._back = None

@@ -87,11 +87,13 @@ def _check_bracket_3d(rng) -> CheckBody:
         scale_sq = max(1.0, float(np.max(np.abs(state.p)))) ** 2
         big_p = np.array([fns[3 + j](state) for j in range(3)])
         root = math.sqrt(1.0 + params.beta * _square(big_p.tolist()))
-        grads = _gradients(fns, state)
+        coarse, fine = _gradients(fns, state), _gradients(fns, state, BRACKET_STEP / 2)
         for i in range(3):
             for j in range(3):
                 target = bracket_xp_3d(big_p, i + 1, j + 1, params)
-                got = _contract(grads[i], grads[3 + j])
+                # Richardson: the h^2 truncation terms of steps h and h/2 cancel
+                got = (4.0 * _contract(fine[i], fine[3 + j])
+                       - _contract(coarse[i], coarse[3 + j])) / 3.0
                 worst = _worst(worst, _rel(got - target, root) / scale_sq)
     return worst, _FD_TOL, "mapped {X_i,P_j} componentwise, 40 states, step-scaled"
 
@@ -691,42 +693,19 @@ def _row(seed, name, fn) -> Tuple[float, float, str]:
     return float(measured), float(tolerance), detail
 
 
-def _run_queued(rows, seed, queue):
-    """{index: row} of the rows whose indices this process takes from queue."""
-    done = {}
-    for index in queue.take():
-        try:
-            done[index] = _row(seed, *rows[index])
-        except Exception:  # left out, so run_suite runs it again in suite order
-            pass
-    return done
-
-
-def _run_with_child(rows, seed):
+def _run_shared(rows, seed):
     """{index: row} of the rows run here and by a child forked here; {} if none was.
 
-    The rows' indices go into a `_child.Queue` before the fork, and both
-    processes take one at a time until it is empty, so each row runs once
-    and the work balances itself.  `_child` forks the child, brings back its
-    rows, and kills and reaps it.
+    Every row index is queued before the fork, and both processes take one
+    at a time until none is left (`_child.Shared`), so each row runs once and
+    the work balances itself.  A row that raised or was never delivered is left out.
     """
-    try:
-        queue = _child.Queue()
-    except OSError:  # no descriptor to spare
-        return {}
-    with queue:
-        queue.put(range(len(rows)))  # rows past a full pipe run in run_suite
-        import numpy.random  # noqa: F401  the rows' generator, loaded once for both processes
-        child = _child.fork(_run_queued, rows, seed, queue)
-        if child is None:  # no descriptor or process to spare
-            return {}
-        try:
-            done = _run_queued(rows, seed, queue)
-            delivered = child.join()[1]  # None if the child failed: its rows run again here
-        finally:  # after an interrupt, kill and reap the child too
-            child.close()
-    done.update(delivered or {})
-    return done
+    def run(index):
+        return _row(seed, *rows[index])
+
+    import numpy.random  # noqa: F401  the rows' generator, loaded once for both processes
+    mine, theirs = _child.Shared(run, len(rows)).finish(run)
+    return {**mine, **theirs}
 
 
 def run_suite(suite: str, seed: int = DEFAULT_SEED,
@@ -734,14 +713,14 @@ def run_suite(suite: str, seed: int = DEFAULT_SEED,
     """Run one named suite (or all of them) and return the verdict rows.
 
     Failures are results, not exceptions; the caller owns exit codes.  Rows
-    may run in two processes (`_run_with_child`), with the same results as
+    may run in two processes (`_run_shared`), with the same results as
     in one; a row that raised or was never delivered runs again here.
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
     names = list(_SUITES) if suite == "all" else [suite]
     rows = [row for block in names for row in _SUITES[block]]
-    done = _run_with_child(rows, seed) if len(rows) > 1 and _child.runs_alongside() else {}
+    done = _run_shared(rows, seed) if len(rows) > 1 and _child.runs_alongside() else {}
     results = []
     for index, (name, fn) in enumerate(rows):
         measured, tolerance, detail = done[index] if index in done else _row(seed, name, fn)

@@ -82,11 +82,17 @@ def _scenario(path):
     return config, {"scenario": render_config(config), "units": _units_mode(config.units)}
 
 
-def _distinct(report_path, outputs):
-    """ConfigError if output.report resolves to a file of outputs, a {setting: path} dict."""
-    for key, other in outputs.items():
-        if report_path and os.path.realpath(report_path) == os.path.realpath(other):
+def _distinct(args, report_path, files):
+    """ConfigError if an output names --config, or output.report names another file of the run.
+
+    files is a {setting: path} dict of the run's other files; each output.* setting is written.
+    """
+    same = os.path.realpath
+    for key, other in {"--config": args.config, **files}.items():
+        if report_path and same(report_path) == same(other):
             raise ConfigError(f"output.report and {key} both name {other}")
+        if key.startswith("output.") and same(other) == same(args.config):
+            raise ConfigError(f"{key} and --config both name {other}")
 
 
 def _cmd_simulate(args):
@@ -96,7 +102,7 @@ def _cmd_simulate(args):
     kind = config.build_hamiltonian()
     initial = config.build_initial_state()
     out_path = config.trajectory_path or "trajectory.csv"
-    _distinct(config.report_path, {"output.trajectory": out_path})
+    _distinct(args, config.report_path, {"output.trajectory": out_path})
     # a long trajectory's finished rows are formatted by a forked child while RK4 steps on
     with csvio.TableWriter() as writer:
         trajectory = dynamics.integrate(kind, initial, config.t_end, config.dt, writer.trajectory)
@@ -122,7 +128,7 @@ def _cmd_transform(args):
     if boost is None:
         raise ConfigError("transform needs a boost.velocity entry")
     out_path = config.events_path or "events_transformed.csv"
-    _distinct(config.report_path, {"output.events": out_path, "--events": args.events})
+    _distinct(args, config.report_path, {"output.events": out_path, "--events": args.events})
     events = csvio.read_events(args.events)
     if isinstance(boost, frames.LorentzBoost):
         mapped = frames.lorentz_apply(boost, events)

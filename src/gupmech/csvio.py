@@ -66,32 +66,30 @@ class TableWriter:
     """Formats the rows of one table, with a forked child when the table is long.
 
     Formatting is repr-bound and holds the GIL.  So when a table has more
-    than _SPLIT_ROWS rows, a child is forked over its columns, and each whole
-    _BLOCK_ROWS-row block goes into a `_child.Queue` once its rows are final:
-    a finished table's blocks at once, a trajectory's one by one as
-    `dynamics.integrate` fills the arrays of `trajectory`.  The child takes
-    blocks and formats them into an unnamed temporary file.  Once every row
-    is final, `write` takes the blocks left into a second one, and formats
-    there each block neither process took: the last part block, one a full
-    pipe never held, and each of a child that failed.  Only then is the
-    output file opened; it gets the header and every block in order, the
-    bytes of a write in one process.  `_child` forks the child, brings back
-    where its blocks are, and kills it if the `with` block is left before that.
+    than _SPLIT_ROWS rows, its _BLOCK_ROWS-row blocks are shared with a
+    child (`_child.Shared`) forked over its columns, and each whole block is
+    queued once its rows are final: a finished table's blocks at once, a
+    trajectory's one by one as `dynamics.integrate` fills the arrays of
+    `trajectory`.  The child takes blocks and formats them into an unnamed
+    temporary file.  Once every row is final, `write` takes the blocks left
+    into a second one, and formats there each block neither process took:
+    the last part block, one a full pipe never held, one whose formatting
+    raised and each of a child that failed.  Only then is the output file
+    opened; it gets the header and every block in order, the bytes of a
+    write in one process.
     """
 
     def __init__(self):
         self.columns = ()
         self._line = ""  # the %r-format of one row
-        self._child = None
-        self._queue = None
+        self._shared = None
         self._front = self._back = None  # the child's unnamed file, and this process's
-        self._told = 0  # blocks queued
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
-        for held in (self._queue, self._child, self._front, self._back):
+        for held in (self._shared, self._front, self._back):
             if held is not None:
                 held.close()
 
@@ -127,23 +125,23 @@ class TableWriter:
 
     def ready(self, rows) -> None:
         """Queue each whole block of the first `rows` rows, which are final."""
-        if self._child is not None:
-            self._told += self._queue.put(range(self._told, rows // _BLOCK_ROWS))
+        if self._shared is not None:
+            self._shared.put(rows // _BLOCK_ROWS)
 
     def write(self, path, header) -> None:
         """Write the header and every row, all of them now final, to path."""
         head = (",".join(header) + "\n").encode()
         rows = len(self.columns[0])
-        if self._child is None:
+        if self._shared is None:
             with open(path, "wb") as handle:
                 handle.write(head)
                 _write_rows(handle, self._line, self.columns, 0, rows)
             return
         self.ready(rows)
         back = self._back
-        spans = {k: (back, span) for k, span in self._take_blocks(back).items()}
-        delivered = self._child.join()[1] or {}  # {} if the child failed
-        spans.update((k, (self._front, span)) for k, span in delivered.items())
+        mine, theirs = self._shared.finish(lambda k: self._format_block(back, k))
+        spans = {k: (back, span) for k, span in mine.items()}
+        spans.update((k, (self._front, span)) for k, span in theirs.items())
         for k in range(-(-rows // _BLOCK_ROWS)):
             if k not in spans:
                 spans[k] = (back, self._format_block(back, k))
@@ -155,7 +153,7 @@ class TableWriter:
                 handle.write(source.read(stop - start))
 
     def _start(self, columns, fork):
-        """Fork the child over columns if fork, unless a descriptor or the fork fails."""
+        """Take columns; if fork, share their blocks with a forked child, descriptors allowing."""
         self.columns = columns
         self._line = ",".join(["%r"] * sum(c.shape[1] if c.ndim > 1 else 1
                                            for c in columns)) + "\n"
@@ -164,23 +162,17 @@ class TableWriter:
         try:  # each is closed on leaving the `with` block
             self._front = tempfile.TemporaryFile()
             self._back = tempfile.TemporaryFile()
-            self._queue = _child.Queue()
         except OSError:  # no descriptor to spare: write every row here
             return
-        self._child = _child.fork(self._take_blocks, self._front)
-
-    def _take_blocks(self, handle):
-        """{block: (start, stop)}: the blocks this process takes, and where in handle it formats each."""
-        spans = {k: self._format_block(handle, k) for k in self._queue.take()}
-        handle.flush()
-        return spans
+        self._shared = _child.Shared(lambda k: self._format_block(self._front, k))
 
     def _format_block(self, handle, block):
-        """(start, stop): where in handle the block's rows were formatted."""
+        """(start, stop): where in handle the block's rows were formatted, and flushed."""
         start = handle.tell()
         lo = block * _BLOCK_ROWS
         _write_rows(handle, self._line, self.columns, lo,
                     min(lo + _BLOCK_ROWS, len(self.columns[0])))
+        handle.flush()  # the child leaves by os._exit, which flushes nothing
         return start, handle.tell()
 
 
@@ -220,9 +212,12 @@ def _read_table(path, header):
     """(dim, parsed data rows) of a CSV headed by header(1) or header(3)."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
+            reader = csv.reader(handle)
+            rows = list(reader)
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: not UTF-8 text (byte {err.start}: {err.reason})") from None
+    except csv.Error as err:  # a cell past the reader's field size limit, say
+        raise CsvFormatError(str(err), reader.line_num, path) from None
     if not rows:
         raise CsvFormatError("empty file", 1, path)
     for dim in (1, 3):

@@ -289,6 +289,15 @@ class TestTransform:
         assert err == f"gupmech: error: {events}: row 2: not {number}: {cell!r}\n"
 
 
+    def test_a_cell_past_the_field_limit(self, tmp_path, capsys):
+        cfg = write(tmp_path, "boost.cfg", BOOST_EXACT)
+        events = write(tmp_path, "events.csv", "t,x1\n0.0," + "1" * 200_000 + "\n")
+        code, out, err = run_cli(capsys, "transform", "--config", cfg, "--events", events)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"gupmech: error: {events}: row 2: field larger than field limit")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["boost.cfg", "events.csv"]
+
+
 class TestUnusablePaths:
     """A path that cannot be read or written is a usage error naming the path."""
 
@@ -370,6 +379,27 @@ class TestReportPathClash:
         assert code == 0
         assert read_events(events)[0, 1] == pytest.approx(0.7071067811865475, rel=1e-15)
         assert json.loads((tmp_path / "report.json").read_text()) == json.loads(out)
+
+
+class TestConfigPathClash:
+    """No output of simulate or transform may name its --config; nothing is written on a clash."""
+
+    @pytest.mark.parametrize("command, key", [
+        ("simulate", "output.trajectory"), ("simulate", "output.report"),
+        ("transform", "output.events"), ("transform", "output.report"),
+    ])
+    def test_an_output_on_the_config(self, tmp_path, capsys, command, key):
+        text = (FREE_EXACT if command == "simulate" else BOOST_EXACT) + f"{key} = ./run.cfg\n"
+        cfg = write(tmp_path, "run.cfg", text)
+        write(tmp_path, "events.csv", "t,x1\n0.0,1.0\n1.0,0.0\n")
+        code, out, err = run_cli(capsys, command, "--config", cfg, "--events", "events.csv") \
+            if command == "transform" else run_cli(capsys, command, "--config", cfg)
+        assert (code, out) == (2, "")
+        clash = f"output.report and --config both name {cfg}" if key == "output.report" \
+            else f"{key} and --config both name ./run.cfg"
+        assert err == f"gupmech: error: {clash}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["events.csv", "run.cfg"]
+        assert (tmp_path / "run.cfg").read_text() == text
 
 
 class TestConstants:

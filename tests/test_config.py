@@ -557,6 +557,15 @@ class TestTrajectoryCsv:
             read_trajectory(path)
         assert str(err.value) == f"{path}: row 2: not a number: 'one'"
 
+    def test_a_cell_past_the_field_limit_is_rejected_with_its_row(self, tmp_path):
+        # csv.reader's own error, not a ValueError, for a cell of more than 131,072 characters
+        path = tmp_path / "long.csv"
+        path.write_text("t,x1,p1,energy\n0.0,1.0,2.0,3.0\n0.1," + "1" * 200_000 + ",2.0,3.0\n")
+        with pytest.raises(CsvFormatError) as err:
+            read_trajectory(path)
+        assert err.value.row == 3
+        assert str(err.value).startswith(f"{path}: row 3: field larger than field limit")
+
     def test_unrecognized_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,pos,mom,E\n")
@@ -723,7 +732,7 @@ class TestSplitWriterProcesses:
             PINNED_SPLIT_SHA256["trajectory-3d"]
 
     def test_a_failing_child_s_blocks_are_written_here(self, tmp_path, monkeypatch, forks):
-        # it fails on its first block and exits 1, so this process formats every block
+        # every block it takes fails there and is left out, so this process formats them all
         _rows_writer_failing_in(monkeypatch, "child")
         path = tmp_path / "traj.csv"
         write_trajectory(path, seeded_trajectory(1, SPLIT_PIN_ROWS))
