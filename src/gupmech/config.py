@@ -62,13 +62,11 @@ class ScenarioConfig:
     def geometry(self) -> str:
         return GEOMETRY_ONE_D if self.dim == 1 else GEOMETRY_THREE_D
 
-    def derived_scale_velocity(self) -> float:
-        """The velocity scale u = alpha/gamma set by this model's algebra."""
+    def derived_scale_velocity(self, key: str) -> float:
+        """The velocity scale u = alpha/gamma set by this model's algebra; key sets u instead."""
         if not self.gamma > 0.0:
             raise ConfigError(
-                "no velocity scale can be derived with gamma = 0; "
-                "set boost.scale (or model.scale_velocity) explicitly"
-            )
+                f"no velocity scale can be derived with gamma = 0; set {key} explicitly")
         return effective_velocity_u(self.gamma, self.geometry)
 
     def deformation(self) -> DeformationParameters:
@@ -80,7 +78,7 @@ class ScenarioConfig:
     def build_hamiltonian(self) -> dynamics.Hamiltonian:
         scale = self.scale_velocity
         if self.kind == dynamics.EFFECTIVE_SQRT and not scale:
-            scale = self.derived_scale_velocity()
+            scale = self.derived_scale_velocity("model.scale_velocity")
         return dynamics.Hamiltonian(self.kind, self.deformation(), self.build_potential(),
                                     light_speed=self.light_speed, scale_velocity=scale,
                                     sqrt_sign=self.sqrt_sign)
@@ -100,7 +98,7 @@ class ScenarioConfig:
             return frames.LorentzBoost(self.boost_velocity, self.boost_light_speed)
         scale = self.boost_scale
         if scale is None:
-            scale = self.derived_scale_velocity()
+            scale = self.derived_scale_velocity("boost.scale")
         law = self.boost_law or frames.GALILEAN_EXACT
         return frames.GalileanBoost(self.boost_velocity, scale, law=law)
 
@@ -324,7 +322,7 @@ def parse_config(text: str) -> ScenarioConfig:
         speed = values["boost.velocity"]
         scale, scale_key, derived = values.get("boost.scale"), "boost.scale", ""
         if scale is None and config.gamma > 0.0:
-            scale = config.derived_scale_velocity()
+            scale = config.derived_scale_velocity("boost.scale")
             scale_key = "model.gamma" if has_gamma else "model.beta"
             derived = f" with the derived boost scale u = {scale!r}"
         if scale is not None:

@@ -18,8 +18,8 @@ from . import _child
 # rows per block of a table write, the unit the forked child takes; stacking
 # the whole table at once would copy every array
 _BLOCK_ROWS = 256
-# rows above which a forked child formats part of a table: a fork and a copy
-# of the child's bytes break even near 2,000 1D or 1,000 3D rows
+# rows above which a forked child formats part of a trajectory: a fork and a
+# copy of the child's bytes break even near 2,000 1D or 1,000 3D rows
 _SPLIT_ROWS = 4096
 
 
@@ -57,26 +57,33 @@ def _write_rows(handle, line, columns, start, stop):
         handle.write((line * len(block) % tuple(block.ravel().tolist())).encode())
 
 
-def _forks(rows) -> bool:
-    """Whether a table of this many rows is formatted with a forked child."""
-    return rows > _SPLIT_ROWS and _child.runs_alongside()
+def _row_format(columns) -> str:
+    """The %r-format of one row of these columns."""
+    return ",".join(["%r"] * sum(c.shape[1] if c.ndim > 1 else 1 for c in columns)) + "\n"
+
+
+def _write_table(path, header, columns) -> None:
+    """Write the header, then every row of a finished table of columns, in this process."""
+    with open(path, "wb") as handle:
+        handle.write((",".join(header) + "\n").encode())
+        _write_rows(handle, _row_format(columns), columns, 0, len(columns[0]))
 
 
 class TableWriter:
-    """Formats the rows of one table, with a forked child when the table is long.
+    """Formats the rows of a trajectory, with a forked child when it is long.
 
-    Formatting is repr-bound and holds the GIL.  So when a table has more
-    than _SPLIT_ROWS rows, its _BLOCK_ROWS-row blocks are shared with a
+    Formatting is repr-bound and holds the GIL.  So when a trajectory has
+    more than _SPLIT_ROWS rows, its _BLOCK_ROWS-row blocks are shared with a
     child (`_child.Shared`) forked over its columns, and each whole block is
-    queued once its rows are final: a finished table's blocks at once, a
-    trajectory's one by one as `dynamics.integrate` fills the arrays of
-    `trajectory`.  The child takes blocks and formats them into an unnamed
-    temporary file.  Once every row is final, `write` takes the blocks left
-    into a second one, and formats there each block neither process took:
-    the last part block, one a full pipe never held, one whose formatting
-    raised and each of a child that failed.  Only then is the output file
-    opened; it gets the header and every block in order, the bytes of a
-    write in one process.
+    queued once its rows are final, one by one as `dynamics.integrate` fills
+    the arrays of `trajectory`.  The child takes blocks and formats them
+    into an unnamed temporary file.  Once every row is final, `write` takes
+    the blocks left into a second one, and formats there each block neither
+    process took: the last part block, one a full pipe never held, one whose
+    formatting raised and each of a child that failed.  Only then is the
+    output file opened; it gets the header and every block in order, the
+    bytes of a write in one process.  A finished table is written by
+    `_write_table`, in one process: its formatting would overlap nothing.
     """
 
     def __init__(self):
@@ -93,22 +100,17 @@ class TableWriter:
             if held is not None:
                 held.close()
 
-    def share(self, columns) -> None:
-        """Take a finished table of columns, every row of them final."""
-        self._start(columns, _forks(len(columns[0])))
-        self.ready(len(columns[0]))
-
     def trajectory(self, times, dim):
         """The arrays of a trajectory at these times, to be filled row by row.
 
         Returns the positions, the momenta, the energies and a function to
-        call with the number of leading rows that are final.  A long table's
-        arrays live in memory shared with a child forked here, which formats
-        those rows while the caller computes the next.
+        call with the number of leading rows that are final.  A long
+        trajectory's arrays live in memory shared with a child forked here,
+        which formats those rows while the caller computes the next.
         """
         rows = len(times)
         shared = None
-        if _forks(rows):
+        if rows > _SPLIT_ROWS and _child.runs_alongside():
             import mmap  # only where the writer forks, so start-up imports nothing new
             try:
                 shared = mmap.mmap(-1, 8 * (2 * dim + 1) * rows)
@@ -120,7 +122,16 @@ class TableWriter:
             cells = np.frombuffer(shared, float)
             arrays = (cells[:dim * rows].reshape(rows, dim),
                       cells[dim * rows:2 * dim * rows].reshape(rows, dim), cells[2 * dim * rows:])
-        self._start((times,) + arrays, shared is not None)
+        self.columns = (times,) + arrays
+        if shared is not None:
+            try:  # each is closed on leaving the `with` block
+                self._front = tempfile.TemporaryFile()
+                self._back = tempfile.TemporaryFile()
+            except OSError:  # no descriptor to spare: write every row here
+                pass
+            else:
+                self._line = _row_format(self.columns)
+                self._shared = _child.Shared(lambda k: self._format_block(self._front, k))
         return arrays + (self.ready,)
 
     def ready(self, rows) -> None:
@@ -130,13 +141,10 @@ class TableWriter:
 
     def write(self, path, header) -> None:
         """Write the header and every row, all of them now final, to path."""
-        head = (",".join(header) + "\n").encode()
-        rows = len(self.columns[0])
         if self._shared is None:
-            with open(path, "wb") as handle:
-                handle.write(head)
-                _write_rows(handle, self._line, self.columns, 0, rows)
+            _write_table(path, header, self.columns)
             return
+        rows = len(self.columns[0])
         self.ready(rows)
         back = self._back
         mine, theirs = self._shared.finish(lambda k: self._format_block(back, k))
@@ -146,25 +154,11 @@ class TableWriter:
             if k not in spans:
                 spans[k] = (back, self._format_block(back, k))
         with open(path, "wb") as handle:
-            handle.write(head)
+            handle.write((",".join(header) + "\n").encode())
             for k in range(len(spans)):
                 source, (start, stop) = spans[k]
                 source.seek(start)
                 handle.write(source.read(stop - start))
-
-    def _start(self, columns, fork):
-        """Take columns; if fork, share their blocks with a forked child, descriptors allowing."""
-        self.columns = columns
-        self._line = ",".join(["%r"] * sum(c.shape[1] if c.ndim > 1 else 1
-                                           for c in columns)) + "\n"
-        if not fork:
-            return
-        try:  # each is closed on leaving the `with` block
-            self._front = tempfile.TemporaryFile()
-            self._back = tempfile.TemporaryFile()
-        except OSError:  # no descriptor to spare: write every row here
-            return
-        self._shared = _child.Shared(lambda k: self._format_block(self._front, k))
 
     def _format_block(self, handle, block):
         """(start, stop): where in handle the block's rows were formatted, and flushed."""
@@ -174,13 +168,6 @@ class TableWriter:
                     min(lo + _BLOCK_ROWS, len(self.columns[0])))
         handle.flush()  # the child leaves by os._exit, which flushes nothing
         return start, handle.tell()
-
-
-def _write_table(path, header, columns) -> None:
-    """Write the header, then the rows of a finished table of columns."""
-    with TableWriter() as writer:
-        writer.share(columns)
-        writer.write(path, header)
 
 
 def write_trajectory(path, trajectory, writer=None) -> None:

@@ -108,19 +108,23 @@ def _kinetic_lagrangian(kind: Lagrangian):
 def momentum_from_velocity_first_order(xdot, params: DeformationParameters):
     """First-order momentum: 1d p = m v (1 - 4/3 beta m^2 v^2); 3d uses 1 - 2 beta m^2 v^2.
 
-    Accurate to O(beta^2).  Warns once the deformation measure
-    beta m^2 v^2 exceeds SMALL_DEFORMATION_BOUND.
+    Accurate to O(beta^2).  A 1-component velocity takes the 1d form.
+    Warns once the deformation measure beta m^2 v^2 exceeds
+    SMALL_DEFORMATION_BOUND.
     """
     m = params.mass
     b = params.beta
-    if np.ndim(xdot) == 0:
-        v = float(xdot)
+    v = np.asarray(xdot, dtype=float)
+    if v.ndim <= 1 and v.size == 1:
+        v = v.item()
         measure, label = b * m * m * v * v, "v^2"
-    else:
-        v = np.asarray(xdot, dtype=float)
+    elif v.shape == (3,):
         v1, v2, v3 = v.tolist()  # |v|^2 summed left to right on floats, as in dynamics
         vsq = v1 * v1 + v2 * v2 + v3 * v3
         measure, label = b * m * m * vsq, "|v|^2"
+    else:
+        raise ValueError("first-order momentum takes 1 or 3 velocity components, "
+                         f"got shape {v.shape}")
     if measure > SMALL_DEFORMATION_BOUND:
         warnings.warn(
             f"beta*m^2*{label} = {measure:.3g} is outside the small-deformation regime; "
@@ -244,10 +248,9 @@ def lagrangian_value(kind: Lagrangian, x, xdot) -> float:
     The kinetic part vanishes at rest, except in the relativistic form,
     which keeps its -m c^2 rest term (see rest_term).
     """
-    if kind.dim == 1:
-        return kind._kinetic(float(xdot)) - kind.potential.energy(x)
-    v1, v2, v3 = np.asarray(xdot, dtype=float).tolist()
-    return kind._kinetic(v1, v2, v3) - kind.potential.energy(x)
+    v = components(kind, xdot)
+    kinetic = kind._kinetic(v) if kind.dim == 1 else kind._kinetic(*v.tolist())
+    return kinetic - kind.potential.energy(x)
 
 
 def rest_term(kind: Lagrangian) -> float:

@@ -298,6 +298,25 @@ class TestTransform:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["boost.cfg", "events.csv"]
 
 
+# at gamma = 0 no velocity scale u = alpha / gamma exists, and each command
+# names the one key it reads u from
+@pytest.mark.parametrize("command, text, key", [
+    ("simulate", "model.kind = effective-sqrt\ninitial.x = 0.0\ninitial.p = 1.0\n"
+                 "t_end = 1.0\ndt = 0.1\n", "model.scale_velocity"),
+    ("transform", "model.kind = exact-1d\nboost.velocity = 0.5\n", "boost.scale"),
+], ids=["simulate", "transform"])
+def test_gamma_zero_names_the_key_the_command_reads(tmp_path, capsys, command, text, key):
+    cfg = write(tmp_path, "zero.cfg", text + "model.mass = 1.0\nmodel.beta = 0.0\n"
+                "output.report = report.json\n")
+    events = write(tmp_path, "events.csv", "t,x1\n0.0,1.0\n1.0,-2.0\n")
+    argv = ["--events", events] if command == "transform" else []
+    code, out, err = run_cli(capsys, command, "--config", cfg, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("gupmech: error: no velocity scale can be derived with gamma = 0; "
+                   f"set {key} explicitly\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.csv", "zero.cfg"]
+
+
 class TestUnusablePaths:
     """A path that cannot be read or written is a usage error naming the path."""
 

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gupmech import cli, csvio
 from gupmech import config as config_module
-from gupmech import csvio
 from gupmech.config import ConfigError, ScenarioConfig, parse_config, render_config
 from gupmech.csvio import (
     CsvFormatError,
@@ -27,7 +27,7 @@ from gupmech.csvio import (
     write_trajectory,
 )
 from gupmech.dynamics import Hamiltonian, PhaseState, Trajectory, integrate
-from gupmech.frames import GalileanBoost, LorentzBoost
+from gupmech.frames import GalileanBoost, LorentzBoost, galilean_apply
 from gupmech.algebra import DeformationParameters
 
 MINIMAL = """\
@@ -502,7 +502,8 @@ PINNED_TRAJECTORY_SHA256 = {
 
 
 # Rows of the tables pinned below: odd, not a whole number of write blocks,
-# and long enough that the writer splits them between two processes.
+# and long enough that a TableWriter splits a trajectory of them between
+# two processes.
 SPLIT_PIN_ROWS = 4999
 
 # sha256 of each table of SPLIT_PIN_ROWS rows, recorded from the writer
@@ -630,6 +631,15 @@ def _writer_table(rows, width, seed):
     return table
 
 
+def _write_as_integrated(path, traj):
+    """Write traj from the arrays of TableWriter.trajectory, filled as `integrate` fills them."""
+    with csvio.TableWriter() as writer:
+        positions, momenta, energies, ready = writer.trajectory(traj.times, traj.positions.shape[1])
+        positions[:], momenta[:], energies[:] = traj.positions, traj.momenta, traj.energies
+        ready(len(traj))
+        write_trajectory(path, traj, writer)
+
+
 def _per_row_bytes(header, table):
     """What a per-row repr() writer puts out for these rows."""
     lines = [",".join(header)] + [",".join(map(repr, row)) for row in table.tolist()]
@@ -642,11 +652,11 @@ _WRITER_ROWS = (2, 255, 256, 257, 513)
 
 @pytest.fixture(params=["as-set", "split-every-table"])
 def split_rows(request, monkeypatch, two_cpus):
-    """The row count above which the writer forks: as set, or 0 so every table is split.
+    """The row count above which a TableWriter forks: as set, or 0 so every trajectory is split.
 
-    Split at 0, the child and this process take the blocks of every table
-    above, the one-row last block of 257 and 513 rows included, from one
-    queue, each process whichever blocks the timing gives it.
+    Split at 0, the child and this process take the blocks of every
+    trajectory above, the one-row last block of 257 and 513 rows included,
+    from one queue, each process whichever blocks the timing gives it.
     """
     if request.param == "split-every-table":
         monkeypatch.setattr(csvio, "_SPLIT_ROWS", 0)
@@ -669,7 +679,8 @@ def _rows_writer_failing_in(monkeypatch, side):
 class TestWriterBytes:
     @pytest.mark.parametrize("rows", _WRITER_ROWS)
     @pytest.mark.parametrize("dim", (1, 3))
-    def test_trajectory_matches_the_per_row_writer(self, tmp_path, dim, rows, split_rows):
+    def test_trajectory_matches_the_per_row_writer(self, tmp_path, forks, dim, rows,
+                                                   split_rows):
         table = _writer_table(rows, 2 * dim + 2, seed=10 * rows + dim)
         table[:, 0] = np.arange(rows) * 0.1
         table[0, 0] = -0.0
@@ -678,10 +689,14 @@ class TestWriterBytes:
         path = tmp_path / "traj.csv"
         write_trajectory(path, traj)
         assert path.read_bytes() == _per_row_bytes(trajectory_header(dim), table)
+        assert forks == []
+        _write_as_integrated(path, traj)
+        assert path.read_bytes() == _per_row_bytes(trajectory_header(dim), table)
+        assert len(forks) == (rows > split_rows)
 
     @pytest.mark.parametrize("rows", _WRITER_ROWS)
     @pytest.mark.parametrize("dim", (1, 3))
-    def test_events_match_the_per_row_writer(self, tmp_path, dim, rows, split_rows):
+    def test_events_match_the_per_row_writer(self, tmp_path, dim, rows):
         table = _writer_table(rows, 1 + dim, seed=10 * rows + dim + 5)
         path = tmp_path / "events.csv"
         write_events(path, table)
@@ -706,13 +721,37 @@ class TestWriterBytes:
         traj = Trajectory(times=table[:, 0], positions=table[:, 1:1 + dim],
                           momenta=table[:, 1 + dim:1 + 2 * dim], energies=table[:, -1], step=0.1)
         path = tmp_path / "traj.csv"
-        write_trajectory(path, traj)
+        _write_as_integrated(path, traj)
         assert path.read_bytes() == _per_row_bytes(trajectory_header(dim), table)
         assert len(forks) == (offset > 0)
 
+    def test_finished_tables_fork_nothing(self, tmp_path, forks):
+        events = _writer_table(SPLIT_PIN_ROWS, 4, seed=SPLIT_PIN_ROWS)
+        write_events(tmp_path / "events.csv", events)
+        assert (tmp_path / "events.csv").read_bytes() == _per_row_bytes(event_header(3), events)
+        traj = seeded_trajectory(3, SPLIT_PIN_ROWS)
+        write_trajectory(tmp_path / "traj.csv", traj)
+        table = np.column_stack([traj.times, traj.positions, traj.momenta, traj.energies])
+        assert (tmp_path / "traj.csv").read_bytes() == \
+            _per_row_bytes(trajectory_header(3), table)
+        assert forks == []
+
+    def test_transform_forks_nothing(self, tmp_path, capsys, forks):
+        events = np.random.default_rng(5000).standard_normal((5000, 4))
+        write_events(tmp_path / "events.csv", events)
+        (tmp_path / "run.cfg").write_text(
+            EXACT_3D + "boost.velocity = 0.5\nboost.scale = 2.0\n"
+            f"output.events = {tmp_path / 'out.csv'}\n")
+        code = cli.main(["transform", "--config", str(tmp_path / "run.cfg"),
+                         "--events", str(tmp_path / "events.csv")])
+        assert (code, capsys.readouterr().err) == (0, "")
+        mapped = galilean_apply(GalileanBoost(0.5, 2.0), events)
+        assert (tmp_path / "out.csv").read_bytes() == _per_row_bytes(event_header(3), mapped)
+        assert forks == []
+
 
 class TestSplitWriterProcesses:
-    """The forked writer of a long table's blocks leaves nothing behind."""
+    """The forked writer of a long trajectory's blocks leaves nothing behind."""
 
     @pytest.fixture(autouse=True)
     def _temporary_directory(self, tmp_path, monkeypatch, two_cpus, descriptors_kept):
@@ -726,7 +765,7 @@ class TestSplitWriterProcesses:
 
     def test_a_long_write_reaps_its_child(self, tmp_path, forks):
         path = tmp_path / "traj.csv"
-        write_trajectory(path, seeded_trajectory(3, SPLIT_PIN_ROWS))
+        _write_as_integrated(path, seeded_trajectory(3, SPLIT_PIN_ROWS))
         assert len(forks) == 1
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
             PINNED_SPLIT_SHA256["trajectory-3d"]
@@ -735,7 +774,7 @@ class TestSplitWriterProcesses:
         # every block it takes fails there and is left out, so this process formats them all
         _rows_writer_failing_in(monkeypatch, "child")
         path = tmp_path / "traj.csv"
-        write_trajectory(path, seeded_trajectory(1, SPLIT_PIN_ROWS))
+        _write_as_integrated(path, seeded_trajectory(1, SPLIT_PIN_ROWS))
         assert len(forks) == 1
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
             PINNED_SPLIT_SHA256["trajectory-1d"]
@@ -807,10 +846,11 @@ class TestSplitWriterProcesses:
 
         monkeypatch.setattr(pickle, "dump", dump_here_only)
         monkeypatch.setattr(csvio, "_write_rows", writer)
-        path = tmp_path / "events.csv"
-        write_events(path, _writer_table(SPLIT_PIN_ROWS, 4, seed=SPLIT_PIN_ROWS))
+        path = tmp_path / "traj.csv"
+        _write_as_integrated(path, seeded_trajectory(3, SPLIT_PIN_ROWS))
         assert len(forks) == 1 and child_took.exists()
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SPLIT_SHA256["events-3d"]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            PINNED_SPLIT_SHA256["trajectory-3d"]
 
     @pytest.mark.parametrize("room", (0, 1, 7))
     def test_blocks_past_a_full_queue_are_written_here(self, tmp_path, monkeypatch, forks,
@@ -851,11 +891,11 @@ class TestSplitWriterProcesses:
             assert path.read_bytes() == _per_row_bytes(trajectory_header(3), table)
         assert len(forks) == 3
 
-    def test_a_failing_part_of_this_process_reaps_the_child(self, tmp_path, monkeypatch):
+    def test_a_failing_part_of_this_process_reaps_the_child(self, tmp_path, monkeypatch, forks):
         _rows_writer_failing_in(monkeypatch, "parent")
         with pytest.raises(RuntimeError, match="failed in the parent"):
-            write_events(tmp_path / "events.csv",
-                         _writer_table(SPLIT_PIN_ROWS, 4, seed=SPLIT_PIN_ROWS))
+            _write_as_integrated(tmp_path / "traj.csv", seeded_trajectory(3, SPLIT_PIN_ROWS))
+        assert len(forks) == 1
 
     # the call refused, the calls of it that go through first, and its error
     @pytest.mark.parametrize("module, name, passed, error", [
@@ -866,7 +906,7 @@ class TestSplitWriterProcesses:
         (os, "pipe", 1, OSError(errno.EMFILE, "Too many open files")),
     ], ids=["EAGAIN", "EMFILE-unnamed-file", "EMFILE-second-unnamed-file", "EMFILE-ready-pipe",
             "EMFILE-child-value"])
-    def test_a_failed_fork_writes_every_row_here(self, tmp_path, monkeypatch,
+    def test_a_failed_fork_writes_every_row_here(self, tmp_path, monkeypatch, forks,
                                                  module, name, passed, error):
         calls, call = [], getattr(module, name)
 
@@ -877,17 +917,23 @@ class TestSplitWriterProcesses:
             return call(*args, **kwargs)
 
         monkeypatch.setattr(module, name, no_fork)
-        path = tmp_path / "events.csv"
-        write_events(path, _writer_table(SPLIT_PIN_ROWS, 4, seed=SPLIT_PIN_ROWS))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SPLIT_SHA256["events-3d"]
+        path = tmp_path / "traj.csv"
+        _write_as_integrated(path, seeded_trajectory(3, SPLIT_PIN_ROWS))
+        assert len(calls) == passed + 1 and forks == []  # refused on the way to the fork
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            PINNED_SPLIT_SHA256["trajectory-3d"]
 
     def test_one_allowed_cpu_writes_every_row_here(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         path = tmp_path / "traj.csv"
-        write_trajectory(path, seeded_trajectory(1, SPLIT_PIN_ROWS))
+        _write_as_integrated(path, seeded_trajectory(1, SPLIT_PIN_ROWS))
         assert forks == []
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
             PINNED_SPLIT_SHA256["trajectory-1d"]
+        # the same write forks once where two CPUs are allowed
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        _write_as_integrated(path, seeded_trajectory(1, SPLIT_PIN_ROWS))
+        assert len(forks) == 1
 
     def test_one_allowed_cpu_allocates_the_trajectory_arrays_apart(self, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -905,16 +951,23 @@ class TestSplitWriterProcesses:
     def test_the_child_flushes_no_inherited_buffer(self, tmp_path):
         # stdout to a pipe is block-buffered: text printed before the fork and
         # still unflushed would show twice if the child flushed it on exit
-        script = ("import sys\n"
-                  "from gupmech.csvio import write_events\n"
+        script = ("import os, sys\n"
+                  "import numpy as np\n"
+                  "from gupmech import csvio\n"
+                  "forks, fork = [], os.fork\n"
+                  "os.fork = lambda: forks.append(os.getpid()) or fork()\n"
                   "print('before')\n"
-                  f"write_events(sys.argv[1], [[0.1 * i, 1.0] for i in range({SPLIT_PIN_ROWS})])\n"
-                  "print('after')\n")
+                  "with csvio.TableWriter() as writer:\n"
+                  f"    x, p, energy, ready = writer.trajectory(np.arange({SPLIT_PIN_ROWS}) * 0.1, 1)\n"
+                  "    x[:], p[:], energy[:] = 1.0, 2.0, 3.0\n"
+                  "    writer.write(sys.argv[1], csvio.trajectory_header(1))\n"
+                  "print('after', len(forks))\n")
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = str(Path(csvio.__file__).parents[1])
-        path = tmp_path / "events.csv"
+        path = tmp_path / "traj.csv"
         done = subprocess.run([sys.executable, "-c", script, str(path)],
                               capture_output=True, text=True, env=env, timeout=60)
-        assert (done.returncode, done.stdout, done.stderr) == (0, "before\nafter\n", "")
-        table = np.column_stack([np.arange(SPLIT_PIN_ROWS) * 0.1, np.ones(SPLIT_PIN_ROWS)])
-        assert path.read_bytes() == _per_row_bytes(event_header(1), table)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "before\nafter 1\n", "")
+        table = np.column_stack([np.arange(SPLIT_PIN_ROWS) * 0.1, np.ones(SPLIT_PIN_ROWS),
+                                 np.full(SPLIT_PIN_ROWS, 2.0), np.full(SPLIT_PIN_ROWS, 3.0)])
+        assert path.read_bytes() == _per_row_bytes(trajectory_header(1), table)

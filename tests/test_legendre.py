@@ -48,6 +48,19 @@ class TestFirstOrderInversion:
         expect = 0.5 * (1.0 - 2.0 * 0.01 * 0.25)
         np.testing.assert_allclose(got, [expect, 0.0, 0.0], rtol=1e-15)
 
+    def test_one_component_is_the_1d_form(self):
+        want = momentum_from_velocity_first_order(0.5, params_of(0.01))
+        got = momentum_from_velocity_first_order(np.array([0.5]), params_of(0.01))
+        assert type(got) is float and got.hex() == want.hex()
+        assert momentum_from_velocity_first_order([0.5], params_of(0.01)).hex() == want.hex()
+
+    @pytest.mark.parametrize("shape", [(0,), (2,), (4,), (1, 1), (3, 1), (1, 3)])
+    def test_other_shapes_are_refused_by_name(self, shape):
+        message = ("first-order momentum takes 1 or 3 velocity components, "
+                   f"got shape {shape}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            momentum_from_velocity_first_order(np.full(shape, 0.5), params_of(0.01))
+
     # beta m^2 |v|^2 = 0.16 and 0.09 against the bound 0.1, in 1D and 3D
     @pytest.mark.parametrize("velocity", [4.0, [2.4, 0.0, 3.2]], ids=["1d", "3d"])
     def test_warns_outside_small_deformation_regime(self, velocity):
@@ -217,6 +230,26 @@ class TestLagrangianValue:
         v = np.array([1.0, 0.0, 0.0])
         got = lagrangian_value(kind, np.zeros(3), v)
         assert got == pytest.approx(0.5 - 0.005, rel=1e-15)
+
+    @pytest.mark.parametrize("model", ["first-order-1d", "sqrt-1d", "relativistic"])
+    def test_a_1d_form_takes_one_component(self, model):
+        kind = _ACTION_MODELS[model](Potential.harmonic(0.7))
+        path = PathSample(np.linspace(0.0, 1.0, 5), 0.3 * np.linspace(0.0, 1.0, 5) ** 2)
+        for x, v in zip(path.positions, path.velocities):  # rows of shape (1,)
+            want = lagrangian_value(kind, x.item(), v.item())
+            assert lagrangian_value(kind, x, v).hex() == want.hex()
+
+    @pytest.mark.parametrize("model, velocity", [
+        ("first-order-1d", [0.5, 0.5]),
+        ("first-order-3d", [0.5, 0.5]),
+        ("first-order-3d", 0.5),
+    ])
+    def test_a_wrong_component_count_is_refused_by_shape(self, model, velocity):
+        kind = _ACTION_MODELS[model](Potential.free())
+        shape = np.shape(velocity)
+        message = f"model {model} expects {kind.dim}-component vectors, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lagrangian_value(kind, np.zeros(kind.dim), velocity)
 
     def test_relativistic_rest_term(self):
         kind = Lagrangian.relativistic(params_of(1e-4), 10.0)
