@@ -2,7 +2,9 @@
 
 The check rows in `checks` and the long-table blocks in `csvio` are both
 shared here, so each child takes its work, leaves, sends back its values
-and is killed and reaped one way.
+and is killed and reaped one way.  While the two share work, the child
+runs on every allowed CPU but the first and this process on the first,
+because Linux can leave a forked child on its parent's CPU.
 """
 
 import os
@@ -13,6 +15,10 @@ def runs_alongside() -> bool:
     """Whether fork exists and this process may run on two CPUs.
 
     On one CPU the two processes take turns, so the fork and the copy are pure cost.
+    They may take turns on two as well, since Linux can leave a fresh child on
+    its parent's CPU, so `Shared` pins the two apart.  A long-lived process is
+    spread by the scheduler anyway: the 100 forks of tools/seed_sweep.py took
+    6.9-11.3 s unpinned and 7.5-12.5 s pinned (5 alternating runs each).
     """
     if not hasattr(os, "fork"):
         return False
@@ -31,11 +37,21 @@ class Shared:
     An index whose work raised is left out, as is one a full pipe never
     held and each of a child that failed: the caller runs those itself.
     With no pipe or process to spare nothing is forked and nothing taken.
+
+    Right after the fork the child is pinned to every CPU this process may
+    use but the first, and this process to the first, until `close` puts
+    its own CPUs back.  Left to the scheduler, the child can stay on this
+    process's CPU while the other idles: on a 2-vCPU Xeon the integrate
+    step of the bench's seed-1 simulate-1d scenario took 78-166 ms alone,
+    84-141 ms beside an idle child, 156-277 ms beside a busy unpinned child
+    and 78-143 ms beside a pinned one (12 runs each).  A process whose pin
+    is refused, or that cannot be pinned, runs unpinned, and the work still
+    balances.
     """
 
     def __init__(self, work, count=0):
         """Queue the indices below count, then fork the child that runs work on those it takes."""
-        self._take = self._put = self._back = self._pid = None
+        self._take = self._put = self._back = self._pid = self._cpus = None
         self._queued = 0
         try:
             self._take, self._put = os.pipe()
@@ -55,11 +71,27 @@ class Shared:
             # code and no buffer inherited from this process is flushed twice
             status = 1  # the child's exit status until its values are sent
             try:
+                self._pin(child=True)
                 with open(out, "wb") as stream:
                     pickle.dump(self._run(work), stream)
                 status = 0
             finally:
                 os._exit(status)
+        self._pin(child=False)
+
+    def _pin(self, child):
+        """Pin the child to every allowed CPU but the first, and this process to the first.
+
+        A refused pin is ignored: the process runs where the scheduler puts it.
+        """
+        if hasattr(os, "sched_setaffinity"):
+            try:
+                cpus = sorted(os.sched_getaffinity(0))
+                if not child:  # put back by `close`, also if the pin is refused
+                    self._cpus = cpus
+                os.sched_setaffinity(0, cpus[1:] if child else cpus[:1])
+            except OSError:
+                pass
 
     def put(self, count) -> int:
         """Queue the indices below count not yet queued, as the pipe has room; how many went."""
@@ -113,11 +145,17 @@ class Shared:
         return pickle.loads(delivered) if status == 0 else {}
 
     def close(self) -> None:
-        """Kill and reap the child unless it was joined, then close the pipes, once."""
+        """Kill and reap an unjoined child, put back this process's CPUs, close the pipes; once."""
         if self._pid is not None:
             import signal  # here, not at start-up, where it would cost about 1 ms
             os.kill(self._pid, signal.SIGKILL)
             self._join()
+        if self._cpus is not None:
+            try:
+                os.sched_setaffinity(0, self._cpus)
+            except OSError:
+                pass
+            self._cpus = None
         for end in (self._take, self._put, self._back):
             if end is not None:
                 os.close(end)

@@ -1,14 +1,32 @@
 """Fixtures shared by the tests of the code that forks a child alongside itself."""
 
+import errno
 import os
 
 import pytest
 
+# this process's CPU mask as the kernel has it, whatever a test fakes
+_REAL_AFFINITY = getattr(os, "sched_getaffinity", None)
+
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Let the code see two allowed CPUs, whatever the host allows."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    """Let the code see two allowed CPUs, whatever the host allows; the set it sees.
+
+    A host that allows two or more shows its own.  One that allows one shows
+    {0, 1} and refuses every pin, as the kernel refuses a CPU the process may
+    not use, so putting back the faked mask can never change the real one.
+    """
+    cpus = _REAL_AFFINITY(0) if _REAL_AFFINITY else set()
+    if len(cpus) < 2:
+        cpus = {0, 1}
+        if hasattr(os, "sched_setaffinity"):
+            def refused(pid, mask):
+                raise OSError(errno.EINVAL, "Invalid argument")
+
+            monkeypatch.setattr(os, "sched_setaffinity", refused)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    return cpus
 
 
 @pytest.fixture
@@ -37,3 +55,15 @@ def descriptors_kept():
     before = count()
     yield
     assert count() == before
+
+
+@pytest.fixture(autouse=True)
+def affinity_kept():
+    """Fail the test if it leaves this process's real CPU mask changed.
+
+    Every test uses it: the CLI and the check suites fork where two CPUs
+    are allowed, and `_child.Shared` pins this process while its child runs.
+    """
+    before = _REAL_AFFINITY(0) if _REAL_AFFINITY else None
+    yield
+    assert (_REAL_AFFINITY(0) if _REAL_AFFINITY else None) == before

@@ -137,10 +137,13 @@ def _nan_on_call(function, call):
     (legendre, "momentum_from_velocity_exact", "legendre", "legendre.inversion-roundtrip"),
 ], ids=["rhs-fd-agreement", "inversion-roundtrip"])
 @pytest.mark.parametrize("cpus", (1, 2), ids=["one-cpu", "two-cpus"])
-def test_a_nan_sample_fails_its_row(monkeypatch, module, function, suite, row, cpus):
+def test_a_nan_sample_fails_its_row(request, monkeypatch, module, function, suite, row, cpus):
     # the calls are counted per process, and the row is the first of its
     # suite to call the function in whichever process runs it
-    _allow_cpus(monkeypatch, cpus)
+    if cpus == 1:
+        _allow_cpus(monkeypatch, 1)
+    else:
+        request.getfixturevalue("two_cpus")
     monkeypatch.setattr(module, function, _nan_on_call(getattr(module, function), 50))
     result = {r.name: r for r in run_suite(suite)}[row]
     assert math.isnan(result.measured) and not result.passed
@@ -330,11 +333,12 @@ class TestTwoProcessRunner:
         assert _rows(run_suite("legendre")) == expected
         assert len(forks) == 2 and child_rows.read_text()
 
-    def test_rows_the_child_never_delivers_run_again_here(self, tmp_path, monkeypatch, forks):
+    def test_rows_the_child_never_delivers_run_again_here(self, tmp_path, monkeypatch, two_cpus,
+                                                          forks):
         # the child's rows cannot be pickled, so it exits 1 with none delivered
         _allow_cpus(monkeypatch, 1)
         expected = _rows(run_suite("legendre"))
-        _allow_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: two_cpus, raising=False)
         here = os.getpid()
         mark, wait, child_rows = _child_marks(tmp_path, here)
         dump = pickle.dump

@@ -161,13 +161,13 @@ class TestSimulate:
         assert not (tmp_path / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("fails", [False, True])
-    def test_a_long_run_leaves_no_process_or_file(self, tmp_path, capsys, monkeypatch, fails):
+    def test_a_long_run_leaves_no_process_or_file(self, tmp_path, capsys, monkeypatch, two_cpus,
+                                                  fails):
         # 5,001 rows: a forked child formats the front blocks while RK4 steps
         cfg = write(tmp_path, "long.cfg",
                     FREE_EXACT.replace("t_end = 1.0", "t_end = 5.0")
                               .replace("dt = 0.01", "dt = 0.001"))
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         (tmp_path / "tmp").mkdir()
         here, write_rows = os.getpid(), csvio._write_rows
         if fails:
@@ -815,12 +815,11 @@ def test_long_simulate_is_pinned(tmp_path, capsys, model):
 
 
 @pytest.fixture
-def overlapped(tmp_path, monkeypatch):
+def overlapped(tmp_path, monkeypatch, two_cpus):
     """Two allowed CPUs, forks counted, unnamed temporary files under tmp/.
 
     On leaving, no child is left and no named temporary file.
     """
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     (tmp_path / "tmp").mkdir()
     forks, fork = [], os.fork

@@ -923,7 +923,7 @@ class TestSplitWriterProcesses:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
             PINNED_SPLIT_SHA256["trajectory-3d"]
 
-    def test_one_allowed_cpu_writes_every_row_here(self, tmp_path, monkeypatch, forks):
+    def test_one_allowed_cpu_writes_every_row_here(self, tmp_path, monkeypatch, two_cpus, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         path = tmp_path / "traj.csv"
         _write_as_integrated(path, seeded_trajectory(1, SPLIT_PIN_ROWS))
@@ -931,7 +931,7 @@ class TestSplitWriterProcesses:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
             PINNED_SPLIT_SHA256["trajectory-1d"]
         # the same write forks once where two CPUs are allowed
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: two_cpus, raising=False)
         _write_as_integrated(path, seeded_trajectory(1, SPLIT_PIN_ROWS))
         assert len(forks) == 1
 

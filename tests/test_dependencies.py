@@ -36,8 +36,8 @@ def _imported(path: Path) -> set:
 
 # the os calls of the process steps, the fork rule and the work queue, which
 # only `_child` may make
-PROCESS_STEPS = {"fork", "_exit", "kill", "waitpid", "sched_getaffinity", "pipe",
-                 "set_blocking"}
+PROCESS_STEPS = {"fork", "_exit", "kill", "waitpid", "sched_getaffinity", "sched_setaffinity",
+                 "pipe", "set_blocking"}
 
 
 def _os_names(path: Path) -> set:
