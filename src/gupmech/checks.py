@@ -48,6 +48,32 @@ def _worst(*values):
     return math.nan if any(v != v for v in values) else max(values)
 
 
+def _uniform(low, high, u):
+    """rng.uniform(low, high)'s arithmetic on one rng.random draw u."""
+    return low + (high - low) * u
+
+
+def _states(rng, count, limit=None, beta=None, fill=0.9):
+    """count phase states (x, p) as lists of floats, from one rng.random call.
+
+    1D, given `limit`: p uniform in 0.85 limit (-1, 1), then x in (-2, 2).  3D, given
+    `beta`: x in (-2, 2)^3, then p in (-1, 1)^3 scaled to beta |p|^2 = fill U(0.1, 1).
+    These are the states drawn by one rng.uniform call per value, in this order.
+    """
+    if beta is None:
+        u = rng.random(2 * count).tolist()
+        return [([_uniform(-2.0, 2.0, u[k + 1])], [_uniform(-0.85, 0.85, u[k]) * limit])
+                for k in range(0, 2 * count, 2)]
+    u = rng.random(7 * count).tolist()
+    states = []
+    for k in range(0, 7 * count, 7):
+        x = [_uniform(-2.0, 2.0, c) for c in u[k:k + 3]]
+        p = [_uniform(-1.0, 1.0, c) for c in u[k + 3:k + 6]]
+        scale = math.sqrt(fill * _uniform(0.1, 1.0, u[k + 6]) / beta) / math.sqrt(_square(p))
+        states.append((x, [c * scale for c in p]))
+    return states
+
+
 # ---------------------------------------------------------------- algebra
 
 _FD_TOL = 10.0 * BRACKET_STEP ** 2
@@ -69,22 +95,15 @@ def _check_bracket_1d(rng) -> CheckBody:
     return worst, _FD_TOL, "mapped {X,P} vs 1+beta*P^2, 100 states, step-scaled relative"
 
 
-def _random_3d_state(rng, params, fill=0.9):
-    x = rng.uniform(-2.0, 2.0, size=3)
-    p = rng.uniform(-1.0, 1.0, size=3)
-    p *= math.sqrt(fill * rng.uniform(0.1, 1.0) / params.beta) / math.sqrt(_square(p.tolist()))
-    return PhaseState.of(x, p)
-
-
 def _check_bracket_3d(rng) -> CheckBody:
     params = DeformationParameters(beta=0.01, mass=1.0)
     # X_1..X_3, P_1..P_3: gradients taken once per state, contracted pairwise
     fns = ([coordinate_function(axis) for axis in (1, 2, 3)]
            + [momentum_function_3d(params, axis) for axis in (1, 2, 3)])
     worst = 0.0
-    for _ in range(40):
-        state = _random_3d_state(rng, params)
-        scale_sq = max(1.0, float(np.max(np.abs(state.p)))) ** 2
+    for x, p in _states(rng, 40, beta=params.beta):
+        state = PhaseState.of(x, p)
+        scale_sq = max(1.0, *map(abs, p)) ** 2
         big_p = np.array([fns[3 + j](state) for j in range(3)])
         root = math.sqrt(1.0 + params.beta * _square(big_p.tolist()))
         coarse, fine = _gradients(fns, state), _gradients(fns, state, BRACKET_STEP / 2)
@@ -103,8 +122,8 @@ def _check_vanishing_brackets(rng) -> CheckBody:
     fns = ([coordinate_function(axis) for axis in (1, 2, 3)]
            + [momentum_function_3d(params, axis) for axis in (1, 2, 3)])
     worst = 0.0
-    for _ in range(25):
-        grads = _gradients(fns, _random_3d_state(rng, params))
+    for x, p in _states(rng, 25, beta=params.beta):
+        grads = _gradients(fns, PhaseState.of(x, p))
         for i in range(3):
             for j in range(i + 1, 3):
                 worst = _worst(worst, abs(_contract(grads[i], grads[j])),
@@ -199,7 +218,8 @@ def _check_jacobi(rng) -> CheckBody:
 
         worst = _worst(worst, abs(jacobi_residual(f, g, h, state)))
     for _ in range(10):
-        state = _random_3d_state(rng, params, fill=0.5)
+        # one state per draw: the axes below come from the same generator
+        state = PhaseState.of(*_states(rng, 1, beta=params.beta, fill=0.5)[0])
         i, j, k, l = rng.integers(1, 4, size=4)
         f = coordinate_function(int(i))
         g = momentum_function_3d(params, int(j))
@@ -264,21 +284,6 @@ def _check_effective_sqrt_consistency(rng) -> CheckBody:
     return worst, 1.0, "sqrt model at u^2 = 3/(8 beta m^2) vs quartic model"
 
 
-def _sample_states(rng, kind, count):
-    params = kind.params
-    dim = kind.dim
-    states = []
-    for _ in range(count):
-        if dim == 1:
-            limit = min(dynamics.momentum_limit(kind),
-                        dynamics.monotone_momentum_limit(kind), 40.0)
-            p = rng.uniform(-0.85, 0.85) * limit
-            states.append(PhaseState.of(rng.uniform(-2.0, 2.0), p))
-        else:
-            states.append(_random_3d_state(rng, params, fill=0.8))
-    return states
-
-
 def _suite_hamiltonians():
     params = DeformationParameters(beta=0.01, mass=1.0)
     params3 = DeformationParameters(beta=0.001, mass=1.0)
@@ -296,13 +301,21 @@ def _suite_hamiltonians():
     ]
 
 
+def _suite_states(rng, kind, count):
+    """count states of a suite model; 1D momenta stay below 0.85 of a branch edge or of 40."""
+    if kind.dim == 1:
+        limit = min(dynamics.momentum_limit(kind), dynamics.monotone_momentum_limit(kind), 40.0)
+        return _states(rng, count, limit=limit)
+    return _states(rng, count, beta=kind.params.beta, fill=0.8)
+
+
 def _check_rhs_fd_agreement(rng) -> CheckBody:
     worst = 0.0
     for kind in _suite_hamiltonians():
-        for state in _sample_states(rng, kind, 100):
-            # on floats: a numpy reduction of 3 elements costs more than the arithmetic
-            exact = [c for a in dynamics.hamilton_rhs(kind, state) for c in a.tolist()]
-            fd = [c for a in dynamics.hamilton_rhs_fd(kind, state) for c in a.tolist()]
+        # on floats: numpy costs more than the arithmetic on 1 and 3 components
+        for x, p in _suite_states(rng, kind, 100):
+            exact = [c for part in dynamics._rhs(kind, x, p) for c in part]
+            fd = [c for part in dynamics._rhs_fd(kind, x, p) for c in part]
             err = _worst(*[abs(a - b) for a, b in zip(exact, fd)])
             worst = _worst(worst, err / max(1.0, *map(abs, exact)))
     return worst, 1e-6, "analytic vs finite-difference RHS, 100 states per model"
@@ -352,10 +365,9 @@ def _check_relativistic_coefficient(rng) -> CheckBody:
 def _check_inversion_roundtrip(rng) -> CheckBody:
     worst = 0.0
     for kind in _suite_hamiltonians():
-        for state in _sample_states(rng, kind, 100):
-            xdot, _ = dynamics.hamilton_rhs(kind, state)
+        for x, p in _suite_states(rng, kind, 100):
+            xdot = dynamics._rhs(kind, x, p)[0]
             back = np.atleast_1d(legendre.momentum_from_velocity_exact(xdot, kind)).tolist()
-            p = state.p.tolist()
             err = _worst(*[abs(a - b) for a, b in zip(back, p)])
             worst = _worst(worst, err / max(1.0, *map(abs, p)))
     return worst, 1e-10, "velocity map then exact inversion, 100 states per model"

@@ -387,20 +387,24 @@ def hamiltonian_value(kind: Hamiltonian, state: PhaseState) -> float:
     return _energy(kind, *_unpack(kind, state))
 
 
+def _rhs(kind: Hamiltonian, x, p):
+    """Analytic (dx/dt, dp/dt) = (dH/dp, -dH/dx) at the float components x and p, as lists."""
+    r = kind._kinetic.ratio(_square(p))
+    force = kind._potential_terms[1](*x)
+    return [c * r for c in p], ([force] if kind.dim == 1 else list(force))
+
+
 def hamilton_rhs(kind: Hamiltonian, state: PhaseState):
     """Analytic (dx/dt, dp/dt) = (dH/dp, -dH/dx) as a pair of arrays."""
-    x, p = _unpack(kind, state)
-    r = kind._kinetic.ratio(_square(p))
-    return (np.array([c * r for c in p]),
-            np.array(kind._potential_terms[1](*x), dtype=float, ndmin=1))
+    xdot, pdot = _rhs(kind, *_unpack(kind, state))
+    return np.array(xdot), np.array(pdot, dtype=float)
 
 
-def hamilton_rhs_fd(kind: Hamiltonian, state: PhaseState):
-    """(dx/dt, dp/dt) by central differences of the energy on floats; test fallback.
+def _rhs_fd(kind: Hamiltonian, x, p):
+    """(dx/dt, dp/dt) by central differences of the energy at the float components x and p.
 
     Per axis the probes hold the steps of `algebra.numerical_bracket` and x+, x-, p+, p-.
     """
-    x, p = _unpack(kind, state)
     probes = []
     for xi, pi in zip(x, p):
         hx, hp = BRACKET_STEP * max(1.0, abs(xi)), BRACKET_STEP * max(1.0, abs(pi))
@@ -411,7 +415,13 @@ def hamilton_rhs_fd(kind: Hamiltonian, state: PhaseState):
               + [_energy(kind, x, p[:i] + [c] + p[i + 1:]) for c in moved[2:]]
               for i, (_, _, moved) in enumerate(probes)]
     grad = _gradient(values, probes)
-    return np.array([dh_dp for _, dh_dp in grad]), np.array([-dh_dx for dh_dx, _ in grad])
+    return [dh_dp for _, dh_dp in grad], [-dh_dx for dh_dx, _ in grad]
+
+
+def hamilton_rhs_fd(kind: Hamiltonian, state: PhaseState):
+    """(dx/dt, dp/dt) by central differences of the energy, as arrays; test fallback."""
+    xdot, pdot = _rhs_fd(kind, *_unpack(kind, state))
+    return np.array(xdot), np.array(pdot)
 
 
 @dataclass(frozen=True)

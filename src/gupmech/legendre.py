@@ -220,26 +220,35 @@ def _solve_radial(kind: Hamiltonian, s: float) -> float:
     raise RuntimeError("momentum inversion did not converge: its bracket stopped shrinking")
 
 
+def _momentum_exact(kind: Hamiltonian, v):
+    """momentum_from_velocity_exact on a list of 1 or 3 finite floats, as a list of floats."""
+    sq = _square(v)
+    # |v|, exactly |v[0]| in 1D; outside the normal range |v|^2 has lost digits or
+    # overflowed, and hypot scales first
+    s = math.sqrt(sq) if sys.float_info.min <= sq < math.inf else math.hypot(*v)
+    if s == 0.0:
+        return [0.0 * c for c in v]
+    q = _solve_radial(kind, s)
+    return [q * (c / s) for c in v]
+
+
 def momentum_from_velocity_exact(xdot, kind: Hamiltonian):
     """Invert the analytic velocity relation dH/dp = xdot numerically.
 
     Returns a float for one-dimensional models and a 3-array for
     three-dimensional ones (momentum parallel to the velocity).  Raises
-    DomainError when no momentum on the monotone branch reaches the
-    requested speed, or one whose momentum sits closer to a finite branch
-    edge than floats resolve.
+    ValueError for a non-finite velocity component, and DomainError when
+    no momentum on the monotone branch reaches the requested speed, or
+    one whose momentum sits closer to a finite branch edge than floats
+    resolve.
     """
     v = components(kind, xdot)
-    if kind.dim == 1:
-        s = abs(v)
-    else:
-        vs = v.tolist()
-        sq = _square(vs)
-        # outside the normal range |v|^2 has lost digits or overflowed; hypot scales first
-        s = math.sqrt(sq) if sys.float_info.min <= sq < math.inf else math.hypot(*vs)
-    if s == 0.0:
-        return 0.0 * v
-    return _solve_radial(kind, s) * (v / s)
+    vs = [v] if kind.dim == 1 else v.tolist()
+    if not all(map(math.isfinite, vs)):
+        raise ValueError(f"{kind.model} cannot invert the non-finite velocity "
+                         f"{vs[0] if kind.dim == 1 else vs}")
+    p = _momentum_exact(kind, vs)
+    return p[0] if kind.dim == 1 else np.array(p)
 
 
 def lagrangian_value(kind: Lagrangian, x, xdot) -> float:

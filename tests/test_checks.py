@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from gupmech import _child, dynamics, frames, legendre
-from gupmech.checks import _SUITES, CheckResult, _rk4_order_errors, _row, run_suite
+from gupmech.algebra import _square
+from gupmech.checks import (_SUITES, CheckResult, _rk4_order_errors, _row, _states,
+                            _suite_hamiltonians, run_suite)
 
 # float.hex of each row's `measured` at seed 42, recorded while algebra
 # probes were built through the validating PhaseState constructor and the
@@ -133,7 +135,7 @@ def _nan_on_call(function, call):
 
 
 @pytest.mark.parametrize("module, function, suite, row", [
-    (dynamics, "hamilton_rhs_fd", "dynamics", "dynamics.rhs-fd-agreement"),
+    (dynamics, "_rhs_fd", "dynamics", "dynamics.rhs-fd-agreement"),
     (legendre, "momentum_from_velocity_exact", "legendre", "legendre.inversion-roundtrip"),
 ], ids=["rhs-fd-agreement", "inversion-roundtrip"])
 @pytest.mark.parametrize("cpus", (1, 2), ids=["one-cpu", "two-cpus"])
@@ -147,6 +149,50 @@ def test_a_nan_sample_fails_its_row(request, monkeypatch, module, function, suit
     monkeypatch.setattr(module, function, _nan_on_call(getattr(module, function), 50))
     result = {r.name: r for r in run_suite(suite)}[row]
     assert math.isnan(result.measured) and not result.passed
+
+
+def _per_call_states(rng, count, limit=None, beta=None, fill=0.9):
+    """The states of checks._states drawn as they were before it: one rng.uniform call
+    per value (1D) or per 3-vector and scale (3D)."""
+    states = []
+    for _ in range(count):
+        if beta is None:
+            p = rng.uniform(-0.85, 0.85) * limit
+            states.append(([rng.uniform(-2.0, 2.0)], [p]))
+        else:
+            x = rng.uniform(-2.0, 2.0, size=3)
+            p = rng.uniform(-1.0, 1.0, size=3)
+            p *= math.sqrt(fill * rng.uniform(0.1, 1.0) / beta) / math.sqrt(_square(p.tolist()))
+            states.append((x.tolist(), p.tolist()))
+    return states
+
+
+# the momentum limit of each 1D suite model (exact-1d, 40, relativistic and
+# effective-sqrt minus), and the beta and fill of each 3D use
+_DRAWS = [{"limit": limit} for limit in ((math.pi / 2.0) / 0.1, 40.0, 9.534625892455923,
+                                         math.sqrt(3.0 / (8.0 * 0.01)))] + [
+    {"beta": 0.01, "fill": 0.5}, {"beta": 0.001, "fill": 0.8}, {"beta": 0.01, "fill": 0.9}]
+
+
+def test_the_1d_draws_cover_every_1d_suite_model():
+    limits = {min(dynamics.momentum_limit(kind), dynamics.monotone_momentum_limit(kind), 40.0)
+              for kind in _suite_hamiltonians() if kind.dim == 1}
+    assert sorted(limits) == sorted(draw["limit"] for draw in _DRAWS if "limit" in draw)
+
+
+@pytest.mark.parametrize("draw", _DRAWS, ids=lambda draw: "-".join(f"{k}-{v:.4g}"
+                                                                   for k, v in draw.items()))
+@pytest.mark.parametrize("count", (1, 100))
+@pytest.mark.parametrize("seed", (0, 1, 42, 2 ** 40 + 7))
+def test_one_draw_per_row_gives_the_per_call_states(draw, count, seed):
+    # low + (high - low) * u must round as rng.uniform does, with no fused multiply-add
+    one, per_call = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _states(one, count, **draw)
+    want = _per_call_states(per_call, count, **draw)
+    assert ([[c.hex() for c in part] for state in got for part in state]
+            == [[c.hex() for c in part] for state in want for part in state])
+    # both took the same number of values, so the draws that follow agree too
+    assert one.random().hex() == per_call.random().hex()
 
 
 def _rows(results):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gupmech import dynamics
 from gupmech.algebra import DeformationParameters, DomainError, PhaseState
 from gupmech.dynamics import (
     Hamiltonian,
@@ -26,7 +27,7 @@ from gupmech.dynamics import (
     rest_energy,
     speed_limit,
 )
-from gupmech.checks import _sample_states, _suite_hamiltonians
+from gupmech.checks import _suite_hamiltonians, _suite_states
 
 
 def params_of(beta, mass=1.0):
@@ -703,8 +704,8 @@ class TestTrajectory:
 
 
 # float.hex of (dx/dt, dp/dt) per _suite_hamiltonians() model on two states
-# of _sample_states(default_rng(200 + k)), recorded before either RHS read
-# states through floats.
+# of _suite_states(default_rng(200 + k)), recorded before either RHS read
+# states through floats and while each state took one uniform call per value.
 _PINNED_RHS = [
     ["0x1.35e6336fd6d2ap+2", "-0x1.d5fdc895d7623p-2", "-0x1.3e4d7b4c9528cp+8", "0x1.cddc69af5b007p-1"],
     ["0x1.086971ce65258p+9", "-0x1.a423eb6600090p-4", "-0x1.994f26883f708p-1", "-0x1.07b57fc3dfde3p-2"],
@@ -742,9 +743,26 @@ _PINNED_RHS_FD = [
 @pytest.mark.parametrize("k", range(7))
 def test_rhs_is_pinned_per_suite_model(rhs, pinned, k):
     kind = _suite_hamiltonians()[k]
-    states = _sample_states(np.random.default_rng(200 + k), kind, 2)
-    got = [c.hex() for s in states for a in rhs(kind, s) for c in a.tolist()]
+    states = _suite_states(np.random.default_rng(200 + k), kind, 2)
+    got = [c.hex() for x, p in states for a in rhs(kind, PhaseState.of(x, p)) for c in a.tolist()]
     assert got == pinned[k]
+
+
+@pytest.mark.parametrize("rhs, kernel", [(hamilton_rhs, dynamics._rhs),
+                                         (hamilton_rhs_fd, dynamics._rhs_fd)],
+                         ids=["rhs", "rhs-fd"])
+@pytest.mark.parametrize("k", range(7))
+def test_each_rhs_is_its_float_kernel(rhs, kernel, k):
+    kind = _suite_hamiltonians()[k]
+    rest = ([-0.0] * kind.dim, [-0.0] * kind.dim)
+    for x, p in [rest] + _suite_states(np.random.default_rng(300 + k), kind, 20):
+        got = rhs(kind, PhaseState.of(x, p))
+        assert [(type(a), a.dtype, a.shape) for a in got] == [(np.ndarray, float, (kind.dim,))] * 2
+        assert ([[c.hex() for c in a.tolist()] for a in got]
+                == [[c.hex() for c in part] for part in kernel(kind, x, p)])
+    # at rest dx/dt keeps the sign of p = -0.0
+    assert [c.hex() for c in hamilton_rhs(kind, PhaseState.of(*rest))[0].tolist()] == \
+        ["-0x0.0p+0"] * kind.dim
 
 
 @pytest.mark.parametrize("model, values", [

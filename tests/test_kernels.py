@@ -18,8 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from gupmech.algebra import bracket_xp_3d, jacobi_residual, momentum_function_3d, numerical_bracket
-from gupmech.checks import _sample_states, _suite_hamiltonians, run_suite
+from gupmech.algebra import (PhaseState, bracket_xp_3d, jacobi_residual, momentum_function_3d,
+                             numerical_bracket)
+from gupmech.checks import _suite_hamiltonians, _suite_states, run_suite
 from gupmech.dynamics import hamilton_rhs, hamilton_rhs_fd
 from gupmech.frames import GalileanBoost, galilean_apply, interval_residual
 from gupmech.legendre import momentum_from_velocity_exact
@@ -52,7 +53,8 @@ def _values() -> str:
                               for i in (1, 2, 3) for j in (1, 2, 3)]
     for k, kind in enumerate(_suite_hamiltonians()):
         if kind.dim == 3:
-            states = _sample_states(np.random.default_rng(200 + k), kind, 2)
+            states = [PhaseState.of(x, p)
+                      for x, p in _suite_states(np.random.default_rng(200 + k), kind, 2)]
             out[f"rhs {k}"] = [c.hex() for s in states for rhs in (hamilton_rhs, hamilton_rhs_fd)
                                for a in rhs(kind, s) for c in a.tolist()]
             out[f"inversion {k}"] = [c.hex() for v in _seeded_velocities(kind, 100 + k)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gupmech import legendre
 from gupmech.algebra import DeformationParameters, DomainError
 from gupmech.dynamics import Hamiltonian, Potential, integrate, PhaseState
 from gupmech.frames import euclidean_interval
@@ -188,6 +189,25 @@ class TestExactInversion:
         kind = Hamiltonian(model, params_of(0.01))
         q = np.ravel(momentum_from_velocity_exact(speed, kind)).tolist()
         assert [float(c).hex() for c in q] == pinned
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("k", range(7))
+    def test_a_non_finite_velocity_is_refused_by_name(self, monkeypatch, k, value):
+        # it used to fail in the search instead: a bracket not found after 200
+        # doublings, a speed closer to the branch edge than floats resolve, or
+        # beta*|p|^2 = 1 >= 1 in exact-3d
+        kind = _suite_hamiltonians()[k]
+        newton = []
+        monkeypatch.setattr(legendre, "_solve_radial", lambda *args: newton.append(args))
+        if kind.dim == 1:
+            cases = [(value, repr(value))]
+        else:
+            cases = [(v, str(v)) for v in ([value, 0.5, 0.0], [0.0, -1.0, value])]
+        for v, shown in cases:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{kind.model} cannot invert the non-finite velocity {shown}")):
+                momentum_from_velocity_exact(v, kind)
+        assert newton == []
 
 _ACTION_PARAMS = params_of(0.01, 1.3)
 _ACTION_POTENTIALS = {"free": Potential.free(), "harmonic": Potential.harmonic(0.7),
@@ -510,6 +530,23 @@ def _seeded_velocities(kind, seed):
             d1, d2, d3 = d.tolist()
             norm = math.sqrt(d1 * d1 + d2 * d2 + d3 * d3)
             yield d * (float(rng.uniform(0.05, 0.9)) * cap / norm)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_the_exact_inversion_is_its_float_kernel(k):
+    kind = _suite_hamiltonians()[k]
+    rest = -0.0 if kind.dim == 1 else np.array([-0.0, 0.0, -0.0])
+    for v in [rest, *_seeded_velocities(kind, 300 + k)]:
+        got = momentum_from_velocity_exact(v, kind)
+        if kind.dim == 1:
+            assert type(got) is float
+        else:
+            assert type(got) is np.ndarray and got.dtype == float and got.shape == (3,)
+        want = legendre._momentum_exact(kind, np.ravel(v).tolist())
+        assert [c.hex() for c in np.ravel(got).tolist()] == [c.hex() for c in want]
+    # at rest the momentum keeps the velocity's signed zeros
+    assert [c.hex() for c in np.ravel(momentum_from_velocity_exact(rest, kind)).tolist()] == \
+        [c.hex() for c in np.ravel(rest).tolist()]
 
 
 @pytest.mark.parametrize("k", range(7))
