@@ -95,11 +95,12 @@ class PhaseState:
         return cls(x=np.asarray(x, dtype=float), p=np.asarray(p, dtype=float))
 
     @classmethod
-    def _unchecked(cls, x: np.ndarray, p: np.ndarray) -> "PhaseState":
-        """A state from read-only float arrays already known to be valid; no copy, no check."""
+    def _unchecked(cls, x, p) -> "PhaseState":
+        """A state of read-only float copies of x and p, already known to be valid; no check."""
         state = object.__new__(cls)
-        object.__setattr__(state, "x", x)
-        object.__setattr__(state, "p", p)
+        for name, v in (("x", np.array(x, dtype=float)), ("p", np.array(p, dtype=float))):
+            v.setflags(write=False)
+            object.__setattr__(state, name, v)
         return state
 
     @property
@@ -133,11 +134,11 @@ def _dot(u, v) -> float:
     """u . v of 1 or 3 floats each, summed left to right as _square is."""
     return u[0] * v[0] if len(u) == 1 else u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
-def _map_3d_divisor(p: np.ndarray, params: DeformationParameters) -> float:
-    """sqrt(1 - beta p^2) for the three-dimensional map, after its domain check."""
+def _map_3d_divisor(p, params: DeformationParameters) -> float:
+    """sqrt(1 - beta p^2) of 3 floats for the three-dimensional map, after its domain check."""
     if params.beta == 0.0:
         return 1.0
-    bp2 = params.beta * _square(p.tolist())
+    bp2 = params.beta * _square(p)
     if bp2 >= 1.0:
         raise DomainError(
             f"canonical momentum is outside the map domain (need beta*|p|^2 < 1, got {bp2:.6g})"
@@ -149,7 +150,7 @@ def momentum_map_3d(p, params: DeformationParameters) -> np.ndarray:
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if p.size != 3:
         raise ValueError(f"p must have 3 components, got {p.size}")
-    return p / _map_3d_divisor(p, params)
+    return p / _map_3d_divisor(p.tolist(), params)
 
 def bracket_xp_1d(P: float, params: DeformationParameters) -> float:
     """Closed-form deformed bracket {X, P} = 1 + beta P^2 in one dimension."""
@@ -170,38 +171,39 @@ def bracket_xp_3d(P, i: int, j: int, params: DeformationParameters) -> float:
     return math.sqrt(1.0 + b * _square(P.tolist())) * (delta + b * P[i - 1] * P[j - 1])
 
 
-def _shifted(v: np.ndarray, i: int, value: float) -> np.ndarray:
-    """A read-only copy of v with entry i set to value, which must be finite."""
+def _moved(v, i: int, value: float):
+    """A copy of the float list v with entry i set to value, which must be finite."""
     if not math.isfinite(value):
         raise ValueError("phase-space components must be finite")
     v = v.copy()
     v[i] = value
-    v.setflags(write=False)
     return v
 
 
-def _probes(state: PhaseState, step_scale: float):
-    """Per axis, the steps (hx, hp) and the shifted states (x+, x-, p+, p-).
+def _probes(x, p, step_scale: float):
+    """Per axis, the steps (hx, hp) and the shifted points (x+, x-, p+, p-) of float lists.
 
-    Per coordinate the step is step_scale * max(1, |coordinate|).  Each
-    shifted state shares the unmoved array with `state`, so only the
-    moved coordinate needs checking.
+    Per coordinate the step is step_scale * max(1, |coordinate|).  Each point
+    shares the unmoved list with (x, p), so only the moved coordinate needs checking.
     """
-    x, p = state.x, state.p
     probes = []
-    for i, (xi, pi) in enumerate(zip(x.tolist(), p.tolist())):
+    for i, (xi, pi) in enumerate(zip(x, p)):
         hx = step_scale * max(1.0, abs(xi))
         hp = step_scale * max(1.0, abs(pi))
-        shifted = [PhaseState._unchecked(_shifted(x, i, xi + hx), p),
-                   PhaseState._unchecked(_shifted(x, i, xi - hx), p),
-                   PhaseState._unchecked(x, _shifted(p, i, pi + hp)),
-                   PhaseState._unchecked(x, _shifted(p, i, pi - hp))]
+        shifted = [(_moved(x, i, xi + hx), p), (_moved(x, i, xi - hx), p),
+                   (x, _moved(p, i, pi + hp)), (x, _moved(p, i, pi - hp))]
         probes.append((hx, hp, shifted))
     return probes
 
 
+def _as_states(probes):
+    """probes with each point made a PhaseState, for functions of a state."""
+    return [(hx, hp, [PhaseState._unchecked(x, p) for x, p in shifted])
+            for hx, hp, shifted in probes]
+
+
 def _values(f, probes):
-    """f at each axis's shifted states, in the order (x+, x-, p+, p-)."""
+    """f at each axis's shifted points, in the order (x+, x-, p+, p-)."""
     return [[f(s) for s in shifted] for _, _, shifted in probes]
 
 
@@ -218,10 +220,16 @@ def _gradient(values, probes):
     return grad
 
 
-def _gradients(fns, state: PhaseState, step_scale: float = BRACKET_STEP):
-    """Each function's central-difference gradient, all over one set of probe states."""
-    probes = _probes(state, step_scale)
+def _gradients_at(fns, x, p, step_scale: float = BRACKET_STEP, view=list):
+    """Each function's central-difference gradient at the float lists (x, p), all over
+    one set of probe points, each the pair (x, p) or what `view` makes of it."""
+    probes = view(_probes(x, p, step_scale))
     return [_gradient(_values(fn, probes), probes) for fn in fns]
+
+
+def _gradients(fns, state: PhaseState, step_scale: float = BRACKET_STEP):
+    """Each function of a PhaseState's gradient, all over one set of probe states."""
+    return _gradients_at(fns, state.x.tolist(), state.p.tolist(), step_scale, _as_states)
 
 
 def _contract(df, dg) -> float:
@@ -263,15 +271,21 @@ def jacobi_residual(f, g, h, state: PhaseState) -> float:
     the three inner brackets.  For smooth scalars the result is pure
     numerical noise; anything well above ~1e-6 signals a broken bracket.
     """
-    outer = _probes(state, NESTED_BRACKET_STEP)
-    # Per axis and outer probe state: ({g,h}, {h,f}, {f,g}).
+    return _jacobi(f, g, h, state.x.tolist(), state.p.tolist(), _as_states)
+
+
+def _jacobi(f, g, h, x, p, view=list) -> float:
+    """jacobi_residual at the float lists (x, p), of functions of a point as _gradients_at takes."""
+    outer = _probes(x, p, NESTED_BRACKET_STEP)
+    # Per axis and outer probe point: ({g,h}, {h,f}, {f,g}).
     nested = []
     for _, _, shifted in outer:
         row = []
         for s in shifted:
-            df, dg, dh = _gradients((f, g, h), s)
+            df, dg, dh = _gradients_at((f, g, h), *s, view=view)
             row.append((_contract(dg, dh), _contract(dh, df), _contract(df, dg)))
         nested.append(row)
+    outer = view(outer)
     b1, b2, b3 = (
         _contract(_gradient(_values(fn, outer), outer),
                   _gradient([[v[k] for v in row] for row in nested], outer))
@@ -294,7 +308,19 @@ def momentum_function_1d(params: DeformationParameters):
 
 def momentum_function_3d(params: DeformationParameters, axis: int):
     """Scalar map returning deformed momentum component `axis` (numbered from 1)."""
+    twin = _momentum_3d(params, axis)
+    return lambda state: twin((state.x.tolist(), state.p.tolist()))
+
+
+# Float twins of the scalar maps above, as functions of a point (x, p) of float lists.
+def _coordinate(axis: int):
+    return lambda point: point[0][axis - 1]
+
+def _momentum_1d(params: DeformationParameters):
+    return lambda point: momentum_map_1d(point[1][0], params)
+
+def _momentum_3d(params: DeformationParameters, axis: int):
     if axis not in (1, 2, 3):
         raise IndexError(f"axis numbers must lie in 1..3, got {axis}")
     k = axis - 1
-    return lambda state: float(state.p[k]) / _map_3d_divisor(state.p, params)
+    return lambda point: point[1][k] / _map_3d_divisor(point[1], params)

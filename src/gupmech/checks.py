@@ -19,10 +19,10 @@ import numpy as np
 
 from . import constants as consts
 from . import _child, dynamics, frames, legendre
-from .algebra import (BRACKET_STEP, DeformationParameters, PhaseState, _contract, _gradients,
-                      _square, bracket_xp_1d, bracket_xp_3d, coordinate_function, jacobi_residual,
-                      momentum_function_1d, momentum_function_3d,
-                      momentum_map_1d, numerical_bracket)
+from .algebra import (BRACKET_STEP, DeformationParameters, PhaseState, _contract, _coordinate,
+                      _gradients_at, _jacobi, _momentum_1d, _momentum_3d, _square, bracket_xp_1d,
+                      bracket_xp_3d, coordinate_function, momentum_function_1d, momentum_map_1d,
+                      numerical_bracket)
 
 DEFAULT_SEED = 42
 
@@ -98,15 +98,14 @@ def _check_bracket_1d(rng) -> CheckBody:
 def _check_bracket_3d(rng) -> CheckBody:
     params = DeformationParameters(beta=0.01, mass=1.0)
     # X_1..X_3, P_1..P_3: gradients taken once per state, contracted pairwise
-    fns = ([coordinate_function(axis) for axis in (1, 2, 3)]
-           + [momentum_function_3d(params, axis) for axis in (1, 2, 3)])
+    fns = ([_coordinate(axis) for axis in (1, 2, 3)]
+           + [_momentum_3d(params, axis) for axis in (1, 2, 3)])
     worst = 0.0
     for x, p in _states(rng, 40, beta=params.beta):
-        state = PhaseState.of(x, p)
         scale_sq = max(1.0, *map(abs, p)) ** 2
-        big_p = np.array([fns[3 + j](state) for j in range(3)])
-        root = math.sqrt(1.0 + params.beta * _square(big_p.tolist()))
-        coarse, fine = _gradients(fns, state), _gradients(fns, state, BRACKET_STEP / 2)
+        big_p = [fns[3 + j]((x, p)) for j in range(3)]
+        root = math.sqrt(1.0 + params.beta * _square(big_p))
+        coarse, fine = _gradients_at(fns, x, p), _gradients_at(fns, x, p, BRACKET_STEP / 2)
         for i in range(3):
             for j in range(3):
                 target = bracket_xp_3d(big_p, i + 1, j + 1, params)
@@ -119,11 +118,11 @@ def _check_bracket_3d(rng) -> CheckBody:
 
 def _check_vanishing_brackets(rng) -> CheckBody:
     params = DeformationParameters(beta=0.01, mass=1.0)
-    fns = ([coordinate_function(axis) for axis in (1, 2, 3)]
-           + [momentum_function_3d(params, axis) for axis in (1, 2, 3)])
+    fns = ([_coordinate(axis) for axis in (1, 2, 3)]
+           + [_momentum_3d(params, axis) for axis in (1, 2, 3)])
     worst = 0.0
     for x, p in _states(rng, 25, beta=params.beta):
-        grads = _gradients(fns, PhaseState.of(x, p))
+        grads = _gradients_at(fns, x, p)
         for i in range(3):
             for j in range(i + 1, 3):
                 worst = _worst(worst, abs(_contract(grads[i], grads[j])),
@@ -208,28 +207,24 @@ def _check_jacobi(rng) -> CheckBody:
     params = DeformationParameters(beta=0.01, mass=1.0)
     worst = 0.0
     for _ in range(10):
-        state = PhaseState.of(rng.uniform(-2.0, 2.0), rng.uniform(-8.0, 8.0))
-        a, b = rng.uniform(-1.0, 1.0, size=2)
-        f = coordinate_function()
-        g = momentum_function_1d(params)
+        x, p = [float(rng.uniform(-2.0, 2.0))], [float(rng.uniform(-8.0, 8.0))]
+        a, b = rng.uniform(-1.0, 1.0, size=2).tolist()
 
         def h(s, a=a, b=b):
-            return (a * float(s.x[0]) + b) * float(s.p[0])
+            return (a * s[0][0] + b) * s[1][0]
 
-        worst = _worst(worst, abs(jacobi_residual(f, g, h, state)))
+        worst = _worst(worst, _jacobi(_coordinate(1), _momentum_1d(params), h, x, p))
     for _ in range(10):
         # one state per draw: the axes below come from the same generator
-        state = PhaseState.of(*_states(rng, 1, beta=params.beta, fill=0.5)[0])
-        i, j, k, l = rng.integers(1, 4, size=4)
-        f = coordinate_function(int(i))
-        g = momentum_function_3d(params, int(j))
-        xk = coordinate_function(int(k))
-        pl = momentum_function_3d(params, int(l))
+        x, p = _states(rng, 1, beta=params.beta, fill=0.5)[0]
+        i, j, k, l = rng.integers(1, 4, size=4).tolist()
+        xk = _coordinate(k)
+        pl = _momentum_3d(params, l)
 
         def h(s, xk=xk, pl=pl):
             return xk(s) * pl(s)
 
-        worst = _worst(worst, abs(jacobi_residual(f, g, h, state)))
+        worst = _worst(worst, _jacobi(_coordinate(i), _momentum_3d(params, j), h, x, p))
     return worst, 1e-5, "nested-bracket Jacobi residual, 20 seeded triples"
 
 
@@ -470,8 +465,16 @@ def _check_action_interval_link(rng) -> CheckBody:
 # ----------------------------------------------------------------- frames
 
 def _random_events(rng, dim, count):
-    return np.array([[rng.uniform(-2.0, 2.0), *rng.uniform(-2.0, 2.0, size=dim)]
-                     for _ in range(count)])
+    """count events (t, x1[, x2, x3]) in (-2, 2) as lists of floats, from one rng.random
+    call; these are the events drawn by one rng.uniform call for t and one for x."""
+    u = rng.random((1 + dim) * count).tolist()
+    return [[_uniform(-2.0, 2.0, c) for c in u[k:k + 1 + dim]]
+            for k in range(0, len(u), 1 + dim)]
+
+
+def _boosted(law, boost, event):
+    """A float event moved by law(boost, t', x1'), frames' formula for rows and columns."""
+    return [*law(boost, event[0], event[1]), *event[2:]]
 
 
 def _check_interval_invariance(rng) -> CheckBody:
@@ -482,9 +485,9 @@ def _check_interval_invariance(rng) -> CheckBody:
         for k in range(0, 100, 2):
             boost = frames.GalileanBoost(float(rng.uniform(-10.0, 10.0)) * u, u)
             e1, e2 = events[k], events[k + 1]
-            before = frames.euclidean_interval(e1, e2, u)
-            after = frames.euclidean_interval(frames.galilean_apply(boost, e1),
-                                              frames.galilean_apply(boost, e2), u)
+            before = frames._euclidean(e1, e2, u)
+            after = frames._euclidean(_boosted(frames._galilean, boost, e1),
+                                      _boosted(frames._galilean, boost, e2), u)
             worst = _worst(worst, abs(after - before) / abs(before))
     return worst, 1e-12, "u^2 dt^2 + dx^2 under exact boosts, |V| up to 10u"
 
@@ -499,7 +502,7 @@ def _first_order_law_deviation(events, u, velocity):
 
 def _check_first_order_convergence(rng) -> CheckBody:
     u = 1.0
-    events = _random_events(rng, 1, 50)
+    events = np.array(_random_events(rng, 1, 50))
     devs = [_first_order_law_deviation(events, u, v) for v in (0.4, 0.2, 0.1)]
     worst = _worst(abs(devs[0] / devs[1] / 16.0 - 1.0),
                    abs(devs[1] / devs[2] / 16.0 - 1.0))
@@ -510,14 +513,14 @@ def _check_group_structure(rng) -> CheckBody:
     u = 1.3
     worst = 0.0
     for _ in range(25):
-        v1, v2, v3 = rng.uniform(-0.8, 0.8, size=3) * u
-        b1 = frames.GalileanBoost(float(v1), u)
-        b2 = frames.GalileanBoost(float(v2), u)
-        b3 = frames.GalileanBoost(float(v3), u)
-        event = rng.uniform(-2, 2, size=2)
+        v1, v2, v3 = (rng.uniform(-0.8, 0.8, size=3) * u).tolist()
+        b1 = frames.GalileanBoost(v1, u)
+        b2 = frames.GalileanBoost(v2, u)
+        b3 = frames.GalileanBoost(v3, u)
+        event = rng.uniform(-2, 2, size=2).tolist()
         combo = frames.galilean_compose(b1, b2)
-        sequential = frames.galilean_apply(b2, frames.galilean_apply(b1, event))
-        direct = frames.galilean_apply(combo, event)
+        sequential = _boosted(frames._galilean, b2, _boosted(frames._galilean, b1, event))
+        direct = _boosted(frames._galilean, combo, event)
         worst = _worst(worst, _rel(direct[0] - sequential[0], sequential[0]),
                        _rel(direct[1] - sequential[1], sequential[1]))
         left = frames.galilean_compose(frames.galilean_compose(b1, b2), b3)
@@ -529,9 +532,9 @@ def _check_group_structure(rng) -> CheckBody:
 
 
 def _round_trip_error(boost, event):
-    """Relative error of a 1D event boosted and boosted back, worst coordinate."""
-    back = frames.galilean_apply(frames.galilean_inverse(boost),
-                                 frames.galilean_apply(boost, event))
+    """Relative error of a 1D float event boosted and boosted back, worst coordinate."""
+    back = _boosted(frames._galilean, frames.galilean_inverse(boost),
+                    _boosted(frames._galilean, boost, event))
     return _worst(_rel(back[0] - event[0], event[0]), _rel(back[1] - event[1], event[1]))
 
 
@@ -542,10 +545,12 @@ def _check_lorentz_invariance(rng) -> CheckBody:
     for k in range(0, 100, 2):
         boost = frames.LorentzBoost(float(rng.uniform(-0.95, 0.95)) * c, c)
         e1, e2 = events[k], events[k + 1]
-        before = frames.minkowski_interval(e1, e2, c)
-        after = frames.minkowski_interval(frames.lorentz_apply(boost, e1),
-                                          frames.lorentz_apply(boost, e2), c)
-        scale = (c * (e1[0] - e2[0])) ** 2 + float(np.sum((e1[1:] - e2[1:]) ** 2))
+        before = frames._minkowski(e1, e2, c)
+        after = frames._minkowski(_boosted(frames._lorentz, boost, e1),
+                                  _boosted(frames._lorentz, boost, e2), c)
+        # dx * dx is what numpy's (dx ** 2) of a 1-component array computes
+        dx = e1[1] - e2[1]
+        scale = (c * (e1[0] - e2[0])) ** 2 + dx * dx
         worst = _worst(worst, abs(after - before) / scale)
     return worst, 1e-12, "c_eff^2 dt^2 - dx^2 under Lorentz boosts"
 
@@ -555,7 +560,7 @@ def _check_no_speed_limit(rng) -> CheckBody:
     boost = frames.GalileanBoost(10.0 * u, u)
     worst = 0.0
     for _ in range(20):
-        worst = _worst(worst, _round_trip_error(boost, rng.uniform(-2, 2, size=2)))
+        worst = _worst(worst, _round_trip_error(boost, rng.uniform(-2, 2, size=2).tolist()))
     return worst, 1e-12, "V = 10u boost round-trips; no speed ceiling"
 
 

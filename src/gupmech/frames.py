@@ -84,6 +84,27 @@ class LorentzBoost:
             )
 
 
+def _apply(law, boost, events) -> np.ndarray:
+    """law(boost, t', x1') on a row or a batch's columns; the other columns pass through."""
+    events = _events(events)
+    out = events.copy()
+    out[..., 0], out[..., 1] = law(boost, events[..., 0], events[..., 1])
+    return _finite_rows(out)
+
+
+def _galilean(boost: GalileanBoost, t, x1):
+    """The rest-frame (t, x1) of galilean_apply, on one event's floats or on columns."""
+    V = boost.velocity
+    u = boost.scale
+    if boost.law == GALILEAN_EXACT:
+        denom = math.sqrt(1.0 + (V / u) ** 2)
+        return (t - x1 * V / (u * u)) / denom, (x1 + V * t) / denom
+    if boost.law == GALILEAN_FIRST_ORDER:
+        factor = 1.0 - V * V / (2.0 * u * u)
+        return t * factor - x1 * V / (u * u), (x1 + V * t) * factor
+    return t, x1 + V * t
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def galilean_apply(boost: GalileanBoost, events) -> np.ndarray:
     """Map moving-frame events (t', x') to the rest frame, row by row.
@@ -96,23 +117,7 @@ def galilean_apply(boost: GalileanBoost, events) -> np.ndarray:
 
     Takes a row or a batch and returns a new array of the same shape.
     """
-    events = _events(events)
-    V = boost.velocity
-    u = boost.scale
-    t = events[..., 0]
-    x1 = events[..., 1]
-    out = events.copy()
-    if boost.law == GALILEAN_EXACT:
-        denom = math.sqrt(1.0 + (V / u) ** 2)
-        out[..., 0] = (t - x1 * V / (u * u)) / denom
-        out[..., 1] = (x1 + V * t) / denom
-    elif boost.law == GALILEAN_FIRST_ORDER:
-        factor = 1.0 - V * V / (2.0 * u * u)
-        out[..., 0] = t * factor - x1 * V / (u * u)
-        out[..., 1] = (x1 + V * t) * factor
-    else:
-        out[..., 1] = x1 + V * t
-    return _finite_rows(out)
+    return _apply(_galilean, boost, events)
 
 
 def galilean_inverse(boost: GalileanBoost) -> GalileanBoost:
@@ -153,19 +158,18 @@ def velocity_compose(v: float, boost: GalileanBoost) -> float:
     return (v + V) / denom
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def lorentz_apply(boost: LorentzBoost, events) -> np.ndarray:
-    """Standard boost x = (x' + V t') gamma, t = (t' + x' V/c^2) gamma, row by row."""
-    events = _events(events)
+def _lorentz(boost: LorentzBoost, t, x1):
+    """The rest-frame (t, x1) of lorentz_apply, on one event's floats or on columns."""
     V = boost.velocity
     c = boost.light_speed
     gamma = 1.0 / math.sqrt(1.0 - (V / c) ** 2)
-    t = events[..., 0]
-    x1 = events[..., 1]
-    out = events.copy()
-    out[..., 0] = (t + x1 * V / (c * c)) * gamma
-    out[..., 1] = (x1 + V * t) * gamma
-    return _finite_rows(out)
+    return (t + x1 * V / (c * c)) * gamma, (x1 + V * t) * gamma
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def lorentz_apply(boost: LorentzBoost, events) -> np.ndarray:
+    """Standard boost x = (x' + V t') gamma, t = (t' + x' V/c^2) gamma, row by row."""
+    return _apply(_lorentz, boost, events)
 
 
 def _event_pair(e1, e2):
@@ -179,8 +183,9 @@ def _interval_parts(d, scale_sq: float):
     """(scale_sq dt^2, |dx|^2) from event differences d with components first.
 
     Checks nothing.  Event rows give d as (e2 - e1).T, the residual's blocks as
-    (1+d, rows, m) slabs.  |dx|^2 adds the squared component planes left to
-    right, as algebra._square does, so no BLAS kernel sets its bits.
+    (1+d, rows, m) slabs, and two events' float lists a list of floats.  |dx|^2
+    adds the squared component planes left to right, as algebra._square does,
+    so no BLAS kernel sets its bits.
     """
     dx2 = d[1] * d[1]
     for dk in d[2:]:
@@ -197,6 +202,18 @@ def _interval(e1, e2, scale_sq: float, combine):
     if not (math.isfinite(interval) if interval.ndim == 0 else np.isfinite(interval).all()):
         raise FloatingPointError("interval between the events is not finite")
     return interval
+
+
+def _minkowski(e1, e2, light_speed: float) -> float:
+    """minkowski_interval of two events given as float lists; checks nothing."""
+    time_part, dx2 = _interval_parts([b - a for a, b in zip(e1, e2)], light_speed ** 2)
+    return time_part - dx2
+
+
+def _euclidean(e1, e2, u: float) -> float:
+    """euclidean_interval of two events given as float lists; checks nothing."""
+    time_part, dx2 = _interval_parts([b - a for a, b in zip(e1, e2)], u * u)
+    return time_part + dx2
 
 
 def minkowski_interval(e1, e2, light_speed: float):

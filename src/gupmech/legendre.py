@@ -109,22 +109,23 @@ def momentum_from_velocity_first_order(xdot, params: DeformationParameters):
     """First-order momentum: 1d p = m v (1 - 4/3 beta m^2 v^2); 3d uses 1 - 2 beta m^2 v^2.
 
     Accurate to O(beta^2).  A 1-component velocity takes the 1d form.
-    Warns once the deformation measure beta m^2 v^2 exceeds
-    SMALL_DEFORMATION_BOUND.
+    Raises ValueError for a non-finite velocity component, and warns once
+    the deformation measure beta m^2 v^2 exceeds SMALL_DEFORMATION_BOUND.
     """
     m = params.mass
     b = params.beta
     v = np.asarray(xdot, dtype=float)
-    if v.ndim <= 1 and v.size == 1:
-        v = v.item()
-        measure, label = b * m * m * v * v, "v^2"
-    elif v.shape == (3,):
-        v1, v2, v3 = v.tolist()  # |v|^2 summed left to right on floats, as in dynamics
-        vsq = v1 * v1 + v2 * v2 + v3 * v3
-        measure, label = b * m * m * vsq, "|v|^2"
-    else:
+    if not (v.ndim <= 1 and v.size == 1 or v.shape == (3,)):
         raise ValueError("first-order momentum takes 1 or 3 velocity components, "
                          f"got shape {v.shape}")
+    vs = _finite(v.ravel().tolist(), "first-order momentum cannot take")
+    if len(vs) == 1:
+        v = vs[0]
+        measure, label = b * m * m * v * v, "v^2"
+    else:
+        v1, v2, v3 = vs  # |v|^2 summed left to right on floats, as in dynamics
+        vsq = v1 * v1 + v2 * v2 + v3 * v3
+        measure, label = b * m * m * vsq, "|v|^2"
     if measure > SMALL_DEFORMATION_BOUND:
         warnings.warn(
             f"beta*m^2*{label} = {measure:.3g} is outside the small-deformation regime; "
@@ -135,6 +136,13 @@ def momentum_from_velocity_first_order(xdot, params: DeformationParameters):
     if np.ndim(v) == 0:
         return m * v * (1.0 - (4.0 / 3.0) * b * m * m * v * v)
     return m * v * (1.0 - 2.0 * b * m * m * vsq)
+
+
+def _finite(v, refusal: str):
+    """The velocity v, 1 or 3 floats, or ValueError(refusal + " the non-finite velocity v")."""
+    if not all(map(math.isfinite, v)):
+        raise ValueError(f"{refusal} the non-finite velocity {v[0] if len(v) == 1 else v}")
+    return v
 
 
 def _bracket_high(kind: Hamiltonian, s: float) -> float:
@@ -243,11 +251,8 @@ def momentum_from_velocity_exact(xdot, kind: Hamiltonian):
     resolve.
     """
     v = components(kind, xdot)
-    vs = [v] if kind.dim == 1 else v.tolist()
-    if not all(map(math.isfinite, vs)):
-        raise ValueError(f"{kind.model} cannot invert the non-finite velocity "
-                         f"{vs[0] if kind.dim == 1 else vs}")
-    p = _momentum_exact(kind, vs)
+    p = _momentum_exact(kind, _finite([v] if kind.dim == 1 else v.tolist(),
+                                      f"{kind.model} cannot invert"))
     return p[0] if kind.dim == 1 else np.array(p)
 
 
@@ -255,11 +260,12 @@ def lagrangian_value(kind: Lagrangian, x, xdot) -> float:
     """L(x, xdot) for the given model, its kinetic part minus U(x).
 
     The kinetic part vanishes at rest, except in the relativistic form,
-    which keeps its -m c^2 rest term (see rest_term).
+    which keeps its -m c^2 rest term (see rest_term).  Raises ValueError
+    for a non-finite velocity component.
     """
     v = components(kind, xdot)
-    kinetic = kind._kinetic(v) if kind.dim == 1 else kind._kinetic(*v.tolist())
-    return kinetic - kind.potential.energy(x)
+    v = _finite([v] if kind.dim == 1 else v.tolist(), f"{kind.model} Lagrangian cannot take")
+    return kind._kinetic(*v) - kind.potential.energy(x)
 
 
 def rest_term(kind: Lagrangian) -> float:

@@ -22,7 +22,12 @@ from gupmech.algebra import (
     momentum_map_3d,
     numerical_bracket,
     _contract,
+    _coordinate,
     _gradients,
+    _gradients_at,
+    _jacobi,
+    _momentum_1d,
+    _momentum_3d,
     _probes,
 )
 
@@ -78,23 +83,27 @@ class TestProbes:
     STATE = PhaseState.of([1.0, -2.5, 0.3], [0.1, 40.0, -0.7])
 
     def test_probe_arrays_are_read_only(self):
-        for _, _, shifted in _probes(self.STATE, BRACKET_STEP):
-            for probe in shifted:
-                for v in (probe.x, probe.p):
-                    with pytest.raises(ValueError):
-                        v[0] = 9.0
+        # the states a function of a PhaseState is given, through the public shell
+        seen = []
+        numerical_bracket(lambda state: seen.append(state) or 0.0, coordinate_function(),
+                          self.STATE)
+        assert len(seen) == 12
+        for probe in seen:
+            for v in (probe.x, probe.p):
+                with pytest.raises(ValueError):
+                    v[0] = 9.0
 
     def test_each_probe_is_the_state_with_one_coordinate_moved(self):
         x, p = self.STATE.x, self.STATE.p
-        for i, (hx, hp, shifted) in enumerate(_probes(self.STATE, BRACKET_STEP)):
+        for i, (hx, hp, shifted) in enumerate(_probes(x.tolist(), p.tolist(), BRACKET_STEP)):
             assert hx == BRACKET_STEP * max(1.0, abs(x[i]))
             assert hp == BRACKET_STEP * max(1.0, abs(p[i]))
             unit = np.eye(3)[i]
             expected = [(x + hx * unit, p), (x - hx * unit, p),
                         (x, p + hp * unit), (x, p - hp * unit)]
-            for probe, (ex, ep) in zip(shifted, expected):
-                assert probe.dim == 3
-                assert probe.x.tolist() == ex.tolist() and probe.p.tolist() == ep.tolist()
+            for (probe_x, probe_p), (ex, ep) in zip(shifted, expected):
+                assert len(probe_x) == len(probe_p) == 3
+                assert probe_x == ex.tolist() and probe_p == ep.tolist()
 
     @pytest.mark.parametrize("x, p", [(1.7e308, 0.0), (0.0, -1.7e308)])
     def test_probe_past_the_float_range_raises(self, x, p):
@@ -384,6 +393,75 @@ class TestSharedGradients:
             with pytest.raises(DomainError) as single:
                 numerical_bracket(coordinate_function(), mapped, state)
             assert str(shared.value) == str(single.value)
+
+
+class TestFloatEngine:
+    """The float engine on twin functions of (x, p) against the PhaseState shells, bit for bit."""
+
+    @staticmethod
+    def _families(dim):
+        """(twin, public) pairs: coordinates, deformed momenta and their products."""
+        params = params_of(0.01)
+        if dim == 1:
+            pairs = [(_coordinate(1), coordinate_function()),
+                     (_momentum_1d(params), momentum_function_1d(params))]
+        else:
+            pairs = ([(_coordinate(a), coordinate_function(a)) for a in (1, 2, 3)]
+                     + [(_momentum_3d(params, a), momentum_function_3d(params, a))
+                        for a in (1, 2, 3)])
+        return pairs + [(_product(f, g), _product(F, G))
+                        for (f, F), (g, G) in zip(pairs, pairs[1:] + pairs[:1])]
+
+    @staticmethod
+    def _states(dim):
+        """Seeded states: 1D as in the Jacobi row, 3D at beta |p|^2 in (0.1, 0.9)."""
+        rng = np.random.default_rng(53 + dim)
+        if dim == 1:
+            return [PhaseState.of(rng.uniform(-2.0, 2.0), rng.uniform(-8.0, 8.0))
+                    for _ in range(5)]
+        states = []
+        for _ in range(5):
+            p = rng.uniform(-1.0, 1.0, size=3)
+            p *= math.sqrt(rng.uniform(0.1, 0.9) / 0.01) / math.sqrt(_left_to_right_square(p))
+            states.append(PhaseState.of(rng.uniform(-2.0, 2.0, size=3), p))
+        return states
+
+    @staticmethod
+    def _hex(gradients):
+        return [[(a.hex(), b.hex()) for a, b in grad] for grad in gradients]
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_twins_give_the_public_values(self, dim):
+        for state in self._states(dim):
+            point = (state.x.tolist(), state.p.tolist())
+            for twin, public in self._families(dim):
+                assert float(twin(point)).hex() == float(public(state)).hex()
+
+    @pytest.mark.parametrize("step", [BRACKET_STEP, NESTED_BRACKET_STEP, BRACKET_STEP / 2],
+                             ids=["step", "nested", "half"])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_gradients_and_brackets_equal_the_shells(self, dim, step):
+        twins, publics = zip(*self._families(dim))
+        for state in self._states(dim):
+            x, p = state.x.tolist(), state.p.tolist()
+            grads = _gradients_at(twins, x, p, step)
+            assert self._hex(grads) == self._hex(_gradients(publics, state, step))
+            for (f, df), F in zip(zip(twins, grads), publics):
+                for (g, dg), G in zip(zip(twins, grads), publics):
+                    got = _contract(*_gradients_at((f, g), x, p, step))
+                    assert got.hex() == _contract(df, dg).hex()
+                    assert got.hex() == numerical_bracket(F, G, state, step).hex()
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_jacobi_equals_the_shell(self, dim):
+        twins, publics = zip(*self._families(dim))
+        n = len(twins)
+        for k, state in enumerate(self._states(dim)):
+            x, p = state.x.tolist(), state.p.tolist()
+            for a, b, c in [(0, 1, n - 1), (1, n - 2, 0), (k % n, (k + 2) % n, n - 1)]:
+                got = _jacobi(twins[a], twins[b], twins[c], x, p)
+                want = jacobi_residual(publics[a], publics[b], publics[c], state)
+                assert got.hex() == want.hex()
 
 
 # ------------------------------------------------------- pinned bracket layer

@@ -17,8 +17,8 @@ import pytest
 
 from gupmech import _child, dynamics, frames, legendre
 from gupmech.algebra import _square
-from gupmech.checks import (_SUITES, CheckResult, _rk4_order_errors, _row, _states,
-                            _suite_hamiltonians, run_suite)
+from gupmech.checks import (_SUITES, CheckResult, _random_events, _rk4_order_errors, _row,
+                            _states, _suite_hamiltonians, run_suite)
 
 # float.hex of each row's `measured` at seed 42, recorded while algebra
 # probes were built through the validating PhaseState constructor and the
@@ -137,7 +137,9 @@ def _nan_on_call(function, call):
 @pytest.mark.parametrize("module, function, suite, row", [
     (dynamics, "_rhs_fd", "dynamics", "dynamics.rhs-fd-agreement"),
     (legendre, "momentum_from_velocity_exact", "legendre", "legendre.inversion-roundtrip"),
-], ids=["rhs-fd-agreement", "inversion-roundtrip"])
+    (frames, "_euclidean", "frames", "frames.interval-invariance"),
+    (frames, "_minkowski", "frames", "frames.lorentz-invariance"),
+], ids=["rhs-fd-agreement", "inversion-roundtrip", "interval-invariance", "lorentz-invariance"])
 @pytest.mark.parametrize("cpus", (1, 2), ids=["one-cpu", "two-cpus"])
 def test_a_nan_sample_fails_its_row(request, monkeypatch, module, function, suite, row, cpus):
     # the calls are counted per process, and the row is the first of its
@@ -191,6 +193,26 @@ def test_one_draw_per_row_gives_the_per_call_states(draw, count, seed):
     want = _per_call_states(per_call, count, **draw)
     assert ([[c.hex() for c in part] for state in got for part in state]
             == [[c.hex() for c in part] for state in want for part in state])
+    # both took the same number of values, so the draws that follow agree too
+    assert one.random().hex() == per_call.random().hex()
+
+
+def _per_call_events(rng, dim, count):
+    """The events of checks._random_events drawn as they were before it: one rng.uniform
+    call for t and one for x per event."""
+    return [[float(rng.uniform(-2.0, 2.0)), *rng.uniform(-2.0, 2.0, size=dim).tolist()]
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("dim", (1, 3))
+@pytest.mark.parametrize("count", (1, 50, 100))
+@pytest.mark.parametrize("seed", (0, 1, 42, 2 ** 40 + 7))
+def test_one_draw_per_row_gives_the_per_call_events(dim, count, seed):
+    one, per_call = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _random_events(one, dim, count)
+    want = _per_call_events(per_call, dim, count)
+    assert [[c.hex() for c in event] for event in got] == [[c.hex() for c in event]
+                                                           for event in want]
     # both took the same number of values, so the draws that follow agree too
     assert one.random().hex() == per_call.random().hex()
 

@@ -414,6 +414,32 @@ def test_squared_separation_adds_the_component_squares_left_to_right(dim, boost)
                        for (a, b), w in zip(pairs, want.ravel().tolist()))
 
 
+_FLOAT_BOOSTS = [GalileanBoost(v * 1.3, 1.3, law=law) for v in (-10.0, 0.6, 3.0)
+                 for law in (GALILEAN_EXACT, GALILEAN_FIRST_ORDER, GALILEAN_ORDINARY)] + [
+                 LorentzBoost(v * 1.4, 1.4) for v in (-0.95, 0.6)]
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("boost", _FLOAT_BOOSTS, ids=repr)
+def test_each_float_boost_and_interval_is_its_array_form(dim, boost):
+    # one formula per law: the float lines the check rows call give the bits of
+    # galilean_apply and lorentz_apply on event rows and on a batch's columns
+    law, apply = ((frames._lorentz, lorentz_apply) if isinstance(boost, LorentzBoost)
+                  else (frames._galilean, galilean_apply))
+    events = np.random.default_rng(29 + dim).uniform(-2.0, 2.0, (40, 1 + dim))
+    batch = apply(boost, events)
+    for k, event in enumerate(events):
+        moved = [*law(boost, *event[:2].tolist()), *event[2:].tolist()]
+        assert [c.hex() for c in moved] == [c.hex() for c in apply(boost, event).tolist()]
+        assert [c.hex() for c in moved] == [c.hex() for c in batch[k].tolist()]
+    pairs = [(e1, e2) for rows in (events, batch) for e1, e2 in zip(rows, rows[1:])]
+    for floats, public, scale in ((frames._euclidean, euclidean_interval, 1.3),
+                                  (frames._minkowski, minkowski_interval, 1.4)):
+        for e1, e2 in pairs:
+            got = floats(e1.tolist(), e2.tolist(), scale)
+            assert type(got) is float and got.hex() == float(public(e1, e2, scale)).hex()
+
+
 class TestIntervalResidual:
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("law", ["exact", "lorentz"])

@@ -68,6 +68,20 @@ class TestFirstOrderInversion:
         with pytest.warns(RuntimeWarning, match="small-deformation"):
             momentum_from_velocity_first_order(velocity, params_of(0.01))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_a_non_finite_velocity_is_refused_by_name(self, value):
+        # it returned nan, or -inf after a warning that called the speed outside
+        # the small-deformation regime
+        import warnings
+        cases = [(value, repr(value)), ([value], repr(value))] + [
+            (v, str(v)) for v in ([value, 0.5, 0.0], [0.0, -1.0, value])]
+        for v, shown in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=re.escape(
+                        f"first-order momentum cannot take the non-finite velocity {shown}")):
+                    momentum_from_velocity_first_order(v, params_of(0.01))
+
     @pytest.mark.parametrize("velocity", [3.0, [0.0, 1.8, 2.4]], ids=["1d", "3d"])
     def test_silent_inside_the_regime(self, velocity):
         import warnings
@@ -270,6 +284,20 @@ class TestLagrangianValue:
         message = f"model {model} expects {kind.dim}-component vectors, got shape {shape}"
         with pytest.raises(ValueError, match=re.escape(message)):
             lagrangian_value(kind, np.zeros(kind.dim), velocity)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("model", sorted(_ACTION_MODELS))
+    def test_a_non_finite_velocity_is_refused_by_name(self, model, value):
+        # first-order-1d gave nan at v = nan and sqrt-1d gave inf at v = inf
+        kind = _ACTION_MODELS[model](Potential.harmonic(0.7))
+        if kind.dim == 1:
+            cases = [(value, repr(value)), ([value], repr(value))]
+        else:
+            cases = [(v, str(v)) for v in ([value, 0.5, 0.0], [0.0, -1.0, value])]
+        for v, shown in cases:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{model} Lagrangian cannot take the non-finite velocity {shown}")):
+                lagrangian_value(kind, np.zeros(kind.dim), v)
 
     def test_relativistic_rest_term(self):
         kind = Lagrangian.relativistic(params_of(1e-4), 10.0)
