@@ -548,7 +548,6 @@ def _check_lorentz_invariance(rng) -> CheckBody:
         before = frames._minkowski(e1, e2, c)
         after = frames._minkowski(_boosted(frames._lorentz, boost, e1),
                                   _boosted(frames._lorentz, boost, e2), c)
-        # dx * dx is what numpy's (dx ** 2) of a 1-component array computes
         dx = e1[1] - e2[1]
         scale = (c * (e1[0] - e2[0])) ** 2 + dx * dx
         worst = _worst(worst, abs(after - before) / scale)
