@@ -1,10 +1,10 @@
 """Indexed work shared with one child forked alongside: the fork rule and the process steps.
 
-The check rows in `checks` and the long-table blocks in `csvio` are both
-shared here, so each child takes its work, leaves, sends back its values
-and is killed and reaped one way.  While the two share work, the child
-runs on every allowed CPU but the first and this process on the first,
-because Linux can leave a forked child on its parent's CPU.
+The check jobs in `checks` (a row at a seed) and the long-table blocks in
+`csvio` are both shared here, so each child takes its work, leaves, sends
+back its values and is killed and reaped one way.  While the two share
+work, the child runs on every allowed CPU but the first and this process
+on the first, because Linux can leave a forked child on its parent's CPU.
 """
 
 import os
@@ -17,8 +17,8 @@ def runs_alongside() -> bool:
     On one CPU the two processes take turns, so the fork and the copy are pure cost.
     They may take turns on two as well, since Linux can leave a fresh child on
     its parent's CPU, so `Shared` pins the two apart.  A long-lived process is
-    spread by the scheduler anyway: the 100 forks of tools/seed_sweep.py took
-    6.9-11.3 s unpinned and 7.5-12.5 s pinned (5 alternating runs each).
+    spread by the scheduler anyway: a sweep of seeds 0-99 that forked once per
+    seed took 6.9-11.3 s unpinned and 7.5-12.5 s pinned (5 alternating runs each).
     """
     if not hasattr(os, "fork"):
         return False

@@ -9,11 +9,12 @@ self-tests: scaling all tolerances to zero must make a healthy suite
 fail.
 """
 
+import inspect
 import math
 import zlib
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -130,8 +131,7 @@ def _check_vanishing_brackets(rng) -> CheckBody:
     return worst, _FD_TOL, "{X_i,X_j} and {P_i,P_j} magnitudes, 25 states"
 
 
-def _check_beta_zero_bound(rng) -> CheckBody:
-    del rng
+def _check_beta_zero_bound() -> CheckBody:
     beta = 0.01
     params = DeformationParameters(beta=beta, mass=1.0)
     grid = np.linspace(0.05, 0.5, 19) / math.sqrt(beta)
@@ -142,8 +142,7 @@ def _check_beta_zero_bound(rng) -> CheckBody:
     return worst, 1.0, "|P(p) - p| against the beta*|p|^3 bound"
 
 
-def _check_beta_zero_halving(rng) -> CheckBody:
-    del rng
+def _check_beta_zero_halving() -> CheckBody:
     beta = 0.01
     grid = np.linspace(0.05, 0.5, 19) / math.sqrt(beta)
     worst = 0.0
@@ -193,8 +192,7 @@ def _check_leibniz(rng) -> CheckBody:
     return worst, _FD_TOL, "{fg,h} = f{g,h} + g{f,h}, relative"
 
 
-def _check_monotonicity(rng) -> CheckBody:
-    del rng
+def _check_monotonicity() -> CheckBody:
     params = DeformationParameters(beta=0.01, mass=1.0)
     edge = (math.pi / 2.0) / params.sqrt_beta
     grid = np.linspace(-0.999 * edge, 0.999 * edge, 4001)
@@ -251,15 +249,13 @@ def _worst_sextic_gap(one, other, grid):
     return worst
 
 
-def _check_model_agreement_bound(rng) -> CheckBody:
-    del rng
+def _check_model_agreement_bound() -> CheckBody:
     beta = 0.01
     grid = np.linspace(0.02, 0.3, 15) / math.sqrt(beta)
     return _worst_sextic_gap(*_free_hamiltonians(beta), grid), 1.0, "|H_exact - H_first| against beta^2 p^6 / m"
 
 
-def _check_model_agreement_halving(rng) -> CheckBody:
-    del rng
+def _check_model_agreement_halving() -> CheckBody:
     beta = 0.01
     worst = 0.0
     for p in np.linspace(0.1, 0.3, 9) / math.sqrt(beta):
@@ -268,8 +264,7 @@ def _check_model_agreement_halving(rng) -> CheckBody:
     return worst, 0.2, "energy gap drops 4x when beta halves"
 
 
-def _check_effective_sqrt_consistency(rng) -> CheckBody:
-    del rng
+def _check_effective_sqrt_consistency() -> CheckBody:
     beta, mass = 0.01, 1.0
     params = DeformationParameters(beta=beta, mass=mass)
     u = math.sqrt(3.0 / (8.0 * beta * mass * mass))
@@ -332,15 +327,13 @@ def _rk4_order_errors():
             for x, p in map(_harmonic_endpoint, (8e-3, 4e-3, 2e-3))]
 
 
-def _check_rk4_order(rng) -> CheckBody:
-    del rng
+def _check_rk4_order() -> CheckBody:
     coarse, mid, fine = _rk4_order_errors()
     worst = _worst(abs(coarse / mid / 16.0 - 1.0), abs(mid / fine / 16.0 - 1.0))
     return worst, 0.25, "endpoint error drops 16x per dt halving"
 
 
-def _check_relativistic_coefficient(rng) -> CheckBody:
-    del rng
+def _check_relativistic_coefficient() -> CheckBody:
     worst = 0.0
     for mass, c, beta in ((1.0, 10.0, 1e-4), (1.0, 10.0, 1e-2),
                           (2.0, 5.0, 1e-3), (2.0, 5.0, 1e-2)):
@@ -380,8 +373,7 @@ def _first_order_gap(dim, params, speed):
     return abs(exact - first)
 
 
-def _check_first_order_gap_bound(rng) -> CheckBody:
-    del rng
+def _check_first_order_gap_bound() -> CheckBody:
     beta, mass = 0.01, 1.0
     params = DeformationParameters(beta=beta, mass=mass)
     speeds = np.sqrt(np.linspace(0.005, 0.095, 12) / (beta * mass * mass))
@@ -394,8 +386,7 @@ def _check_first_order_gap_bound(rng) -> CheckBody:
     return worst, 1.0, "first-order inversion gap against the beta^2 bound"
 
 
-def _check_first_order_gap_halving(rng) -> CheckBody:
-    del rng
+def _check_first_order_gap_halving() -> CheckBody:
     mass = 1.0
     worst = 0.0
     # Fixed velocity across the halving; both betas stay inside the
@@ -409,8 +400,7 @@ def _check_first_order_gap_halving(rng) -> CheckBody:
     return worst, 0.2, "inversion gap drops 4x when beta halves at fixed velocity"
 
 
-def _check_sign_structure(rng) -> CheckBody:
-    del rng
+def _check_sign_structure() -> CheckBody:
     beta, mass = 0.01, 1.0
     deformed = DeformationParameters(beta=beta, mass=mass)
     flat = DeformationParameters(beta=0.0, mass=mass)
@@ -428,8 +418,7 @@ def _check_sign_structure(rng) -> CheckBody:
     return (0.0 if ok else 1.0), 0.5, "quartic term lowers L and raises H vs beta=0"
 
 
-def _check_action_additivity(rng) -> CheckBody:
-    del rng
+def _check_action_additivity() -> CheckBody:
     params = DeformationParameters(beta=0.01, mass=1.0)
     kind = dynamics.Hamiltonian.exact_1d(params, dynamics.Potential.harmonic(1.0))
     lag = legendre.Lagrangian.first_order_1d(params, dynamics.Potential.harmonic(1.0))
@@ -445,8 +434,7 @@ def _check_action_additivity(rng) -> CheckBody:
     return worst, 1e-12, "split-path actions sum to the whole, relative"
 
 
-def _check_action_interval_link(rng) -> CheckBody:
-    del rng
+def _check_action_interval_link() -> CheckBody:
     params = DeformationParameters(beta=0.01, mass=1.0)
     u = math.sqrt(3.0 / (8.0 * params.beta * params.mass ** 2))
     lag = legendre.Lagrangian.sqrt_1d(params, u)
@@ -572,13 +560,11 @@ def _covariance(law):
                                       PhaseState.of(0.0, 1.0), 1.0, 1e-3)
 
 
-def _check_covariance_exact(rng) -> CheckBody:
-    del rng
+def _check_covariance_exact() -> CheckBody:
     return _covariance(frames.GALILEAN_EXACT), 1e-10, "exact law keeps free motion linear with composed slope"
 
 
-def _check_covariance_control(rng) -> CheckBody:
-    del rng
+def _check_covariance_control() -> CheckBody:
     residual = _covariance(frames.GALILEAN_ORDINARY)
     return 1e-4 / residual, 1.0, (
         f"ordinary law must fail covariance; residual {residual:.3e}")
@@ -586,8 +572,7 @@ def _check_covariance_control(rng) -> CheckBody:
 
 # -------------------------------------------------------------- constants
 
-def _check_paper_magnitudes(rng) -> CheckBody:
-    del rng
+def _check_paper_magnitudes() -> CheckBody:
     scales = consts.EffectiveScales.for_mass(consts.CODATA.electron_mass,
                                              consts.GEOMETRY_THREE_D)
     u_over_c = scales.u / consts.CODATA.light_speed
@@ -599,8 +584,7 @@ def _check_paper_magnitudes(rng) -> CheckBody:
         f"shift {scales.deviation:.4e} vs published magnitudes")
 
 
-def _check_mass_independence(rng) -> CheckBody:
-    del rng
+def _check_mass_independence() -> CheckBody:
     gamma = 0.2
     seen = set()
     # Power-of-two masses keep beta = gamma^2/m^2 exactly representable,
@@ -615,8 +599,7 @@ def _check_mass_independence(rng) -> CheckBody:
         "u and c_eff identical across masses at fixed gamma")
 
 
-def _check_extended_consistency(rng) -> CheckBody:
-    del rng
+def _check_extended_consistency() -> CheckBody:
     gamma = consts.gamma_from_planck_length(consts.CODATA.electron_mass).gamma
     alpha = consts.geometry_alpha(consts.GEOMETRY_THREE_D)
     c = consts.CODATA.light_speed
@@ -630,8 +613,7 @@ def _check_extended_consistency(rng) -> CheckBody:
     return measured, 1e-20, "c^2/c_eff^2 vs 1 - 2*(first-order shift), extended precision"
 
 
-def _check_superluminal_shift(rng) -> CheckBody:
-    del rng
+def _check_superluminal_shift() -> CheckBody:
     gamma = consts.gamma_from_planck_length(consts.CODATA.electron_mass).gamma
     dev = consts.light_speed_deviation(gamma, consts.GEOMETRY_THREE_D)
     c_eff = consts.effective_light_speed_extended(gamma, consts.GEOMETRY_THREE_D)
@@ -640,8 +622,7 @@ def _check_superluminal_shift(rng) -> CheckBody:
     return (0.0 if ok else 1.0), 0.5, "effective light speed exceeds c for gamma > 0"
 
 
-def _check_closed_vs_exact(rng) -> CheckBody:
-    del rng
+def _check_closed_vs_exact() -> CheckBody:
     gamma = consts.gamma_from_planck_length(consts.CODATA.electron_mass).gamma
     closed = consts.light_speed_deviation(gamma, consts.GEOMETRY_THREE_D)
     c = Decimal(consts.CODATA.light_speed)
@@ -703,43 +684,56 @@ _SUITES: Dict[str, List[Tuple[str, Callable]]] = {
 SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
+def _draws(fn) -> bool:
+    """Whether a row takes a generator; one that takes none has the same value on every seed."""
+    return bool(inspect.signature(fn).parameters)
+
+
 def _row(seed, name, fn) -> Tuple[float, float, str]:
     # crc32 keyed per check: stable across processes, unlike hash().
-    measured, tolerance, detail = fn(np.random.default_rng([seed, zlib.crc32(name.encode())]))
+    rng = [np.random.default_rng([seed, zlib.crc32(name.encode())])] if _draws(fn) else []
+    measured, tolerance, detail = fn(*rng)
     return float(measured), float(tolerance), detail
 
 
-def _run_shared(rows, seed):
-    """{index: row} of the rows run here and by a child forked here; {} if none was.
+def run_seeds(suite: str, seeds: Sequence[int],
+              tolerance_scale: float = 1.0) -> List[List[CheckResult]]:
+    """Run one named suite (or all of them) on each seed; the verdict rows of each seed.
 
-    Every row index is queued before the fork, and both processes take one
-    at a time until none is left (`_child.Shared`), so each row runs once and
-    the work balances itself.  A row that raised or was never delivered is left out.
-    """
-    def run(index):
-        return _row(seed, *rows[index])
-
-    import numpy.random  # noqa: F401  the rows' generator, loaded once for both processes
-    mine, theirs = _child.Shared(run, len(rows)).finish(run)
-    return {**mine, **theirs}
-
-
-def run_suite(suite: str, seed: int = DEFAULT_SEED,
-              tolerance_scale: float = 1.0) -> List[CheckResult]:
-    """Run one named suite (or all of them) and return the verdict rows.
-
-    Failures are results, not exceptions; the caller owns exit codes.  Rows
-    may run in two processes (`_run_shared`), with the same results as
-    in one; a row that raised or was never delivered runs again here.
+    Failures are results, not exceptions; the caller owns exit codes.  Each
+    (seed, row) job is queued, seed by seed in suite order, before one fork,
+    and this process and the child take one at a time until none is left
+    (`_child.Shared`), with the same results as in one process.  A row that
+    takes no generator runs once, at the first seed, for every seed.  A job
+    that raised, was never delivered or found the queue full runs again here.
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
     names = list(_SUITES) if suite == "all" else [suite]
     rows = [row for block in names for row in _SUITES[block]]
-    done = _run_shared(rows, seed) if len(rows) > 1 and _child.runs_alongside() else {}
-    results = []
-    for index, (name, fn) in enumerate(rows):
-        measured, tolerance, detail = done[index] if index in done else _row(seed, name, fn)
-        results.append(CheckResult(name, measured, tolerance,
-                                   bool(measured <= tolerance * tolerance_scale), detail))
-    return results
+    draws = [_draws(fn) for _, fn in rows]
+    jobs = [(seed, k) for seed in seeds for k in range(len(rows)) if draws[k] or seed == seeds[0]]
+
+    def run(index):
+        seed, k = jobs[index]
+        return _row(seed, *rows[k])
+
+    done = {}
+    if len(jobs) > 1 and _child.runs_alongside():
+        import numpy.random  # noqa: F401  the rows' generator, loaded once for both processes
+        mine, theirs = _child.Shared(run, len(jobs)).finish(run)
+        done = {**mine, **theirs}
+    values = {job: done[i] if i in done else run(i) for i, job in enumerate(jobs)}
+
+    def verdict(seed, k):
+        measured, tolerance, detail = values[seed if draws[k] else seeds[0], k]
+        return CheckResult(rows[k][0], measured, tolerance,
+                           bool(measured <= tolerance * tolerance_scale), detail)
+
+    return [[verdict(seed, k) for k in range(len(rows))] for seed in seeds]
+
+
+def run_suite(suite: str, seed: int = DEFAULT_SEED,
+              tolerance_scale: float = 1.0) -> List[CheckResult]:
+    """Run one named suite (or all of them) on one seed and return the verdict rows."""
+    return run_seeds(suite, [seed], tolerance_scale)[0]

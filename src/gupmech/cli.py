@@ -44,11 +44,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run the seeded invariant suites")
     check.add_argument("--suite", choices=checks.SUITE_NAMES, default="all")
-    check.add_argument("--seed", type=int, default=checks.DEFAULT_SEED)
+    check.add_argument("--seed", type=_seeds, default=checks.DEFAULT_SEED,
+                       help="one seed N, or A-B for every seed from A to B")
     check.add_argument("--tolerance-scale", type=float, default=1.0,
                        help="multiply every tolerance (0 exercises the failure path)")
 
     return parser
+
+
+def _seeds(text):
+    """--seed's value: one seed as int() reads it, or range(A, B + 1) for A-B."""
+    try:
+        return int(text)
+    except ValueError:
+        first, _, last = text.rpartition("-")
+    if first.strip().isdecimal() and last.strip().isdecimal() and int(first) <= int(last):
+        return range(int(first), int(last) + 1)
+    raise argparse.ArgumentTypeError(f"expected N or A-B with 0 <= A <= B, got {text!r}")
 
 
 def _units_mode(config_units: str) -> str:
@@ -183,19 +195,32 @@ def _cmd_check(args):
     if not (math.isfinite(args.tolerance_scale) and args.tolerance_scale >= 0.0):
         raise ConfigError(
             f"--tolerance-scale must be finite and non-negative, got {args.tolerance_scale}")
-    if args.seed < 0:
+    if isinstance(args.seed, range):
+        seed, body = f"{args.seed[0]}-{args.seed[-1]}", _range_report(args)
+    elif args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-    results = checks.run_suite(args.suite, seed=args.seed,
-                               tolerance_scale=args.tolerance_scale)
-    failures = sum(1 for r in results if not r.passed)
-    report = {
-        "suite": args.suite,
-        "seed": args.seed,
-        "tolerance_scale": args.tolerance_scale,
-        "results": [dataclasses.asdict(r) for r in results],
-        "failures": failures,
-    }
-    return report, None, 0 if failures == 0 else 1
+    else:
+        results = checks.run_suite(args.suite, seed=args.seed,
+                                   tolerance_scale=args.tolerance_scale)
+        seed, body = args.seed, {"results": [dataclasses.asdict(r) for r in results],
+                                 "failures": sum(1 for r in results if not r.passed)}
+    report = {"suite": args.suite, "seed": seed, "tolerance_scale": args.tolerance_scale, **body}
+    return report, None, 0 if body["failures"] == 0 else 1
+
+
+def _range_report(args):
+    """Per row its failing seeds and worst margin, measured / tolerance with NaN the worst,
+    at its worst seed; per seed every measured value as float.hex."""
+    by_seed = checks.run_seeds(args.suite, args.seed, args.tolerance_scale)
+    rows = []
+    for column in zip(*by_seed):  # one row's results, seed by seed
+        samples = [(r.measured / r.tolerance, seed, r.passed) for seed, r in zip(args.seed, column)]
+        margin, worst, _ = max(samples, key=lambda s: (s[0] != s[0], s[0]))
+        rows.append({"name": column[0].name, "worst_margin": margin, "worst_seed": worst,
+                     "failing_seeds": [seed for _, seed, passed in samples if not passed]})
+    return {"rows": rows, "failures": sum(1 for row in rows if row["failing_seeds"]),
+            "seeds": [{"seed": seed, "measured": {r.name: r.measured.hex() for r in results}}
+                      for seed, results in zip(args.seed, by_seed)]}
 
 
 _COMMANDS = {

@@ -25,8 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (BRACKET_STEP, DeformationParameters, DomainError, PhaseState, _gradient,
-                      _square)
+from .algebra import DeformationParameters, DomainError, PhaseState, _gradients_at, _square
 
 EXACT_1D = "exact-1d"
 FIRST_ORDER_1D = "first-order-1d"
@@ -401,20 +400,9 @@ def hamilton_rhs(kind: Hamiltonian, state: PhaseState):
 
 
 def _rhs_fd(kind: Hamiltonian, x, p):
-    """(dx/dt, dp/dt) by central differences of the energy at the float components x and p.
-
-    Per axis the probes hold the steps of `algebra.numerical_bracket` and x+, x-, p+, p-.
-    """
-    probes = []
-    for xi, pi in zip(x, p):
-        hx, hp = BRACKET_STEP * max(1.0, abs(xi)), BRACKET_STEP * max(1.0, abs(pi))
-        probes.append((hx, hp, (xi + hx, xi - hx, pi + hp, pi - hp)))
-    if not all(math.isfinite(c) for _, _, moved in probes for c in moved):
-        raise ValueError("phase-space components must be finite")
-    values = [[_energy(kind, x[:i] + [c] + x[i + 1:], p) for c in moved[:2]]
-              + [_energy(kind, x, p[:i] + [c] + p[i + 1:]) for c in moved[2:]]
-              for i, (_, _, moved) in enumerate(probes)]
-    grad = _gradient(values, probes)
+    """(dx/dt, dp/dt) by central differences of the energy at the float components x and p,
+    over the probe points and steps of `algebra.numerical_bracket`."""
+    grad, = _gradients_at((lambda point: _energy(kind, *point),), x, p)
     return [dh_dp for _, dh_dp in grad], [-dh_dx for dh_dx, _ in grad]
 
 

@@ -1,9 +1,8 @@
-"""Every check row's seed-42 measurement, pinned bit for bit, and the two-process runner."""
+"""Every check row's seed-42 measurement, pinned bit for bit, and the runner of seeds and rows."""
 
 import errno
 import functools
-import importlib.util
-import json
+import inspect
 import math
 import os
 import pickle
@@ -17,8 +16,8 @@ import pytest
 
 from gupmech import _child, dynamics, frames, legendre
 from gupmech.algebra import _square
-from gupmech.checks import (_SUITES, CheckResult, _random_events, _rk4_order_errors, _row,
-                            _states, _suite_hamiltonians, run_suite)
+from gupmech.checks import (_SUITES, _random_events, _rk4_order_errors, _row, _states,
+                            _suite_hamiltonians, run_seeds, run_suite)
 
 # float.hex of each row's `measured` at seed 42, recorded while algebra
 # probes were built through the validating PhaseState constructor and the
@@ -387,12 +386,13 @@ class TestTwoProcessRunner:
         mark, wait, child_rows = _child_marks(tmp_path, here)
 
         def failing_in_the_child(index, fn):
-            def row(rng):
+            @functools.wraps(fn)  # keeps fn's signature, which says whether it takes a generator
+            def row(*args):
                 mark(index)
                 if os.getpid() != here:
                     raise RuntimeError(f"row {index} failed in the child")
                 wait()
-                return fn(rng)
+                return fn(*args)
             return row
 
         expected = _rows(run_suite("legendre"))
@@ -417,11 +417,12 @@ class TestTwoProcessRunner:
             return dump(*args, **kwargs)
 
         def held_until_the_child_takes_one(index, fn):
-            def row(rng):
+            @functools.wraps(fn)  # keeps fn's signature, which says whether it takes a generator
+            def row(*args):
                 mark(index)
                 if os.getpid() == here:
                     wait()
-                return fn(rng)
+                return fn(*args)
             return row
 
         monkeypatch.setattr(pickle, "dump", dump_here_only)
@@ -466,19 +467,46 @@ class TestTwoProcessRunner:
         assert len(forks) == 1 and time.monotonic() - started < 30
 
 
-@pytest.mark.parametrize("measured, status", [(0.5, 0), (2.0, 1), (math.nan, 1)],
-                         ids=["passing", "failing", "nan"])
-def test_the_seed_sweep_exits_1_on_a_failing_row(monkeypatch, capsys, measured, status):
-    spec = importlib.util.spec_from_file_location(
-        "seed_sweep", Path(__file__).resolve().parents[1] / "tools" / "seed_sweep.py")
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
+def test_every_row_takes_a_generator_or_nothing():
+    # a row's signature says whether it draws: any other one would be called wrong
+    signatures = {name: list(inspect.signature(fn).parameters)
+                  for block in _SUITES.values() for name, fn in block}
+    assert {name: params for name, params in signatures.items()
+            if params not in (["rng"], [])} == {}
+    assert sum(1 for params in signatures.values() if not params) == 20
 
-    def one_row(suite, seed):  # seed 0 passes, seed 1 measures `measured`
-        value = measured if seed else 0.5
-        return [CheckResult("trivial", value, 1.0, value <= 1.0, "")]
 
-    monkeypatch.setattr(sweep, "SEEDS", range(2))
-    monkeypatch.setattr(sweep, "run_suite", one_row)
-    assert sweep.main() == status
-    assert json.loads(capsys.readouterr().out.splitlines()[-1])["failing_seeds"] == [1] * status
+_SEED_FREE = [(name, fn) for block in _SUITES.values() for name, fn in block
+              if not inspect.signature(fn).parameters]
+
+
+@pytest.mark.parametrize("name, fn", _SEED_FREE, ids=[name for name, _ in _SEED_FREE])
+def test_a_seed_free_row_has_one_value_on_every_seed(name, fn):
+    assert _row(0, name, fn)[0].hex() == _row(42, name, fn)[0].hex() == _PINNED_ROWS[name]
+
+
+def test_a_range_gives_each_seeds_own_values(forks):
+    # values, not passes: a row failing on one of these seeds shows as failing in both
+    by_seed = run_seeds("all", range(5))
+    assert len(forks) == 1
+    assert [_rows(results) for results in by_seed] == [_rows(run_suite("all", seed=seed))
+                                                        for seed in range(5)]
+
+
+def test_a_seed_free_row_runs_once_in_a_range(monkeypatch):
+    _allow_cpus(monkeypatch, 1)
+    calls = []
+
+    def drawing(rng):
+        calls.append("drawing")
+        return float(rng.random()), 1.0, ""
+
+    def seed_free():
+        calls.append("seed-free")
+        return 0.25, 1.0, ""
+
+    monkeypatch.setitem(_SUITES, "frames", [("drawing", drawing), ("seed-free", seed_free)])
+    by_seed = run_seeds("frames", range(3, 6))
+    assert sorted(calls) == ["drawing"] * 3 + ["seed-free"]
+    assert [[r.measured for r in results][1] for results in by_seed] == [0.25] * 3
+    assert len({results[0].measured for results in by_seed}) == 3

@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 
 import numpy as np
 import pytest
 
-from gupmech import csvio
+from gupmech import checks, csvio
+from gupmech.checks import CheckResult
 from gupmech.cli import main
 from gupmech.csvio import read_events, read_trajectory
 
@@ -467,6 +469,58 @@ class TestCheck:
         with pytest.raises(SystemExit) as err:
             main(["check", "--suite", "geometry"])
         assert err.value.code == 2
+
+    def test_a_range_reports_each_seeds_values_and_each_rows_worst(self, capsys):
+        singles = []
+        for seed in range(3):
+            code, out, _ = run_cli(capsys, "check", "--suite", "frames", "--seed", str(seed))
+            singles.append(json.loads(out)["results"])
+        code, out, err = run_cli(capsys, "check", "--suite", "frames", "--seed", "0-2")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["seed"], report["failures"]) == ("0-2", 0)
+        assert report["seeds"] == [
+            {"seed": seed, "measured": {r["name"]: r["measured"].hex() for r in results}}
+            for seed, results in enumerate(singles)]
+        for k, row in enumerate(report["rows"]):
+            margins = [results[k]["measured"] / results[k]["tolerance"] for results in singles]
+            assert row == {"name": singles[0][k]["name"], "failing_seeds": [],
+                           "worst_margin": max(margins), "worst_seed": margins.index(max(margins))}
+
+    # seed 0 measures 0.5 of its tolerance, seed 1 `measured`
+    @pytest.mark.parametrize("measured, status", [(0.5, 0), (2.0, 1), (math.nan, 1)],
+                             ids=["passing", "failing", "nan"])
+    def test_a_range_exits_1_on_a_row_failing_on_any_seed(self, capsys, monkeypatch,
+                                                          measured, status):
+        def one_row(suite, seeds, tolerance_scale):
+            return [[CheckResult("trivial", value, 1.0, value <= 1.0, "")]
+                    for value in (measured if seed else 0.5 for seed in seeds)]
+
+        monkeypatch.setattr(checks, "run_seeds", one_row)
+        code, out, _ = run_cli(capsys, "check", "--seed", "0-1")
+        row, = json.loads(out)["rows"]
+        assert (code, row["failing_seeds"]) == (status, [1] * status)
+        assert row["worst_seed"] == (0 if measured == 0.5 else 1)
+
+    @pytest.mark.parametrize("value", ["5-3", "-1-5", "-3--1", "1-", "-", "a-b", "1-2-3",
+                                       "1.5-3", "", "abc"])
+    def test_a_bad_seed_range_is_a_usage_error_naming_seed(self, capsys, value):
+        with pytest.raises(SystemExit) as err:
+            main(["check", "--suite", "constants", f"--seed={value}"])
+        assert err.value.code == 2
+        assert "argument --seed: " in capsys.readouterr().err
+
+    def test_a_negative_seed_keeps_its_message(self, capsys):
+        assert run_cli(capsys, "check", "--seed", "-1") == (
+            2, "", "gupmech: error: --seed must be non-negative, got -1\n")
+
+    @pytest.mark.parametrize("value, seed", [(" 42", 42), ("+7", 7), ("4_2", 42)])
+    def test_a_seed_int_reads_is_one_seed(self, capsys, value, seed):
+        reports = []
+        for text in (value, str(seed)):
+            code, out, _ = run_cli(capsys, "check", "--suite", "constants", f"--seed={text}")
+            reports.append({**json.loads(out), "wall_time_s": None})
+        assert code == 0 and reports[0] == reports[1] and reports[0]["seed"] == seed
 
 
 @pytest.mark.parametrize("argv", [
