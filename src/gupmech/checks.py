@@ -49,28 +49,25 @@ def _worst(*values):
     return math.nan if any(v != v for v in values) else max(values)
 
 
-def _uniform(low, high, u):
-    """rng.uniform(low, high)'s arithmetic on one rng.random draw u."""
-    return low + (high - low) * u
+def _draw(rng, count, *ranges):
+    """count rows of floats from one rng.random call, value k of a row uniform in ranges[k].
 
-
-def _states(rng, count, limit=None, beta=None, fill=0.9):
-    """count phase states (x, p) as lists of floats, from one rng.random call.
-
-    1D, given `limit`: p uniform in 0.85 limit (-1, 1), then x in (-2, 2).  3D, given
-    `beta`: x in (-2, 2)^3, then p in (-1, 1)^3 scaled to beta |p|^2 = fill U(0.1, 1).
-    These are the states drawn by one rng.uniform call per value, in this order.
+    low + (high - low) * u is rng.uniform's arithmetic, so these are the values
+    drawn by one rng.uniform call per value, in this order.
     """
-    if beta is None:
-        u = rng.random(2 * count).tolist()
-        return [([_uniform(-2.0, 2.0, u[k + 1])], [_uniform(-0.85, 0.85, u[k]) * limit])
-                for k in range(0, 2 * count, 2)]
-    u = rng.random(7 * count).tolist()
+    width = len(ranges)
+    u = rng.random(width * count).tolist()
+    return [[low + (high - low) * c for (low, high), c in zip(ranges, u[k:k + width])]
+            for k in range(0, width * count, width)]
+
+
+def _states(rng, count, beta, fill=0.9):
+    """count 3D phase states (x, p) as lists of floats: x in (-2, 2)^3, then p in
+    (-1, 1)^3 scaled to beta |p|^2 = fill U(0.1, 1)."""
     states = []
-    for k in range(0, 7 * count, 7):
-        x = [_uniform(-2.0, 2.0, c) for c in u[k:k + 3]]
-        p = [_uniform(-1.0, 1.0, c) for c in u[k + 3:k + 6]]
-        scale = math.sqrt(fill * _uniform(0.1, 1.0, u[k + 6]) / beta) / math.sqrt(_square(p))
+    for row in _draw(rng, count, *[(-2.0, 2.0)] * 3, *[(-1.0, 1.0)] * 3, (0.1, 1.0)):
+        x, p = row[:3], row[3:6]
+        scale = math.sqrt(fill * row[6] / beta) / math.sqrt(_square(p))
         states.append((x, [c * scale for c in p]))
     return states
 
@@ -85,9 +82,8 @@ def _check_bracket_1d(rng) -> CheckBody:
     big_x = coordinate_function()
     big_p = momentum_function_1d(params)
     worst = 0.0
-    for _ in range(100):
-        p = float(rng.uniform(-13.0, 13.0))
-        state = PhaseState.of(rng.uniform(-2.0, 2.0), p)
+    for p, x in _draw(rng, 100, (-13.0, 13.0), (-2.0, 2.0)):
+        state = PhaseState.of(x, p)
         target = bracket_xp_1d(momentum_map_1d(p, params), params)
         got = numerical_bracket(big_x, big_p, state)
         # The step is coordinate-scaled, so the truncation bound carries
@@ -102,7 +98,7 @@ def _check_bracket_3d(rng) -> CheckBody:
     fns = ([_coordinate(axis) for axis in (1, 2, 3)]
            + [_momentum_3d(params, axis) for axis in (1, 2, 3)])
     worst = 0.0
-    for x, p in _states(rng, 40, beta=params.beta):
+    for x, p in _states(rng, 40, params.beta):
         scale_sq = max(1.0, *map(abs, p)) ** 2
         big_p = [fns[3 + j]((x, p)) for j in range(3)]
         root = math.sqrt(1.0 + params.beta * _square(big_p))
@@ -122,7 +118,7 @@ def _check_vanishing_brackets(rng) -> CheckBody:
     fns = ([_coordinate(axis) for axis in (1, 2, 3)]
            + [_momentum_3d(params, axis) for axis in (1, 2, 3)])
     worst = 0.0
-    for x, p in _states(rng, 25, beta=params.beta):
+    for x, p in _states(rng, 25, params.beta):
         grads = _gradients_at(fns, x, p)
         for i in range(3):
             for j in range(i + 1, 3):
@@ -161,8 +157,8 @@ def _check_antisymmetry(rng) -> CheckBody:
         return float(state.x[0]) + float(state.p[0]) ** 2
 
     worst = 0.0
-    for _ in range(20):
-        state = PhaseState.of(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+    for x, p in _draw(rng, 20, (-2.0, 2.0), (-2.0, 2.0)):
+        state = PhaseState.of(x, p)
         lhs = numerical_bracket(f, g, state)
         rhs = numerical_bracket(g, f, state)
         worst = _worst(worst, _rel(lhs + rhs, lhs))
@@ -183,8 +179,8 @@ def _check_leibniz(rng) -> CheckBody:
         return f(state) * g(state)
 
     worst = 0.0
-    for _ in range(20):
-        state = PhaseState.of(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+    for x, p in _draw(rng, 20, (-2.0, 2.0), (-2.0, 2.0)):
+        state = PhaseState.of(x, p)
         lhs = numerical_bracket(fg, h, state)
         rhs = (f(state) * numerical_bracket(g, h, state)
                + g(state) * numerical_bracket(f, h, state))
@@ -204,17 +200,14 @@ def _check_monotonicity() -> CheckBody:
 def _check_jacobi(rng) -> CheckBody:
     params = DeformationParameters(beta=0.01, mass=1.0)
     worst = 0.0
-    for _ in range(10):
-        x, p = [float(rng.uniform(-2.0, 2.0))], [float(rng.uniform(-8.0, 8.0))]
-        a, b = rng.uniform(-1.0, 1.0, size=2).tolist()
-
+    for x, p, a, b in _draw(rng, 10, (-2.0, 2.0), (-8.0, 8.0), (-1.0, 1.0), (-1.0, 1.0)):
         def h(s, a=a, b=b):
             return (a * s[0][0] + b) * s[1][0]
 
-        worst = _worst(worst, _jacobi(_coordinate(1), _momentum_1d(params), h, x, p))
+        worst = _worst(worst, _jacobi(_coordinate(1), _momentum_1d(params), h, [x], [p]))
     for _ in range(10):
         # one state per draw: the axes below come from the same generator
-        x, p = _states(rng, 1, beta=params.beta, fill=0.5)[0]
+        x, p = _states(rng, 1, params.beta, fill=0.5)[0]
         i, j, k, l = rng.integers(1, 4, size=4).tolist()
         xk = _coordinate(k)
         pl = _momentum_3d(params, l)
@@ -295,8 +288,8 @@ def _suite_states(rng, kind, count):
     """count states of a suite model; 1D momenta stay below 0.85 of a branch edge or of 40."""
     if kind.dim == 1:
         limit = min(dynamics.momentum_limit(kind), dynamics.monotone_momentum_limit(kind), 40.0)
-        return _states(rng, count, limit=limit)
-    return _states(rng, count, beta=kind.params.beta, fill=0.8)
+        return [([x], [p * limit]) for p, x in _draw(rng, count, (-0.85, 0.85), (-2.0, 2.0))]
+    return _states(rng, count, kind.params.beta, fill=0.8)
 
 
 def _check_rhs_fd_agreement(rng) -> CheckBody:
@@ -452,14 +445,6 @@ def _check_action_interval_link() -> CheckBody:
 
 # ----------------------------------------------------------------- frames
 
-def _random_events(rng, dim, count):
-    """count events (t, x1[, x2, x3]) in (-2, 2) as lists of floats, from one rng.random
-    call; these are the events drawn by one rng.uniform call for t and one for x."""
-    u = rng.random((1 + dim) * count).tolist()
-    return [[_uniform(-2.0, 2.0, c) for c in u[k:k + 1 + dim]]
-            for k in range(0, len(u), 1 + dim)]
-
-
 def _boosted(law, boost, event):
     """A float event moved by law(boost, t', x1'), frames' formula for rows and columns."""
     return [*law(boost, event[0], event[1]), *event[2:]]
@@ -469,10 +454,9 @@ def _check_interval_invariance(rng) -> CheckBody:
     u = 1.3
     worst = 0.0
     for dim in (1, 3):
-        events = _random_events(rng, dim, 100)
-        for k in range(0, 100, 2):
-            boost = frames.GalileanBoost(float(rng.uniform(-10.0, 10.0)) * u, u)
-            e1, e2 = events[k], events[k + 1]
+        events = _draw(rng, 100, *[(-2.0, 2.0)] * (1 + dim))
+        for (speed,), e1, e2 in zip(_draw(rng, 50, (-10.0, 10.0)), events[::2], events[1::2]):
+            boost = frames.GalileanBoost(speed * u, u)
             before = frames._euclidean(e1, e2, u)
             after = frames._euclidean(_boosted(frames._galilean, boost, e1),
                                       _boosted(frames._galilean, boost, e2), u)
@@ -490,7 +474,7 @@ def _first_order_law_deviation(events, u, velocity):
 
 def _check_first_order_convergence(rng) -> CheckBody:
     u = 1.0
-    events = np.array(_random_events(rng, 1, 50))
+    events = np.array(_draw(rng, 50, (-2.0, 2.0), (-2.0, 2.0)))
     devs = [_first_order_law_deviation(events, u, v) for v in (0.4, 0.2, 0.1)]
     worst = _worst(abs(devs[0] / devs[1] / 16.0 - 1.0),
                    abs(devs[1] / devs[2] / 16.0 - 1.0))
@@ -500,12 +484,9 @@ def _check_first_order_convergence(rng) -> CheckBody:
 def _check_group_structure(rng) -> CheckBody:
     u = 1.3
     worst = 0.0
-    for _ in range(25):
-        v1, v2, v3 = (rng.uniform(-0.8, 0.8, size=3) * u).tolist()
-        b1 = frames.GalileanBoost(v1, u)
-        b2 = frames.GalileanBoost(v2, u)
-        b3 = frames.GalileanBoost(v3, u)
-        event = rng.uniform(-2, 2, size=2).tolist()
+    for row in _draw(rng, 25, *[(-0.8, 0.8)] * 3, (-2.0, 2.0), (-2.0, 2.0)):
+        b1, b2, b3 = (frames.GalileanBoost(speed * u, u) for speed in row[:3])
+        event = row[3:]
         combo = frames.galilean_compose(b1, b2)
         sequential = _boosted(frames._galilean, b2, _boosted(frames._galilean, b1, event))
         direct = _boosted(frames._galilean, combo, event)
@@ -529,10 +510,9 @@ def _round_trip_error(boost, event):
 def _check_lorentz_invariance(rng) -> CheckBody:
     c = 1.4
     worst = 0.0
-    events = _random_events(rng, 1, 100)
-    for k in range(0, 100, 2):
-        boost = frames.LorentzBoost(float(rng.uniform(-0.95, 0.95)) * c, c)
-        e1, e2 = events[k], events[k + 1]
+    events = _draw(rng, 100, (-2.0, 2.0), (-2.0, 2.0))
+    for (speed,), e1, e2 in zip(_draw(rng, 50, (-0.95, 0.95)), events[::2], events[1::2]):
+        boost = frames.LorentzBoost(speed * c, c)
         before = frames._minkowski(e1, e2, c)
         after = frames._minkowski(_boosted(frames._lorentz, boost, e1),
                                   _boosted(frames._lorentz, boost, e2), c)
@@ -546,8 +526,8 @@ def _check_no_speed_limit(rng) -> CheckBody:
     u = 1.3
     boost = frames.GalileanBoost(10.0 * u, u)
     worst = 0.0
-    for _ in range(20):
-        worst = _worst(worst, _round_trip_error(boost, rng.uniform(-2, 2, size=2).tolist()))
+    for event in _draw(rng, 20, (-2.0, 2.0), (-2.0, 2.0)):
+        worst = _worst(worst, _round_trip_error(boost, event))
     return worst, 1e-12, "V = 10u boost round-trips; no speed ceiling"
 
 
@@ -684,14 +664,10 @@ _SUITES: Dict[str, List[Tuple[str, Callable]]] = {
 SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
-def _draws(fn) -> bool:
-    """Whether a row takes a generator; one that takes none has the same value on every seed."""
-    return bool(inspect.signature(fn).parameters)
-
-
-def _row(seed, name, fn) -> Tuple[float, float, str]:
+def _row(seed, name, fn, draws) -> Tuple[float, float, str]:
+    """One row's value on seed, given whether fn takes a generator."""
     # crc32 keyed per check: stable across processes, unlike hash().
-    rng = [np.random.default_rng([seed, zlib.crc32(name.encode())])] if _draws(fn) else []
+    rng = [np.random.default_rng([seed, zlib.crc32(name.encode())])] if draws else []
     measured, tolerance, detail = fn(*rng)
     return float(measured), float(tolerance), detail
 
@@ -711,12 +687,13 @@ def run_seeds(suite: str, seeds: Sequence[int],
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
     names = list(_SUITES) if suite == "all" else [suite]
     rows = [row for block in names for row in _SUITES[block]]
-    draws = [_draws(fn) for _, fn in rows]
+    # a row takes a generator or nothing; one that takes none has one value on every seed
+    draws = [bool(inspect.signature(fn).parameters) for _, fn in rows]
     jobs = [(seed, k) for seed in seeds for k in range(len(rows)) if draws[k] or seed == seeds[0]]
 
     def run(index):
         seed, k = jobs[index]
-        return _row(seed, *rows[k])
+        return _row(seed, *rows[k], draws[k])
 
     done = {}
     if len(jobs) > 1 and _child.runs_alongside():

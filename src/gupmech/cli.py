@@ -247,6 +247,12 @@ def _run(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a value like -1-5 for an option, after --seed or its abbreviations
+    for k in range(len(argv) - 1, 0, -1):
+        if (argv[k - 1] in ("--se", "--see", "--seed")
+                and argv[k][:1] == "-" and argv[k][1:2].isdigit()):
+            argv[k - 1:k + 1] = [f"--seed={argv[k]}"]
     args = parser.parse_args(argv)
     try:
         return _run(args)

@@ -1,7 +1,10 @@
-"""Every check row's seed-42 measurement, pinned bit for bit, and the runner of seeds and rows."""
+"""Every check row's seed-42 measurement, pinned bit for bit, the sampler the rows draw from,
+and the runner of seeds and rows."""
 
+import ast
 import errno
 import functools
+import hashlib
 import inspect
 import math
 import os
@@ -14,10 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gupmech import _child, dynamics, frames, legendre
+from gupmech import _child, checks, dynamics, frames, legendre
 from gupmech.algebra import _square
-from gupmech.checks import (_SUITES, _random_events, _rk4_order_errors, _row, _states,
-                            _suite_hamiltonians, run_seeds, run_suite)
+from gupmech.checks import _SUITES, _draw, _rk4_order_errors, _row, _states, run_seeds, run_suite
 
 # float.hex of each row's `measured` at seed 42, recorded while algebra
 # probes were built through the validating PhaseState constructor and the
@@ -86,7 +88,7 @@ def test_the_3d_representation_row_passes_seeds_0_to_99():
     name = "algebra.bracket-3d-representation"
     fn = dict(_SUITES["algebra"])[name]
     margins = [measured / tolerance for measured, tolerance, _ in
-               (_row(seed, name, fn) for seed in range(100))]
+               (_row(seed, name, fn, True) for seed in range(100))]
     assert [seed for seed, margin in enumerate(margins) if not margin <= 1.0] == []
 
 
@@ -152,33 +154,62 @@ def test_a_nan_sample_fails_its_row(request, monkeypatch, module, function, suit
     assert math.isnan(result.measured) and not result.passed
 
 
-def _per_call_states(rng, count, limit=None, beta=None, fill=0.9):
-    """The states of checks._states drawn as they were before it: one rng.uniform call
-    per value (1D) or per 3-vector and scale (3D)."""
+def _per_call(rng, count, *ranges):
+    """The rows of checks._draw as the rows drew them before it: one rng.uniform call per value."""
+    return [[float(rng.uniform(low, high)) for low, high in ranges] for _ in range(count)]
+
+
+# every ranges tuple a row passes to _draw: the 1D bracket states, the 2-value
+# states and 1D events, the 3D events, the 1D Jacobi triples, the 1D suite
+# states, the 3D states, the group-structure boosts and event, and the boost
+# velocities of the interval and Lorentz rows
+_RANGES = [((-13.0, 13.0), (-2.0, 2.0)), ((-2.0, 2.0),) * 2, ((-2.0, 2.0),) * 4,
+           ((-2.0, 2.0), (-8.0, 8.0), (-1.0, 1.0), (-1.0, 1.0)), ((-0.85, 0.85), (-2.0, 2.0)),
+           ((-2.0, 2.0),) * 3 + ((-1.0, 1.0),) * 3 + ((0.1, 1.0),),
+           ((-0.8, 0.8),) * 3 + ((-2.0, 2.0),) * 2, ((-10.0, 10.0),), ((-0.95, 0.95),)]
+
+
+def test_the_ranges_cover_every_draw_of_the_rows(monkeypatch):
+    _allow_cpus(monkeypatch, 1)
+    seen, draw = set(), checks._draw
+
+    def recorded(rng, count, *ranges):
+        seen.add(ranges)
+        return draw(rng, count, *ranges)
+
+    monkeypatch.setattr(checks, "_draw", recorded)
+    run_suite("all")
+    assert sorted(seen) == sorted(_RANGES)
+
+
+@pytest.mark.parametrize("ranges", _RANGES, ids=lambda ranges: "-".join(
+    f"{low:g}:{high:g}" for low, high in ranges))
+@pytest.mark.parametrize("count", (1, 100))
+@pytest.mark.parametrize("seed", (0, 1, 42, 2 ** 40 + 7))
+def test_one_draw_gives_the_per_call_values(ranges, count, seed):
+    # low + (high - low) * u must round as rng.uniform does, with no fused multiply-add
+    one, per_call = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _draw(one, count, *ranges)
+    want = _per_call(per_call, count, *ranges)
+    assert [[c.hex() for c in row] for row in got] == [[c.hex() for c in row] for row in want]
+    # both took the same number of values, so the draws that follow agree too
+    assert one.random().hex() == per_call.random().hex()
+
+
+def _per_call_states(rng, count, beta, fill=0.9):
+    """The 3D states of checks._states as the rows drew them before it: one rng.uniform call
+    per 3-vector and one for the scale."""
     states = []
     for _ in range(count):
-        if beta is None:
-            p = rng.uniform(-0.85, 0.85) * limit
-            states.append(([rng.uniform(-2.0, 2.0)], [p]))
-        else:
-            x = rng.uniform(-2.0, 2.0, size=3)
-            p = rng.uniform(-1.0, 1.0, size=3)
-            p *= math.sqrt(fill * rng.uniform(0.1, 1.0) / beta) / math.sqrt(_square(p.tolist()))
-            states.append((x.tolist(), p.tolist()))
+        x = rng.uniform(-2.0, 2.0, size=3)
+        p = rng.uniform(-1.0, 1.0, size=3)
+        p *= math.sqrt(fill * rng.uniform(0.1, 1.0) / beta) / math.sqrt(_square(p.tolist()))
+        states.append((x.tolist(), p.tolist()))
     return states
 
 
-# the momentum limit of each 1D suite model (exact-1d, 40, relativistic and
-# effective-sqrt minus), and the beta and fill of each 3D use
-_DRAWS = [{"limit": limit} for limit in ((math.pi / 2.0) / 0.1, 40.0, 9.534625892455923,
-                                         math.sqrt(3.0 / (8.0 * 0.01)))] + [
-    {"beta": 0.01, "fill": 0.5}, {"beta": 0.001, "fill": 0.8}, {"beta": 0.01, "fill": 0.9}]
-
-
-def test_the_1d_draws_cover_every_1d_suite_model():
-    limits = {min(dynamics.momentum_limit(kind), dynamics.monotone_momentum_limit(kind), 40.0)
-              for kind in _suite_hamiltonians() if kind.dim == 1}
-    assert sorted(limits) == sorted(draw["limit"] for draw in _DRAWS if "limit" in draw)
+# the beta and fill of each 3D use
+_DRAWS = [{"beta": 0.01, "fill": 0.5}, {"beta": 0.001, "fill": 0.8}, {"beta": 0.01, "fill": 0.9}]
 
 
 @pytest.mark.parametrize("draw", _DRAWS, ids=lambda draw: "-".join(f"{k}-{v:.4g}"
@@ -186,7 +217,6 @@ def test_the_1d_draws_cover_every_1d_suite_model():
 @pytest.mark.parametrize("count", (1, 100))
 @pytest.mark.parametrize("seed", (0, 1, 42, 2 ** 40 + 7))
 def test_one_draw_per_row_gives_the_per_call_states(draw, count, seed):
-    # low + (high - low) * u must round as rng.uniform does, with no fused multiply-add
     one, per_call = np.random.default_rng(seed), np.random.default_rng(seed)
     got = _states(one, count, **draw)
     want = _per_call_states(per_call, count, **draw)
@@ -196,24 +226,15 @@ def test_one_draw_per_row_gives_the_per_call_states(draw, count, seed):
     assert one.random().hex() == per_call.random().hex()
 
 
-def _per_call_events(rng, dim, count):
-    """The events of checks._random_events drawn as they were before it: one rng.uniform
-    call for t and one for x per event."""
-    return [[float(rng.uniform(-2.0, 2.0)), *rng.uniform(-2.0, 2.0, size=dim).tolist()]
-            for _ in range(count)]
-
-
-@pytest.mark.parametrize("dim", (1, 3))
-@pytest.mark.parametrize("count", (1, 50, 100))
-@pytest.mark.parametrize("seed", (0, 1, 42, 2 ** 40 + 7))
-def test_one_draw_per_row_gives_the_per_call_events(dim, count, seed):
-    one, per_call = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _random_events(one, dim, count)
-    want = _per_call_events(per_call, dim, count)
-    assert [[c.hex() for c in event] for event in got] == [[c.hex() for c in event]
-                                                           for event in want]
-    # both took the same number of values, so the draws that follow agree too
-    assert one.random().hex() == per_call.random().hex()
+def test_the_rows_draw_only_through_draw_and_the_jacobi_axes():
+    # numpy's bounded integers read the stream in their own way, so the 3D
+    # Jacobi half draws its states one at a time between its axis indices
+    tree = ast.parse(Path(checks.__file__).read_text(encoding="utf-8"))
+    calls = {(function.name, node.func.attr) for function in ast.walk(tree)
+             if isinstance(function, ast.FunctionDef) for node in ast.walk(function)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "rng"}
+    assert calls == {("_draw", "random"), ("_check_jacobi", "integers")}
 
 
 def _rows(results):
@@ -482,7 +503,8 @@ _SEED_FREE = [(name, fn) for block in _SUITES.values() for name, fn in block
 
 @pytest.mark.parametrize("name, fn", _SEED_FREE, ids=[name for name, _ in _SEED_FREE])
 def test_a_seed_free_row_has_one_value_on_every_seed(name, fn):
-    assert _row(0, name, fn)[0].hex() == _row(42, name, fn)[0].hex() == _PINNED_ROWS[name]
+    assert (_row(0, name, fn, False)[0].hex() == _row(42, name, fn, False)[0].hex()
+            == _PINNED_ROWS[name])
 
 
 def test_a_range_gives_each_seeds_own_values(forks):
@@ -510,3 +532,74 @@ def test_a_seed_free_row_runs_once_in_a_range(monkeypatch):
     assert sorted(calls) == ["drawing"] * 3 + ["seed-free"]
     assert [[r.measured for r in results][1] for results in by_seed] == [0.25] * 3
     assert len({results[0].measured for results in by_seed}) == 3
+
+
+def test_a_range_reads_each_rows_signature_once(monkeypatch):
+    # whether a row takes a generator is decided per row, not per (seed, row) job
+    _allow_cpus(monkeypatch, 1)
+    reads, signature = [], inspect.signature
+
+    def counted(fn, *args, **kwargs):
+        reads.append(fn)
+        return signature(fn, *args, **kwargs)
+
+    monkeypatch.setattr(inspect, "signature", counted)
+    run_seeds("all", range(3))
+    assert len(reads) == 33
+
+
+# The first 16 hex digits of the SHA-256 of each row's measured values on
+# seeds 0-19, as float.hex joined by spaces, recorded before the rows drew
+# through checks._draw.  A row that keeps these keeps its bits on every seed
+# of the range, not only on seed 42.
+_RANGE_PINS = {
+    "algebra.bracket-1d-representation": "dbdfd1acfbe545d7",
+    "algebra.bracket-3d-representation": "8d752c5cce68cc14",
+    "algebra.vanishing-brackets": "60cf612109b72d5a",
+    "algebra.beta-zero-bound": "d612b236ff2aaed3",
+    "algebra.beta-zero-halving": "23eaeb105c344566",
+    "algebra.antisymmetry": "60cf612109b72d5a",
+    "algebra.leibniz": "57b15d364884c8bb",
+    "algebra.monotonicity-1d": "60cf612109b72d5a",
+    "algebra.jacobi-residual": "3bc3ca2bb090046f",
+    "dynamics.model-agreement-bound": "f245096b75815178",
+    "dynamics.model-agreement-halving": "890118dc010a1cdd",
+    "dynamics.effective-sqrt-consistency": "023ad7fef9dca3a6",
+    "dynamics.rhs-fd-agreement": "ef38a10e07f52546",
+    "dynamics.rk4-order": "541e14dfdd336a3b",
+    "dynamics.relativistic-coefficient": "60cf612109b72d5a",
+    "legendre.inversion-roundtrip": "2df1d116977769c8",
+    "legendre.first-order-gap-bound": "0fea9714c203bdca",
+    "legendre.first-order-gap-halving": "8be7da6e415b0b14",
+    "legendre.sign-structure": "60cf612109b72d5a",
+    "legendre.action-additivity": "5de5c7044a28828e",
+    "legendre.action-interval-link": "616335609a29391b",
+    "frames.interval-invariance": "b17dc7efdd29c145",
+    "frames.first-order-convergence": "3ed1cae7c6052447",
+    "frames.group-structure": "b25a7635b49137aa",
+    "frames.lorentz-invariance": "d1f562f455cb943c",
+    "frames.no-speed-limit": "6638aa0930b7a980",
+    "frames.covariance-exact": "3690d08ac1e57077",
+    "frames.covariance-control": "67eae9b846faba5c",
+    "constants.published-magnitudes": "d1ac1c87d763ef1b",
+    "constants.mass-independence": "60cf612109b72d5a",
+    "constants.extended-consistency": "60cf612109b72d5a",
+    "constants.superluminal-shift": "60cf612109b72d5a",
+    "constants.closed-vs-exact": "fa50db62185b7b16",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _range_digests():
+    return {column[0].name: hashlib.sha256(
+                " ".join(r.measured.hex() for r in column).encode()).hexdigest()[:16]
+            for column in zip(*run_seeds("all", range(20)))}
+
+
+def test_every_row_has_a_range_pin(descriptors_kept):
+    assert sorted(_range_digests()) == sorted(_RANGE_PINS)
+
+
+@pytest.mark.parametrize("name", sorted(_RANGE_PINS))
+def test_seeds_0_to_19_are_pinned(name, descriptors_kept):
+    assert _range_digests()[name] == _RANGE_PINS[name]

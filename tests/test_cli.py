@@ -502,13 +502,19 @@ class TestCheck:
         assert (code, row["failing_seeds"]) == (status, [1] * status)
         assert row["worst_seed"] == (0 if measured == 0.5 else 1)
 
-    @pytest.mark.parametrize("value", ["5-3", "-1-5", "-3--1", "1-", "-", "a-b", "1-2-3",
-                                       "1.5-3", "", "abc"])
-    def test_a_bad_seed_range_is_a_usage_error_naming_seed(self, capsys, value):
+    # a negative range written after a space reads as an option to argparse
+    @pytest.mark.parametrize("argv", [[f"--seed={value}"] for value in (
+        "5-3", "-1-5", "-3--1", "1-", "-", "a-b", "1-2-3", "1.5-3", "", "abc")]
+        + [["--seed", "-1-5"], ["--seed", "-3--1"], ["--se", "-1-5"], ["--see", "-3--1"]],
+        ids=" ".join)
+    def test_a_bad_seed_range_is_a_usage_error_naming_seed(self, capsys, argv):
+        value = argv[-1].removeprefix("--seed=")
         with pytest.raises(SystemExit) as err:
-            main(["check", "--suite", "constants", f"--seed={value}"])
+            main(["check", "--suite", "constants", *argv])
         assert err.value.code == 2
-        assert "argument --seed: " in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"gupmech check: error: argument --seed: "
+            f"expected N or A-B with 0 <= A <= B, got {value!r}")
 
     def test_a_negative_seed_keeps_its_message(self, capsys):
         assert run_cli(capsys, "check", "--seed", "-1") == (
