@@ -8,11 +8,14 @@ brackets these maps induce live here, together with a central
 finite-difference bracket engine used to verify them, and a nested
 Jacobi-identity residual.
 
-Axis arguments on the three-dimensional helpers are numbered 1 to 3.
+The scalar maps are functions of a point (x, p), read by index: float
+lists, a _Point, or (state.x, state.p) of a PhaseState.  Axis arguments
+on the three-dimensional helpers are numbered 1 to 3.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +65,9 @@ class DeformationParameters:
     @classmethod
     def from_gamma(cls, gamma: float, mass: float) -> "DeformationParameters":
         """Build from gamma instead of beta (beta = gamma**2 / mass**2)."""
+        for name, value in (("gamma", gamma), ("mass", mass)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number")
         if gamma < 0.0:
             raise ValueError(f"gamma must be nonnegative, got {gamma}")
         if mass <= 0.0:
@@ -93,15 +99,6 @@ class PhaseState:
     @classmethod
     def of(cls, x, p) -> "PhaseState":
         return cls(x=np.asarray(x, dtype=float), p=np.asarray(p, dtype=float))
-
-    @classmethod
-    def _unchecked(cls, x, p) -> "PhaseState":
-        """A state of read-only float copies of x and p, already known to be valid; no check."""
-        state = object.__new__(cls)
-        for name, v in (("x", np.array(x, dtype=float)), ("p", np.array(p, dtype=float))):
-            v.setflags(write=False)
-            object.__setattr__(state, name, v)
-        return state
 
     @property
     def dim(self) -> int:
@@ -196,12 +193,6 @@ def _probes(x, p, step_scale: float):
     return probes
 
 
-def _as_states(probes):
-    """probes with each point made a PhaseState, for functions of a state."""
-    return [(hx, hp, [PhaseState._unchecked(x, p) for x, p in shifted])
-            for hx, hp, shifted in probes]
-
-
 def _values(f, probes):
     """f at each axis's shifted points, in the order (x+, x-, p+, p-)."""
     return [[f(s) for s in shifted] for _, _, shifted in probes]
@@ -220,16 +211,10 @@ def _gradient(values, probes):
     return grad
 
 
-def _gradients_at(fns, x, p, step_scale: float = BRACKET_STEP, view=list):
-    """Each function's central-difference gradient at the float lists (x, p), all over
-    one set of probe points, each the pair (x, p) or what `view` makes of it."""
-    probes = view(_probes(x, p, step_scale))
+def _gradients_at(fns, x, p, step_scale: float = BRACKET_STEP):
+    """Each function's central-difference gradient at the float lists (x, p), on one probe set."""
+    probes = _probes(x, p, step_scale)
     return [_gradient(_values(fn, probes), probes) for fn in fns]
-
-
-def _gradients(fns, state: PhaseState, step_scale: float = BRACKET_STEP):
-    """Each function of a PhaseState's gradient, all over one set of probe states."""
-    return _gradients_at(fns, state.x.tolist(), state.p.tolist(), step_scale, _as_states)
 
 
 def _contract(df, dg) -> float:
@@ -243,49 +228,68 @@ def _contract(df, dg) -> float:
     return total
 
 
-def numerical_bracket(f, g, state: PhaseState, step_scale: float = BRACKET_STEP) -> float:
+class _Point(NamedTuple):
+    """A phase-space point as the shells hand it to a caller's function: float tuples."""
+
+    x: tuple
+    p: tuple
+
+
+def _of_point(f):
+    """f, a function of a _Point, as a function of a probe point (x, p) of float lists."""
+    return lambda point: f(_Point(tuple(point[0]), tuple(point[1])))
+
+
+def _lists(state):
+    """The float lists (x, p) of a PhaseState or a _Point."""
+    return [list(v) if isinstance(v, tuple) else v.tolist() for v in (state.x, state.p)]
+
+
+def numerical_bracket(f, g, state, step_scale: float = BRACKET_STEP) -> float:
     """Canonical Poisson bracket of two phase-space scalars by central differences.
 
     Parameters
     ----------
-    f, g : callables mapping a PhaseState to a float.
-    state : point of evaluation.
-    step_scale : relative step; per coordinate the step is
-        step_scale * max(1, |coordinate|).
+    f, g : callables mapping a point to a float.  Each call gets a _Point of
+        float tuples, read as `.x` and `.p` or as `[0]` and `[1]`.
+    state : point of evaluation, a PhaseState or a _Point.
+    step_scale : relative step, finite and positive; per coordinate the
+        step is step_scale * max(1, |coordinate|).
 
     Returns sum_i (df/dx_i dg/dp_i - df/dp_i dg/dx_i), the contraction of
-    two central-difference gradients taken over the same probe states.
+    two central-difference gradients taken over the same probe points.
     Raises DomainError if any probed value fails to be finite, which
     usually means the state sits too close to a representation boundary.
     """
-    return _contract(*_gradients((f, g), state, step_scale))
+    if not 0.0 < step_scale < math.inf:
+        raise ValueError(f"step_scale must be finite and positive, got {step_scale}")
+    return _contract(*_gradients_at(map(_of_point, (f, g)), *_lists(state), step_scale))
 
 
-def jacobi_residual(f, g, h, state: PhaseState) -> float:
+def jacobi_residual(f, g, h, state) -> float:
     """|{f,{g,h}} + {g,{h,f}} + {h,{f,g}}| with all brackets taken numerically.
 
-    Inner brackets use the standard step; the outer pass uses the wider
-    NESTED_BRACKET_STEP so that finite-difference noise from the inner
-    evaluations is not amplified.  At each outer probe state the
-    gradients of f, g and h are taken once and contracted pairwise into
-    the three inner brackets.  For smooth scalars the result is pure
+    f, g, h and state are as numerical_bracket takes them.  Inner brackets use the
+    standard step; the outer pass uses the wider NESTED_BRACKET_STEP so that
+    finite-difference noise from the inner evaluations is not amplified.  At each
+    outer probe point the gradients of f, g and h are taken once and contracted
+    pairwise into the three inner brackets.  For smooth scalars the result is pure
     numerical noise; anything well above ~1e-6 signals a broken bracket.
     """
-    return _jacobi(f, g, h, state.x.tolist(), state.p.tolist(), _as_states)
+    return _jacobi(*map(_of_point, (f, g, h)), *_lists(state))
 
 
-def _jacobi(f, g, h, x, p, view=list) -> float:
-    """jacobi_residual at the float lists (x, p), of functions of a point as _gradients_at takes."""
+def _jacobi(f, g, h, x, p) -> float:
+    """jacobi_residual at the float lists (x, p), of functions of a point (x, p)."""
     outer = _probes(x, p, NESTED_BRACKET_STEP)
     # Per axis and outer probe point: ({g,h}, {h,f}, {f,g}).
     nested = []
     for _, _, shifted in outer:
         row = []
         for s in shifted:
-            df, dg, dh = _gradients_at((f, g, h), *s, view=view)
+            df, dg, dh = _gradients_at((f, g, h), *s)
             row.append((_contract(dg, dh), _contract(dh, df), _contract(df, dg)))
         nested.append(row)
-    outer = view(outer)
     b1, b2, b3 = (
         _contract(_gradient(_values(fn, outer), outer),
                   _gradient([[v[k] for v in row] for row in nested], outer))
@@ -298,28 +302,16 @@ def coordinate_function(axis: int = 1):
     """Scalar map returning position component `axis` (numbered from 1)."""
     if axis not in (1, 2, 3):
         raise IndexError(f"axis numbers must lie in 1..3, got {axis}")
-    return lambda state: float(state.x[axis - 1])
+    return lambda point: point[0][axis - 1]
 
 
 def momentum_function_1d(params: DeformationParameters):
-    """Scalar map returning the deformed momentum of a one-dimensional state."""
-    return lambda state: momentum_map_1d(state.p[0], params)
+    """Scalar map returning the deformed momentum of a one-dimensional point."""
+    return lambda point: momentum_map_1d(point[1][0], params)
 
 
 def momentum_function_3d(params: DeformationParameters, axis: int):
     """Scalar map returning deformed momentum component `axis` (numbered from 1)."""
-    twin = _momentum_3d(params, axis)
-    return lambda state: twin((state.x.tolist(), state.p.tolist()))
-
-
-# Float twins of the scalar maps above, as functions of a point (x, p) of float lists.
-def _coordinate(axis: int):
-    return lambda point: point[0][axis - 1]
-
-def _momentum_1d(params: DeformationParameters):
-    return lambda point: momentum_map_1d(point[1][0], params)
-
-def _momentum_3d(params: DeformationParameters, axis: int):
     if axis not in (1, 2, 3):
         raise IndexError(f"axis numbers must lie in 1..3, got {axis}")
     k = axis - 1

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import constants as consts
 from . import _child, dynamics, frames, legendre
-from .algebra import (BRACKET_STEP, DeformationParameters, PhaseState, _contract, _coordinate,
-                      _gradients_at, _jacobi, _momentum_1d, _momentum_3d, _square, bracket_xp_1d,
-                      bracket_xp_3d, coordinate_function, momentum_function_1d, momentum_map_1d,
+from .algebra import (BRACKET_STEP, DeformationParameters, PhaseState, _contract, _gradients_at,
+                      _jacobi, _Point, _square, bracket_xp_1d, bracket_xp_3d, coordinate_function,
+                      momentum_function_1d, momentum_function_3d, momentum_map_1d,
                       numerical_bracket)
 
 DEFAULT_SEED = 42
@@ -83,9 +83,8 @@ def _check_bracket_1d(rng) -> CheckBody:
     big_p = momentum_function_1d(params)
     worst = 0.0
     for p, x in _draw(rng, 100, (-13.0, 13.0), (-2.0, 2.0)):
-        state = PhaseState.of(x, p)
         target = bracket_xp_1d(momentum_map_1d(p, params), params)
-        got = numerical_bracket(big_x, big_p, state)
+        got = numerical_bracket(big_x, big_p, _Point((x,), (p,)))
         # The step is coordinate-scaled, so the truncation bound carries
         # the squared scale factor.
         worst = _worst(worst, abs(got - target) / target / max(1.0, p * p))
@@ -95,8 +94,8 @@ def _check_bracket_1d(rng) -> CheckBody:
 def _check_bracket_3d(rng) -> CheckBody:
     params = DeformationParameters(beta=0.01, mass=1.0)
     # X_1..X_3, P_1..P_3: gradients taken once per state, contracted pairwise
-    fns = ([_coordinate(axis) for axis in (1, 2, 3)]
-           + [_momentum_3d(params, axis) for axis in (1, 2, 3)])
+    fns = ([coordinate_function(axis) for axis in (1, 2, 3)]
+           + [momentum_function_3d(params, axis) for axis in (1, 2, 3)])
     worst = 0.0
     for x, p in _states(rng, 40, params.beta):
         scale_sq = max(1.0, *map(abs, p)) ** 2
@@ -115,8 +114,8 @@ def _check_bracket_3d(rng) -> CheckBody:
 
 def _check_vanishing_brackets(rng) -> CheckBody:
     params = DeformationParameters(beta=0.01, mass=1.0)
-    fns = ([_coordinate(axis) for axis in (1, 2, 3)]
-           + [_momentum_3d(params, axis) for axis in (1, 2, 3)])
+    fns = ([coordinate_function(axis) for axis in (1, 2, 3)]
+           + [momentum_function_3d(params, axis) for axis in (1, 2, 3)])
     worst = 0.0
     for x, p in _states(rng, 25, params.beta):
         grads = _gradients_at(fns, x, p)
@@ -151,14 +150,14 @@ def _check_beta_zero_halving() -> CheckBody:
 
 def _check_antisymmetry(rng) -> CheckBody:
     def f(state):
-        return float(state.x[0]) * float(state.p[0])
+        return state.x[0] * state.p[0]
 
     def g(state):
-        return float(state.x[0]) + float(state.p[0]) ** 2
+        return state.x[0] + state.p[0] ** 2
 
     worst = 0.0
     for x, p in _draw(rng, 20, (-2.0, 2.0), (-2.0, 2.0)):
-        state = PhaseState.of(x, p)
+        state = _Point((x,), (p,))
         lhs = numerical_bracket(f, g, state)
         rhs = numerical_bracket(g, f, state)
         worst = _worst(worst, _rel(lhs + rhs, lhs))
@@ -167,20 +166,20 @@ def _check_antisymmetry(rng) -> CheckBody:
 
 def _check_leibniz(rng) -> CheckBody:
     def f(state):
-        return float(state.x[0]) ** 2
+        return state.x[0] ** 2
 
     def g(state):
-        return float(state.p[0]) ** 2
+        return state.p[0] ** 2
 
     def h(state):
-        return float(state.x[0]) * float(state.p[0])
+        return state.x[0] * state.p[0]
 
     def fg(state):
         return f(state) * g(state)
 
     worst = 0.0
     for x, p in _draw(rng, 20, (-2.0, 2.0), (-2.0, 2.0)):
-        state = PhaseState.of(x, p)
+        state = _Point((x,), (p,))
         lhs = numerical_bracket(fg, h, state)
         rhs = (f(state) * numerical_bracket(g, h, state)
                + g(state) * numerical_bracket(f, h, state))
@@ -199,23 +198,25 @@ def _check_monotonicity() -> CheckBody:
 
 def _check_jacobi(rng) -> CheckBody:
     params = DeformationParameters(beta=0.01, mass=1.0)
+    big_x, big_p = coordinate_function(), momentum_function_1d(params)
     worst = 0.0
     for x, p, a, b in _draw(rng, 10, (-2.0, 2.0), (-8.0, 8.0), (-1.0, 1.0), (-1.0, 1.0)):
         def h(s, a=a, b=b):
             return (a * s[0][0] + b) * s[1][0]
 
-        worst = _worst(worst, _jacobi(_coordinate(1), _momentum_1d(params), h, [x], [p]))
+        worst = _worst(worst, _jacobi(big_x, big_p, h, [x], [p]))
     for _ in range(10):
         # one state per draw: the axes below come from the same generator
         x, p = _states(rng, 1, params.beta, fill=0.5)[0]
         i, j, k, l = rng.integers(1, 4, size=4).tolist()
-        xk = _coordinate(k)
-        pl = _momentum_3d(params, l)
+        xk = coordinate_function(k)
+        pl = momentum_function_3d(params, l)
 
         def h(s, xk=xk, pl=pl):
             return xk(s) * pl(s)
 
-        worst = _worst(worst, _jacobi(_coordinate(i), _momentum_3d(params, j), h, x, p))
+        xi, pj = coordinate_function(i), momentum_function_3d(params, j)
+        worst = _worst(worst, _jacobi(xi, pj, h, x, p))
     return worst, 1e-5, "nested-bracket Jacobi residual, 20 seeded triples"
 
 

@@ -22,12 +22,9 @@ from gupmech.algebra import (
     momentum_map_3d,
     numerical_bracket,
     _contract,
-    _coordinate,
-    _gradients,
     _gradients_at,
     _jacobi,
-    _momentum_1d,
-    _momentum_3d,
+    _Point,
     _probes,
 )
 
@@ -62,6 +59,16 @@ class TestDeformationParameters:
         with pytest.raises(ValueError):
             params_of(0.1, mass=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_from_gamma_names_a_non_finite_input(self, bad):
+        with pytest.raises(ValueError, match="^gamma must be a finite number$"):
+            DeformationParameters.from_gamma(bad, 1.0)
+        with pytest.raises(ValueError, match="^mass must be a finite number$"):
+            DeformationParameters.from_gamma(0.2, bad)
+        # gamma is checked first
+        with pytest.raises(ValueError, match="^gamma must be a finite number$"):
+            DeformationParameters.from_gamma(bad, bad)
+
 
 class TestPhaseState:
     def test_scalar_inputs_become_1d_arrays(self):
@@ -83,14 +90,18 @@ class TestProbes:
     STATE = PhaseState.of([1.0, -2.5, 0.3], [0.1, 40.0, -0.7])
 
     def test_probe_arrays_are_read_only(self):
-        # the states a function of a PhaseState is given, through the public shell
+        # the points a caller's function is given, through the public shell
         seen = []
-        numerical_bracket(lambda state: seen.append(state) or 0.0, coordinate_function(),
+        numerical_bracket(lambda point: seen.append(point) or 0.0, coordinate_function(),
                           self.STATE)
         assert len(seen) == 12
-        for probe in seen:
-            for v in (probe.x, probe.p):
-                with pytest.raises(ValueError):
+        for point in seen:
+            assert type(point) is _Point
+            assert point.x is point[0] and point.p is point[1]
+            for v in point:
+                assert type(v) is tuple and len(v) == 3
+                assert all(type(c) is float for c in v)
+                with pytest.raises(TypeError):
                     v[0] = 9.0
 
     def test_each_probe_is_the_state_with_one_coordinate_moved(self):
@@ -111,6 +122,12 @@ class TestProbes:
         with pytest.raises(ValueError, match="^phase-space components must be finite$"):
             numerical_bracket(coordinate_function(), lambda state: float(state.p[0]),
                               PhaseState.of(x, p), step_scale=0.1)
+
+    @pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf])
+    def test_a_step_that_is_not_finite_and_positive_is_refused(self, step):
+        with pytest.raises(ValueError, match=f"^step_scale must be finite and positive, got {step}$"):
+            numerical_bracket(coordinate_function(), lambda state: float(state.p[0]),
+                              PhaseState.of(0.5, 0.25), step_scale=step)
 
 
 class TestMomentumMap1d:
@@ -246,7 +263,7 @@ class TestNumericalBracket:
         state = PhaseState.of(rng.uniform(-1, 1, size=3), p)
         momenta = [momentum_function_3d(params, axis) for axis in (1, 2, 3)]
         coords = [coordinate_function(axis) for axis in (1, 2, 3)]
-        big_p = np.array([momenta[j](state) for j in range(3)])
+        big_p = np.array([momenta[j]((state.x, state.p)) for j in range(3)])
         root = math.sqrt(1.0 + params.beta * _left_to_right_square(big_p))
         for i in range(3):
             for j in range(3):
@@ -326,8 +343,26 @@ class TestJacobiResidual:
         assert {name: calls.count(name) for name in "fgh"} == {"f": 156, "g": 156, "h": 156}
 
 
+def _seeded_states(seed, count, dim):
+    """Seeded states: 1D as in the Jacobi row, 3D at beta |p|^2 in (0.1, 0.9)."""
+    rng = np.random.default_rng(seed)
+    if dim == 1:
+        return [PhaseState.of(rng.uniform(-2.0, 2.0), rng.uniform(-8.0, 8.0))
+                for _ in range(count)]
+    states = []
+    for _ in range(count):
+        p = rng.uniform(-1.0, 1.0, size=3)
+        p *= math.sqrt(rng.uniform(0.1, 0.9) / 0.01) / math.sqrt(_left_to_right_square(p))
+        states.append(PhaseState.of(rng.uniform(-2.0, 2.0, size=3), p))
+    return states
+
+
+def _lists(state):
+    return state.x.tolist(), state.p.tolist()
+
+
 class TestSharedGradients:
-    """Pairs contracted from _gradients against numerical_bracket, bit for bit."""
+    """Pairs contracted from _gradients_at on plain pairs against numerical_bracket, bit for bit."""
 
     @staticmethod
     def _functions(dim):
@@ -335,10 +370,10 @@ class TestSharedGradients:
         params = params_of(0.01)
 
         def x(s):
-            return float(s.x[0])
+            return s[0][0]
 
         def p(s):
-            return float(s.p[0])
+            return s[1][0]
 
         polynomials = [lambda s: x(s) * p(s), lambda s: x(s) + p(s) ** 2,
                        lambda s: x(s) ** 2, lambda s: p(s) ** 2,
@@ -348,25 +383,12 @@ class TestSharedGradients:
         return ([coordinate_function(axis) for axis in (1, 2, 3)]
                 + [momentum_function_3d(params, axis) for axis in (1, 2, 3)] + polynomials)
 
-    @staticmethod
-    def _states(dim):
-        rng = np.random.default_rng(31 + dim)
-        if dim == 1:
-            return [PhaseState.of(rng.uniform(-2.0, 2.0), rng.uniform(-8.0, 8.0))
-                    for _ in range(4)]
-        states = []
-        for _ in range(4):
-            p = rng.uniform(-1.0, 1.0, size=3)
-            p *= math.sqrt(rng.uniform(0.1, 0.9) / 0.01) / math.sqrt(_left_to_right_square(p))
-            states.append(PhaseState.of(rng.uniform(-2.0, 2.0, size=3), p))
-        return states
-
     @pytest.mark.parametrize("step", [BRACKET_STEP, NESTED_BRACKET_STEP], ids=["step", "nested"])
     @pytest.mark.parametrize("dim", [1, 3])
     def test_contracted_pairs_equal_numerical_bracket(self, dim, step):
         fns = self._functions(dim)
-        for state in self._states(dim):
-            grads = _gradients(fns, state, step)
+        for state in _seeded_states(31 + dim, 4, dim):
+            grads = _gradients_at(fns, *_lists(state), step)
             for f, df in zip(fns, grads):
                 for g, dg in zip(fns, grads):
                     assert _contract(df, dg).hex() == numerical_bracket(f, g, state, step).hex()
@@ -374,8 +396,7 @@ class TestSharedGradients:
     @pytest.mark.parametrize("x, p", [(1.7e308, 0.0), (0.0, -1.7e308)])
     def test_probe_past_the_float_range_raises(self, x, p):
         with pytest.raises(ValueError, match="^phase-space components must be finite$"):
-            _gradients([coordinate_function(), lambda state: float(state.p[0])],
-                       PhaseState.of(x, p), 0.1)
+            _gradients_at([coordinate_function(), lambda s: s[1][0]], [x], [p], 0.1)
 
     def test_nonfinite_probe_raises_as_numerical_bracket_does(self):
         params = params_of(0.04)
@@ -383,85 +404,77 @@ class TestSharedGradients:
         state = PhaseState.of(0.0, edge * (1.0 - 1e-12))
 
         def mapped_or_nan(s):
-            q = float(s.p[0])
+            q = s[1][0]
             return momentum_map_1d(q, params) if abs(q) < edge else math.nan
 
         for mapped, match in ((momentum_function_1d(params), "tangent branch"),
                               (mapped_or_nan, "non-finite")):
             with pytest.raises(DomainError, match=match) as shared:
-                _gradients([coordinate_function(), mapped], state)
+                _gradients_at([coordinate_function(), mapped], *_lists(state))
             with pytest.raises(DomainError) as single:
                 numerical_bracket(coordinate_function(), mapped, state)
             assert str(shared.value) == str(single.value)
 
 
 class TestFloatEngine:
-    """The float engine on twin functions of (x, p) against the PhaseState shells, bit for bit."""
+    """The float engine on plain pairs against the shells on PhaseStates, bit for bit."""
 
     @staticmethod
     def _families(dim):
-        """(twin, public) pairs: coordinates, deformed momenta and their products."""
+        """Coordinates, deformed momenta and their products."""
         params = params_of(0.01)
         if dim == 1:
-            pairs = [(_coordinate(1), coordinate_function()),
-                     (_momentum_1d(params), momentum_function_1d(params))]
+            maps = [coordinate_function(), momentum_function_1d(params)]
         else:
-            pairs = ([(_coordinate(a), coordinate_function(a)) for a in (1, 2, 3)]
-                     + [(_momentum_3d(params, a), momentum_function_3d(params, a))
-                        for a in (1, 2, 3)])
-        return pairs + [(_product(f, g), _product(F, G))
-                        for (f, F), (g, G) in zip(pairs, pairs[1:] + pairs[:1])]
-
-    @staticmethod
-    def _states(dim):
-        """Seeded states: 1D as in the Jacobi row, 3D at beta |p|^2 in (0.1, 0.9)."""
-        rng = np.random.default_rng(53 + dim)
-        if dim == 1:
-            return [PhaseState.of(rng.uniform(-2.0, 2.0), rng.uniform(-8.0, 8.0))
-                    for _ in range(5)]
-        states = []
-        for _ in range(5):
-            p = rng.uniform(-1.0, 1.0, size=3)
-            p *= math.sqrt(rng.uniform(0.1, 0.9) / 0.01) / math.sqrt(_left_to_right_square(p))
-            states.append(PhaseState.of(rng.uniform(-2.0, 2.0, size=3), p))
-        return states
-
-    @staticmethod
-    def _hex(gradients):
-        return [[(a.hex(), b.hex()) for a, b in grad] for grad in gradients]
+            maps = ([coordinate_function(a) for a in (1, 2, 3)]
+                    + [momentum_function_3d(params, a) for a in (1, 2, 3)])
+        return maps + [_product(f, g) for f, g in zip(maps, maps[1:] + maps[:1])]
 
     @pytest.mark.parametrize("dim", [1, 3])
-    def test_twins_give_the_public_values(self, dim):
-        for state in self._states(dim):
-            point = (state.x.tolist(), state.p.tolist())
-            for twin, public in self._families(dim):
-                assert float(twin(point)).hex() == float(public(state)).hex()
+    def test_each_map_gives_the_same_bits_on_every_point_form(self, dim):
+        for state in _seeded_states(53 + dim, 5, dim):
+            x, p = _lists(state)
+            for f in self._families(dim):
+                want = float(f((x, p))).hex()
+                assert float(f(_Point(tuple(x), tuple(p)))).hex() == want
+                assert float(f((state.x, state.p))).hex() == want
 
     @pytest.mark.parametrize("step", [BRACKET_STEP, NESTED_BRACKET_STEP, BRACKET_STEP / 2],
                              ids=["step", "nested", "half"])
     @pytest.mark.parametrize("dim", [1, 3])
     def test_gradients_and_brackets_equal_the_shells(self, dim, step):
-        twins, publics = zip(*self._families(dim))
-        for state in self._states(dim):
-            x, p = state.x.tolist(), state.p.tolist()
-            grads = _gradients_at(twins, x, p, step)
-            assert self._hex(grads) == self._hex(_gradients(publics, state, step))
-            for (f, df), F in zip(zip(twins, grads), publics):
-                for (g, dg), G in zip(zip(twins, grads), publics):
+        fns = self._families(dim)
+        for state in _seeded_states(53 + dim, 5, dim):
+            x, p = _lists(state)
+            grads = _gradients_at(fns, x, p, step)
+            for f, df in zip(fns, grads):
+                for g, dg in zip(fns, grads):
                     got = _contract(*_gradients_at((f, g), x, p, step))
                     assert got.hex() == _contract(df, dg).hex()
-                    assert got.hex() == numerical_bracket(F, G, state, step).hex()
+                    assert got.hex() == numerical_bracket(f, g, state, step).hex()
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_jacobi_equals_the_shell(self, dim):
-        twins, publics = zip(*self._families(dim))
-        n = len(twins)
-        for k, state in enumerate(self._states(dim)):
-            x, p = state.x.tolist(), state.p.tolist()
+        fns = self._families(dim)
+        n = len(fns)
+        for k, state in enumerate(_seeded_states(53 + dim, 5, dim)):
             for a, b, c in [(0, 1, n - 1), (1, n - 2, 0), (k % n, (k + 2) % n, n - 1)]:
-                got = _jacobi(twins[a], twins[b], twins[c], x, p)
-                want = jacobi_residual(publics[a], publics[b], publics[c], state)
+                got = _jacobi(fns[a], fns[b], fns[c], *_lists(state))
+                want = jacobi_residual(fns[a], fns[b], fns[c], state)
                 assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_the_shells_give_the_same_bits_on_a_point_as_on_a_state(self, dim):
+        fns = self._families(dim)
+        n = len(fns)
+        for k, state in enumerate(_seeded_states(53 + dim, 5, dim)):
+            point = _Point(*map(tuple, _lists(state)))
+            for a in range(n):
+                f, g, h = fns[a], fns[(a + k + 1) % n], fns[(a + 2 * k + 3) % n]
+                assert (numerical_bracket(f, g, point).hex()
+                        == numerical_bracket(f, g, state).hex())
+                assert (jacobi_residual(f, g, h, point).hex()
+                        == jacobi_residual(f, g, h, state).hex())
 
 
 # ------------------------------------------------------- pinned bracket layer
@@ -603,7 +616,7 @@ _PINNED_CLOSED_BRACKETS_3D = [
 @pytest.mark.parametrize("k", range(3))
 def test_3d_momenta_and_closed_brackets_are_pinned(k):
     state = _pin_states(3)[k]
-    big_p = [momentum_function_3d(_PIN_PARAMS, axis)(state) for axis in (1, 2, 3)]
+    big_p = [momentum_function_3d(_PIN_PARAMS, axis)((state.x, state.p)) for axis in (1, 2, 3)]
     assert [c.hex() for c in big_p] == _PINNED_MOMENTA_3D[k]
     got = [bracket_xp_3d(np.array(big_p), i, j, _PIN_PARAMS)
            for i in (1, 2, 3) for j in (1, 2, 3)]

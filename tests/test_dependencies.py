@@ -1,6 +1,7 @@
-"""The package imports only the standard library and its declared dependencies,
-forks, leaves, kills and reaps its child processes and shares their work in one
-module, and hands no reduction to BLAS or LAPACK."""
+"""The package parses as its oldest declared Python, imports only the standard
+library and its declared dependencies, forks, leaves, kills and reaps its child
+processes and shares their work in one module, and hands no reduction to BLAS
+or LAPACK."""
 
 import ast
 import os
@@ -21,6 +22,15 @@ def _declared() -> set:
         project = tomllib.load(handle)["project"]
     return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_")
             for spec in project["dependencies"]}
+
+
+def _minimum_python() -> tuple:
+    """(major, minor) of the `>=` bound in pyproject.toml's requires-python."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        spec = tomllib.load(handle)["project"]["requires-python"]
+    major, minor = re.fullmatch(r">=\s*(\d+)\.(\d+)", spec.strip()).groups()
+    return int(major), int(minor)
 
 
 def _imported(path: Path) -> set:
@@ -80,6 +90,21 @@ def _blas_uses(source: str) -> list:
 
 def test_sources_found():
     assert SOURCES, "no package sources found"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_every_source_parses_as_the_oldest_declared_python(path):
+    # syntax only: the grammar of that version, not its library or its runtime
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+              feature_version=_minimum_python())
+
+
+@pytest.mark.parametrize("source", ["try:\n    pass\nexcept* ValueError:\n    pass",
+                                    "type Pair = tuple[float, float]",
+                                    "def first[T](xs: list[T]) -> T:\n    return xs[0]"])
+def test_the_syntax_guard_refuses_newer_syntax(source):
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=_minimum_python())
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)

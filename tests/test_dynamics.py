@@ -775,7 +775,9 @@ def test_a_wrong_size_state_is_refused_with_the_components_message(model, values
     dim = 3 if model == "exact-3d" else 1
     # PhaseState itself refuses a (3, 3) array, so build the state past its check
     v = np.array(values, dtype=float)
-    state = PhaseState._unchecked(v, v)
+    state = object.__new__(PhaseState)
+    for name in ("x", "p"):
+        object.__setattr__(state, name, v)
     with pytest.raises(ValueError, match=re.escape(
             f"model {model} expects {dim}-component vectors, got shape {v.shape}")):
         hamiltonian_value(kind, state)

@@ -48,7 +48,8 @@ def _values() -> str:
                     for name, (dim, f, g) in brackets.items() if dim == 3})
         out.update({f"{name} {k}": float(jacobi_residual(f, g, h, state)).hex()
                     for name, (dim, f, g, h) in triples.items() if dim == 3})
-        big_p = [momentum_function_3d(_PIN_PARAMS, axis)(state) for axis in (1, 2, 3)]
+        big_p = [momentum_function_3d(_PIN_PARAMS, axis)((state.x, state.p))
+                 for axis in (1, 2, 3)]
         out[f"closed {k}"] = [bracket_xp_3d(big_p, i, j, _PIN_PARAMS).hex()
                               for i in (1, 2, 3) for j in (1, 2, 3)]
     for k, kind in enumerate(_suite_hamiltonians()):
