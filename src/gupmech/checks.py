@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import constants as consts
-from . import _child, dynamics, frames, legendre
+from . import _child, _rng, dynamics, frames, legendre
 from .algebra import (BRACKET_STEP, DeformationParameters, PhaseState, _contract, _gradients_at,
                       _jacobi, _Point, _square, bracket_xp_1d, bracket_xp_3d, coordinate_function,
                       momentum_function_1d, momentum_function_3d, momentum_map_1d,
@@ -56,7 +56,7 @@ def _draw(rng, count, *ranges):
     drawn by one rng.uniform call per value, in this order.
     """
     width = len(ranges)
-    u = rng.random(width * count).tolist()
+    u = rng.random(width * count)
     return [[low + (high - low) * c for (low, high), c in zip(ranges, u[k:k + width])]
             for k in range(0, width * count, width)]
 
@@ -208,7 +208,7 @@ def _check_jacobi(rng) -> CheckBody:
     for _ in range(10):
         # one state per draw: the axes below come from the same generator
         x, p = _states(rng, 1, params.beta, fill=0.5)[0]
-        i, j, k, l = rng.integers(1, 4, size=4).tolist()
+        i, j, k, l = rng.integers(1, 4, size=4)
         xk = coordinate_function(k)
         pl = momentum_function_3d(params, l)
 
@@ -668,7 +668,7 @@ SUITE_NAMES = tuple(_SUITES) + ("all",)
 def _row(seed, name, fn, draws) -> Tuple[float, float, str]:
     """One row's value on seed, given whether fn takes a generator."""
     # crc32 keyed per check: stable across processes, unlike hash().
-    rng = [np.random.default_rng([seed, zlib.crc32(name.encode())])] if draws else []
+    rng = [_rng.Generator([seed, zlib.crc32(name.encode())])] if draws else []
     measured, tolerance, detail = fn(*rng)
     return float(measured), float(tolerance), detail
 
@@ -698,7 +698,6 @@ def run_seeds(suite: str, seeds: Sequence[int],
 
     done = {}
     if len(jobs) > 1 and _child.runs_alongside():
-        import numpy.random  # noqa: F401  the rows' generator, loaded once for both processes
         mine, theirs = _child.Shared(run, len(jobs)).finish(run)
         done = {**mine, **theirs}
     values = {job: done[i] if i in done else run(i) for i, job in enumerate(jobs)}

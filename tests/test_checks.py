@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gupmech import _child, checks, dynamics, frames, legendre
+from gupmech import _child, _rng, checks, dynamics, frames, legendre
 from gupmech.algebra import _square
 from gupmech.checks import _SUITES, _draw, _rk4_order_errors, _row, _states, run_seeds, run_suite
 
@@ -188,12 +188,12 @@ def test_the_ranges_cover_every_draw_of_the_rows(monkeypatch):
 @pytest.mark.parametrize("seed", (0, 1, 42, 2 ** 40 + 7))
 def test_one_draw_gives_the_per_call_values(ranges, count, seed):
     # low + (high - low) * u must round as rng.uniform does, with no fused multiply-add
-    one, per_call = np.random.default_rng(seed), np.random.default_rng(seed)
+    one, per_call = _rng.Generator([seed]), np.random.default_rng(seed)
     got = _draw(one, count, *ranges)
     want = _per_call(per_call, count, *ranges)
     assert [[c.hex() for c in row] for row in got] == [[c.hex() for c in row] for row in want]
     # both took the same number of values, so the draws that follow agree too
-    assert one.random().hex() == per_call.random().hex()
+    assert one.random(1)[0].hex() == per_call.random().hex()
 
 
 def _per_call_states(rng, count, beta, fill=0.9):
@@ -217,13 +217,13 @@ _DRAWS = [{"beta": 0.01, "fill": 0.5}, {"beta": 0.001, "fill": 0.8}, {"beta": 0.
 @pytest.mark.parametrize("count", (1, 100))
 @pytest.mark.parametrize("seed", (0, 1, 42, 2 ** 40 + 7))
 def test_one_draw_per_row_gives_the_per_call_states(draw, count, seed):
-    one, per_call = np.random.default_rng(seed), np.random.default_rng(seed)
+    one, per_call = _rng.Generator([seed]), np.random.default_rng(seed)
     got = _states(one, count, **draw)
     want = _per_call_states(per_call, count, **draw)
     assert ([[c.hex() for c in part] for state in got for part in state]
             == [[c.hex() for c in part] for state in want for part in state])
     # both took the same number of values, so the draws that follow agree too
-    assert one.random().hex() == per_call.random().hex()
+    assert one.random(1)[0].hex() == per_call.random().hex()
 
 
 def test_the_rows_draw_only_through_draw_and_the_jacobi_axes():
@@ -261,35 +261,44 @@ def _child_marks(tmp_path, here):
     return mark, wait, path
 
 
-# Run in a fresh interpreter, where no test has loaded numpy.random yet: two
-# CPUs allowed, and each fork call records whether numpy.random was loaded.
-_IMPORTS_AT_FORK = """
+# Run in a fresh interpreter with two CPUs allowed: each fork call records which
+# of numpy.random and the secrets and _hashlib it imports are loaded, the child
+# writes the same just before it leaves, and the CLI process after its report.
+_IMPORTS_AROUND_THE_FORK = """
 import os, sys
 os.sched_getaffinity = lambda pid: {0, 1}
-fork, at_fork = os.fork, []
+fork, leave, at_fork = os.fork, os._exit, []
+
+def loaded():
+    return [name for name in ("numpy.random", "secrets", "_hashlib") if name in sys.modules]
 
 def recorded():
-    at_fork.append("numpy.random" in sys.modules)
+    at_fork.append(loaded())
     return fork()
 
-os.fork = recorded
+def left(status):
+    os.write(1, f"child {loaded()}\\n".encode())
+    leave(status)
+
+os.fork, os._exit = recorded, left
 import gupmech.cli
-at_import = "numpy.random" in sys.modules
-status = gupmech.cli.main(["check", "--suite", "algebra"])
-print(status, at_import, at_fork)
+status = gupmech.cli.main(["check", "--suite", "all"])
+print(status, at_fork, loaded())
 """
 
 
-def test_the_child_inherits_the_rows_generator_module():
+def test_check_never_loads_numpy_random_in_either_process():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src")]
         + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    result = subprocess.run([sys.executable, "-c", _IMPORTS_AT_FORK], env=env,
+    result = subprocess.run([sys.executable, "-c", _IMPORTS_AROUND_THE_FORK], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    # start-up leaves numpy.random unloaded; the one fork finds it loaded
-    assert result.stdout.splitlines()[-1] == "0 False [True]"
+    lines = result.stdout.splitlines()
+    # one fork, and neither process loads them before it, after it or at its end
+    assert lines[-1] == "0 [[]] []"
+    assert lines.count("child []") == 1
 
 
 # Run in a fresh interpreter with stdout piped, so it is block-buffered:
@@ -371,7 +380,7 @@ class TestTwoProcessRunner:
                 wait()  # so the child takes rows as well
             with open(log, "a") as handle:
                 handle.write(f"{index}\n")
-            return index + float(rng.random()), 1e9, f"row {index}"
+            return index + rng.random(1)[0], 1e9, f"row {index}"
 
         monkeypatch.setitem(_SUITES, "frames", [
             (f"trivial-{i}", functools.partial(row, index=i)) for i in range(300)])
@@ -394,7 +403,7 @@ class TestTwoProcessRunner:
             return queued[-1]
 
         monkeypatch.setattr(_child.Shared, "put", counted)
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: None)
+        monkeypatch.setattr(_rng, "Generator", lambda key: None)
         monkeypatch.setitem(_SUITES, "frames", [
             (f"trivial-{i}", functools.partial(lambda rng, i: (i, 1.0, ""), i=i))
             for i in range(count)])
@@ -458,7 +467,7 @@ class TestTwoProcessRunner:
             time.sleep(0.002)  # long enough that both processes take rows
             if index in (3, 7):
                 raise ValueError(f"row {index} has no value")
-            return float(rng.random()), 1.0, "trivial"
+            return rng.random(1)[0], 1.0, "trivial"
 
         monkeypatch.setitem(_SUITES, "frames", [
             (f"trivial-{i}", functools.partial(row, index=i)) for i in range(12)])
@@ -521,7 +530,7 @@ def test_a_seed_free_row_runs_once_in_a_range(monkeypatch):
 
     def drawing(rng):
         calls.append("drawing")
-        return float(rng.random()), 1.0, ""
+        return rng.random(1)[0], 1.0, ""
 
     def seed_free():
         calls.append("seed-free")

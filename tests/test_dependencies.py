@@ -1,7 +1,7 @@
 """The package parses as its oldest declared Python, imports only the standard
 library and its declared dependencies, forks, leaves, kills and reaps its child
-processes and shares their work in one module, and hands no reduction to BLAS
-or LAPACK."""
+processes and shares their work in one module, hands no reduction to BLAS or
+LAPACK, and uses no numpy.random."""
 
 import ast
 import os
@@ -88,6 +88,23 @@ def _blas_uses(source: str) -> list:
     return sorted(found)
 
 
+def _numpy_random_uses(source: str) -> list:
+    """(line, name) of every import of numpy.random and every np.random or numpy.random read."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names
+                         if alias.name.split(".")[:2] == ["numpy", "random"])
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and (node.module.split(".")[:2] == ["numpy", "random"]
+                     or node.module == "numpy" and "random" in {a.name for a in node.names}):
+            found.append((node.lineno, node.module))
+        elif isinstance(node, ast.Attribute) and node.attr == "random" \
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+            found.append((node.lineno, f"{node.value.id}.random"))
+    return sorted(found)
+
+
 def test_sources_found():
     assert SOURCES, "no package sources found"
 
@@ -137,6 +154,26 @@ def test_only_the_child_module_forks(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
 def test_no_reduction_goes_through_blas(path):
     assert _blas_uses(path.read_text(encoding="utf-8")) == [], path.name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_no_source_uses_numpy_random(path):
+    # the check rows' stream is gupmech._rng; numpy.random would load
+    # secrets and OpenSSL for entropy that no row uses
+    assert _numpy_random_uses(path.read_text(encoding="utf-8")) == [], path.name
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import numpy.random", [(1, "numpy.random")]),
+    ("import numpy.random.bit_generator as bg", [(1, "numpy.random.bit_generator")]),
+    ("from numpy.random import default_rng", [(1, "numpy.random")]),
+    ("from numpy import random", [(1, "numpy")]),
+    ("rng = np.random.default_rng(7)", [(1, "np.random")]),
+    ("import numpy\nu = numpy.random.random()", [(2, "numpy.random")]),
+    ("import random\nu = rng.random(3)\nv = random.random()", []),
+])
+def test_the_numpy_random_guard_sees_each_form(source, found):
+    assert _numpy_random_uses(source) == found
 
 
 @pytest.mark.parametrize("source, found", [

@@ -27,6 +27,7 @@ from gupmech.dynamics import (
     rest_energy,
     speed_limit,
 )
+from gupmech._rng import Generator
 from gupmech.checks import _suite_hamiltonians, _suite_states
 
 
@@ -743,7 +744,7 @@ _PINNED_RHS_FD = [
 @pytest.mark.parametrize("k", range(7))
 def test_rhs_is_pinned_per_suite_model(rhs, pinned, k):
     kind = _suite_hamiltonians()[k]
-    states = _suite_states(np.random.default_rng(200 + k), kind, 2)
+    states = _suite_states(Generator([200 + k]), kind, 2)
     got = [c.hex() for x, p in states for a in rhs(kind, PhaseState.of(x, p)) for c in a.tolist()]
     assert got == pinned[k]
 
@@ -755,7 +756,7 @@ def test_rhs_is_pinned_per_suite_model(rhs, pinned, k):
 def test_each_rhs_is_its_float_kernel(rhs, kernel, k):
     kind = _suite_hamiltonians()[k]
     rest = ([-0.0] * kind.dim, [-0.0] * kind.dim)
-    for x, p in [rest] + _suite_states(np.random.default_rng(300 + k), kind, 20):
+    for x, p in [rest] + _suite_states(Generator([300 + k]), kind, 20):
         got = rhs(kind, PhaseState.of(x, p))
         assert [(type(a), a.dtype, a.shape) for a in got] == [(np.ndarray, float, (kind.dim,))] * 2
         assert ([[c.hex() for c in a.tolist()] for a in got]

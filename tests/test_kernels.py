@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from gupmech._rng import Generator
 from gupmech.algebra import (PhaseState, bracket_xp_3d, jacobi_residual, momentum_function_3d,
                              numerical_bracket)
 from gupmech.checks import _suite_hamiltonians, _suite_states, run_suite
@@ -55,7 +56,7 @@ def _values() -> str:
     for k, kind in enumerate(_suite_hamiltonians()):
         if kind.dim == 3:
             states = [PhaseState.of(x, p)
-                      for x, p in _suite_states(np.random.default_rng(200 + k), kind, 2)]
+                      for x, p in _suite_states(Generator([200 + k]), kind, 2)]
             out[f"rhs {k}"] = [c.hex() for s in states for rhs in (hamilton_rhs, hamilton_rhs_fd)
                                for a in rhs(kind, s) for c in a.tolist()]
             out[f"inversion {k}"] = [c.hex() for v in _seeded_velocities(kind, 100 + k)
