@@ -583,3 +583,84 @@ def test_exact_inversion_is_pinned_per_suite_model(k):
     got = [float(c).hex() for v in _seeded_velocities(kind, 100 + k)
            for c in np.ravel(momentum_from_velocity_exact(v, kind))]
     assert got == _PINNED_INVERSIONS[k]
+
+
+def _model_points(dim, seed, speed):
+    """Three seeded (x, v) of the model's size: floats in 1D, 3-arrays in 3D."""
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        x, v = rng.uniform(-2.0, 2.0, dim), rng.uniform(-speed, speed, dim)
+        yield (x.item(), v.item()) if dim == 1 else (x, v)
+
+
+# float.hex of lagrangian_value at _model_points(kind.dim, 40 + kind.dim, 1.5)
+_PINNED_LAGRANGIANS = {
+    ("first-order-1d", "free"):
+        ["0x1.aae7f7943e936p-2", "0x1.3cc73f42b370cp-1", "0x1.0dbb02edb1d7cp-3"],
+    ("first-order-1d", "harmonic"):
+        ["-0x1.79ea8b0939279p-1", "-0x1.5158fc0be9fb8p-3", "-0x1.19f0801a5db60p-1"],
+    ("first-order-1d", "uniform-field"):
+        ["0x1.24bf2fbc86134p+0", "0x1.4bf4143888240p-6", "0x1.616478f94ac9ap-1"],
+    ("first-order-3d", "free"):
+        ["0x1.203908cab620cp+0", "0x1.010113523b946p+1", "0x1.515abe99063d4p+1"],
+    ("first-order-3d", "harmonic"):
+        ["-0x1.75ae667861606p+0", "0x1.4de2819afac94p+0", "0x1.06b5fcd50e8c8p+1"],
+    ("first-order-3d", "uniform-field"):
+        ["0x1.5e9ac4feb84f0p+0", "0x1.34923dfc828acp+1", "0x1.2404bd5c603a4p+1"],
+    ("relativistic", "free"):
+        ["-0x1.68b60b7618eb5p+3", "-0x1.61d1936bb1e23p+3", "-0x1.7226d552d676ap+3"],
+    ("relativistic", "harmonic"):
+        ["-0x1.8dabf3e34e726p+3", "-0x1.7ae36b500cc13p+3", "-0x1.87fcc96033196p+3"],
+    ("relativistic", "uniform-field"):
+        ["-0x1.5175653b2a1d8p+3", "-0x1.74f80d55c0d53p+3", "-0x1.604779cef8916p+3"],
+    ("sqrt-1d", "free"):
+        ["0x1.aaf36d0017580p-2", "0x1.3cda03811068cp-1", "0x1.0dbbbb64ae1f7p-3"],
+    ("sqrt-1d", "harmonic"):
+        ["-0x1.79e4d0534cc54p-1", "-0x1.510deb12761b8p-3", "-0x1.19f051fc9ea41p-1"],
+    ("sqrt-1d", "uniform-field"):
+        ["0x1.24c20d177c446p+0", "0x1.4e4c9c0427240p-6", "0x1.6164a71709db9p-1"],
+}
+
+
+@pytest.mark.parametrize("model, potential", sorted(_PINNED_LAGRANGIANS))
+def test_lagrangian_value_is_pinned(model, potential):
+    kind = _ACTION_MODELS[model](_ACTION_POTENTIALS[potential])
+    points = _model_points(kind.dim, 40 + kind.dim, 1.5)
+    got = [lagrangian_value(kind, x, v).hex() for x, v in points]
+    assert got == _PINNED_LAGRANGIANS[model, potential]
+
+
+# float.hex of (lagrangian_from_hamiltonian(kind)(x, v), legendre_roundtrip_residual of the
+# first-order Lagrangian of kind's size, parameters and potential against kind at (x, v)) per
+# _suite_hamiltonians() model, v from _seeded_velocities(kind, 200 + k), x drawn per v, flattened
+_PINNED_PAIRINGS = [
+    ["0x1.81de0f584255ap+3", "0x1.b9ba30e66b360p-1", "0x1.b45ee6dc77da3p+3",
+     "0x1.84ef2cba6bca0p+0", "0x1.49c24ebf29f3ep+6", "0x1.ab8cffd8998efp+7"],
+    ["0x1.82b046a28ee1bp+6", "0x1.0966ecf41fffdp+8", "0x1.c88ea92973944p-2",
+     "0x1.cae68205a1000p-12", "-0x1.377dfed1cb696p-4", "0x1.030bdf38c0000p-21"],
+    ["0x1.19fe8c266b906p+6", "0x1.e9276e6d81ae0p+1", "0x1.859c0f902d660p+6",
+     "0x1.3b2ca2c130a40p+3", "0x1.594bad841466ap+6", "0x1.bd4f3954ccc20p+2"],
+    ["0x1.3f2b38aadd65ap+3", "0x1.9a74b2532e000p-6", "0x1.05b11cb9d5a09p+5",
+     "0x1.0d8dda5e4df80p-1", "0x1.0bb1fb51f7a68p+2", "0x1.871171efc2000p-10"],
+    ["-0x1.940edf7c407dap+6", "0x1.8ffff6183273cp+6", "-0x1.75de995824698p+6",
+     "0x1.8f1f8c7db480cp+6", "-0x1.90879e3375d1ep+6", "0x1.8ffb9de8a5bf6p+6"],
+    ["0x1.d6b871de4141bp+5", "0x1.adc799df52a42p+6", "0x1.09afb1915760ap+5",
+     "0x1.fd224f79825b8p+3", "0x1.57405dd0d3e90p+5", "0x1.22db1452f8485p+5"],
+    ["0x1.019115491d44dp+3", "0x1.f02e964fa2b50p+0", "0x1.1c836b146d92bp-1",
+     "0x1.f8bacb0a8a580p-7", "0x1.3bb59a295f19cp+4", "0x1.17e61740c1ad0p+3"],
+]
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_the_legendre_pairing_is_pinned_per_suite_model(k):
+    kind = _suite_hamiltonians()[k]
+    lag = lagrangian_from_hamiltonian(kind)
+    first = (Lagrangian.first_order_1d if kind.dim == 1 else Lagrangian.first_order_3d)(
+        kind.params, kind.potential)
+    rng = np.random.default_rng(60 + k)
+    got = []
+    for v in _seeded_velocities(kind, 200 + k):
+        x = rng.uniform(-2.0, 2.0, kind.dim)
+        x = x.item() if kind.dim == 1 else x
+        got += [lag(x, v).hex(), legendre_roundtrip_residual(first, kind, v, x).hex()]
+    assert got == _PINNED_PAIRINGS[k]
