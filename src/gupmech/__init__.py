@@ -89,13 +89,11 @@ from .legendre import (
     Lagrangian,
     PathSample,
     action_along_path,
-    dynamical_lagrangian,
     lagrangian_from_hamiltonian,
     lagrangian_value,
     legendre_roundtrip_residual,
     momentum_from_velocity_exact,
     momentum_from_velocity_first_order,
-    rest_term,
 )
 
 __version__ = "0.1.0"

@@ -162,13 +162,15 @@ def _cmd_constants(args):
     mass = constants.CODATA.electron_mass if args.mass is None else args.mass
     if not (math.isfinite(mass) and mass > 0.0):
         raise ConfigError(f"--mass must be finite and positive, got {mass}")
-    try:
-        one = constants.EffectiveScales.for_mass(mass, constants.GEOMETRY_ONE_D)
-        three = constants.EffectiveScales.for_mass(mass, constants.GEOMETRY_THREE_D)
-    except DomainError:
-        raise
-    except (ArithmeticError, ValueError) as err:  # gamma underflowed to 0, or a square overflowed
-        raise ConfigError(f"--mass {mass!r} left the float range: {err!r}") from None
+    scales = []
+    for geometry in (constants.GEOMETRY_ONE_D, constants.GEOMETRY_THREE_D):
+        try:
+            scales.append(constants.EffectiveScales.for_mass(mass, geometry))
+        except DomainError as err:  # c gamma / alpha reached 1
+            raise DomainError(f"--mass {mass!r} in the {geometry} geometry: {err}") from None
+        except (ArithmeticError, ValueError) as err:  # gamma underflowed to 0, or a square overflowed
+            raise ConfigError(f"--mass {mass!r} left the float range: {err!r}") from None
+    one, three = scales
     c = constants.CODATA.light_speed
     report = {
         "gamma": one.gamma,

@@ -89,23 +89,6 @@ class Potential:
             return (lambda a, b, c: -f * a), (lambda a, b, c: (f, 0.0, 0.0))
         return (lambda a, b, c: 0.0), (lambda a, b, c: (0.0 * a, 0.0 * b, 0.0 * c))
 
-    def energy(self, x) -> float:
-        return self._at(x)[0]
-
-    def gradient(self, x):
-        """dU/dx with the same scalar/vector shape as x."""
-        force = self._at(x)[1]
-        return -force if np.ndim(x) == 0 else -np.array(force, dtype=float, ndmin=1)
-
-    def _at(self, x):
-        """(U, -dU/dx) at x, a scalar or a 1- or 3-component vector."""
-        v = np.asarray(x, dtype=float)
-        if v.ndim > 1 or v.size not in (1, 3):
-            raise ValueError(f"a position has 1 or 3 components, got shape {v.shape}")
-        energy, force = self.terms(v.size)
-        xs = v.ravel().tolist()
-        return energy(*xs), force(*xs)
-
 
 @dataclass(frozen=True)
 class Kinetic:
@@ -139,7 +122,13 @@ def _radius(model: str, s: float, limit: float) -> float:
 
 
 def _quartic(m: float, a: float, rest: float = 0.0) -> Kinetic:
-    """T = rest + |p|^2 / 2m + a |p|^4; with a < 0 the speed peaks at 12 a m |p|^2 = -1."""
+    """T = rest + |p|^2 / 2m + a |p|^4; with a < 0 the speed peaks at 12 a m |p|^2 = -1.
+
+    With a = 0 the quartic terms are left out, not multiplied by 0, which would make
+    nan of a |p|^2 that overflowed.
+    """
+    if a == 0.0:
+        return Kinetic(lambda s: rest + s / (2.0 * m), lambda s: 1.0 / m, lambda q: 1.0 / m)
 
     def ratio(s):
         return 1.0 / m + 4.0 * a * s
@@ -197,7 +186,9 @@ def _first_order_1d(kind) -> Kinetic:
 def _exact_3d(kind) -> Kinetic:
     m = kind.params.mass
     b = kind.params.beta
-    limit = 1.0 / math.sqrt(b) if b > 0.0 else math.inf
+    if b == 0.0:
+        return _quartic(m, 0.0)
+    limit = 1.0 / math.sqrt(b)
 
     def one_minus_bs(s):
         by = b * s
@@ -359,20 +350,21 @@ def radial_velocity(kind: Hamiltonian, q: float) -> float:
     return q * kind._kinetic.ratio(q * q)
 
 
-def components(kind: Hamiltonian, values):
-    """A vector as the model computes with it: a float in 1D, a 3-array in 3D."""
+def components(kind: Hamiltonian, values, name: str):
+    """A position, momentum or velocity (`name`) as the model's list of kind.dim floats."""
     v = np.asarray(values, dtype=float)
     if v.ndim > 1 or v.size != kind.dim:
         raise ValueError(
-            f"model {kind.model} expects {kind.dim}-component vectors, got shape {v.shape}"
+            f"model {kind.model} expects a {kind.dim}-component {name}, got shape {v.shape}"
         )
-    return v if kind.dim == 3 else v.item()
+    return v.ravel().tolist()
 
 
 def _unpack(kind: Hamiltonian, state: PhaseState):
     """(x, p) as lists of floats; only the size of a PhaseState, checked when built, is tested."""
     if not (isinstance(state, PhaseState) and state.x.size == kind.dim):
-        state = PhaseState(components(kind, state.x), components(kind, state.p))
+        state = PhaseState(components(kind, state.x, "position"),
+                           components(kind, state.p, "momentum"))
     return state.x.tolist(), state.p.tolist()
 
 

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .algebra import DeformationParameters, DomainError, PhaseState, _dot, _square
+from .algebra import DeformationParameters, DomainError, _dot, _square
 from .dynamics import (
     Hamiltonian,
     Potential,
+    _energy,
     components,
-    hamiltonian_value,
     kinetic_velocity_slope,
     monotone_momentum_limit,
     radial_velocity,
@@ -93,8 +93,8 @@ def _kinetic_lagrangian(kind: Lagrangian):
     if kind.model == L_SQRT_1D:
         return lambda v: m * w * w * (math.sqrt(1.0 + (v / w) ** 2) - 1.0)
     if kind.model == L_FIRST_ORDER_3D:
-        def kinetic(v1, v2, v3):
-            vsq = v1 * v1 + v2 * v2 + v3 * v3  # left to right, as dynamics sums |p|^2
+        def kinetic(*v):
+            vsq = _square(v)
             return m * vsq / 2.0 - (b * m ** 3 / 2.0) * vsq * vsq
         return kinetic
 
@@ -118,13 +118,12 @@ def momentum_from_velocity_first_order(xdot, params: DeformationParameters):
     if not (v.ndim <= 1 and v.size == 1 or v.shape == (3,)):
         raise ValueError("first-order momentum takes 1 or 3 velocity components, "
                          f"got shape {v.shape}")
-    vs = _finite(v.ravel().tolist(), "first-order momentum cannot take")
+    vs = _finite(v.ravel().tolist(), "first-order momentum cannot take the non-finite velocity")
     if len(vs) == 1:
         v = vs[0]
         measure, label = b * m * m * v * v, "v^2"
     else:
-        v1, v2, v3 = vs  # |v|^2 summed left to right on floats, as in dynamics
-        vsq = v1 * v1 + v2 * v2 + v3 * v3
+        vsq = _square(vs)
         measure, label = b * m * m * vsq, "|v|^2"
     if measure > SMALL_DEFORMATION_BOUND:
         warnings.warn(
@@ -139,10 +138,15 @@ def momentum_from_velocity_first_order(xdot, params: DeformationParameters):
 
 
 def _finite(v, refusal: str):
-    """The velocity v, 1 or 3 floats, or ValueError(refusal + " the non-finite velocity v")."""
+    """The floats v, 1 or 3 of them, or ValueError(refusal + " v") if one is not finite."""
     if not all(map(math.isfinite, v)):
-        raise ValueError(f"{refusal} the non-finite velocity {v[0] if len(v) == 1 else v}")
+        raise ValueError(f"{refusal} {v[0] if len(v) == 1 else v}")
     return v
+
+
+def _floats(kind, values, quantity: str, refusal: str):
+    """A position or velocity as the model's kind.dim floats, refused by name unless finite."""
+    return _finite(components(kind, values, quantity), f"{refusal} the non-finite {quantity}")
 
 
 def _bracket_high(kind: Hamiltonian, s: float) -> float:
@@ -162,12 +166,12 @@ def _bracket_high(kind: Hamiltonian, s: float) -> float:
             if radial_velocity(kind, cand) >= s:
                 return cand
         raise _unresolvable(kind, s)
-    hi = max(m * s, 1e-30)
-    for _ in range(200):
-        if radial_velocity(kind, hi) >= s:
-            return hi
-        hi *= 2.0
-    raise RuntimeError("could not bracket the momentum inversion")
+    hi = min(max(m * s, 1e-30), sys.float_info.max)
+    while not radial_velocity(kind, hi) >= s:
+        if hi == sys.float_info.max:
+            raise _overflowed(kind, s, "|p|")
+        hi = min(2.0 * hi, sys.float_info.max)
+    return hi
 
 
 def _unresolvable(kind: Hamiltonian, s: float) -> DomainError:
@@ -175,6 +179,11 @@ def _unresolvable(kind: Hamiltonian, s: float) -> DomainError:
         f"speed {s:.6g} is out of reach of {kind.model}: its momentum lies closer to the "
         f"branch edge |p| = {monotone_momentum_limit(kind):.6g} than adjacent floats resolve"
     )
+
+
+def _overflowed(kind: Hamiltonian, s: float, quantity: str) -> OverflowError:
+    return OverflowError(
+        f"momentum {quantity} overflowed in the {kind.model} model at speed {s:.6g}")
 
 
 def _solve_radial(kind: Hamiltonian, s: float) -> float:
@@ -225,7 +234,9 @@ def _solve_radial(kind: Hamiltonian, s: float) -> float:
     if math.isfinite(monotone_momentum_limit(kind)):
         # the speed climbs by more than the tolerance between adjacent floats
         raise _unresolvable(kind, s)
-    raise RuntimeError("momentum inversion did not converge: its bracket stopped shrinking")
+    # On an unbounded branch the speed climbs by a few ulps from one float to the next,
+    # so the bracket stops only where |p|^2 overflows and the speed jumps to inf.
+    raise _overflowed(kind, s, "|p|^2")
 
 
 def _momentum_exact(kind: Hamiltonian, v):
@@ -245,14 +256,12 @@ def momentum_from_velocity_exact(xdot, kind: Hamiltonian):
 
     Returns a float for one-dimensional models and a 3-array for
     three-dimensional ones (momentum parallel to the velocity).  Raises
-    ValueError for a non-finite velocity component, and DomainError when
+    ValueError for a non-finite velocity component, DomainError when
     no momentum on the monotone branch reaches the requested speed, or
     one whose momentum sits closer to a finite branch edge than floats
-    resolve.
+    resolve, and OverflowError when the momentum leaves the float range.
     """
-    v = components(kind, xdot)
-    p = _momentum_exact(kind, _finite([v] if kind.dim == 1 else v.tolist(),
-                                      f"{kind.model} cannot invert"))
+    p = _momentum_exact(kind, _floats(kind, xdot, "velocity", f"{kind.model} cannot invert"))
     return p[0] if kind.dim == 1 else np.array(p)
 
 
@@ -260,33 +269,23 @@ def lagrangian_value(kind: Lagrangian, x, xdot) -> float:
     """L(x, xdot) for the given model, its kinetic part minus U(x).
 
     The kinetic part vanishes at rest, except in the relativistic form,
-    which keeps its -m c^2 rest term (see rest_term).  Raises ValueError
-    for a non-finite velocity component.
+    which keeps its -m c^2 rest term.  Raises ValueError for a position or
+    velocity of another size than the model's, or with a non-finite
+    component.
     """
-    v = components(kind, xdot)
-    v = _finite([v] if kind.dim == 1 else v.tolist(), f"{kind.model} Lagrangian cannot take")
-    return kind._kinetic(*v) - kind.potential.energy(x)
-
-
-def rest_term(kind: Lagrangian) -> float:
-    """Constant value of the kinetic part at v = 0 (nonzero only when relativistic)."""
-    if kind.model == L_RELATIVISTIC:
-        return -kind.params.mass * kind.scale_velocity ** 2
-    return 0.0
-
-
-def dynamical_lagrangian(kind: Lagrangian, x, xdot) -> float:
-    """lagrangian_value with the rest constant removed, for action comparisons."""
-    return lagrangian_value(kind, x, xdot) - rest_term(kind)
+    refusal = f"{kind.model} Lagrangian cannot take"
+    v = _floats(kind, xdot, "velocity", refusal)
+    x = _floats(kind, x, "position", refusal)
+    return kind._kinetic(*v) - kind.potential.terms(kind.dim)[0](*x)
 
 
 def _pairing(hkind: Hamiltonian, x, xdot):
-    """(v . p*(v), H(x, p*(v))) with the exact numeric p*(v)."""
-    v = components(hkind, xdot)
-    p = momentum_from_velocity_exact(v, hkind)
-    state = PhaseState(components(hkind, x), p)
-    vp = v * p if hkind.dim == 1 else _dot(v.tolist(), p.tolist())
-    return vp, hamiltonian_value(hkind, state)
+    """(v . p*(v), H(x, p*(v))) on the model's floats, with the exact numeric p*(v)."""
+    refusal = f"{hkind.model} Legendre transform cannot take"
+    v = _floats(hkind, xdot, "velocity", refusal)
+    x = _floats(hkind, x, "position", refusal)
+    p = _momentum_exact(hkind, v)
+    return _dot(v, p), _energy(hkind, x, p)
 
 
 def lagrangian_from_hamiltonian(hkind: Hamiltonian):
@@ -313,7 +312,7 @@ def legendre_roundtrip_residual(lagrangian, hamiltonian: Hamiltonian, xdot, x=No
     origin unless x is given.
     """
     if x is None:
-        x = components(hamiltonian, np.zeros(hamiltonian.dim))
+        x = 0.0 if hamiltonian.dim == 1 else np.zeros(3)
     vp, h = _pairing(hamiltonian, x, xdot)
     if isinstance(lagrangian, Lagrangian):
         lag = lagrangian_value(lagrangian, x, xdot)

@@ -609,6 +609,25 @@ def test_constants_mass_overflow_is_a_usage_error(capsys):
                           "OverflowError") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("mass, geometry, shift", [("1.2e-8", "three-d", "1.21599"),
+                                                   ("1.4e-8", "one-d", "1.1034")])
+def test_constants_mass_past_the_light_speed_edge_names_the_flag_and_geometry(
+        capsys, mass, geometry, shift):
+    # c~ stops being real at 1.088e-8 kg in the three-d geometry and 1.333e-8 kg in one-d
+    code, out, err = run_cli(capsys, "constants", "--mass", mass)
+    assert code == 3
+    assert out == ""
+    assert err == (f"gupmech: domain error: --mass {float(mass)!r} in the {geometry} geometry: "
+                   f"deformation too strong: (c gamma / alpha)^2 = {shift} >= 1 leaves no "
+                   "real effective light speed\n")
+
+
+def test_constants_mass_below_both_edges_runs(capsys):
+    code, out, err = run_cli(capsys, "constants", "--mass", "1.05e-8")
+    assert code == 0 and err == ""
+    assert json.loads(out)["assumptions"]["mass_kg"] == 1.05e-8
+
+
 @pytest.mark.parametrize("mass", ["1e-300", "5e-324"])
 def test_constants_mass_underflow_names_the_flag(capsys, mass):
     # gamma = mass * planck_length / hbar underflows to 0 here

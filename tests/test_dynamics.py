@@ -66,49 +66,30 @@ def probe_state(kind, p=None):
 
 class TestPotential:
     def test_free_is_zero_everywhere(self):
-        pot = Potential.free()
-        assert pot.energy(3.0) == 0.0
-        assert pot.gradient(3.0) == 0.0
-        np.testing.assert_array_equal(pot.gradient(np.ones(3)), np.zeros(3))
+        (energy, force), (energy3, force3) = Potential.free().terms(1), Potential.free().terms(3)
+        assert energy(3.0) == 0.0 and energy3(1.0, 1.0, 1.0) == 0.0
+        assert force(3.0) == 0.0
+        assert force3(1.0, 1.0, 1.0) == (0.0, 0.0, 0.0)
 
-    def test_harmonic_scalar_and_vector(self):
+    def test_harmonic_1d_and_3d(self):
         pot = Potential.harmonic(2.0)
-        assert pot.energy(3.0) == pytest.approx(9.0, rel=1e-15)
-        assert pot.gradient(3.0) == pytest.approx(6.0, rel=1e-15)
+        (energy, force), (energy3, force3) = pot.terms(1), pot.terms(3)
+        assert energy(3.0) == pytest.approx(9.0, rel=1e-15)
+        assert -force(3.0) == pytest.approx(6.0, rel=1e-15)
         x = np.array([1.0, 2.0, 2.0])
-        assert pot.energy(x) == pytest.approx(9.0, rel=1e-15)
-        np.testing.assert_allclose(pot.gradient(x), 2.0 * x, rtol=1e-15)
+        assert energy3(*x.tolist()) == pytest.approx(9.0, rel=1e-15)
+        np.testing.assert_allclose(np.negative(force3(*x.tolist())), 2.0 * x, rtol=1e-15)
 
     def test_uniform_field_acts_along_first_axis(self):
         pot = Potential.uniform_field(1.5)
-        assert pot.energy(2.0) == pytest.approx(-3.0, rel=1e-15)
-        assert pot.gradient(2.0) == -1.5
-        grad = pot.gradient(np.array([2.0, 5.0, -1.0]))
-        np.testing.assert_array_equal(grad, [-1.5, 0.0, 0.0])
+        (energy, force), (_, force3) = pot.terms(1), pot.terms(3)
+        assert energy(2.0) == pytest.approx(-3.0, rel=1e-15)
+        assert force(2.0) == 1.5
+        assert force3(2.0, 5.0, -1.0) == (1.5, 0.0, 0.0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Potential(kind="quartic")
-
-    @pytest.mark.parametrize("x", [[1.0, 2.0], np.ones(4), [[1.0]], np.ones((3, 1)), []],
-                             ids=["2-vector", "4-vector", "1x1", "3x1", "empty"])
-    @pytest.mark.parametrize("pot", POTENTIALS.values(), ids=list(POTENTIALS))
-    def test_wrong_size_position_refused_naming_its_shape(self, pot, x):
-        shape = re.escape(f"shape {np.shape(x)}")
-        with pytest.raises(ValueError, match=shape):
-            pot.energy(x)
-        with pytest.raises(ValueError, match=shape):
-            pot.gradient(x)
-
-    @pytest.mark.parametrize("pot", POTENTIALS.values(), ids=list(POTENTIALS))
-    def test_output_shape_follows_the_input(self, pot):
-        scalar = pot.gradient(1.5)
-        assert np.ndim(scalar) == 0 and type(pot.energy(1.5)) is float
-        for x in ([1.5], np.array([1.5, -0.5, 2.0])):
-            assert type(pot.energy(x)) is float
-            assert pot.gradient(x).shape == np.shape(x)
-        assert pot.gradient([1.5])[0] == scalar
-        assert pot.energy([1.5]) == pot.energy(1.5)
 
 
 class TestHamiltonianConstruction:
@@ -780,5 +761,5 @@ def test_a_wrong_size_state_is_refused_with_the_components_message(model, values
     for name in ("x", "p"):
         object.__setattr__(state, name, v)
     with pytest.raises(ValueError, match=re.escape(
-            f"model {model} expects {dim}-component vectors, got shape {v.shape}")):
+            f"model {model} expects a {dim}-component position, got shape {v.shape}")):
         hamiltonian_value(kind, state)

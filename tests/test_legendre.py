@@ -16,16 +16,14 @@ from gupmech.legendre import (
     Lagrangian,
     PathSample,
     action_along_path,
-    dynamical_lagrangian,
     lagrangian_from_hamiltonian,
     lagrangian_value,
     legendre_roundtrip_residual,
     momentum_from_velocity_exact,
     momentum_from_velocity_first_order,
-    rest_term,
 )
 from gupmech.checks import _suite_hamiltonians
-from gupmech.dynamics import speed_limit
+from gupmech.dynamics import radial_velocity, speed_limit
 
 
 def params_of(beta, mass=1.0):
@@ -204,6 +202,36 @@ class TestExactInversion:
         q = np.ravel(momentum_from_velocity_exact(speed, kind)).tolist()
         assert [float(c).hex() for c in q] == pinned
 
+    @pytest.mark.parametrize("model, beta, mass, speed", [
+        (model, 0.0, mass, speed)
+        for model in ("exact-1d", "first-order-1d", "exact-3d", "first-order-3d")
+        for mass, speed in ((1.0, 1e300), (1.0, 1e200), (1e200, 1.0))
+    ] + [("first-order-1d", 0.01, 1e200, 1e200), ("first-order-3d", 0.01, 1e200, 1e200)])
+    def test_a_momentum_past_the_square_range_is_returned(self, model, beta, mass, speed):
+        # each raised a RuntimeError: at beta = 0 the quartic term of the speed formed
+        # 0 * inf = nan once |p|^2 overflowed, and at m = 1e200 the start m * s did
+        kind = Hamiltonian(model, params_of(beta, mass))
+        v = speed if kind.dim == 1 else np.array([0.0, -speed, 0.0])
+        p = np.ravel(momentum_from_velocity_exact(v, kind)).tolist()
+        q = abs(sum(p))
+        if beta == 0.0:
+            assert p == np.ravel(mass * v).tolist()
+        else:
+            assert abs(radial_velocity(kind, q) - speed) <= 1e-12 * speed
+
+    @pytest.mark.parametrize("model, beta, mass, quantity", [
+        ("exact-1d", 0.0, 1e200, "|p|"), ("first-order-1d", 0.0, 1e200, "|p|"),
+        ("exact-3d", 0.0, 1e200, "|p|"), ("first-order-3d", 0.0, 1e200, "|p|"),
+        ("first-order-1d", 1e-300, 1.0, "|p|^2"), ("first-order-3d", 1e-300, 1.0, "|p|^2")])
+    def test_a_momentum_past_the_float_range_is_an_overflow(self, model, beta, mass, quantity):
+        # |p| = m |v| = 1e400 overflows at beta = 0; at beta = 1e-300 |p| is about 9e166,
+        # whose square the speed formula cannot form
+        kind = Hamiltonian(model, params_of(beta, mass))
+        v = 1e200 if kind.dim == 1 else [0.0, 1e200, 0.0]
+        with pytest.raises(OverflowError, match=re.escape(
+                f"momentum {quantity} overflowed in the {model} model at speed 1e+200")):
+            momentum_from_velocity_exact(v, kind)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("k", range(7))
     def test_a_non_finite_velocity_is_refused_by_name(self, monkeypatch, k, value):
@@ -281,7 +309,7 @@ class TestLagrangianValue:
     def test_a_wrong_component_count_is_refused_by_shape(self, model, velocity):
         kind = _ACTION_MODELS[model](Potential.free())
         shape = np.shape(velocity)
-        message = f"model {model} expects {kind.dim}-component vectors, got shape {shape}"
+        message = f"model {model} expects a {kind.dim}-component velocity, got shape {shape}"
         with pytest.raises(ValueError, match=re.escape(message)):
             lagrangian_value(kind, np.zeros(kind.dim), velocity)
 
@@ -299,11 +327,39 @@ class TestLagrangianValue:
                     f"{model} Lagrangian cannot take the non-finite velocity {shown}")):
                 lagrangian_value(kind, np.zeros(kind.dim), v)
 
+    @pytest.mark.parametrize("model, x", [
+        (model, x) for model in sorted(_ACTION_MODELS) for x in (
+            [1.0, [1.0], [1.0, 2.0], np.ones(4), [[1.0, 2.0, 3.0]], np.ones((3, 1)), []]
+            if model == "first-order-3d" else
+            [[1.0, 2.0, 3.0], [1.0, 2.0], np.ones(4), [[1.0]], np.ones((3, 1)), []])])
+    def test_a_position_of_another_size_is_refused_by_name(self, model, x):
+        # Potential.energy took its size from x: first-order-1d harmonic at x = [1, 2, 3]
+        # gave -6.875, a 3D potential energy, and the free potential took any size
+        for potential in _ACTION_POTENTIALS.values():
+            kind = _ACTION_MODELS[model](potential)
+            message = (f"model {model} expects a {kind.dim}-component position, "
+                       f"got shape {np.shape(x)}")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                lagrangian_value(kind, x, np.full(kind.dim, 0.5))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("model", sorted(_ACTION_MODELS))
+    def test_a_non_finite_position_is_refused_by_name(self, model, value):
+        # it gave -inf or nan, or a finite value under the free potential
+        for potential in _ACTION_POTENTIALS.values():
+            kind = _ACTION_MODELS[model](potential)
+            if kind.dim == 1:
+                cases = [(value, repr(value)), ([value], repr(value))]
+            else:
+                cases = [(v, str(v)) for v in ([value, 0.5, 0.0], [0.0, -1.0, value])]
+            for x, shown in cases:
+                with pytest.raises(ValueError, match=re.escape(
+                        f"{model} Lagrangian cannot take the non-finite position {shown}")):
+                    lagrangian_value(kind, x, np.full(kind.dim, 0.5))
+
     def test_relativistic_rest_term(self):
         kind = Lagrangian.relativistic(params_of(1e-4), 10.0)
-        assert rest_term(kind) == -100.0
         assert lagrangian_value(kind, 0.0, 0.0) == -100.0
-        assert dynamical_lagrangian(kind, 0.0, 0.0) == 0.0
 
     def test_relativistic_speed_domain(self):
         kind = Lagrangian.relativistic(params_of(1e-4), 10.0)
@@ -371,6 +427,22 @@ class TestLegendreRoundtrip:
 
         ratio = resid(0.01) / resid(0.005)
         assert 3.2 < ratio < 4.8
+
+    @pytest.mark.parametrize("quantity", ["position", "velocity"])
+    @pytest.mark.parametrize("k", range(7))
+    def test_a_non_finite_input_is_refused_by_name(self, k, quantity):
+        kind = _suite_hamiltonians()[k]
+        first = (Lagrangian.first_order_1d if kind.dim == 1 else Lagrangian.first_order_3d)(
+            kind.params, kind.potential)
+        bad = math.nan if kind.dim == 1 else [0.1, math.nan, 0.0]
+        fine = 0.1 if kind.dim == 1 else [0.1, 0.0, 0.0]
+        x, v = (bad, fine) if quantity == "position" else (fine, bad)
+        message = re.escape(f"{kind.model} Legendre transform cannot take the non-finite "
+                            f"{quantity} {'nan' if kind.dim == 1 else [0.1, math.nan, 0.0]}")
+        with pytest.raises(ValueError, match=message):
+            legendre_roundtrip_residual(first, kind, v, x)
+        with pytest.raises(ValueError, match=message):
+            lagrangian_from_hamiltonian(kind)(x, v)
 
 
 class TestPathSample:
