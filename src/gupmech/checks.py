@@ -344,6 +344,9 @@ def _check_relativistic_coefficient() -> CheckBody:
 
 # --------------------------------------------------------------- legendre
 
+# The row inverts through the public momentum_from_velocity_exact, not a private kernel:
+# bench/spans.py times that name, and bench/test_bench.py needs the CLI process, which takes
+# the legendre suite's first row, to run a traced inversion.
 def _check_inversion_roundtrip(rng) -> CheckBody:
     worst = 0.0
     for kind in _suite_hamiltonians():

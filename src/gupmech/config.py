@@ -7,7 +7,7 @@ canonical document that parses back to an equal config.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Tuple
 
 from . import dynamics, frames
@@ -29,30 +29,56 @@ class ConfigError(ValueError):
         super().__init__(message)
 
 
+def _key(key, parser, default=MISSING, *, positive=False, scope=None, required=False):
+    """A ScenarioConfig field declaring its document key and the rules its value keeps.
+
+    parser is str, float, vector or int.  scope is (selecting key, the selector
+    values the key applies under, what it applies to), where an absent selector
+    reads as None; a required key must be given wherever its scope holds.
+    """
+    return field(default=default, metadata={"key": key, "parser": parser, "positive": positive,
+                                            "scope": scope, "required": required})
+
+
+_SQRT_MODEL = ("model.kind", (dynamics.EFFECTIVE_SQRT,), "the effective-sqrt model")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    kind: str
-    mass: float
-    beta: float
-    gamma: float
-    potential: str = "free"
-    stiffness: float = 0.0
-    force: float = 0.0
-    light_speed: float = 0.0
-    scale_velocity: float = 0.0
-    sqrt_sign: int = -1
-    x0: Optional[Tuple[float, ...]] = None
-    p0: Optional[Tuple[float, ...]] = None
-    t_end: Optional[float] = None
-    dt: Optional[float] = None
-    units: str = "natural"
-    boost_velocity: Optional[float] = None
-    boost_scale: Optional[float] = None
-    boost_light_speed: Optional[float] = None
-    boost_law: Optional[str] = None
-    trajectory_path: str = ""
-    events_path: str = ""
-    report_path: str = ""
+    kind: str = _key("model.kind", "str")
+    mass: float = _key("model.mass", "float", positive=True)
+    beta: float = _key("model.beta", "float")
+    gamma: float = _key("model.gamma", "float")
+    potential: str = _key("model.potential", "str", "free")
+    stiffness: float = _key(
+        "model.stiffness", "float", 0.0, positive=True, required=True,
+        scope=("model.potential", (dynamics.POTENTIAL_HARMONIC,), "the harmonic potential"))
+    force: float = _key(
+        "model.force", "float", 0.0, required=True,
+        scope=("model.potential", (dynamics.POTENTIAL_UNIFORM_FIELD,),
+               "the uniform-field potential"))
+    light_speed: float = _key(
+        "model.light_speed", "float", 0.0, positive=True, required=True,
+        scope=("model.kind", (dynamics.REL_FIRST_ORDER_1D,), "the relativistic model"))
+    scale_velocity: float = _key("model.scale_velocity", "float", 0.0, positive=True,
+                                 scope=_SQRT_MODEL)
+    sqrt_sign: int = _key("model.sqrt_sign", "int", -1, scope=_SQRT_MODEL)
+    x0: Optional[Tuple[float, ...]] = _key("initial.x", "vector", None)
+    p0: Optional[Tuple[float, ...]] = _key("initial.p", "vector", None)
+    t_end: Optional[float] = _key("t_end", "float", None, positive=True)
+    dt: Optional[float] = _key("dt", "float", None, positive=True)
+    units: str = _key("units", "str", "natural")
+    boost_velocity: Optional[float] = _key("boost.velocity", "float", None)
+    boost_scale: Optional[float] = _key(
+        "boost.scale", "float", None, positive=True,
+        scope=("boost.law", (None,) + frames.GALILEAN_LAWS, "the Galilean boost laws"))
+    boost_light_speed: Optional[float] = _key(
+        "boost.light_speed", "float", None, positive=True,
+        scope=("boost.law", ("lorentz",), "boost.law = lorentz"))
+    boost_law: Optional[str] = _key("boost.law", "str", None)
+    trajectory_path: str = _key("output.trajectory", "str", "")
+    events_path: str = _key("output.events", "str", "")
+    report_path: str = _key("output.report", "str", "")
 
     @property
     def dim(self) -> int:
@@ -105,57 +131,8 @@ class ScenarioConfig:
 
 _MODEL_KINDS = tuple(sorted(dynamics.ALL_MODELS))
 
-# key -> (field name, parser tag); parser tags: str, float, vector, int
-_KEYS = {
-    "model.kind": ("kind", "str"),
-    "model.mass": ("mass", "float"),
-    "model.beta": ("beta", "float"),
-    "model.gamma": ("gamma", "float"),
-    "model.potential": ("potential", "str"),
-    "model.stiffness": ("stiffness", "float"),
-    "model.force": ("force", "float"),
-    "model.light_speed": ("light_speed", "float"),
-    "model.scale_velocity": ("scale_velocity", "float"),
-    "model.sqrt_sign": ("sqrt_sign", "int"),
-    "initial.x": ("x0", "vector"),
-    "initial.p": ("p0", "vector"),
-    "t_end": ("t_end", "float"),
-    "dt": ("dt", "float"),
-    "units": ("units", "str"),
-    "boost.velocity": ("boost_velocity", "float"),
-    "boost.scale": ("boost_scale", "float"),
-    "boost.light_speed": ("boost_light_speed", "float"),
-    "boost.law": ("boost_law", "str"),
-    "output.trajectory": ("trajectory_path", "str"),
-    "output.events": ("events_path", "str"),
-    "output.report": ("report_path", "str"),
-}
-
-# key -> (selecting key, the selector values it applies under, what it applies to);
-# an absent selector reads as None.
-_SCOPES = {
-    "model.stiffness": ("model.potential", (dynamics.POTENTIAL_HARMONIC,),
-                        "the harmonic potential"),
-    "model.force": ("model.potential", (dynamics.POTENTIAL_UNIFORM_FIELD,),
-                    "the uniform-field potential"),
-    "model.light_speed": ("model.kind", (dynamics.REL_FIRST_ORDER_1D,),
-                          "the relativistic model"),
-    "model.scale_velocity": ("model.kind", (dynamics.EFFECTIVE_SQRT,),
-                             "the effective-sqrt model"),
-    "model.sqrt_sign": ("model.kind", (dynamics.EFFECTIVE_SQRT,), "the effective-sqrt model"),
-    "boost.scale": ("boost.law", (None,) + frames.GALILEAN_LAWS, "the Galilean boost laws"),
-    "boost.light_speed": ("boost.law", ("lorentz",), "boost.law = lorentz"),
-}
-
-# (selecting key, value) -> the key that value requires
-_REQUIRES = {
-    ("model.potential", dynamics.POTENTIAL_HARMONIC): "model.stiffness",
-    ("model.potential", dynamics.POTENTIAL_UNIFORM_FIELD): "model.force",
-    ("model.kind", dynamics.REL_FIRST_ORDER_1D): "model.light_speed",
-}
-
-_POSITIVE = ("model.mass", "model.stiffness", "model.light_speed", "model.scale_velocity",
-             "t_end", "dt", "boost.scale", "boost.light_speed")
+# document key -> its ScenarioConfig field, in field order
+_KEYS = {f.metadata["key"]: f for f in fields(ScenarioConfig)}
 
 
 def _parse_float(raw, key, line):
@@ -219,7 +196,7 @@ def parse_config(text: str) -> ScenarioConfig:
     """
     entries = _scan(text)
     # Keyed by document key until the end, where the fields are named.
-    values = {key: _PARSERS[_KEYS[key][1]](raw, key, line)
+    values = {key: _PARSERS[_KEYS[key].metadata["parser"]](raw, key, line)
               for key, (raw, line) in entries.items()}
 
     def line_of(key):
@@ -274,17 +251,19 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"boost.law: expected one of {', '.join(BOOST_LAWS)}, got {law!r}",
                           line_of("boost.law"))
 
-    for (selector, value), key in _REQUIRES.items():
-        if values.get(selector) == value and key not in values:
-            raise ConfigError(f"{selector} = {value} requires {key}")
+    schema = [(key, f.metadata) for key, f in _KEYS.items()]
+    scoped = [(key, *rule["scope"], rule["required"]) for key, rule in schema if rule["scope"]]
+    for key, selector, allowed, _, required in scoped:
+        if required and values.get(selector) in allowed and key not in values:
+            raise ConfigError(f"{selector} = {values[selector]} requires {key}")
     for key in ("boost.scale", "boost.light_speed", "boost.law"):
         if key in values and "boost.velocity" not in values:
             raise ConfigError(f"{key} given without boost.velocity", line_of(key))
-    for key, (selector, allowed, wording) in _SCOPES.items():
+    for key, selector, allowed, wording, _ in scoped:
         if key in values and values.get(selector) not in allowed:
             raise ConfigError(f"{key} only applies to {wording}", line_of(key))
-    for key in _POSITIVE:
-        if key in values and not values[key] > 0.0:
+    for key, rule in schema:
+        if rule["positive"] and key in values and not values[key] > 0.0:
             raise ConfigError(f"{key}: must be positive, got {values[key]}", line_of(key))
     if values.get("model.force") == 0.0:
         raise ConfigError("model.force: a zero field is the free potential",
@@ -299,7 +278,7 @@ def parse_config(text: str) -> ScenarioConfig:
     elif not has_beta:
         values["model.beta"] = finite("model.gamma", "model.beta = (gamma / mass)^2",
                                       lambda: (values["model.gamma"] / mass) ** 2)
-    config = ScenarioConfig(**{_KEYS[key][0]: value for key, value in values.items()})
+    config = ScenarioConfig(**{_KEYS[key].name: value for key, value in values.items()})
     # Products the relativistic model and the boost laws form from these keys:
     # (key, what, compute, context), refused on the key's line unless the
     # product is a positive float.
@@ -347,12 +326,11 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def render_config(config: ScenarioConfig) -> str:
     """Emit the canonical document; parse_config(render_config(c)) == c."""
-    defaults = {f.name: f.default for f in fields(ScenarioConfig)}
     lines = []
-    for key, (field, tag) in _KEYS.items():
-        value = getattr(config, field)
-        if value == defaults[field] and key not in (
-                "model.kind", "model.mass", "model.beta", "model.gamma"):
+    for key, f in _KEYS.items():
+        # the keys without a default (kind, mass, beta, gamma) are always written
+        value, tag = getattr(config, f.name), f.metadata["parser"]
+        if value == f.default:
             continue
         if tag == "vector":
             rendered = ", ".join(repr(component) for component in value)

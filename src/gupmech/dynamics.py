@@ -111,12 +111,12 @@ class Kinetic:
 def _radius(model: str, s: float, limit: float) -> float:
     """|p| = sqrt(s), refused unless strictly inside the domain |p| < limit.
 
-    An infinite |p| left the float range, not the domain: OverflowError.
+    An infinite s = |p|^2 left the float range, not the domain: OverflowError.
     """
     q = math.sqrt(s)
     if q >= limit:
         if q == math.inf:
-            raise OverflowError(f"momentum |p| overflowed in the {model} model")
+            raise OverflowError(f"momentum |p|^2 overflowed in the {model} model")
         raise DomainError(f"momentum |p| = {q:.6g} outside the {model} domain (|p| < {limit:.6g})")
     return q
 
@@ -225,7 +225,12 @@ def _effective_sqrt(kind) -> Kinetic:
     limit = m * w if sign < 0 else math.inf
 
     def root(s):
-        return math.sqrt(1.0 + sign * (_radius(EFFECTIVE_SQRT, s, limit) / (m * w)) ** 2)
+        y = _radius(EFFECTIVE_SQRT, s, limit) / (m * w)
+        try:
+            return math.sqrt(1.0 + sign * y ** 2)
+        except OverflowError:  # float ** raises where * would give inf
+            raise OverflowError(
+                f"momentum (|p| / m w)^2 overflowed in the {EFFECTIVE_SQRT} model") from None
 
     return Kinetic(lambda s: sign * m * w * w * (root(s) - 1.0),
                    lambda s: 1.0 / (m * root(s)),

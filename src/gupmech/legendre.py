@@ -169,7 +169,7 @@ def _bracket_high(kind: Hamiltonian, s: float) -> float:
     hi = min(max(m * s, 1e-30), sys.float_info.max)
     while not radial_velocity(kind, hi) >= s:
         if hi == sys.float_info.max:
-            raise _overflowed(kind, s, "|p|")
+            raise _overflowed(kind, "|p|")
         hi = min(2.0 * hi, sys.float_info.max)
     return hi
 
@@ -181,9 +181,9 @@ def _unresolvable(kind: Hamiltonian, s: float) -> DomainError:
     )
 
 
-def _overflowed(kind: Hamiltonian, s: float, quantity: str) -> OverflowError:
-    return OverflowError(
-        f"momentum {quantity} overflowed in the {kind.model} model at speed {s:.6g}")
+def _overflowed(kind: Hamiltonian, quantity: str) -> OverflowError:
+    """A float-range refusal in dynamics' own words; _momentum_exact adds the speed."""
+    return OverflowError(f"momentum {quantity} overflowed in the {kind.model} model")
 
 
 def _solve_radial(kind: Hamiltonian, s: float) -> float:
@@ -192,6 +192,10 @@ def _solve_radial(kind: Hamiltonian, s: float) -> float:
     Initial guess m*s, bisection fallback on the bracketing interval,
     residual tolerance 1e-12 relative.  After 64 Newton iterations the
     bracket is bisected until the residual meets the tolerance.
+
+    Every speed is evaluated through the module name `radial_velocity`:
+    bench/spans.py wraps that name to count legendre.newton_evals_per_inversion,
+    and bench/test_bench.py needs that count above 1.
     """
     if s == 0.0:
         return 0.0
@@ -206,11 +210,14 @@ def _solve_radial(kind: Hamiltonian, s: float) -> float:
             )
         return q_sup
     tol = 1e-12 * max(1.0, s)
+    q = kind.params.mass * s
+    if q == 0.0:
+        # m s underflowed, and so did the momentum: where |p|^2 underflows, each
+        # model's speed is |p| / m
+        return q
     lo = 0.0
     hi = _bracket_high(kind, s)
-    q = min(max(kind.params.mass * s, 0.0), hi)
-    if q == 0.0:
-        q = 0.5 * hi
+    q = min(q, hi)
     for _ in range(64):
         r = radial_velocity(kind, q) - s
         if abs(r) <= tol:
@@ -236,7 +243,7 @@ def _solve_radial(kind: Hamiltonian, s: float) -> float:
         raise _unresolvable(kind, s)
     # On an unbounded branch the speed climbs by a few ulps from one float to the next,
     # so the bracket stops only where |p|^2 overflows and the speed jumps to inf.
-    raise _overflowed(kind, s, "|p|^2")
+    raise _overflowed(kind, "|p|^2")
 
 
 def _momentum_exact(kind: Hamiltonian, v):
@@ -247,7 +254,10 @@ def _momentum_exact(kind: Hamiltonian, v):
     s = math.sqrt(sq) if sys.float_info.min <= sq < math.inf else math.hypot(*v)
     if s == 0.0:
         return [0.0 * c for c in v]
-    q = _solve_radial(kind, s)
+    try:
+        q = _solve_radial(kind, s)
+    except OverflowError as err:  # it names the quantity and the model, not the speed
+        raise OverflowError(f"{err} at speed {s:.6g}") from err
     return [q * (c / s) for c in v]
 
 

@@ -9,7 +9,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from gupmech import checks, csvio
+from gupmech import checks, csvio, dynamics
 from gupmech.checks import CheckResult
 from gupmech.cli import main
 from gupmech.csvio import read_events, read_trajectory
@@ -607,6 +607,25 @@ def test_constants_mass_overflow_is_a_usage_error(capsys):
     assert out == ""
     assert err.startswith("gupmech: error: --mass 1e+200 left the float range: "
                           "OverflowError") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_an_unnamed_overflow_names_its_source(tmp_path, capsys, monkeypatch, command):
+    # main's last resort for an OverflowError no step, key or row names
+    def overflow(*args, **kwargs):
+        raise OverflowError("math range error")
+
+    if command == "simulate":
+        cfg = write(tmp_path, "free.cfg", FREE_EXACT)
+        monkeypatch.setattr(dynamics, "integrate", overflow)
+        argv, source = ["simulate", "--config", cfg], cfg
+    else:
+        monkeypatch.setattr(checks, "run_suite", overflow)
+        argv, source = ["check"], "the command line"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"gupmech: error: a value in {source} left the float range: "
+                   "OverflowError('math range error')\n")
 
 
 @pytest.mark.parametrize("mass, geometry, shift", [("1.2e-8", "three-d", "1.21599"),

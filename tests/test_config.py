@@ -2,8 +2,10 @@
 
 import errno
 import hashlib
+import mmap
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -391,10 +393,60 @@ class TestValidation:
         assert err.value.line == doc.count("\n")
 
 
-def test_readme_documents_every_key():
+def _readme_key_table():
+    """(keys, value, applies to) per row of the README's table of config keys."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    missing = [key for key in config_module._KEYS if f"`{key}`" not in readme]
-    assert missing == []
+    table = readme.split("Every key, its values and where it applies:\n\n")[1].split("\n\n")[0]
+    rows = []
+    for line in table.splitlines()[2:]:  # below the header and its rule
+        keys, value, applies = (cell.strip() for cell in line.strip("|").split(" | "))
+        rows.append((re.findall(r"`([^`]+)`", keys), value, applies))
+    return rows
+
+
+def test_readme_documents_every_key():
+    rows = _readme_key_table()
+    # every key once, in the schema's order
+    assert [key for keys, _, _ in rows for key in keys] == list(config_module._KEYS)
+    for keys, value, applies in rows:
+        for key in keys:
+            rule = config_module._KEYS[key].metadata
+            assert ("> 0" in value) == rule["positive"], key
+            assert bool(re.search(r"\bonly\b", applies)) == (rule["scope"] is not None), key
+            assert ("which requires it" in applies) == rule["required"], key
+
+
+# Documents that break two rules, the later rule on an earlier line: the first
+# fault in the README's order is the one reported.
+_TWO_FAULTS = {
+    "required-then-scope": (
+        "model.kind = exact-1d\nmodel.mass = 1.0\nmodel.beta = 0.01\n"
+        "model.force = 1.0\nmodel.potential = harmonic\n",
+        "model.potential = harmonic requires model.stiffness"),
+    "required-then-positive": (
+        "model.kind = relativistic-first-order-1d\nmodel.mass = 1.0\nmodel.beta = 0.01\n"
+        "dt = 0\n",
+        "model.kind = relativistic-first-order-1d requires model.light_speed"),
+    "boost-velocity-then-scope": (
+        "model.kind = exact-1d\nmodel.mass = 1.0\nmodel.beta = 0.01\n"
+        "model.scale_velocity = 1.0\nboost.law = exact\n",
+        "line 5: boost.law given without boost.velocity"),
+    "scope-then-positive": (
+        "model.kind = exact-1d\nmodel.mass = 1.0\nmodel.beta = 0.01\n"
+        "t_end = -1.0\nmodel.sqrt_sign = 1\n",
+        "line 5: model.sqrt_sign only applies to the effective-sqrt model"),
+    "positive-then-zero-force": (
+        "model.kind = exact-1d\nmodel.mass = 1.0\nmodel.beta = 0.01\n"
+        "model.potential = uniform-field\nmodel.force = 0.0\ndt = -1.0\n",
+        "line 6: dt: must be positive, got -1.0"),
+}
+
+
+@pytest.mark.parametrize("doc, message", list(_TWO_FAULTS.values()), ids=list(_TWO_FAULTS))
+def test_the_first_fault_in_the_readme_order_is_reported(doc, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert str(err.value) == message
 
 
 class TestBuilders:
@@ -899,13 +951,15 @@ class TestSplitWriterProcesses:
 
     # the call refused, the calls of it that go through first, and its error
     @pytest.mark.parametrize("module, name, passed, error", [
+        (mmap, "mmap", 0, OSError(errno.ENOMEM, "Cannot allocate memory")),
+        (mmap, "mmap", 0, OverflowError("Python int too large to convert to C ssize_t")),
         (os, "fork", 0, BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
         (tempfile, "TemporaryFile", 0, OSError(errno.EMFILE, "Too many open files")),
         (tempfile, "TemporaryFile", 1, OSError(errno.EMFILE, "Too many open files")),
         (os, "pipe", 0, OSError(errno.EMFILE, "Too many open files")),
         (os, "pipe", 1, OSError(errno.EMFILE, "Too many open files")),
-    ], ids=["EAGAIN", "EMFILE-unnamed-file", "EMFILE-second-unnamed-file", "EMFILE-ready-pipe",
-            "EMFILE-child-value"])
+    ], ids=["ENOMEM-shared-mapping", "oversized-shared-mapping", "EAGAIN", "EMFILE-unnamed-file",
+            "EMFILE-second-unnamed-file", "EMFILE-ready-pipe", "EMFILE-child-value"])
     def test_a_failed_fork_writes_every_row_here(self, tmp_path, monkeypatch, forks,
                                                  module, name, passed, error):
         calls, call = [], getattr(module, name)

@@ -232,6 +232,37 @@ class TestExactInversion:
                 f"momentum {quantity} overflowed in the {model} model at speed 1e+200")):
             momentum_from_velocity_exact(v, kind)
 
+    @pytest.mark.parametrize("mass, scale, speed, quantity", [
+        (1e154, 1e154, 5e153, "|p|^2"),
+        (1e-300, 1.0, 0.5, "(|p| / m w)^2"),
+        (1e-300, 1.0, 1e-3, "(|p| / m w)^2")])
+    def test_an_effective_sqrt_overflow_names_its_quantity_and_speed(self, mass, scale, speed,
+                                                                    quantity):
+        # at m = w = 1e154 the momentum, about 5.8e307, is a float but its square is not;
+        # at m = 1e-300 the bracket's first probe |p| = 1e-30 is 1e270 m w
+        kind = Hamiltonian.effective_sqrt(params_of(0.01, mass), scale, sign=1)
+        with pytest.raises(OverflowError) as err:
+            momentum_from_velocity_exact(speed, kind)
+        assert str(err.value) == (f"momentum {quantity} overflowed in the effective-sqrt model "
+                                  f"at speed {speed:.6g}")
+
+    @pytest.mark.parametrize("model", ["first-order-1d", "exact-3d"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_momentum_whose_m_s_underflows_is_zero(self, model, sign):
+        # m s = 1e-400: the momentum, about m s, is below the smallest float, and any
+        # momentum the absolute tolerance 1e-12 accepts is far too fast (1e-212 moves at 1e-12)
+        kind = Hamiltonian(model, params_of(0.01, 1e-200))
+        v = sign * 1e-200 if kind.dim == 1 else [sign * 1e-200, 0.0, 0.0]
+        p = np.ravel(momentum_from_velocity_exact(v, kind)).tolist()
+        assert p == [0.0] * kind.dim and math.copysign(1.0, p[0]) == sign
+
+    def test_the_relativistic_speed_limit_maps_to_the_branch_edge(self):
+        kind = Hamiltonian.relativistic_first_order_1d(params_of(1e-4), 10.0)
+        edge = legendre.monotone_momentum_limit(kind)
+        assert edge == 8.27605888602368
+        assert momentum_from_velocity_exact(speed_limit(kind), kind) == edge
+        assert momentum_from_velocity_exact(-speed_limit(kind), kind) == -edge
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("k", range(7))
     def test_a_non_finite_velocity_is_refused_by_name(self, monkeypatch, k, value):
