@@ -27,11 +27,11 @@ m_e = consts.electron_mass
 print(f"planck length      {consts.planck_length:.6e} m")
 print(f"electron mass      {m_e:.9e} kg")
 
-gamma = gamma_from_planck_length(m_e, consts)
+gamma = gamma_from_planck_length(m_e)
 print(f"\nc * gamma = {gamma.c_gamma:.6e}  (dimensionless)")
 
 for geometry in (GEOMETRY_ONE_D, GEOMETRY_THREE_D):
-    scales = EffectiveScales.for_mass(m_e, geometry, consts)
+    scales = EffectiveScales.for_mass(m_e, geometry)
     print(f"\n{geometry} geometry:")
     print(f"  u / c               {scales.u / consts.light_speed:.6e}")
     print(f"  relative c shift    {scales.deviation:.6e}")

@@ -14,6 +14,7 @@ on the three-dimensional helpers are numbered 1 to 3.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,6 +54,9 @@ class DeformationParameters:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
         if self.mass <= 0.0:
             raise ValueError(f"mass must be positive, got {self.mass}")
+        if self.mass < sys.float_info.min:
+            raise ValueError(f"mass {self.mass!r} is below the smallest normal float "
+                             f"{sys.float_info.min!r}")
 
     @property
     def gamma(self) -> float:

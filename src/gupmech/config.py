@@ -7,6 +7,7 @@ canonical document that parses back to an equal config.
 """
 
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Tuple
 
@@ -265,6 +266,9 @@ def parse_config(text: str) -> ScenarioConfig:
     for key, rule in schema:
         if rule["positive"] and key in values and not values[key] > 0.0:
             raise ConfigError(f"{key}: must be positive, got {values[key]}", line_of(key))
+    if mass < sys.float_info.min:
+        raise ConfigError(f"model.mass: {mass!r} is below the smallest normal float "
+                          f"{sys.float_info.min!r}", line_of("model.mass"))
     if values.get("model.force") == 0.0:
         raise ConfigError("model.force: a zero field is the free potential",
                           line_of("model.force"))
@@ -315,6 +319,14 @@ def parse_config(text: str) -> ScenarioConfig:
             in_range = False
         if not in_range:
             raise ConfigError(f"{key}: {what} leaves the float range{context}", line_of(key))
+    if kind == dynamics.EFFECTIVE_SQRT and (config.scale_velocity or config.gamma > 0.0):
+        # as dynamics refuses it; w is model.scale_velocity, or else alpha / gamma
+        key = ("model.scale_velocity" if config.scale_velocity
+               else "model.gamma" if has_gamma else "model.beta")
+        w = config.scale_velocity or config.derived_scale_velocity(key)
+        if not (square := mass * w * (mass * w)) >= sys.float_info.min:
+            raise ConfigError(f"{key}: (m w)^2 = {square!r} is below the smallest normal "
+                              f"float with m = {mass!r}, w = {w!r}", line_of(key))
     for key in ("initial.x", "initial.p"):
         if key in values and len(values[key]) != config.dim:
             raise ConfigError(f"{key}: model {kind} needs {config.dim} component(s), "

@@ -30,29 +30,17 @@ EXTENDED_CONTEXT = Context(prec=EXTENDED_PRECISION_DPS)  # localcontext(prec=) n
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """SI values: exact light speed, CODATA 2018 for the rest.
-
-    The Planck length defaults to sqrt(hbar G / c^3) so it is consistent
-    with the other entries by construction; an override must stay within
-    1e-4 of that combination.
-    """
+    """SI values: exact light speed, CODATA 2018 for the rest."""
 
     light_speed: float = 299792458.0          # m/s, exact by definition
     reduced_planck: float = 1.054571817e-34   # J s
     gravitational: float = 6.67430e-11        # m^3 kg^-1 s^-2
     electron_mass: float = 9.1093837015e-31   # kg
-    planck_length: float = 0.0                # m; 0 means derive
 
-    def __post_init__(self):
-        derived = math.sqrt(self.reduced_planck * self.gravitational
-                            / self.light_speed ** 3)
-        if self.planck_length == 0.0:
-            object.__setattr__(self, "planck_length", derived)
-        elif abs(self.planck_length / derived - 1.0) > 1e-4:
-            raise ValueError(
-                f"planck_length {self.planck_length} is inconsistent with "
-                f"sqrt(hbar G / c^3) = {derived}"
-            )
+    @property
+    def planck_length(self) -> float:
+        """sqrt(hbar G / c^3) in m, consistent with the other entries by construction."""
+        return math.sqrt(self.reduced_planck * self.gravitational / self.light_speed ** 3)
 
 
 CODATA = PhysicalConstants()
@@ -63,8 +51,8 @@ class GammaScale(NamedTuple):
     c_gamma: float   # dimensionless
 
 
-def gamma_from_planck_length(mass: float, consts: PhysicalConstants = CODATA) -> GammaScale:
-    """gamma = mass * l_planck / hbar from the minimal-length identification.
+def gamma_from_planck_length(mass: float) -> GammaScale:
+    """gamma = mass * l_planck / hbar from the minimal-length identification, on CODATA.
 
     Setting hbar * sqrt(beta) equal to the Planck length gives
     sqrt(beta) = l_planck / hbar and hence this gamma; c*gamma is the
@@ -72,8 +60,8 @@ def gamma_from_planck_length(mass: float, consts: PhysicalConstants = CODATA) ->
     """
     if not mass > 0.0:
         raise ValueError(f"mass must be positive, got {mass}")
-    gamma = mass * consts.planck_length / consts.reduced_planck
-    return GammaScale(gamma=gamma, c_gamma=consts.light_speed * gamma)
+    gamma = mass * CODATA.planck_length / CODATA.reduced_planck
+    return GammaScale(gamma=gamma, c_gamma=CODATA.light_speed * gamma)
 
 
 def geometry_alpha(geometry) -> float:
@@ -146,7 +134,7 @@ def effective_light_speed_extended(gamma: float, geometry,
 
 @dataclass(frozen=True)
 class EffectiveScales:
-    """The derived kinematic numbers for one particle and one geometry."""
+    """The derived kinematic numbers for one particle and one geometry, on CODATA."""
 
     geometry: str
     gamma: float
@@ -156,14 +144,13 @@ class EffectiveScales:
     deviation: float
 
     @classmethod
-    def for_mass(cls, mass: float, geometry,
-                 consts: PhysicalConstants = CODATA) -> "EffectiveScales":
-        scale = gamma_from_planck_length(mass, consts)
+    def for_mass(cls, mass: float, geometry) -> "EffectiveScales":
+        scale = gamma_from_planck_length(mass)
         return cls(
             geometry=str(geometry),
             gamma=scale.gamma,
             c_gamma=scale.c_gamma,
             u=effective_velocity_u(scale.gamma, geometry),
-            c_eff=effective_light_speed(scale.gamma, geometry, consts.light_speed),
-            deviation=light_speed_deviation(scale.gamma, geometry, consts.light_speed),
+            c_eff=effective_light_speed(scale.gamma, geometry),
+            deviation=light_speed_deviation(scale.gamma, geometry),
         )

@@ -20,6 +20,7 @@ a writer which rows are final after each block of steps.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -222,6 +223,10 @@ def _effective_sqrt(kind) -> Kinetic:
     m = kind.params.mass
     w = kind.scale_velocity
     sign = kind.sqrt_sign
+    # |p|^2 near (m w)^2 must keep its digits, or the model turns into |p|^2 / 2m unseen
+    if not m * w * (m * w) >= sys.float_info.min:
+        raise ValueError(f"the {EFFECTIVE_SQRT} model needs (m w)^2 of at least the smallest "
+                         f"normal float, got m = {m!r}, w = {w!r}")
     limit = m * w if sign < 0 else math.inf
 
     def root(s):
@@ -490,7 +495,7 @@ def integrate(kind: Hamiltonian, initial: PhaseState, t_end: float, dt: float,
                          "more than memory can hold") from exc
 
     try:
-        energies[0] = hamiltonian_value(kind, initial)
+        energies[0] = _energy(kind, x, p)
     except DomainError as exc:
         raise DomainError(f"initial state outside the model domain: {exc}") from exc
     except ArithmeticError as exc:

@@ -198,8 +198,7 @@ def _interval(e1, e2, scale_sq: float, combine):
     """combine(scale_sq dt^2, |dx|^2) between events, or FloatingPointError if not finite."""
     e1, e2 = _event_pair(e1, e2)
     interval = combine(*_interval_parts((e2 - e1).T, scale_sq))
-    # one pair gives a numpy scalar, which math tests far faster than numpy
-    if not (math.isfinite(interval) if interval.ndim == 0 else np.isfinite(interval).all()):
+    if not np.isfinite(interval).all():
         raise FloatingPointError("interval between the events is not finite")
     return interval
 

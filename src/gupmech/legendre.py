@@ -122,9 +122,11 @@ def momentum_from_velocity_first_order(xdot, params: DeformationParameters):
     if len(vs) == 1:
         v = vs[0]
         measure, label = b * m * m * v * v, "v^2"
+        factor = 1.0 - (4.0 / 3.0) * b * m * m * v * v
     else:
         vsq = _square(vs)
         measure, label = b * m * m * vsq, "|v|^2"
+        factor = 1.0 - 2.0 * b * m * m * vsq
     if measure > SMALL_DEFORMATION_BOUND:
         warnings.warn(
             f"beta*m^2*{label} = {measure:.3g} is outside the small-deformation regime; "
@@ -132,9 +134,7 @@ def momentum_from_velocity_first_order(xdot, params: DeformationParameters):
             RuntimeWarning,
             stacklevel=2,
         )
-    if np.ndim(v) == 0:
-        return m * v * (1.0 - (4.0 / 3.0) * b * m * m * v * v)
-    return m * v * (1.0 - 2.0 * b * m * m * vsq)
+    return m * v * factor
 
 
 def _finite(v, refusal: str):
@@ -187,7 +187,7 @@ def _overflowed(kind: Hamiltonian, quantity: str) -> OverflowError:
 
 
 def _solve_radial(kind: Hamiltonian, s: float) -> float:
-    """Solve radial_velocity(kind, q) = s for q >= 0 by safeguarded Newton.
+    """Solve radial_velocity(kind, q) = s > 0 for q >= 0 by safeguarded Newton.
 
     Initial guess m*s, bisection fallback on the bracketing interval,
     residual tolerance 1e-12 relative.  After 64 Newton iterations the
@@ -197,8 +197,6 @@ def _solve_radial(kind: Hamiltonian, s: float) -> float:
     bench/spans.py wraps that name to count legendre.newton_evals_per_inversion,
     and bench/test_bench.py needs that count above 1.
     """
-    if s == 0.0:
-        return 0.0
     sup = speed_limit(kind)
     if math.isfinite(sup) and s >= sup:
         q_sup = monotone_momentum_limit(kind)

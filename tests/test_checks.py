@@ -123,6 +123,16 @@ def test_suite_step_count(monkeypatch):
     assert sum(steps) == 8875
 
 
+def test_a_sign_error_in_the_relativistic_coefficient_fails_its_row(monkeypatch):
+    # flipped, each case's sign disagrees with its side of beta = 3 / (8 m^2 c^2): 1.0
+    _allow_cpus(monkeypatch, 1)
+    coefficient = dynamics.relativistic_quartic_coefficient
+    monkeypatch.setattr(dynamics, "relativistic_quartic_coefficient",
+                        lambda kind: -coefficient(kind))
+    result = {r.name: r for r in run_suite("dynamics")}["dynamics.relativistic-coefficient"]
+    assert result.measured == 1.0 and not result.passed
+
+
 def _nan_on_call(function, call):
     """function, except that its call-th call returns NaN in every value."""
     calls = []

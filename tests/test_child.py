@@ -24,6 +24,19 @@ def _no_child_left(descriptors_kept):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_no_fork_runs_nothing_alongside(monkeypatch):
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert _child.runs_alongside() is False
+
+
+@pytest.mark.parametrize("count, alongside", [(None, False), (1, False), (2, True)])
+def test_without_an_affinity_mask_the_cpu_count_decides(monkeypatch, count, alongside):
+    monkeypatch.setattr(os, "fork", lambda: 0, raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert _child.runs_alongside() is alongside
+
+
 def _both_take(tmp_path):
     """work(index) = index squared, where each process's first index waits
     until the other process has taken one, so both take at least one."""

@@ -240,6 +240,24 @@ SINGLE_FAULTS = {
     "range-lorentz-light-speed-overflow": (
         BOOST + "boost.law = lorentz\nboost.light_speed = 1e200\n",
         "line 6: boost.light_speed: c^2 leaves the float range", 6),
+    "subnormal-mass": (
+        "model.kind = exact-1d\nmodel.mass = 1e-320\nmodel.beta = 0.01\n",
+        "line 2: model.mass: 1e-320 is below the smallest normal float "
+        "2.2250738585072014e-308", 2),
+    "range-sqrt-scale-subnormal": (
+        EFFECTIVE_SQRT.replace("model.mass = 1.0", "model.mass = 1e-160")
+        + "model.scale_velocity = 1.0\n",
+        "line 4: model.scale_velocity: (m w)^2 = 1e-320 is below the smallest normal float "
+        "with m = 1e-160, w = 1.0", 4),
+    "range-sqrt-scale-zero": (
+        EFFECTIVE_SQRT.replace("model.mass = 1.0", "model.mass = 1e-170")
+        + "model.scale_velocity = 1.0\nmodel.sqrt_sign = 1\n",
+        "line 4: model.scale_velocity: (m w)^2 = 0.0 is below the smallest normal float "
+        "with m = 1e-170, w = 1.0", 4),
+    "range-sqrt-derived-scale": (
+        "model.kind = effective-sqrt\nmodel.mass = 1.0\nmodel.beta = 1.7e308\n",
+        "line 3: model.beta: (m w)^2 = 2.205882352941175e-309 is below the smallest normal "
+        "float with m = 1.0, w = 4.696682183138621e-155", 3),
 }
 
 
@@ -439,6 +457,23 @@ _TWO_FAULTS = {
         "model.kind = exact-1d\nmodel.mass = 1.0\nmodel.beta = 0.01\n"
         "model.potential = uniform-field\nmodel.force = 0.0\ndt = -1.0\n",
         "line 6: dt: must be positive, got -1.0"),
+    "positive-then-subnormal-mass": (
+        "model.kind = exact-1d\nmodel.mass = 1e-320\nmodel.beta = 0.01\ndt = -1.0\n",
+        "line 4: dt: must be positive, got -1.0"),
+    "subnormal-mass-then-zero-force": (
+        "model.potential = uniform-field\nmodel.force = 0.0\nmodel.kind = exact-1d\n"
+        "model.mass = 1e-320\nmodel.beta = 0.01\n",
+        "line 4: model.mass: 1e-320 is below the smallest normal float "
+        "2.2250738585072014e-308"),
+    "boost-range-then-sqrt-scale": (
+        "model.kind = effective-sqrt\nmodel.mass = 1e-170\nmodel.beta = 0.01\n"
+        "model.scale_velocity = 1.0\nboost.velocity = 1e200\nboost.scale = 1.0\n",
+        "line 5: boost.velocity: 1 + (V / u)^2 leaves the float range with u = 1.0"),
+    "sqrt-scale-then-initial-length": (
+        "initial.x = 0, 0, 0\ninitial.p = 0, 0, 0\nmodel.kind = effective-sqrt\n"
+        "model.mass = 1e-170\nmodel.beta = 0.01\nmodel.scale_velocity = 1.0\n",
+        "line 6: model.scale_velocity: (m w)^2 = 0.0 is below the smallest normal float "
+        "with m = 1e-170, w = 1.0"),
 }
 
 

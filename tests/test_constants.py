@@ -28,14 +28,11 @@ ELECTRON_C_GAMMA = 4.1854622147319584e-23
 class TestPhysicalConstants:
     def test_planck_length_derived_from_the_others(self):
         assert CODATA.planck_length == pytest.approx(1.616255e-35, rel=1e-6)
-
-    def test_consistent_override_accepted(self):
-        consts = PhysicalConstants(planck_length=1.616255e-35)
-        assert consts.planck_length == 1.616255e-35
-
-    def test_inconsistent_override_rejected(self):
-        with pytest.raises(ValueError):
-            PhysicalConstants(planck_length=1.7e-35)
+        # sqrt(hbar G / c^3) of the instance's own entries; 4 G doubles it exactly
+        heavier = PhysicalConstants(gravitational=4.0 * CODATA.gravitational)
+        assert heavier.planck_length == 2.0 * CODATA.planck_length
+        with pytest.raises(TypeError):
+            PhysicalConstants(planck_length=1.616255e-35)
 
 
 class TestGammaScale:

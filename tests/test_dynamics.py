@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import re
+import types
 
 import numpy as np
 import pytest
@@ -130,6 +131,13 @@ class TestHamiltonianConstruction:
 
 
 class TestHamiltonianValue:
+    @pytest.mark.parametrize("kind", CONFIGURATIONS, ids=config_id)
+    def test_a_state_that_is_no_phase_state_gives_the_same_bits(self, kind):
+        # any object with .x and .p of the model's size is read through components()
+        state = probe_state(kind)
+        plain = types.SimpleNamespace(x=state.x.tolist(), p=state.p.tolist())
+        assert hamiltonian_value(kind, plain).hex() == hamiltonian_value(kind, state).hex()
+
     def test_undeformed_quadratic(self):
         kind = Hamiltonian.first_order_1d(params_of(0.0))
         assert hamiltonian_value(kind, PhaseState.of(0.0, 1.0)) == 0.5

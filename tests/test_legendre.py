@@ -233,18 +233,33 @@ class TestExactInversion:
             momentum_from_velocity_exact(v, kind)
 
     @pytest.mark.parametrize("mass, scale, speed, quantity", [
-        (1e154, 1e154, 5e153, "|p|^2"),
-        (1e-300, 1.0, 0.5, "(|p| / m w)^2"),
-        (1e-300, 1.0, 1e-3, "(|p| / m w)^2")])
+        (1e154, 1e154, 5e153, "|p|^2")])
     def test_an_effective_sqrt_overflow_names_its_quantity_and_speed(self, mass, scale, speed,
                                                                     quantity):
-        # at m = w = 1e154 the momentum, about 5.8e307, is a float but its square is not;
-        # at m = 1e-300 the bracket's first probe |p| = 1e-30 is 1e270 m w
+        # at m = w = 1e154 the momentum, about 5.8e307, is a float but its square is not
         kind = Hamiltonian.effective_sqrt(params_of(0.01, mass), scale, sign=1)
         with pytest.raises(OverflowError) as err:
             momentum_from_velocity_exact(speed, kind)
         assert str(err.value) == (f"momentum {quantity} overflowed in the effective-sqrt model "
                                   f"at speed {speed:.6g}")
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("mass", [1e-160, 1e-170, 1e-300])
+    def test_an_effective_sqrt_scale_below_the_normal_floats_is_refused(self, mass, sign):
+        # |p|^2 near (m w)^2 is subnormal or 0 there, and the inversion came out 13% low
+        # (plus) or 12% high (minus) at m = 1e-170, as if the model were |p|^2 / 2m
+        with pytest.raises(ValueError) as err:
+            Hamiltonian.effective_sqrt(params_of(0.01, mass), 1.0, sign=sign)
+        assert str(err.value) == ("the effective-sqrt model needs (m w)^2 of at least the "
+                                  f"smallest normal float, got m = {mass!r}, w = 1.0")
+
+    @pytest.mark.parametrize("sign, pinned", [(1, 5.773502691896259e-101),
+                                              (-1, 4.4721359549995795e-101)])
+    def test_an_effective_sqrt_scale_inside_the_normal_floats_inverts(self, sign, pinned):
+        # m s / sqrt(1 - sign s^2 / w^2) at m = 1e-100, s = 0.5, w = 1
+        kind = Hamiltonian.effective_sqrt(params_of(0.01, 1e-100), 1.0, sign=sign)
+        assert momentum_from_velocity_exact(0.5, kind) == pinned
+        assert pinned == pytest.approx(0.5e-100 / math.sqrt(1.0 - sign * 0.25), rel=1e-15)
 
     @pytest.mark.parametrize("model", ["first-order-1d", "exact-3d"])
     @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -10,8 +10,9 @@ from gupmech.algebra import (DeformationParameters, bracket_xp_3d, coordinate_fu
                              momentum_function_3d)
 from gupmech.checks import run_suite
 from gupmech.csvio import write_events
+from gupmech.dynamics import Hamiltonian
 from gupmech.frames import GalileanBoost, LorentzBoost
-from gupmech.legendre import PathSample
+from gupmech.legendre import PathSample, momentum_from_velocity_exact
 
 _PARAMS = DeformationParameters(beta=0.01, mass=1.0)
 _TIMES = np.linspace(0.0, 1.0, 4)
@@ -28,6 +29,12 @@ _REFUSALS = [
      ValueError, "mass must be positive, got 0.0"),
     ("gamma-mass-negative", lambda path: DeformationParameters.from_gamma(1.0, -1.0),
      ValueError, "mass must be positive, got -1.0"),
+    # the inversion raised a bare ZeroDivisionError from 1 / (m (1 - beta |p|^2)^2)
+    ("mass-subnormal", lambda path: momentum_from_velocity_exact(
+        [0.0, 1e-3, 0.0], Hamiltonian("exact-3d", DeformationParameters(1e-300, 1e-320))),
+     ValueError, "mass 1e-320 is below the smallest normal float 2.2250738585072014e-308"),
+    ("gamma-mass-subnormal", lambda path: DeformationParameters.from_gamma(0.0, 5e-324),
+     ValueError, "mass 5e-324 is below the smallest normal float 2.2250738585072014e-308"),
     ("bracket-3d-two", lambda path: bracket_xp_3d([1.0, 2.0], 1, 2, _PARAMS),
      ValueError, "P must have 3 components, got 2"),
     ("bracket-3d-four", lambda path: bracket_xp_3d([1.0, 2.0, 3.0, 4.0], 1, 2, _PARAMS),
