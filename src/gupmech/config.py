@@ -327,6 +327,10 @@ def parse_config(text: str) -> ScenarioConfig:
         if not (square := mass * w * (mass * w)) >= sys.float_info.min:
             raise ConfigError(f"{key}: (m w)^2 = {square!r} is below the smallest normal "
                               f"float with m = {mass!r}, w = {w!r}", line_of(key))
+        for what, value in (("m w", mass * w), ("m w^2", mass * w * w)):
+            if not sys.float_info.min <= value < math.inf:
+                raise ConfigError(f"{key}: {what} = {value!r} leaves the normal float range "
+                                  f"with m = {mass!r}, w = {w!r}", line_of(key))
     for key in ("initial.x", "initial.p"):
         if key in values and len(values[key]) != config.dim:
             raise ConfigError(f"{key}: model {kind} needs {config.dim} component(s), "

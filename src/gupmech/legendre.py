@@ -109,8 +109,10 @@ def momentum_from_velocity_first_order(xdot, params: DeformationParameters):
     """First-order momentum: 1d p = m v (1 - 4/3 beta m^2 v^2); 3d uses 1 - 2 beta m^2 v^2.
 
     Accurate to O(beta^2).  A 1-component velocity takes the 1d form.
-    Raises ValueError for a non-finite velocity component, and warns once
-    the deformation measure beta m^2 v^2 exceeds SMALL_DEFORMATION_BOUND.
+    Raises ValueError for a non-finite velocity component, OverflowError
+    naming the speed when the factor, the momentum or the 3d |v|^2 leaves
+    the float range, and warns once the deformation measure beta m^2 v^2
+    exceeds SMALL_DEFORMATION_BOUND.
     """
     m = params.mass
     b = params.beta
@@ -119,14 +121,21 @@ def momentum_from_velocity_first_order(xdot, params: DeformationParameters):
         raise ValueError("first-order momentum takes 1 or 3 velocity components, "
                          f"got shape {v.shape}")
     vs = _finite(v.ravel().tolist(), "first-order momentum cannot take the non-finite velocity")
-    if len(vs) == 1:
+    if len(vs) == 1:  # v^2 is not formed alone: only the factor and m v factor can overflow
         v = vs[0]
         measure, label = b * m * m * v * v, "v^2"
         factor = 1.0 - (4.0 / 3.0) * b * m * m * v * v
+        formed = ()
     else:
         vsq = _square(vs)
         measure, label = b * m * m * vsq, "|v|^2"
         factor = 1.0 - 2.0 * b * m * m * vsq
+        formed = (("|v|^2", [vsq]),)
+    momentum = [m * c * factor for c in vs]
+    for what, values in formed + (("factor", [factor]), ("m v factor", momentum)):
+        if not all(map(math.isfinite, values)):
+            raise OverflowError(f"first-order momentum {what} overflowed "
+                                f"at speed {math.hypot(*vs):.6g}")
     if measure > SMALL_DEFORMATION_BOUND:
         warnings.warn(
             f"beta*m^2*{label} = {measure:.3g} is outside the small-deformation regime; "
@@ -134,7 +143,7 @@ def momentum_from_velocity_first_order(xdot, params: DeformationParameters):
             RuntimeWarning,
             stacklevel=2,
         )
-    return m * v * factor
+    return momentum[0] if len(vs) == 1 else np.array(momentum)
 
 
 def _finite(v, refusal: str):
@@ -349,7 +358,7 @@ class PathSample:
             pos = pos[:, None]
         if times.ndim != 1 or times.size < 2:
             raise ValueError("a path needs at least two samples")
-        if not np.all(np.diff(times) > 0.0):
+        if not (times[1:] > times[:-1]).all():
             raise ValueError("path times must be strictly increasing")
         if pos.shape[0] != times.size or pos.shape[1] not in (1, 3):
             raise ValueError(

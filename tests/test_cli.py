@@ -122,6 +122,19 @@ class TestSimulate:
         assert err.startswith("gupmech: error: ") and named in err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    def test_an_effective_sqrt_scale_past_the_float_range_names_its_key(self, tmp_path,
+                                                                         capsys):
+        # m w = inf made the initial energy nan, refused without naming a key
+        cfg = write(tmp_path, "scale.cfg",
+                    "model.kind = effective-sqrt\nmodel.mass = 1e200\nmodel.beta = 0.01\n"
+                    "model.scale_velocity = 1e200\ninitial.x = 0\ninitial.p = 1\n"
+                    "t_end = 1\ndt = 0.1\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", cfg)
+        assert (code, out) == (2, "")
+        assert err == (f"gupmech: error: {cfg}: line 4: model.scale_velocity: m w = inf "
+                       "leaves the normal float range with m = 1e+200, w = 1e+200\n")
+        assert not (tmp_path / "trajectory.csv").exists()
+
     @pytest.mark.parametrize("mass, force", [("1e-10", "1e150"), ("1", "1e200")],
                              ids=["ratio-overflow", "momentum-overflow"])
     def test_overflow_inside_a_step_names_the_step(self, tmp_path, capsys, mass, force):

@@ -258,6 +258,30 @@ SINGLE_FAULTS = {
         "model.kind = effective-sqrt\nmodel.mass = 1.0\nmodel.beta = 1.7e308\n",
         "line 3: model.beta: (m w)^2 = 2.205882352941175e-309 is below the smallest normal "
         "float with m = 1.0, w = 4.696682183138621e-155", 3),
+    # the model's energy was nan at every momentum
+    "range-sqrt-scale-overflow": (
+        EFFECTIVE_SQRT.replace("model.mass = 1.0", "model.mass = 1e200")
+        + "model.scale_velocity = 1e200\n",
+        "line 4: model.scale_velocity: m w = inf leaves the normal float range "
+        "with m = 1e+200, w = 1e+200", 4),
+    "range-sqrt-scale-square-overflow": (
+        EFFECTIVE_SQRT + "model.scale_velocity = 1e200\nmodel.sqrt_sign = 1\n",
+        "line 4: model.scale_velocity: m w^2 = inf leaves the normal float range "
+        "with m = 1.0, w = 1e+200", 4),
+    # the model's energy was 0 at every momentum
+    "range-sqrt-scale-square-underflow": (
+        EFFECTIVE_SQRT.replace("model.mass = 1.0", "model.mass = 1e150")
+        + "model.scale_velocity = 1e-300\n",
+        "line 4: model.scale_velocity: m w^2 = 0.0 leaves the normal float range "
+        "with m = 1e+150, w = 1e-300", 4),
+    "range-sqrt-derived-scale-overflow-beta": (
+        "model.kind = effective-sqrt\nmodel.mass = 1.0\nmodel.beta = 1e-320\n",
+        "line 3: model.beta: m w^2 = inf leaves the normal float range "
+        "with m = 1.0, w = 6.123758444394844e+159", 3),
+    "range-sqrt-derived-scale-overflow-gamma": (
+        "model.kind = effective-sqrt\nmodel.gamma = 1e-160\nmodel.mass = 1.0\n",
+        "line 2: model.gamma: m w^2 = inf leaves the normal float range "
+        "with m = 1.0, w = 6.123724356957945e+159", 2),
 }
 
 
@@ -469,6 +493,11 @@ _TWO_FAULTS = {
         "model.kind = effective-sqrt\nmodel.mass = 1e-170\nmodel.beta = 0.01\n"
         "model.scale_velocity = 1.0\nboost.velocity = 1e200\nboost.scale = 1.0\n",
         "line 5: boost.velocity: 1 + (V / u)^2 leaves the float range with u = 1.0"),
+    "sqrt-scale-overflow-then-initial-length": (
+        "initial.x = 0, 0, 0\ninitial.p = 0, 0, 0\nmodel.kind = effective-sqrt\n"
+        "model.mass = 1e200\nmodel.beta = 0.01\nmodel.scale_velocity = 1e200\n",
+        "line 6: model.scale_velocity: m w = inf leaves the normal float range "
+        "with m = 1e+200, w = 1e+200"),
     "sqrt-scale-then-initial-length": (
         "initial.x = 0, 0, 0\ninitial.p = 0, 0, 0\nmodel.kind = effective-sqrt\n"
         "model.mass = 1e-170\nmodel.beta = 0.01\nmodel.scale_velocity = 1.0\n",

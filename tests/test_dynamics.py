@@ -506,6 +506,14 @@ class TestIntegrate:
         with pytest.raises(FloatingPointError, match=r"at step 1 of 2 \(t = 0.5\)"):
             integrate(kind, PhaseState.of(1e50, 0.0), t_end=1.0, dt=0.5)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_position_past_the_float_range_names_its_first_step(self, sign):
+        # |dx/dt| = 1e304 moves x by 1e307 a step, to +inf or -inf at step 18, while the
+        # energy stays 5e307 and no RK4 stage raises: only the end-of-run check sees it
+        kind = Hamiltonian.first_order_1d(params_of(0.0, 1e-300))
+        with pytest.raises(FloatingPointError, match=r"at step 18 of 20 \(t = 18000\)$"):
+            integrate(kind, PhaseState.of(0.0, sign * 1e4), t_end=2e4, dt=1e3)
+
     def test_position_overflow_refused_with_finite_energy(self):
         kind = Hamiltonian.exact_3d(params_of(0.01))
         with pytest.raises(FloatingPointError, match="at step 1 of 1"):
@@ -573,7 +581,61 @@ class TestIntegrate:
                 assert got.tobytes() == final[:rows].tobytes()
 
 
+def _flat_trajectory(energies):
+    """A 1D trajectory at rest with these energies, one per unit time step."""
+    n = len(energies)
+    return Trajectory(times=np.arange(float(n)), positions=np.zeros((n, 1)),
+                      momenta=np.zeros((n, 1)), energies=np.array(energies, dtype=float),
+                      step=1.0)
+
+
+def _drift_by_differences(energies):
+    """max_k |E_k - E_0| / max(|E_0|, 1e-30) through the whole-array differences."""
+    e = np.array(energies, dtype=float)
+    e0 = e[0]
+    with np.errstate(all="ignore"):  # inf - inf, and differences past the float range
+        return float(np.max(np.abs(e - e0)) / max(abs(e0), 1e-30))
+
+
+_ENERGIES = st.lists(
+    st.one_of(st.floats(), st.floats(-2.0, 2.0),
+              st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])),
+    min_size=2, max_size=12)
+
+
+def _increasing_by_differences(times):
+    """The strictly-increasing test through np.diff, which the time checks must match."""
+    with np.errstate(all="ignore"):  # inf - inf, and differences past the float range
+        return bool(np.all(np.diff(np.array(times, dtype=float)) > 0.0))
+
+
+_TIME_VALUES = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, 1.0, 5e-324, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan]))
+_TIMES = st.one_of(st.lists(_TIME_VALUES, min_size=2, max_size=6),
+                   st.lists(_TIME_VALUES, min_size=2, max_size=6).map(sorted))
+# equal neighbours, signed zeros, a decrease, NaN, infinite ends, the smallest step,
+# and a difference past the float range
+_TIME_CASES = [[0.0, 1.0, 1.0], [-0.0, 0.0], [0.0, 2.0, 1.0], [0.0, math.nan, 2.0],
+               [math.nan, 1.0], [math.inf, math.inf], [-math.inf, -math.inf],
+               [-math.inf, 0.0, math.inf], [0.0, 5e-324], [-1.7e308, 1.7e308]]
+
+
 class TestEnergyDrift:
+    @given(_ENERGIES)
+    @settings(max_examples=500, deadline=None)
+    def test_the_min_max_reduction_keeps_every_bit(self, energies):
+        got = energy_drift(_flat_trajectory(energies))
+        assert type(got) is float
+        assert got.hex() == _drift_by_differences(energies).hex()
+
+    @pytest.mark.parametrize("energies", [
+        [0.0, -0.0], [-0.0, 0.0, -0.0], [math.inf, 1.0], [-math.inf, 1.0], [1.0, -math.inf],
+        [math.inf, math.inf], [-math.inf, 2.0, math.inf], [1.0, math.nan, 2.0],
+        [math.nan, 1.0], [1.7e308, -1.7e308], [1e-300, 2e-300]])
+    def test_edge_energies_keep_every_bit(self, energies):
+        got = energy_drift(_flat_trajectory(energies))
+        assert got.hex() == _drift_by_differences(energies).hex()
+
     def test_free_particle_floor(self):
         kind = Hamiltonian.exact_1d(params_of(0.01))
         traj = integrate(kind, PhaseState.of(0.0, 1.0), t_end=2.0, dt=0.01)
@@ -685,6 +747,23 @@ class TestTrajectory:
     def test_nonincreasing_times_rejected(self):
         with pytest.raises(ValueError):
             self._make([0.0, 1.0, 1.0])
+
+    def _refuses(self, times):
+        try:
+            self._make(times)
+        except ValueError as err:
+            assert str(err) == "trajectory times must be strictly increasing"
+            return True
+        return False
+
+    @pytest.mark.parametrize("times", _TIME_CASES)
+    def test_refuses_the_times_the_difference_test_refused(self, times):
+        assert self._refuses(times) == (not _increasing_by_differences(times))
+
+    @given(_TIMES)
+    @settings(max_examples=300, deadline=None)
+    def test_refuses_exactly_the_times_the_difference_test_refused(self, times):
+        assert self._refuses(times) == (not _increasing_by_differences(times))
 
     def test_endpoint_is_last_state(self):
         kind = Hamiltonian.first_order_1d(params_of(0.0))

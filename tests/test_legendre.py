@@ -23,7 +23,8 @@ from gupmech.legendre import (
     momentum_from_velocity_first_order,
 )
 from gupmech.checks import _suite_hamiltonians
-from gupmech.dynamics import radial_velocity, speed_limit
+from gupmech.dynamics import hamiltonian_value, radial_velocity, speed_limit
+from test_dynamics import _TIME_CASES, _TIMES, _increasing_by_differences
 
 
 def params_of(beta, mass=1.0):
@@ -79,6 +80,31 @@ class TestFirstOrderInversion:
                 with pytest.raises(ValueError, match=re.escape(
                         f"first-order momentum cannot take the non-finite velocity {shown}")):
                     momentum_from_velocity_first_order(v, params_of(0.01))
+
+    # (velocity, mass, beta, quantity, speed): the 3D |v|^2 is inf past 1.34e154, even at
+    # beta = 0; the factor 1 - 4/3 beta m^2 v^2 is -inf at 1e200; m v factor is -inf at 1e155
+    @pytest.mark.parametrize("velocity, mass, beta, quantity, speed", [
+        ([1e200, 0.0, 0.0], 1.0, 0.01, "|v|^2", "1e+200"),
+        ([0.0, -1e155, 0.0], 1.0, 0.0, "|v|^2", "1e+155"),
+        (1e200, 1.0, 0.01, "factor", "1e+200"),
+        ([-1e200], 1.0, 0.01, "factor", "1e+200"),
+        (0.0, 1e10, 1e300, "factor", "0"),
+        (1e155, 1.0, 0.01, "m v factor", "1e+155"),
+        ([0.0, 1e100, 1e100], 1e200, 1e-300, "m v factor", "1.41421e+100"),
+    ])
+    def test_past_the_float_range_is_an_overflow_naming_the_speed(self, velocity, mass, beta,
+                                                                  quantity, speed):
+        # it returned -inf, or [-inf, nan, nan] after numpy's invalid-value warning
+        import warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError) as err:
+                momentum_from_velocity_first_order(velocity, params_of(beta, mass))
+        assert str(err.value) == f"first-order momentum {quantity} overflowed at speed {speed}"
+
+    def test_a_1d_square_past_the_float_range_is_not_formed(self):
+        # at beta = 0 the 1D momentum is m v whatever v^2 would be
+        assert momentum_from_velocity_first_order(1e155, params_of(0.0)) == 1e155
 
     @pytest.mark.parametrize("velocity", [3.0, [0.0, 1.8, 2.4]], ids=["1d", "3d"])
     def test_silent_inside_the_regime(self, velocity):
@@ -233,15 +259,36 @@ class TestExactInversion:
             momentum_from_velocity_exact(v, kind)
 
     @pytest.mark.parametrize("mass, scale, speed, quantity", [
-        (1e154, 1e154, 5e153, "|p|^2")])
+        (1e308, 1.0, 0.5, "|p|^2")])
     def test_an_effective_sqrt_overflow_names_its_quantity_and_speed(self, mass, scale, speed,
                                                                     quantity):
-        # at m = w = 1e154 the momentum, about 5.8e307, is a float but its square is not
+        # at m = 1e308, w = 1 the momentum, about 5.8e307, is a float but its square is not;
+        # m w and m w^2 are floats, as the model needs
         kind = Hamiltonian.effective_sqrt(params_of(0.01, mass), scale, sign=1)
         with pytest.raises(OverflowError) as err:
             momentum_from_velocity_exact(speed, kind)
         assert str(err.value) == (f"momentum {quantity} overflowed in the effective-sqrt model "
                                   f"at speed {speed:.6g}")
+
+    # m w = inf; m w^2 = inf; m w^2 = 1e-450, which underflows to 0
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("mass, scale, quantity, value", [
+        (1e200, 1e200, "m w", "inf"), (1.0, 1e200, "m w^2", "inf"),
+        (1e154, 1e154, "m w^2", "inf"), (1e150, 1e-300, "m w^2", "0.0")])
+    def test_an_effective_sqrt_scale_past_the_float_range_is_refused(self, mass, scale,
+                                                                     quantity, value, sign):
+        # m w^2 = inf made the energy nan at every momentum, (inf) (sqrt(1 +- y^2) - 1)
+        # with y = 0 at rest, while the rates stayed finite
+        with pytest.raises(ValueError) as err:
+            Hamiltonian.effective_sqrt(params_of(0.01, mass), scale, sign=sign)
+        assert str(err.value) == (f"the effective-sqrt model needs {quantity} inside the normal "
+                                  f"float range, got {value} with m = {mass!r}, w = {scale!r}")
+
+    def test_an_effective_sqrt_scale_at_the_float_edges_keeps_a_finite_energy(self):
+        # m w^2 = 1e308 and m w^2 = 1e-300 are normal floats
+        for mass, scale in ((1e308, 1.0), (1e150, 1e-225)):
+            kind = Hamiltonian.effective_sqrt(params_of(0.01, mass), scale, sign=1)
+            assert math.isfinite(hamiltonian_value(kind, PhaseState.of(0.0, 1.0)))
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("mass", [1e-160, 1e-170, 1e-300])
@@ -504,6 +551,24 @@ class TestPathSample:
     def test_unsorted_times_rejected(self):
         with pytest.raises(ValueError):
             PathSample(np.array([0.0, 2.0, 1.0]), np.zeros(3))
+
+    @staticmethod
+    def _refuses(times):
+        try:
+            PathSample(np.array(times), np.zeros(len(times)), np.zeros(len(times)))
+        except ValueError as err:
+            assert str(err) == "path times must be strictly increasing"
+            return True
+        return False
+
+    @pytest.mark.parametrize("times", _TIME_CASES)
+    def test_refuses_the_times_the_difference_test_refused(self, times):
+        assert self._refuses(times) == (not _increasing_by_differences(times))
+
+    @given(_TIMES)
+    @settings(max_examples=300, deadline=None)
+    def test_refuses_exactly_the_times_the_difference_test_refused(self, times):
+        assert self._refuses(times) == (not _increasing_by_differences(times))
 
     def test_two_component_positions_rejected(self):
         with pytest.raises(ValueError):
